@@ -26,7 +26,7 @@ from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
 from .ideals import Ideal, quotient
-from .rings import PolyRing, monomials_of_degree
+from .rings import PolyRing
 
 LABELS = {
     (False, True): "I",
@@ -118,15 +118,6 @@ def equidimensional_hull(I, seed=0, stats=None):
     raise RetriesExhaustedError("no complete-intersection link found in 5 attempts")
 
 
-def _standard_basis(I, d):
-    leads = [g.lead_monomial() for g in I.groebner_basis().elements]
-    return [
-        m
-        for m in monomials_of_degree(I.ring.width, d)
-        if not any(all(x <= y for x, y in zip(g, m)) for g in leads)
-    ]
-
-
 def _mult_matrix(gb, linear, basis_from, index_to):
     ring = linear.ring
     cols = []
@@ -160,12 +151,12 @@ def _slice_algebra(I, rng, stats=None):
     if sdata.hilbert_polynomial != 2:
         return None  # wrong colength
     d = max(sdata.agreement_bound, 1)
-    basis_d = _standard_basis(sliced, d)
-    basis_d1 = _standard_basis(sliced, d + 1)
+    gb = sliced.groebner_basis()
+    basis_d = gb.standard_monomials(d)
+    basis_d1 = gb.standard_monomials(d + 1)
     if len(basis_d) != 2 or len(basis_d1) != 2:
         return None
     index = {m: k for k, m in enumerate(basis_d1)}
-    gb = sliced.groebner_basis()
 
     chart = None
     for _ in range(n + 3):

@@ -186,6 +186,14 @@ class GroebnerBasis:
     def lead_monomials(self):
         return tuple(g.lead_monomial() for g in self.elements)
 
+    def standard_monomials(self, d):
+        """Degree-d monomials outside the initial ideal, in enumeration order."""
+        leads = self.lead_monomials()
+        return [
+            m for m in monomials_of_degree(self.ring.width, d)
+            if not any(_divides(g, m) for g in leads)
+        ]
+
     def _entries(self):
         cached = getattr(self, "_entry_cache", None)
         if cached is None:
@@ -487,7 +495,9 @@ class SyzygyModule:
 
     def contains(self, candidate):
         """Degreewise module membership for a homogeneous candidate row."""
-        return _module_contains(self.ring, self.target, self.generators, candidate)
+        shift = _tuple_shift(candidate, self.target)
+        coords = _row_coordinates(self.ring, self.target, candidate, shift)
+        return coords in _degree_span(self.ring, self.target, self.generators, shift)
 
 
 def _primitive_row(row):
@@ -529,19 +539,14 @@ def _row_coordinates(ring, target, row, shift):
     return coords
 
 
-def _module_contains(ring, target, generators, candidate):
-    shift = _tuple_shift(candidate, target)
-    rows = []
+def _degree_span(ring, target, generators, shift):
+    """Echelon span of the degree-`shift` piece of the module the rows generate."""
+    span = linalg.RowSpan()
     for gen in generators:
-        gshift = _tuple_shift(gen, target)
-        step = shift - gshift
-        if step < 0:
-            continue
-        for m in monomials_of_degree(ring.width, step):
+        for m in monomials_of_degree(ring.width, shift - _tuple_shift(gen, target)):
             mono = ring.from_dict({m: Fraction(1)})
-            shifted = tuple(mono * s for s in gen)
-            rows.append(_row_coordinates(ring, target, shifted, shift))
-    return linalg.in_row_span(rows, _row_coordinates(ring, target, candidate, shift))
+            span.add(_row_coordinates(ring, target, tuple(mono * s for s in gen), shift))
+    return span
 
 
 def syzygies(gens):
@@ -622,13 +627,19 @@ def syzygies(gens):
         seen.add(row)
         cleaned.append(row)
 
-    # graded pruning: keep only rows outside the module span of earlier ones
+    # graded pruning: keep only rows outside the module span of earlier ones;
+    # a kept row of the current shift spans only itself in that degree, so
+    # one span per shift takes every candidate of the shift in turn
     cleaned.sort(key=lambda row: _tuple_shift(row, target))
     pruned = []
+    span_shift = None
     for row in cleaned:
-        if pruned and _module_contains(ring, target, pruned, row):
-            continue
-        pruned.append(row)
+        shift = _tuple_shift(row, target)
+        if shift != span_shift:
+            span = _degree_span(ring, target, pruned, shift)
+            span_shift = shift
+        if span.add(_row_coordinates(ring, target, row, shift)):
+            pruned.append(row)
 
     module = SyzygyModule(
         ring,

@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import HomogeneityError
-from .rings import monomials_of_degree
 
 
 class UniPoly:
@@ -331,7 +330,7 @@ def _shifted_binomial(a, j):
 
 
 def hilbert_function(I, d):
-    """dim (S/I)_d by direct monomial count outside the initial ideal."""
+    """dim (S/I)_d, read off the Hilbert series."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     ring = I.ring
@@ -339,9 +338,4 @@ def hilbert_function(I, d):
         raise ValueError("Hilbert data requires a plain x-variable ring")
     if not I.is_homogeneous():
         raise HomogeneityError("Hilbert function requires a homogeneous ideal")
-    lead = _initial_monomials(I)
-    count = 0
-    for m in monomials_of_degree(ring.width, d):
-        if not any(all(x <= y for x, y in zip(g, m)) for g in lead):
-            count += 1
-    return count
+    return hilbert_series(I).series_coefficient(d)

@@ -150,13 +150,6 @@ def intersect(I, J):
     return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
 
 
-def intersect_many(ideals):
-    result = None
-    for J in ideals:
-        result = J if result is None else intersect(result, J)
-    return result
-
-
 def quotient(I, J):
     """(I : J) = {f : f*J inside I}, via (I meet (g))/g per generator g of J."""
     _require_same_ring(I, J)
@@ -164,11 +157,12 @@ def quotient(I, J):
         raise ValueError("quotient by the zero ideal")
     if I.is_zero():
         return I
-    parts = []
+    result = None
     for g in J.generators:
         K = intersect(I, Ideal(I.ring, [g]))
-        parts.append(Ideal(I.ring, [exact_divide(p, g) for p in K.generators]))
-    return intersect_many(parts).canonical()
+        part = Ideal(I.ring, [exact_divide(p, g) for p in K.generators])
+        result = part if result is None else intersect(result, part)
+    return result.canonical()
 
 
 def saturate(I, J):
@@ -201,40 +195,13 @@ def eliminate(I, front_vars):
     return Ideal(I.ring, gens).canonical()
 
 
-def graded_piece_quotient(I, J, d):
-    """Brute-force {f of degree d : f.J inside I} as a monomial-coefficient
-    nullspace; an independent oracle for quotient computations."""
-    from .rings import monomials_of_degree
-
-    ring = I.ring
-    gb = I.groebner_basis()
-    monos = monomials_of_degree(ring.width, d)
-    rows = []
-    for g in J.generators:
-        cols = []
-        targets = {}
-        for m in monos:
-            prod = gb.reduce(g * ring.from_dict({m: Fraction(1)}))
-            col = {}
-            for mono, c in prod.terms:
-                targets.setdefault(mono, len(targets))
-                col[targets[mono]] = c
-            cols.append(col)
-        height = len(targets)
-        for rix in range(height):
-            rows.append([cols[cix].get(rix, Fraction(0)) for cix in range(len(monos))])
-    if not rows:
-        return [tuple(int(i == j) for j in range(len(monos))) for i in range(len(monos))], monos
-    return linalg.nullspace(rows, len(monos)), monos
-
-
 def random_invertible_matrix(ring, seed, attempts=10):
     """Small-integer invertible substitution matrix on the x variables."""
     rng = random.Random(f"linear-change:{seed}")
     nv = ring.num_vars
     for _ in range(attempts):
         m = [[Fraction(rng.randint(-5, 5)) for _ in range(nv)] for _ in range(nv)]
-        if linalg.det(m) != 0:
+        if linalg.rank(m) == nv:
             return m
     raise RuntimeError("failed to sample an invertible matrix")
 
@@ -248,7 +215,7 @@ def random_linear_change(I, seed, matrix=None):
         raise HomogeneityError("coordinate changes require homogeneous ideals")
     if matrix is None:
         matrix = random_invertible_matrix(I.ring, seed)
-    elif linalg.det(matrix) == 0:
+    elif linalg.rank(matrix) < len(matrix):
         raise ValueError("substitution matrix is singular")
     return Ideal(I.ring, [g.compose_linear(matrix) for g in I.generators])
 

@@ -1,115 +1,95 @@
-"""Exact rational linear algebra: fraction-free rank, nullspace, solving.
+"""Exact rational linear algebra on one incremental echelon core.
 
-Matrices are lists of rows; entries are ints or Fractions.  Rank uses
-fraction-free (Bareiss) elimination on denominator-cleared integer rows with
-pivoting by largest absolute value, which keeps intermediate growth bounded
-by minors of the input.
+Matrices are lists of rows; entries are ints or Fractions.  `RowSpan` is the
+only elimination routine: it keeps the row space of the rows added so far as
+primitive integer rows (content 1) keyed by pivot column, the column of their
+first nonzero entry.  A new row is cleared of denominators and reduced
+fraction-free against the basis row whose pivot is its current leading
+column, with its content stripped after every step, until it is zero
+(dependent) or leads at a free column (a new pivot).  Rank, span membership,
+the reduced row echelon form, nullspaces, solving and inversion are all read
+off this core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _integer_rows(rows):
-    out = []
+class RowSpan:
+    """Row space over QQ of the rows added so far, in echelon form."""
+
+    def __init__(self):
+        # pivot column -> primitive integer row from the pivot column on
+        self._rows = {}
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _reduce(self, row):
+        """Remainder of row modulo the span: (pivot, primitive tail) or None."""
+        den = lcm(*(a.denominator for a in row))
+        v = [a.numerator * (den // a.denominator) for a in row]
+        start = 0
+        while True:
+            content = gcd(*v)
+            if not content:
+                return None
+            if content > 1:
+                v = [a // content for a in v]
+            lead = next(i for i, a in enumerate(v) if a)
+            v = v[lead:]
+            start += lead
+            basis = self._rows.get(start)
+            if basis is None:
+                return start, v
+            g = gcd(basis[0], v[0])
+            p, c = basis[0] // g, v[0] // g
+            v = [p * a - c * b for a, b in zip(v, basis)]
+
+    def add(self, row):
+        """Add row to the span; True when it was independent of it."""
+        reduced = self._reduce(row)
+        if reduced is None:
+            return False
+        self._rows[reduced[0]] = reduced[1]
+        return True
+
+    def __contains__(self, row):
+        return self._reduce(row) is None
+
+    def rref(self):
+        """The unique reduced row echelon basis: (Fraction rows, pivot columns)."""
+        pivots = sorted(self._rows)
+        done = {}
+        for p in reversed(pivots):
+            v = [0] * p + self._rows[p]
+            for q in pivots:
+                if q > p and v[q]:
+                    basis = done[q]
+                    g = gcd(basis[q], v[q])
+                    f, c = basis[q] // g, v[q] // g
+                    v = [f * a - c * b for a, b in zip(v, basis)]
+            done[p] = v
+        return [[Fraction(a, done[p][p]) for a in done[p]] for p in pivots], pivots
+
+
+def _span(rows):
+    span = RowSpan()
     for row in rows:
-        den = 1
-        for a in row:
-            if isinstance(a, Fraction):
-                den = den * a.denominator // gcd(den, a.denominator)
-        out.append([int(a * den) if isinstance(a, Fraction) else a * den for a in row])
-    return out
+        span.add(row)
+    return span
 
 
 def rank(rows):
-    """Rank over QQ via fraction-free elimination."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        best = 0
-        for i in range(r, nrows):
-            a = abs(m[i][col])
-            if a > best:
-                best = a
-                piv = i
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        for i in range(r + 1, nrows):
-            a = m[i][col]
-            row_i, row_r = m[i], m[r]
-            for j in range(col, ncols):
-                row_i[j] = (row_i[j] * p - row_r[j] * a) // prev
-        prev = p
-        r += 1
-    return r
-
-
-def det(matrix):
-    """Exact determinant (square matrix)."""
-    n = len(matrix)
-    m = [[Fraction(a) for a in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        result *= p
-        for i in range(col + 1, n):
-            f = m[i][col] / p
-            if f:
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    return result * sign
+    """Rank over QQ."""
+    return len(_span(rows))
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [[Fraction(a) for a in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        m[r] = [a / p for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return m, pivots
+    """Reduced row echelon form of the nonzero rows; returns (rows, pivot columns)."""
+    return _span(rows).rref()
 
 
 def nullspace(rows, ncols=None):
@@ -118,8 +98,6 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("cannot infer column count from an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
     m, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
@@ -154,10 +132,7 @@ def solve_unique(rows, rhs):
 
 def in_row_span(rows, vector):
     """True when vector is a QQ-linear combination of the rows."""
-    if not rows:
-        return all(a == 0 for a in vector)
-    base = rank(rows)
-    return rank(list(rows) + [list(vector)]) == base
+    return vector in _span(rows)
 
 
 def mat_mul(a, b):
@@ -175,9 +150,7 @@ def mat_mul(a, b):
 def invert(matrix):
     """Exact inverse of a square matrix; None when singular."""
     n = len(matrix)
-    aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    m, pivots = rref(aug)
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in m]

@@ -490,25 +490,6 @@ def monomials_of_degree(width, d):
     return out
 
 
-def validate_canonical(p):
-    """Assert the canonical-form invariants; used by tests."""
-    key = p.ring.sort_key()
-    seen = set()
-    prev = None
-    for m, c in p.terms:
-        assert c != 0, "zero coefficient stored"
-        assert isinstance(c, Fraction)
-        assert len(m) == p.ring.width
-        assert all(isinstance(e, int) and e >= 0 for e in m)
-        assert m not in seen, "duplicate monomial"
-        seen.add(m)
-        k = key(m)
-        if prev is not None:
-            assert k < prev, "terms not strictly descending"
-        prev = k
-    return True
-
-
 # ---------------------------------------------------------------------------
 # text format:  expr := term (('+'|'-') term)*
 #               term := coeff ('*' factor)* | factor ('*' factor)*

@@ -21,7 +21,6 @@ from . import linalg
 from .errors import HomogeneityError
 from .groebner import syzygies
 from .ideals import Ideal
-from .rings import monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,6 @@ def minimal_generators(I):
     return tuple(gens)
 
 
-def _standard_monomials(gb_leads, width, d):
-    out = []
-    for m in monomials_of_degree(width, d):
-        if not any(all(x <= y for x, y in zip(g, m)) for g in gb_leads):
-            out.append(m)
-    return out
-
-
 def _check_ring(I):
     ring = I.ring
     if ring.has_param or ring.num_aux:
@@ -88,9 +79,7 @@ def hom_degree_zero(I):
     gens = minimal_generators(I)
     degrees = tuple(g.total_degree() for g in gens)
     gb = I.groebner_basis()
-    leads = [g.lead_monomial() for g in gb.elements]
-
-    bases = tuple(_standard_monomials(leads, ring.width, d) for d in degrees)
+    bases = tuple(gb.standard_monomials(d) for d in degrees)
     offsets = []
     total = 0
     for b in bases:
@@ -101,7 +90,7 @@ def hom_degree_zero(I):
     rows = []
     for row, shift in zip(module.generators, module.shifts):
         # the relation lands in (S/I)_shift; one equation per basis monomial
-        target_basis = _standard_monomials(leads, ring.width, shift)
+        target_basis = gb.standard_monomials(shift)
         index = {m: k for k, m in enumerate(target_basis)}
         eqs = [[Fraction(0)] * total for _ in target_basis]
         for j, s_j in enumerate(row):
@@ -115,7 +104,7 @@ def hom_degree_zero(I):
                     eqs[index[m]][col] += c
         rows.extend(eq for eq in eqs if any(eq))
 
-    rank = linalg.rank(rows) if rows else 0
+    rank = linalg.rank(rows)
     unknown_names = tuple(
         tuple(str(ring.from_dict({m: Fraction(1)})) for m in b) for b in bases
     )

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import sympy
+
 from hilbcomp import linalg
 
 
@@ -25,12 +27,6 @@ def test_rank_agrees_with_rref_on_random_matrices():
              for _ in range(rows)]
         _, pivots = linalg.rref(m)
         assert linalg.rank(m) == len(pivots)
-
-
-def test_det_values():
-    assert linalg.det([[2]]) == 2
-    assert linalg.det([[1, 2], [3, 4]]) == -2
-    assert linalg.det([[1, 2], [2, 4]]) == 0
 
 
 def test_nullspace_annihilates():
@@ -70,3 +66,74 @@ def test_in_row_span():
     assert not linalg.in_row_span(rows, [0, 0, 1])
     assert linalg.in_row_span([], [0, 0, 0])
     assert not linalg.in_row_span([], [1, 0, 0])
+
+
+def _random_matrix(rng, rows, cols):
+    """Seeded rational matrix; rank deficiency comes from repeated and zero rows."""
+    m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+         for _ in range(rows)]
+    for i in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            m[i] = [Fraction(0)] * cols
+        elif kind < 0.35 and i > 0:
+            j, k = rng.randrange(i), rng.randrange(i)
+            a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+def _cases():
+    rng = random.Random(29)
+    yield 0, 3, []
+    yield 3, 0, [[], [], []]
+    yield 2, 3, [[0, 0, 0], [0, 0, 0]]
+    shapes = [(1, 5), (5, 1), (2, 7), (7, 2)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(50)]
+    for rows, cols in shapes:
+        yield rows, cols, _random_matrix(rng, rows, cols)
+
+
+def test_core_agrees_with_sympy():
+    rng = random.Random(37)
+    for rows, cols, m in _cases():
+        ref = sympy.Matrix(rows, cols, [sympy.Rational(a.numerator, a.denominator) for row in m for a in row])
+        assert linalg.rank(m) == ref.rank(), m
+        red, pivots = linalg.rref(m)
+        ref_red, ref_pivots = ref.rref()
+        assert tuple(pivots) == ref_pivots, m
+        assert [[sympy.Rational(a.numerator, a.denominator) for a in row] for row in red] == [
+            list(ref_red.row(i)) for i in range(len(pivots))
+        ], m
+        if rows:
+            null = linalg.nullspace(m, cols)
+            assert len(null) == len(ref.nullspace()), m
+            for vec in null:
+                assert all(v == 0 for v in ref * sympy.Matrix(vec)), m
+            rhs = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
+            got = linalg.solve_unique(m, rhs)
+            aug = ref.row_join(sympy.Matrix(rhs))
+            if aug.rank() > ref.rank():
+                assert got is None, m
+            else:
+                x, unique = got
+                assert ref * sympy.Matrix(x) == sympy.Matrix(rhs), m
+                assert unique == (ref.rank() == cols), m
+        if rows == cols:
+            inv = linalg.invert(m)
+            if ref.rank() < rows:
+                assert inv is None, m
+            else:
+                assert sympy.Matrix(inv) == ref.inv(), m
+
+
+def test_rowspan_add_matches_batch_rank_on_prefixes():
+    rng = random.Random(31)
+    for _ in range(30):
+        m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
+        span = linalg.RowSpan()
+        for k, row in enumerate(m, start=1):
+            was_new = span.add(row)
+            assert len(span) == linalg.rank(m[:k])
+            assert was_new == (linalg.rank(m[:k]) > linalg.rank(m[: k - 1]))
+            assert row in span

@@ -12,8 +12,9 @@ from hilbcomp.rings import (
     format_polynomial,
     monomials_of_degree,
     parse,
-    validate_canonical,
 )
+
+from oracles import validate_canonical
 
 
 @pytest.fixture
