@@ -56,11 +56,12 @@ def family(ring, generators):
     return Family(Ideal(ring, generators))
 
 
-def _specialize(fam, t0):
-    ring = fam.ring
-    base = fam.base_ring()
+def _specialize(I, t0):
+    """Image of an ideal of QQ[t][x] under t -> t0, as an ideal of QQ[x]."""
+    ring = I.ring
+    base = PolyRing(ring.num_vars)
     out = []
-    for g in fam.total_ideal.generators:
+    for g in I.generators:
         h = g.substitute(ring.param_index, ring.constant(t0))
         if not h.is_zero():
             out.append(h.convert(base))
@@ -74,22 +75,15 @@ def limit_ideal(fam):
         raise ValueError("family is identically zero")
     ring = fam.ring
     t_param = Ideal(ring, [ring.t])
-    closure = saturate(fam.total_ideal, t_param)
-    base = fam.base_ring()
-    gens = []
-    for g in closure.generators:
-        h = g.substitute(ring.param_index, ring.constant(0))
-        if not h.is_zero():
-            gens.append(h.convert(base))
-    special = Ideal(base, gens)
+    special = _specialize(saturate(fam.total_ideal, t_param), 0)
     if special.is_zero():
         raise ValueError("family vanishes identically at t = 0 after saturation")
-    return saturate(special, irrelevant_ideal(base)).canonical()
+    return saturate(special, irrelevant_ideal(special.ring)).canonical()
 
 
 def fiber(fam, t0):
     """Saturated fiber ideal at an explicit rational parameter value."""
-    at = _specialize(fam, Fraction(t0))
+    at = _specialize(fam.total_ideal, Fraction(t0))
     if at.is_zero():
         return at
     base = fam.base_ring()

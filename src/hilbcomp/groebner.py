@@ -8,6 +8,12 @@ to its integer content, which keeps coefficient growth bounded; exact
 rational results appear only at the boundary (monic basis elements, normal
 forms, quotients).
 
+The boundary with `Polynomial` is crossed in one place each way: polynomials
+enter through `_int_terms` and the `_Entry` normalizer, and every result
+leaves through `_poly`.  Rings that differ only in their order share one
+index layout, so a polynomial of any compatible ring reduces against a basis
+without conversion.
+
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
 equality a tuple comparison downstream.  Pair management uses the
@@ -27,66 +33,76 @@ from math import gcd
 
 from . import linalg
 from .errors import HomogeneityError, RingMismatchError
-from .rings import Polynomial, elimination_order, monomials_of_degree
+from .rings import (
+    Polynomial,
+    _divides,
+    _mono_lcm,
+    _mono_mul,
+    _mono_sub,
+    elimination_order,
+    monomials_of_degree,
+)
 
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 def _neg(key):
     return tuple(-k for k in key)
 
 
-class _Entry:
-    """Primitive-integer basis element: prim == lc * monic form."""
-
-    __slots__ = ("lm", "terms", "lc", "sugar", "vec")
-
-    def __init__(self, lm, terms, lc, sugar, vec=None):
-        self.lm = lm
-        self.terms = terms      # tuple of (mono, int coeff), descending, lead first
-        self.lc = lc            # positive integer lead coefficient
-        self.sugar = sugar
-        self.vec = vec          # tuple of Polynomials with prim == sum(vec . gens)
-
-
-def _poly_to_int_dict(p):
-    """Clear denominators: returns ({mono: int}, denominator)."""
+def _int_terms(p):
+    """Clear denominators: returns ({mono: int} in p's term order, denominator)."""
     den = 1
     for _, c in p.terms:
         den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms}, den
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms}, den
 
 
-def _content(d):
-    g = 0
-    for v in d.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g
+def _poly(ring, items, factor=Fraction(1)):
+    """Canonical polynomial sum(c * factor * x^m) from engine (mono, int)
+    items that are already in descending order, as every remainder and
+    quotient of `_reduce_int` is."""
+    return Polynomial(ring, tuple((m, c * factor) for m, c in items))
 
 
-def _sorted_int_terms(d, key):
-    return tuple(sorted(d.items(), key=lambda mc: key(mc[0]), reverse=True))
+class _Entry:
+    """Primitive-integer basis element: prim == lc * monic form.
+
+    Built from a {mono: int} dict in descending order: the content is
+    stripped and the lead made positive, so input == unit * prim, and a
+    tracked vec is divided by the same unit.
+    """
+
+    __slots__ = ("lm", "terms", "lc", "unit", "sugar", "vec")
+
+    def __init__(self, coeffs, sugar=0, vec=None):
+        unit = 0
+        for c in coeffs.values():
+            unit = gcd(unit, c)
+            if unit == 1:
+                break
+        terms = tuple(coeffs.items())
+        if terms[0][1] < 0:
+            unit = -unit
+        if unit != 1:
+            terms = tuple((m, c // unit) for m, c in terms)
+            if vec is not None:
+                inv = Fraction(1, unit)
+                vec = tuple(p.scale(inv) for p in vec)
+        self.lm, self.lc = terms[0]
+        self.terms = terms      # tuple of (mono, int coeff), descending, lead first
+        self.unit = unit
+        self.sugar = sugar
+        self.vec = vec          # tuple of Polynomials with prim == sum(vec . gens)
 
 
 def _reduce_int(work, entries, key, want_quotients=False):
     """Fraction-free full division of an integer term dict by the entries.
 
     Maintains  current == scale * input - sum_k quotient_k * entries[k].prim
-    with everything integral.  Returns (remainder dict with keys produced in
-    descending order, scale, quotients or None); no remainder monomial is
-    divisible by any entry's lead.
+    with everything integral.  Returns (remainder dict, scale, quotients or
+    None); no remainder monomial is divisible by any entry's lead.  The
+    remainder and every quotient dict get their keys in descending order:
+    monomials leave the heap descending, and the shifts m - lm of one lead
+    descend with m because the order is multiplicative.
     """
     work = dict(work)
     heap = [(_neg(key(m)), m) for m in work]
@@ -197,39 +213,29 @@ class GroebnerBasis:
     def _entries(self):
         cached = getattr(self, "_entry_cache", None)
         if cached is None:
-            key = self.ring.sort_key()
-            cached = []
-            for g in self.elements:
-                d, _ = _poly_to_int_dict(g)
-                terms = _sorted_int_terms(d, key)
-                cached.append(_Entry(terms[0][0], terms, terms[0][1], 0))
-            cached = tuple(cached)
+            cached = tuple(_Entry(_int_terms(g)[0]) for g in self.elements)
             object.__setattr__(self, "_entry_cache", cached)
         return cached
 
     def reduce(self, f, want_quotients=False):
         """Full normal form of f against this basis, returned in f's ring.
 
-        With want_quotients, also returns the exact monic-basis quotients:
+        f may live in any compatible ring.  With want_quotients, also returns
+        the exact monic-basis quotients, in the basis ring:
         f == sum_k q_k * elements[k] + remainder.
         """
         if not f.ring.compatible(self.ring):
             raise RingMismatchError("polynomial is not in the basis ring")
-        g = f.convert(self.ring)
-        key = self.ring.sort_key()
-        work, den = _poly_to_int_dict(g)
-        rem, scale, quots = _reduce_int(work, self._entries(), key, want_quotients)
-        factor = Fraction(1, den * scale)
-        result = self.ring.from_dict({m: c * factor for m, c in rem.items()})
-        result = result.convert(f.ring)
+        work, den = _int_terms(f)
+        entries = self._entries()
+        rem, scale, quots = _reduce_int(work, entries, self.ring.sort_key(), want_quotients)
+        result = _poly(self.ring, rem.items(), Fraction(1, den * scale)).convert(f.ring)
         if not want_quotients:
             return result
-        entries = self._entries()
-        out = []
-        for q, entry in zip(quots, entries):
-            qf = Fraction(entry.lc, den * scale)
-            out.append(self.ring.from_dict({m: c * qf for m, c in q.items()}))
-        return result, out
+        return result, [
+            _poly(self.ring, q.items(), Fraction(entry.lc, den * scale))
+            for q, entry in zip(quots, entries)
+        ]
 
     def contains(self, f):
         return self.reduce(f).is_zero()
@@ -287,18 +293,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     pairs = set()
 
     def add_element(int_dict, sugar, vec):
-        content = _content(int_dict)
-        if content > 1:
-            int_dict = {m: c // content for m, c in int_dict.items()}
-            if vec is not None:
-                inv = Fraction(1, content)
-                vec = tuple(p.scale(inv) for p in vec)
-        terms = _sorted_int_terms(int_dict, key)
-        if terms[0][1] < 0:
-            terms = tuple((m, -c) for m, c in terms)
-            if vec is not None:
-                vec = tuple(-p for p in vec)
-        basis.append(_Entry(terms[0][0], terms, terms[0][1], sugar, vec))
+        basis.append(_Entry(int_dict, sugar, vec))
         gm_update(len(basis) - 1)
 
     def gm_update(new_idx):
@@ -329,7 +324,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
 
     r = len(originals)
     for i, g in enumerate(originals):
-        d, den = _poly_to_int_dict(g)
+        d, den = _int_terms(g)
         vec = None
         if transform:
             vec = tuple(
@@ -370,12 +365,12 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         vec = None
         if transform:
             # remainder == scale * spoly - sum_k quot_k * prim_k, all prim-based
-            m1 = ring.from_dict({s1: Fraction(c1 * scale)})
-            m2 = ring.from_dict({s2: Fraction(c2 * scale)})
+            m1 = _poly(ring, ((s1, c1 * scale),))
+            m2 = _poly(ring, ((s2, c2 * scale),))
             vec = [m1 * a - m2 * b for a, b in zip(e1.vec, e2.vec)]
             for k, q in enumerate(quots):
                 if q:
-                    qp = ring.from_dict({m: Fraction(c) for m, c in q.items()})
+                    qp = _poly(ring, q.items())
                     vec = [a - qp * b for a, b in zip(vec, basis[k].vec)]
             vec = tuple(vec)
         add_element(rem, sugar, vec)
@@ -399,11 +394,10 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             vec = [p.scale(scale) for p in basis[i].vec]
             for entry, q in zip(others, quots):
                 if q:
-                    qp = ring.from_dict({m: Fraction(c) for m, c in q.items()})
+                    qp = _poly(ring, q.items())
                     vec = [a - qp * b for a, b in zip(vec, entry.vec)]
-        terms = _sorted_int_terms(rem, key)
-        lc = terms[0][1]
-        poly = ring.from_dict({m: Fraction(c, lc) for m, c in terms})
+        lc = next(iter(rem.values()))
+        poly = _poly(ring, rem.items(), Fraction(1, lc))
         if vec is not None:
             inv = Fraction(1, lc)
             vec = tuple(p.scale(inv) for p in vec)
@@ -452,22 +446,14 @@ def exact_divide(f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return f
-    ring = f.ring
-    key = ring.sort_key()
-    gd, gden = _poly_to_int_dict(g)
-    gterms = _sorted_int_terms(gd, key)
-    sign = 1
-    if gterms[0][1] < 0:
-        gterms = tuple((m, -c) for m, c in gterms)
-        sign = -1
-    entry = _Entry(gterms[0][0], gterms, gterms[0][1], 0)
-    fd, fden = _poly_to_int_dict(f)
-    rem, scale, quots = _reduce_int(fd, [entry], key, want_quotients=True)
+    gd, gden = _int_terms(g)
+    entry = _Entry(gd)
+    fd, fden = _int_terms(f)
+    rem, scale, quots = _reduce_int(fd, [entry], f.ring.sort_key(), want_quotients=True)
     if rem:
         raise ValueError("polynomial is not divisible")
-    # scale*fden*f == quot * (sign*gden*g)  =>  f/g == quot * sign*gden/(scale*fden)
-    qf = Fraction(sign * gden, fden * scale)
-    return ring.from_dict({m: c * qf for m, c in quots[0].items()})
+    # scale*fden*f == quot * prim, prim == gden*g/unit  =>  f/g == quot * gden/(unit*scale*fden)
+    return _poly(f.ring, quots[0].items(), Fraction(gden, entry.unit * fden * scale))
 
 
 @dataclass(frozen=True)
@@ -544,7 +530,7 @@ def _degree_span(ring, target, generators, shift):
     span = linalg.RowSpan()
     for gen in generators:
         for m in monomials_of_degree(ring.width, shift - _tuple_shift(gen, target)):
-            mono = ring.from_dict({m: Fraction(1)})
+            mono = _poly(ring, ((m, 1),))
             span.add(_row_coordinates(ring, target, tuple(mono * s for s in gen), shift))
     return span
 
@@ -587,14 +573,11 @@ def syzygies(gens):
                 raise AssertionError("S-pair of a reduced basis failed to vanish")
             # x^s1*monic_i - x^s2*monic_j == sum_k Q_k*lc_k/(scale*den) * monic_k
             tau = [ring.zero] * s
-            tau[i] = tau[i] + ring.from_dict({s1: Fraction(1)})
-            tau[j] = tau[j] - ring.from_dict({s2: Fraction(1)})
+            tau[i] = tau[i] + _poly(ring, ((s1, 1),))
+            tau[j] = tau[j] - _poly(ring, ((s2, 1),))
             for k, q in enumerate(quots):
                 if q:
-                    qf = Fraction(entries[k].lc, scale * den)
-                    tau[k] = tau[k] - ring.from_dict(
-                        {m: c * qf for m, c in q.items()}
-                    )
+                    tau[k] = tau[k] - _poly(ring, q.items(), Fraction(entries[k].lc, scale * den))
             row = []
             for col in range(r):
                 acc = ring.zero

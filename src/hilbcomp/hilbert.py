@@ -24,15 +24,17 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import HomogeneityError
+from .rings import _divides
 
 
 class UniPoly:
-    """Univariate polynomial in m with exact rational coefficients."""
+    """Univariate polynomial with exact int or Fraction coefficients, in m
+    for Hilbert polynomials and in T for series numerators."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -74,16 +76,17 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return UniPoly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return UniPoly([a * Fraction(c) for a in self.coeffs])
+        return UniPoly([a * c for a in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -125,7 +128,6 @@ def _coerce(v):
 
 
 UNIPOLY_ZERO = UniPoly()
-UNIPOLY_M = UniPoly([0, 1])
 
 
 def binomial_polynomial(a, offset=0):
@@ -166,49 +168,23 @@ def double_structure_hilbert_count(n, k, m):
 # numerator of the series of a monomial ideal
 # ---------------------------------------------------------------------------
 
-def _strip(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _upadd(p, q):
-    n = max(len(p), len(q))
-    return _strip(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def _upmul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _upshift(p, k):
-    return (0,) * k + tuple(p)
-
-
 def _minimalize(gens):
     gens = sorted(set(gens), key=lambda m: (sum(m), m))
     out = []
     for g in gens:
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+        if not any(_divides(h, g) for h in out):
             out.append(g)
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def _numerator(gens):
-    """Q(T) for S/(monomial ideal); gens minimal, as a sorted tuple."""
+    """Q(T) for S/(monomial ideal) as an integer UniPoly; gens minimal, as a
+    sorted tuple."""
     if not gens:
-        return (1,)
+        return UniPoly([1])
     if any(sum(g) == 0 for g in gens):
-        return (0,)
+        return UNIPOLY_ZERO
     width = len(gens[0])
     occupancy = [0] * width
     for g in gens:
@@ -217,10 +193,10 @@ def _numerator(gens):
                 occupancy[i] += 1
     if max(occupancy) <= 1:
         # pairwise coprime generators form a regular sequence
-        q = (1,)
+        q = UniPoly([1])
         for g in gens:
-            q = _upmul(q, _one_minus_power(sum(g)))
-        return _strip(q)
+            q = q * UniPoly([1] + [0] * (sum(g) - 1) + [-1])
+        return q
     pivot = max(range(width), key=lambda i: occupancy[i])
     plus = _minimalize(
         [g for g in gens if g[pivot] == 0]
@@ -232,14 +208,7 @@ def _numerator(gens):
             for g in gens
         ]
     )
-    return _upadd(_numerator(plus), _upshift(_numerator(colon), 1))
-
-
-def _one_minus_power(d):
-    out = [0] * (d + 1)
-    out[0] = 1
-    out[d] = -1
-    return tuple(out)
+    return _numerator(plus) + UniPoly((0,) + _numerator(colon).coeffs)
 
 
 @dataclass(frozen=True)
@@ -286,7 +255,7 @@ def hilbert_series(I):
     if not I.is_homogeneous():
         raise HomogeneityError("Hilbert series requires a homogeneous ideal")
     width = ring.width
-    q = _numerator(_initial_monomials(I))
+    q = _numerator(_initial_monomials(I)).coeffs or (0,)
 
     reduced = list(q)
     dpow = width
@@ -314,7 +283,7 @@ def hilbert_series(I):
         hp = UNIPOLY_ZERO
         for j, c in enumerate(reduced):
             if c:
-                hp = hp + _shifted_binomial(dpow - 1, j).scale(c)
+                hp = hp + binomial_polynomial(dpow - 1, offset=j).scale(c)
         dimension = dpow - 1
         # the degree of the scheme is the reduced numerator at T=1
         degree = sum(reduced)
@@ -322,11 +291,6 @@ def hilbert_series(I):
     data = HilbertData(width, q, reduced, dpow, hp, dimension, degree, bound)
     I._set_hilbert(data)
     return data
-
-
-def _shifted_binomial(a, j):
-    """C(m - j + a, a) as a polynomial in m."""
-    return binomial_polynomial(a, offset=j)
 
 
 def hilbert_function(I, d):

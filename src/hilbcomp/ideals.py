@@ -62,19 +62,16 @@ class Ideal:
     def is_x_homogeneous(self):
         return all(g.is_x_homogeneous() for g in self.generators)
 
-    def groebner_basis(self, order=None, transform=False):
+    def groebner_basis(self, order=None):
         if order is None:
             order = GREVLEX
-        cached = self._gb_cache.get((order, True))
-        if cached is None and not transform:
-            cached = self._gb_cache.get((order, False))
-        if cached is not None:
-            return cached
-        if not self.generators:
-            gb = GroebnerBasis(self.ring.with_order(order), (), (), () if transform else None)
-        else:
-            gb = buchberger(self.generators, order, transform=transform)
-        self._gb_cache[(order, transform)] = gb
+        gb = self._gb_cache.get(order)
+        if gb is None:
+            if not self.generators:
+                gb = GroebnerBasis(self.ring.with_order(order), (), ())
+            else:
+                gb = buchberger(self.generators, order, transform=False)
+            self._gb_cache[order] = gb
         return gb
 
     def canonical_generators(self):
@@ -125,7 +122,7 @@ def _with_seeded_gb(ring, reduced_gens):
     out = Ideal(ring, reduced_gens)
     gb_ring = ring.with_order(GREVLEX)
     elements = tuple(g.convert(gb_ring) for g in out.generators)
-    out._gb_cache[(GREVLEX, False)] = GroebnerBasis(gb_ring, elements, elements, None)
+    out._gb_cache[GREVLEX] = GroebnerBasis(gb_ring, elements, elements)
     return out
 
 

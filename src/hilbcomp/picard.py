@@ -52,17 +52,6 @@ class DivisorClass:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
 
-    def scale_free(self):
-        """Primitive integer representative on the same ray."""
-        from math import gcd
-
-        g = 0
-        for c in self.coords:
-            g = gcd(g, abs(int(c)))
-        if g in (0, 1):
-            return self
-        return DivisorClass(self.space, tuple(int(c) // g for c in self.coords), self.name)
-
 
 @dataclass(frozen=True)
 class CurveClass:

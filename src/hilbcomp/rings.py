@@ -9,6 +9,12 @@ descending under the ring's monomial order, no zero coefficients, no
 duplicate monomials.
 
 Everything here is immutable and hashable; operations are pure functions.
+
+Variables sit at fixed positions by role: x_0..x_{n}, then t, then u_j, so
+rings that differ only in their order share one index layout.  The tuple
+monomial helpers below are the only ones in the package; the Groebner engine
+imports them and crosses into this representation at `Polynomial.convert`
+and its own single entry and exit helpers.
 """
 
 from __future__ import annotations
@@ -151,29 +157,12 @@ class PolyRing:
 
     def from_dict(self, coeffs):
         """Canonical polynomial from {exponent tuple: coefficient}."""
-        key = self.sort_key()
-        terms = tuple(
-            (m, Fraction(c))
-            for m, c in sorted(coeffs.items(), key=lambda mc: key(mc[0]), reverse=True)
-            if c
-        )
-        return Polynomial(self, terms)
-
-    def from_terms(self, pairs):
-        acc = {}
-        for m, c in pairs:
-            acc[m] = acc.get(m, 0) + Fraction(c)
-        return self.from_dict(acc)
+        terms = [(m, c if type(c) is Fraction else Fraction(c)) for m, c in coeffs.items() if c]
+        return Polynomial(self, _sorted_terms(terms, self.sort_key()))
 
     # ----- ring derivation -------------------------------------------
     def with_order(self, order):
         return PolyRing(self.num_vars, self.has_param, order, self.num_aux)
-
-    def with_param(self):
-        return PolyRing(self.num_vars, True, self.order, self.num_aux)
-
-    def without_param(self):
-        return PolyRing(self.num_vars, False, self.order, self.num_aux)
 
     def with_aux(self, k):
         return PolyRing(self.num_vars, self.has_param, self.order, k)
@@ -192,12 +181,24 @@ def _cached_key(order, width):
     return order.key_function(width)
 
 
+def _sorted_terms(terms, key):
+    return tuple(sorted(terms, key=lambda mc: key(mc[0]), reverse=True))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _mono_pow(a, e):
-    return tuple(x * e for x in a)
+def _mono_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class Polynomial:
@@ -255,9 +256,6 @@ class Polynomial:
         nv = self.ring.num_vars
         degs = {sum(m[:nv]) for m, _ in self.terms}
         return len(degs) == 1
-
-    def as_dict(self):
-        return dict(self.terms)
 
     def coefficient(self, mono):
         for m, c in self.terms:
@@ -353,29 +351,6 @@ class Polynomial:
             return self
         return self.scale(Fraction(1) / lc)
 
-    def content(self):
-        """Positive rational content (gcd of coefficients); 0 for the zero poly."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self):
-        """Scaled to coprime integer coefficients with positive leading sign."""
-        if not self.terms:
-            return self
-        c = self.content()
-        p = self.scale(1 / c)
-        if p.terms[0][1] < 0:
-            p = p.scale(-1)
-        return p
-
     # ----- structural operations --------------------------------------
     def substitute(self, var_index, replacement):
         """Image under the ring map sending variable var_index to replacement."""
@@ -395,29 +370,36 @@ class Polynomial:
     def convert(self, target):
         """Reinterpret in a ring with the same variable identities.
 
-        Variables absent from the target must not occur; extra target
-        variables get exponent zero.
+        Variables map by role (x_i, then t, then u_j).  Variables absent
+        from the target must not occur; extra target variables get exponent
+        zero.  The same ring returns self; a ring with the same variables
+        and another order only re-sorts the terms.
         """
-        src, dst = self.ring, target
-        mapping = []
-        for i in range(src.width):
-            name = src.var_name(i)
-            j = _target_index(dst, name)
-            mapping.append(j)
-        acc = {}
+        src = self.ring
+        if src == target:
+            return self
+        key = target.sort_key()
+        if src.compatible(target):
+            return Polynomial(target, _sorted_terms(self.terms, key))
+        mapping = [i if i < target.num_vars else None for i in range(src.num_vars)]
+        if src.has_param:
+            mapping.append(target.param_index)
+        mapping += [
+            target.aux_index(j) if j < target.num_aux else None for j in range(src.num_aux)
+        ]
+        terms = []
         for m, c in self.terms:
-            out = [0] * dst.width
+            out = [0] * target.width
             for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                j = mapping[i]
-                if j is None:
-                    raise RingMismatchError(
-                        f"variable {src.var_name(i)} does not exist in target ring"
-                    )
-                out[j] = e
-            acc[tuple(out)] = acc.get(tuple(out), 0) + c
-        return dst.from_dict(acc)
+                if e:
+                    j = mapping[i]
+                    if j is None:
+                        raise RingMismatchError(
+                            f"variable {src.var_name(i)} does not exist in target ring"
+                        )
+                    out[j] = e
+            terms.append((tuple(out), c))
+        return Polynomial(target, _sorted_terms(terms, key))
 
     def compose_linear(self, matrix):
         """Substitute x_i -> sum_j matrix[i][j] * x_j simultaneously."""
@@ -464,13 +446,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def _target_index(ring, name):
-    for j in range(ring.width):
-        if ring.var_name(j) == name:
-            return j
-    return None
 
 
 def monomials_of_degree(width, d):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from hilbcomp import linalg
+from hilbcomp.errors import RingMismatchError
 from hilbcomp.rings import monomials_of_degree
 
 
@@ -23,6 +24,27 @@ def validate_canonical(p):
             assert k < prev, "terms not strictly descending"
         prev = k
     return True
+
+
+def convert_by_name(p, target):
+    """Reinterpret p in target by matching variable names; variables absent
+    from the target must not occur, extra target variables get exponent zero."""
+    src = p.ring
+    names = {target.var_name(j): j for j in range(target.width)}
+    mapping = [names.get(src.var_name(i)) for i in range(src.width)]
+    acc = {}
+    for m, c in p.terms:
+        out = [0] * target.width
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            if mapping[i] is None:
+                raise RingMismatchError(
+                    f"variable {src.var_name(i)} does not exist in target ring"
+                )
+            out[mapping[i]] = e
+        acc[tuple(out)] = acc.get(tuple(out), 0) + c
+    return target.from_dict(acc)
 
 
 def hilbert_function_by_count(I, d):

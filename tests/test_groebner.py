@@ -12,7 +12,9 @@ from hilbcomp.groebner import (
     normal_form,
     syzygies,
 )
-from hilbcomp.rings import PolyRing, monomials_of_degree, parse
+from hilbcomp.rings import LEX, PolyRing, monomials_of_degree, parse
+
+from oracles import validate_canonical
 
 
 R4 = PolyRing(4)
@@ -65,6 +67,23 @@ def test_reduction_is_exact():
     lead_monos = gb.lead_monomials()
     for mono, _ in r.terms:
         assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in lead_monos)
+
+
+def test_reduction_of_a_lex_polynomial_against_a_grevlex_basis():
+    gb = buchberger(quads("x0^2 - x1*x2", "x1*x3 - x2^2", "2*x0*x3 - 3/5*x1^2"))
+    lex_ring = R4.with_order(LEX)
+    f = parse("x0^3*x3 + 5*x2^3 - 1/7*x0*x1 + x1^2*x3^2 + x0*x2*x3", lex_ring)
+    r, q = gb.reduce(f, want_quotients=True)
+    assert r.ring == lex_ring
+    validate_canonical(r)
+    # the two orders list this remainder's terms differently
+    assert r.terms != r.convert(R4).terms
+    rebuilt = r.convert(R4)
+    for qi, gi in zip(q, gb.elements):
+        validate_canonical(qi)
+        rebuilt = rebuilt + qi * gi
+    assert rebuilt == f.convert(R4)
+    assert r == gb.reduce(f.convert(R4)).convert(lex_ring)
 
 
 def test_membership_iff_zero_normal_form():

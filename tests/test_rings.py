@@ -14,7 +14,7 @@ from hilbcomp.rings import (
     parse,
 )
 
-from oracles import validate_canonical
+from oracles import convert_by_name, validate_canonical
 
 
 @pytest.fixture
@@ -211,3 +211,28 @@ def test_convert_between_compatible_rings(ring, tring):
     # a polynomial using t cannot drop into the plain ring
     with pytest.raises(RingMismatchError):
         parse("t*x0", tring).convert(ring)
+    # seeded property check against name matching, over order changes,
+    # adding or dropping t, adding or dropping one auxiliary u, and both
+    rng = random.Random(17)
+    orders = [GREVLEX, LEX, elimination_order([0]), elimination_order([4, 5])]
+    layouts = [(False, 0), (True, 0), (False, 1), (True, 1)]
+    for _ in range(300):
+        src = PolyRing(4, *rng.choice(layouts)).with_order(rng.choice(orders))
+        dst = PolyRing(4, *rng.choice(layouts)).with_order(rng.choice(orders))
+        # t and u occur in only some polynomials, so that dropping them can succeed
+        active = [i < 4 or rng.random() < 0.5 for i in range(src.width)]
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = tuple(rng.randint(0, 3) if a else 0 for a in active)
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        p = src.from_dict(terms)
+        assert p.convert(src) is p
+        try:
+            want = convert_by_name(p, dst)
+        except RingMismatchError:
+            with pytest.raises(RingMismatchError):
+                p.convert(dst)
+            continue
+        got = p.convert(dst)
+        assert got.ring == dst and got == want
+        validate_canonical(got)
