@@ -15,6 +15,7 @@ from .errors import (
     HomogeneityError,
     KernelError,
     LatticeDataError,
+    MonomialOverflowError,
     ParseError,
     RetriesExhaustedError,
     RingMismatchError,

@@ -32,3 +32,8 @@ class RetriesExhaustedError(KernelError):
 class LatticeDataError(KernelError):
     """Pairing data is inconsistent, fails to determine a unique solution,
     or a divisor class lies outside its cone domain."""
+
+
+class MonomialOverflowError(KernelError):
+    """An exponent or degree outgrew the packed monomial fields of the
+    Groebner engine (each holds values below 2**31)."""

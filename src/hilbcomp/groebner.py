@@ -1,79 +1,202 @@
 """Buchberger's algorithm, normal forms, elimination, and syzygies.
 
-The engine works on integer-primitive term data with an explicit
-monomial-order key function, so the same code serves grevlex, lex, and
-block elimination orders.  Division is fraction-free: the working
-polynomial is scaled by integer pivots and every intermediate is stripped
-to its integer content, which keeps coefficient growth bounded; exact
-rational results appear only at the boundary (monic basis elements, normal
-forms, quotients).
+Inside the engine a monomial is one packed int (`_Packing`, one per order
+and width): fields of 32 bits, most significant first in the order's own
+comparison, so int comparison is the monomial order and the heap of a
+division holds plain ints.  The top bit of every field is a guard bit that
+stays clear, a product is one add, and divisibility is one subtract of the
+exponent fields followed by a guard test.  Every monomial the engine creates
+is guard-tested, so an exponent or degree past 2**31 - 1 raises
+`MonomialOverflowError` instead of wrapping around.  Division is
+fraction-free: the working polynomial is scaled by integer pivots and every
+intermediate is stripped to its integer content, which keeps coefficient
+growth bounded; exact rational results appear only at the boundary (monic
+basis elements, normal forms, quotients).
 
 The boundary with `Polynomial` is crossed in one place each way: polynomials
-enter through `_int_terms` and the `_Entry` normalizer, and every result
-leaves through `_poly`.  Rings that differ only in their order share one
-index layout, so a polynomial of any compatible ring reduces against a basis
-without conversion.
+enter through `_int_terms` (which packs) and the `_Entry` normalizer, and
+every result leaves through `_poly` (which unpacks).  Rings that differ only
+in their order share one index layout, so a polynomial of any compatible
+ring reduces against a basis without conversion.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
 equality a tuple comparison downstream.  Pair management uses the
-Gebauer-Moeller refinement of Buchberger's first and second criteria; pair
-selection is by sugar degree with the order key of the lcm as tie-break.
-An optional seed randomizes the processing schedule (the reduced basis must
-not depend on it).
+Gebauer-Moeller refinement of Buchberger's first and second criteria, on
+the exponent tuples of the leads; pair selection is by sugar degree with the
+order key of the lcm as tie-break.  An optional seed randomizes the
+processing schedule (the reduced basis must not depend on it).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter, mul
 
 from . import linalg
-from .errors import HomogeneityError, RingMismatchError
+from .errors import HomogeneityError, MonomialOverflowError, RingMismatchError
 from .rings import (
     Polynomial,
     _divides,
     _mono_lcm,
     _mono_mul,
-    _mono_sub,
     elimination_order,
     monomials_of_degree,
 )
 
+_FIELD_BITS = 32
+_MASK = (1 << (_FIELD_BITS - 1)) - 1   # the largest value a field holds
+_GUARD = 1 << (_FIELD_BITS - 1)
 
-def _neg(key):
-    return tuple(-k for k in key)
+
+class _Packing:
+    """Monomials of one (order, width) as ints, and back.
+
+    Fields, most significant first: grevlex packs the total degree, then
+    MASK - e_i for i = n-1 .. 0; a block order packs each block's degree
+    followed by that block's MASK - e_i fields in the same reversed order;
+    lex packs e_0 .. e_{n-1}.  Packing is affine in the exponents,
+    pack(m) == base + sum(e_i * weight_i), with `base` holding MASK in every
+    reversed field, so
+
+        pack(a + b) == pack(a) + pack(b) - base
+        pack(m - l) == pack(m) - pack(l) + base      (l divides m)
+
+    `view(m) == (m & exps) ^ base` holds e_i in every exponent field and 0 in
+    the degree fields, and l divides m exactly when
+    ((view(m) | guards) - view(l)) & guards == guards: with the guard bits set
+    no field borrows from its neighbour, and a cleared guard marks a field
+    where l's exponent is the larger.
+
+    A sum or difference of valid monomials whose fields leave [0, MASK] has
+    the guard bit set in its lowest such field (no carry reaches that field
+    from below), so `v & guards` is the overflow test for every product.
+    """
+
+    def __init__(self, order, width):
+        if order.kind == "lex":
+            blocks = ()
+            fields = [("exp", i) for i in range(width)]
+        else:
+            if order.kind == "grevlex":
+                blocks = [tuple(range(width))]
+            elif order.kind == "block":
+                front = tuple(i for i in order.front if i < width)
+                back = tuple(i for i in range(width) if i not in set(front))
+                blocks = [b for b in (front, back) if b]
+            else:
+                raise ValueError(f"unknown monomial order kind {order.kind!r}")
+            fields = []
+            for b in blocks:
+                fields.append(("deg", b))
+                fields += [("rev", i) for i in reversed(b)]
+        nfields = len(fields)
+        weights = [0] * width
+        base = guards = exps = 0
+        slot_of = {}
+        for k, (kind, what) in enumerate(fields):
+            slot = nfields - 1 - k
+            place = 1 << (_FIELD_BITS * slot)
+            guards |= _GUARD * place
+            if kind == "deg":
+                for i in what:
+                    weights[i] += place
+                continue
+            slot_of[what] = slot
+            exps |= _MASK * place
+            if kind == "rev":
+                weights[what] -= place
+                base |= _MASK * place
+            else:
+                weights[what] += place
+        self.weights = tuple(weights)
+        self.base = base
+        self.guards = guards
+        self.exps = exps
+        self._blocks = blocks
+        self._nbytes = nfields * _FIELD_BITS // 8
+        # the exponent fields in slot order, then into variable order
+        exp_slots = set(slot_of.values())
+        self._fields = struct.Struct(
+            "<" + "".join("I" if s in exp_slots else "4x" for s in range(nfields))
+        ).unpack
+        by_slot = sorted(range(width), key=slot_of.__getitem__)
+        self._permute = None
+        if by_slot != list(range(width)):
+            self._permute = itemgetter(*(by_slot.index(i) for i in range(width)))
+
+    def pack(self, m):
+        # a total degree within MASK bounds every field; past it, check each
+        if min(m) < 0 or (sum(m) > _MASK and not self._fits(m)):
+            raise _overflow()
+        return sum(map(mul, m, self.weights), self.base)
+
+    def _fits(self, m):
+        return max(m) <= _MASK and all(
+            sum(map(m.__getitem__, b)) <= _MASK for b in self._blocks
+        )
+
+    def divides(self, a, b):
+        """True when packed monomial a divides packed monomial b."""
+        guards, exps, base = self.guards, self.exps, self.base
+        return ((((b & exps) ^ base) | guards) - ((a & exps) ^ base)) & guards == guards
+
+    def unpack(self, v):
+        exps = self._fields((v ^ self.base).to_bytes(self._nbytes, "little"))
+        return exps if self._permute is None else self._permute(exps)
 
 
-def _int_terms(p):
-    """Clear denominators: returns ({mono: int} in p's term order, denominator)."""
+@functools.lru_cache(maxsize=None)
+def _packing(order, width):
+    return _Packing(order, width)
+
+
+def _ring_packing(ring):
+    return _packing(ring.order, ring.width)
+
+
+def _overflow():
+    return MonomialOverflowError(
+        f"a monomial exponent or degree exceeds the packed field width (values up to {_MASK})"
+    )
+
+
+def _int_terms(p, pk):
+    """Clear denominators: returns ({packed mono: int} in p's term order,
+    denominator)."""
     den = 1
     for _, c in p.terms:
         den = den * c.denominator // gcd(den, c.denominator)
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms}, den
+    pack = pk.pack
+    return {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms}, den
 
 
 def _poly(ring, items, factor=Fraction(1)):
-    """Canonical polynomial sum(c * factor * x^m) from engine (mono, int)
-    items that are already in descending order, as every remainder and
+    """Canonical polynomial sum(c * factor * x^m) from engine (packed mono,
+    int) items that are already in descending order, as every remainder and
     quotient of `_reduce_int` is."""
-    return Polynomial(ring, tuple((m, c * factor) for m, c in items))
+    unpack = _ring_packing(ring).unpack
+    return Polynomial(ring, tuple((unpack(m), c * factor) for m, c in items))
 
 
 class _Entry:
     """Primitive-integer basis element: prim == lc * monic form.
 
-    Built from a {mono: int} dict in descending order: the content is
+    Built from a {packed mono: int} dict in descending order: the content is
     stripped and the lead made positive, so input == unit * prim, and a
-    tracked vec is divided by the same unit.
+    tracked vec is divided by the same unit.  `lead` is the exponent tuple
+    of the packed lead `lm`, for the pair bookkeeping.
     """
 
-    __slots__ = ("lm", "terms", "lc", "unit", "sugar", "vec")
+    __slots__ = ("lm", "lead", "terms", "lc", "unit", "sugar", "vec")
 
-    def __init__(self, coeffs, sugar=0, vec=None):
+    def __init__(self, coeffs, pk, sugar=0, vec=None):
         unit = 0
         for c in coeffs.values():
             unit = gcd(unit, c)
@@ -88,14 +211,15 @@ class _Entry:
                 inv = Fraction(1, unit)
                 vec = tuple(p.scale(inv) for p in vec)
         self.lm, self.lc = terms[0]
-        self.terms = terms      # tuple of (mono, int coeff), descending, lead first
+        self.lead = pk.unpack(self.lm)
+        self.terms = terms      # tuple of (packed mono, int coeff), descending, lead first
         self.unit = unit
         self.sugar = sugar
         self.vec = vec          # tuple of Polynomials with prim == sum(vec . gens)
 
 
-def _reduce_int(work, entries, key, want_quotients=False):
-    """Fraction-free full division of an integer term dict by the entries.
+def _reduce_int(work, entries, pk, want_quotients=False):
+    """Fraction-free full division of a packed integer term dict by the entries.
 
     Maintains  current == scale * input - sum_k quotient_k * entries[k].prim
     with everything integral.  Returns (remainder dict, scale, quotients or
@@ -104,20 +228,23 @@ def _reduce_int(work, entries, key, want_quotients=False):
     monomials leave the heap descending, and the shifts m - lm of one lead
     descend with m because the order is multiplicative.
     """
+    base, guards, exps = pk.base, pk.guards, pk.exps
     work = dict(work)
-    heap = [(_neg(key(m)), m) for m in work]
+    heap = [-m for m in work]   # heapq pops the smallest: negate for the largest
     heapq.heapify(heap)
     remainder = {}
     scale = 1
     quotients = [dict() for _ in entries] if want_quotients else None
-    lms = [e.lm for e in entries]
+    # the divisibility test of _Packing.divides, with the leads' views hoisted
+    views = [(e.lm & exps) ^ base for e in entries]
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None or c == 0:
             continue
-        for idx, lm in enumerate(lms):
-            if _divides(lm, m):
+        probe = ((m & exps) ^ base) | guards
+        for idx, view in enumerate(views):
+            if (probe - view) & guards == guards:
                 entry = entries[idx]
                 # entry.lc > 0 by construction
                 g = gcd(c, entry.lc)
@@ -133,15 +260,17 @@ def _reduce_int(work, entries, key, want_quotients=False):
                             for k in q:
                                 q[k] *= mult
                     scale *= mult
-                shift = _mono_sub(m, lm)
+                delta = m - entry.lm    # mono * x^(m - lm) == mono + delta
                 for mono, tc in entry.terms[1:]:
-                    mm = _mono_mul(mono, shift)
+                    mm = mono + delta
                     prev = work.get(mm)
                     if prev is None:
                         nv = -coef * tc
                         if nv:
+                            if mm & guards:
+                                raise _overflow()
                             work[mm] = nv
-                            heapq.heappush(heap, (_neg(key(mm)), mm))
+                            heapq.heappush(heap, -mm)
                     else:
                         nv = prev - coef * tc
                         if nv:
@@ -150,6 +279,7 @@ def _reduce_int(work, entries, key, want_quotients=False):
                             del work[mm]
                 if want_quotients:
                     q = quotients[idx]
+                    shift = delta + base
                     q[shift] = q.get(shift, 0) + coef
                 break
         else:
@@ -157,27 +287,33 @@ def _reduce_int(work, entries, key, want_quotients=False):
     return remainder, scale, quotients
 
 
-def _int_spoly(e1, e2):
-    """Primitive-friendly S-polynomial data of two entries.
+def _int_spoly(e1, e2, lcm, pk):
+    """Primitive-friendly S-polynomial data of two entries whose packed lcm
+    of leads is `lcm`.
 
-    Returns (work dict, denominator) with
-    work/den == x^a * monic(e1) - x^b * monic(e2).
+    Returns (work dict, denominator, (s1, s2, c1, c2)) with
+    work/den == x^s1 * monic(e1) - x^s2 * monic(e2), s1 and s2 packed.
     """
-    lcm = _mono_lcm(e1.lm, e2.lm)
-    s1, s2 = _mono_sub(lcm, e1.lm), _mono_sub(lcm, e2.lm)
+    guards = pk.guards
+    d1, d2 = lcm - e1.lm, lcm - e2.lm
     g = gcd(e1.lc, e2.lc)
     c1, c2 = e2.lc // g, e1.lc // g
     acc = {}
     for m, c in e1.terms:
-        acc[_mono_mul(m, s1)] = c * c1
+        mm = m + d1
+        if mm & guards:
+            raise _overflow()
+        acc[mm] = c * c1
     for m, c in e2.terms:
-        mm = _mono_mul(m, s2)
+        mm = m + d2
+        if mm & guards:
+            raise _overflow()
         v = acc.get(mm, 0) - c * c2
         if v:
             acc[mm] = v
         else:
             acc.pop(mm, None)
-    return acc, (e1.lc * e2.lc) // g, (s1, s2, c1, c2)
+    return acc, (e1.lc * e2.lc) // g, (d1 + pk.base, d2 + pk.base, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -213,7 +349,8 @@ class GroebnerBasis:
     def _entries(self):
         cached = getattr(self, "_entry_cache", None)
         if cached is None:
-            cached = tuple(_Entry(_int_terms(g)[0]) for g in self.elements)
+            pk = _ring_packing(self.ring)
+            cached = tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
             object.__setattr__(self, "_entry_cache", cached)
         return cached
 
@@ -226,9 +363,10 @@ class GroebnerBasis:
         """
         if not f.ring.compatible(self.ring):
             raise RingMismatchError("polynomial is not in the basis ring")
-        work, den = _int_terms(f)
+        pk = _ring_packing(self.ring)
+        work, den = _int_terms(f, pk)
         entries = self._entries()
-        rem, scale, quots = _reduce_int(work, entries, self.ring.sort_key(), want_quotients)
+        rem, scale, quots = _reduce_int(work, entries, pk, want_quotients)
         result = _poly(self.ring, rem.items(), Fraction(1, den * scale)).convert(f.ring)
         if not want_quotients:
             return result
@@ -243,11 +381,12 @@ class GroebnerBasis:
     def spair_certificate(self):
         """True when every S-pair of the basis reduces to zero."""
         entries = self._entries()
-        key = self.ring.sort_key()
+        pk = _ring_packing(self.ring)
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                s, _, _ = _int_spoly(entries[i], entries[j])
-                rem, _, _ = _reduce_int(s, entries, key)
+                lcm = pk.pack(_mono_lcm(entries[i].lead, entries[j].lead))
+                s, _, _ = _int_spoly(entries[i], entries[j], lcm, pk)
+                rem, _, _ = _reduce_int(s, entries, pk)
                 if rem:
                     return False
         return True
@@ -286,6 +425,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         order = ring0.order
     ring = ring0.with_order(order)
     key = ring.sort_key()
+    pk = _ring_packing(ring)
     originals = tuple(g.convert(ring) for g in gens)
 
     rng = random.Random(seed) if seed is not None else None
@@ -293,13 +433,13 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     pairs = set()
 
     def add_element(int_dict, sugar, vec):
-        basis.append(_Entry(int_dict, sugar, vec))
+        basis.append(_Entry(int_dict, pk, sugar, vec))
         gm_update(len(basis) - 1)
 
     def gm_update(new_idx):
         """Gebauer-Moeller pair update: product and chain criteria."""
-        lmf = basis[new_idx].lm
-        lms = [e.lm for e in basis]
+        lmf = basis[new_idx].lead
+        lms = [e.lead for e in basis]
         stale = [
             (i, j)
             for (i, j) in pairs
@@ -324,7 +464,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
 
     r = len(originals)
     for i, g in enumerate(originals):
-        d, den = _int_terms(g)
+        d, den = _int_terms(g, pk)
         vec = None
         if transform:
             vec = tuple(
@@ -332,15 +472,21 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             )
         add_element(d, g.total_degree(), vec)
 
+    pair_keys = {}  # a pair's key is fixed once both elements exist
+
     def pair_key(p):
+        cached = pair_keys.get(p)
+        if cached is not None:
+            return cached
         i, j = p
-        lcm = _mono_lcm(basis[i].lm, basis[j].lm)
+        lcm = _mono_lcm(basis[i].lead, basis[j].lead)
         deg = sum(lcm)
         sugar = max(
-            basis[i].sugar + deg - sum(basis[i].lm),
-            basis[j].sugar + deg - sum(basis[j].lm),
+            basis[i].sugar + deg - sum(basis[i].lead),
+            basis[j].sugar + deg - sum(basis[j].lead),
         )
-        return (sugar,) + key(lcm) + (i, j)
+        pair_keys[p] = out = (sugar,) + key(lcm) + (i, j)
+        return out
 
     while pairs:
         if rng is not None:
@@ -350,17 +496,17 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         pairs.discard(chosen)
         i, j = chosen
         e1, e2 = basis[i], basis[j]
-        s, den, (s1, s2, c1, c2) = _int_spoly(e1, e2)
+        lcm = _mono_lcm(e1.lead, e2.lead)
+        s, den, (s1, s2, c1, c2) = _int_spoly(e1, e2, pk.pack(lcm), pk)
         if not s:
             continue
-        rem, scale, quots = _reduce_int(s, basis, key, want_quotients=transform)
+        rem, scale, quots = _reduce_int(s, basis, pk, want_quotients=transform)
         if not rem:
             continue
-        lcm = _mono_lcm(e1.lm, e2.lm)
         deg = sum(lcm)
         sugar = max(
-            e1.sugar + deg - sum(e1.lm),
-            e2.sugar + deg - sum(e2.lm),
+            e1.sugar + deg - sum(e1.lead),
+            e2.sugar + deg - sum(e2.lead),
         )
         vec = None
         if transform:
@@ -376,10 +522,10 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         add_element(rem, sugar, vec)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(basis)), key=lambda i: key(basis[i].lm))
+    order_idx = sorted(range(len(basis)), key=lambda i: basis[i].lm)
     kept = []
     for i in order_idx:
-        if not any(_divides(basis[k].lm, basis[i].lm) for k in kept):
+        if not any(pk.divides(basis[k].lm, basis[i].lm) for k in kept):
             kept.append(i)
 
     # interreduce tails (leads are untouched: the basis is minimal)
@@ -387,7 +533,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     for i in kept:
         others = [basis[k] for k in kept if k != i]
         rem, scale, quots = _reduce_int(
-            dict(basis[i].terms), others, key, want_quotients=transform
+            dict(basis[i].terms), others, pk, want_quotients=transform
         )
         vec = None
         if transform:
@@ -396,16 +542,16 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
                 if q:
                     qp = _poly(ring, q.items())
                     vec = [a - qp * b for a, b in zip(vec, entry.vec)]
-        lc = next(iter(rem.values()))
+        lm, lc = next(iter(rem.items()))
         poly = _poly(ring, rem.items(), Fraction(1, lc))
         if vec is not None:
             inv = Fraction(1, lc)
             vec = tuple(p.scale(inv) for p in vec)
-        final.append((poly, vec))
+        final.append((lm, poly, vec))
 
-    final.sort(key=lambda pv: key(pv[0].lead_monomial()), reverse=True)
-    elements = tuple(p for p, _ in final)
-    matrix = tuple(v for _, v in final) if transform else None
+    final.sort(key=itemgetter(0), reverse=True)
+    elements = tuple(p for _, p, _ in final)
+    matrix = tuple(v for _, _, v in final) if transform else None
     return GroebnerBasis(ring, elements, originals, matrix)
 
 
@@ -446,10 +592,11 @@ def exact_divide(f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return f
-    gd, gden = _int_terms(g)
-    entry = _Entry(gd)
-    fd, fden = _int_terms(f)
-    rem, scale, quots = _reduce_int(fd, [entry], f.ring.sort_key(), want_quotients=True)
+    pk = _ring_packing(f.ring)
+    gd, gden = _int_terms(g, pk)
+    entry = _Entry(gd, pk)
+    fd, fden = _int_terms(f, pk)
+    rem, scale, quots = _reduce_int(fd, [entry], pk, want_quotients=True)
     if rem:
         raise ValueError("polynomial is not divisible")
     # scale*fden*f == quot * prim, prim == gden*g/unit  =>  f/g == quot * gden/(unit*scale*fden)
@@ -530,7 +677,7 @@ def _degree_span(ring, target, generators, shift):
     span = linalg.RowSpan()
     for gen in generators:
         for m in monomials_of_degree(ring.width, shift - _tuple_shift(gen, target)):
-            mono = _poly(ring, ((m, 1),))
+            mono = Polynomial(ring, ((m, Fraction(1)),))
             span.add(_row_coordinates(ring, target, tuple(mono * s for s in gen), shift))
     return span
 
@@ -562,13 +709,14 @@ def syzygies(gens):
 
     rows = []
     entries = gb._entries()
-    key = ring.sort_key()
+    pk = _ring_packing(ring)
     # Schreyer rows tau_ij mapped through A
     for i in range(s):
         for j in range(i + 1, s):
             e1, e2 = entries[i], entries[j]
-            sp, den, (s1, s2, c1, c2) = _int_spoly(e1, e2)
-            rem, scale, quots = _reduce_int(sp, entries, key, want_quotients=True)
+            lcm = pk.pack(_mono_lcm(e1.lead, e2.lead))
+            sp, den, (s1, s2, c1, c2) = _int_spoly(e1, e2, lcm, pk)
+            rem, scale, quots = _reduce_int(sp, entries, pk, want_quotients=True)
             if rem:
                 raise AssertionError("S-pair of a reduced basis failed to vanish")
             # x^s1*monic_i - x^s2*monic_j == sum_k Q_k*lc_k/(scale*den) * monic_k

@@ -22,7 +22,7 @@ from .groebner import (
     eliminate_generators,
     exact_divide,
 )
-from .rings import GREVLEX, PolyRing, parse
+from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
 
 
 class Ideal:
@@ -135,11 +135,20 @@ def intersect(I, J):
         return J
     ring = I.ring
     ext = ring.with_aux(ring.num_aux + 1)
-    u_idx = ext.aux_index(ext.num_aux - 1)
-    u = ext.variable(u_idx)
-    one_minus_u = ext.one - u
-    gens = [u * f.convert(ext) for f in I.generators]
-    gens += [one_minus_u * g.convert(ext) for g in J.generators]
+    u_idx = ext.aux_index(ext.num_aux - 1)  # the last index
+    # built in the block-order ring itself, so the generators enter the
+    # elimination as they are and each result crosses rings once; that
+    # order ranks u-degree first, so u*f keeps f's term order and every
+    # term of u*g precedes every term of g
+    ext = ext.with_order(elimination_order([u_idx]))
+
+    def times_u(p, sign):
+        return tuple((m[:-1] + (1,), sign * c) for m, c in p.terms)
+
+    gens = [Polynomial(ext, times_u(f.convert(ext), 1)) for f in I.generators]
+    for g in J.generators:
+        g = g.convert(ext)
+        gens.append(Polynomial(ext, times_u(g, -1) + g.terms))
     elim = eliminate_generators(gens, [u_idx])
     # the u-free part of the reduced block basis is itself the reduced
     # grevlex basis of the intersection: the block order restricted to

@@ -12,9 +12,12 @@ Everything here is immutable and hashable; operations are pure functions.
 
 Variables sit at fixed positions by role: x_0..x_{n}, then t, then u_j, so
 rings that differ only in their order share one index layout.  The tuple
-monomial helpers below are the only ones in the package; the Groebner engine
-imports them and crosses into this representation at `Polynomial.convert`
-and its own single entry and exit helpers.
+monomial helpers below are the only ones in the package.  The Groebner
+engine keeps its own packed-int monomials (one int per monomial, its own
+order key) and crosses into this tuple representation in one place each
+way: `groebner._int_terms` packs on the way in, `groebner._poly` unpacks on
+the way out; it uses the tuple helpers only for the pair bookkeeping on the
+leads of its basis elements.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .errors import ParseError, RingMismatchError
 
@@ -55,22 +59,16 @@ class MonomialOrder:
 
 
 def _grevlex_key(m):
-    total = 0
-    for e in m:
-        total += e
-    return (total,) + tuple(-e for e in reversed(m))
+    return (sum(m), *map(neg, reversed(m)))
 
 
 def _block_key_function(front, back):
+    rfront, rback = front[::-1], back[::-1]
+
     def key(m):
-        fsub = tuple(m[i] for i in front)
-        bsub = tuple(m[i] for i in back)
-        return (
-            (sum(fsub),)
-            + tuple(-e for e in reversed(fsub))
-            + (sum(bsub),)
-            + tuple(-e for e in reversed(bsub))
-        )
+        f = [-m[i] for i in rfront]
+        b = [-m[i] for i in rback]
+        return (-sum(f), *f, -sum(b), *b)
 
     return key
 
@@ -191,10 +189,6 @@ def _divides(a, b):
 
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _mono_lcm(a, b):

@@ -1,10 +1,12 @@
 """Brute-force oracles and invariant checks that the test suites compare against."""
 
+import heapq
 from fractions import Fraction
+from math import gcd
 
 from hilbcomp import linalg
 from hilbcomp.errors import RingMismatchError
-from hilbcomp.rings import monomials_of_degree
+from hilbcomp.rings import _divides, _mono_mul, monomials_of_degree
 
 
 def validate_canonical(p):
@@ -45,6 +47,80 @@ def convert_by_name(p, target):
             out[mapping[i]] = e
         acc[tuple(out)] = acc.get(tuple(out), 0) + c
     return target.from_dict(acc)
+
+
+def _int_dict(p):
+    """({exponent tuple: int}, den) with p == sum(c * x^m) / den."""
+    den = 1
+    for _, c in p.terms:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms}, den
+
+
+def reduce_by_tuples(f, divisors):
+    """Full division of f by the divisors, all in f's ring, on exponent tuples.
+
+    The tuple-keyed fraction-free reduction: a heap of negated order keys,
+    the first divisor whose lead divides the top monomial, primitive integer
+    divisors, and a scale that clears every pivot.  Returns (remainder,
+    quotients) with f == sum(q_k * divisors[k]) + remainder.
+    """
+    ring = f.ring
+    key = ring.sort_key()
+    entries = []
+    for g in divisors:
+        d, gden = _int_dict(g)
+        unit = 0
+        for c in d.values():
+            unit = gcd(unit, c)
+        if g.lead_coeff() < 0:
+            unit = -unit
+        terms = [(m, d[m] // unit) for m, _ in g.terms]
+        # g == factor * prim with prim the primitive integer form
+        entries.append((g.lead_monomial(), terms[0][1], terms[1:], Fraction(unit, gden)))
+    work, den = _int_dict(f)
+    heap = [(tuple(-k for k in key(m)), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    quotients = [dict() for _ in entries]
+    scale = 1
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if not c:
+            continue
+        for (lm, lc, tail, _), q in zip(entries, quotients):
+            if not _divides(lm, m):
+                continue
+            g = gcd(c, lc)
+            mult, coef = lc // g, c // g
+            for acc in [work, remainder] + quotients:
+                for k in acc:
+                    acc[k] *= mult
+            scale *= mult
+            shift = tuple(a - b for a, b in zip(m, lm))
+            for mono, tc in tail:
+                mm = _mono_mul(mono, shift)
+                if mm not in work:
+                    heapq.heappush(heap, (tuple(-k for k in key(mm)), mm))
+                nv = work.get(mm, 0) - coef * tc
+                if nv:
+                    work[mm] = nv
+                else:
+                    work.pop(mm, None)
+            q[shift] = q.get(shift, 0) + coef
+            break
+        else:
+            remainder[m] = c
+    # den * scale * f == sum(Q_k * prim_k) + remainder
+    total = den * scale
+    return (
+        ring.from_dict({m: Fraction(c, total) for m, c in remainder.items()}),
+        [
+            ring.from_dict({m: Fraction(c, total) / factor for m, c in q.items()})
+            for q, (_, _, _, factor) in zip(quotients, entries)
+        ],
+    )
 
 
 def hilbert_function_by_count(I, d):

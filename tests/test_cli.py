@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hilbcomp import Ideal, PolyRing, cli
 from hilbcomp.cli import run_subcommand
+from hilbcomp.rings import MAX_EXPONENT
 
 TYPE_I = "ring n=3 param=0\nx0*x2\nx0*x3\nx1*x2\nx1*x3\n"
 TYPE_IV = "ring n=3 param=0\nx0^2\nx0*x1\nx1^2\nx0*x2 - x1*x2\n"
@@ -135,6 +137,25 @@ def test_cone_non_effective_is_math_failure(capsys):
 
 def test_cone_bad_divisor_is_usage_error(capsys):
     assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor", "a,b"]) == 2
+
+
+def test_gb_at_the_largest_file_exponent(tmp_path, capsys):
+    e = MAX_EXPONENT
+    path = tmp_path / "big.ideal"
+    path.write_text(f"ring n=1 param=0\nx0^{e} - x1^{e}\nx0*x1\n")
+    assert run_subcommand(["gb", str(path)]) == 0
+    assert capsys.readouterr().out.split("\n")[:3] == [
+        f"x1^{e + 1}", f"x0^{e} - x1^{e}", "x0*x1",
+    ]
+
+
+def test_monomial_overflow_exits_with_code_1(monkeypatch, capsys):
+    # no file reaches the engine's field width, so the ideal is built in code
+    ring = PolyRing(2)
+    huge = Ideal(ring, [ring.x(0) ** 2**31 - ring.x(1), ring.x(0) * ring.x(1)])
+    monkeypatch.setattr(cli, "load_ideal", lambda path: huge)
+    assert run_subcommand(["gb", "unused.ideal"]) == 1
+    assert "exceeds the packed field width" in capsys.readouterr().err
 
 
 def test_seed_flag_accepted_in_both_positions(files, capsys):

@@ -3,18 +3,29 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import linalg
-from hilbcomp.errors import HomogeneityError
+from hilbcomp import linalg, normal_form_ideal, random_linear_change
+from hilbcomp.errors import HomogeneityError, KernelError, MonomialOverflowError
 from hilbcomp.groebner import (
+    _MASK,
+    _packing,
     buchberger,
     eliminate_generators,
     exact_divide,
     normal_form,
     syzygies,
 )
-from hilbcomp.rings import LEX, PolyRing, monomials_of_degree, parse
+from hilbcomp.rings import (
+    GREVLEX,
+    LEX,
+    PolyRing,
+    _divides,
+    _mono_mul,
+    elimination_order,
+    monomials_of_degree,
+    parse,
+)
 
-from oracles import validate_canonical
+from oracles import reduce_by_tuples, validate_canonical
 
 
 R4 = PolyRing(4)
@@ -270,3 +281,100 @@ def test_syzygy_completeness_on_a_transformed_ideal():
     for shift in (3, 4):
         for row in brute_force_syzygies(gens, shift):
             assert module.contains(row), shift
+
+
+PACKING_ORDERS = [LEX, GREVLEX, elimination_order([0]), elimination_order([2, 4])]
+
+
+@pytest.mark.parametrize("width", [1, 3, 6, 9])
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=["lex", "grevlex", "block0", "block24"])
+def test_packed_monomials_agree_with_exponent_tuples(order, width):
+    pk = _packing(order, width)
+    key = PolyRing(width).with_order(order).sort_key()
+    rng = random.Random(f"packing:{order}:{width}")
+    big = _MASK // (2 * width)   # a product of two such monomials still fits
+
+    def mono():
+        return tuple(rng.choice((0, 0, 1, 2, rng.randint(0, 9), rng.randint(0, big)))
+                     for _ in range(width))
+
+    monos = [mono() for _ in range(60)]
+    monos += [(0,) * width, (_MASK,) + (0,) * (width - 1), (0,) * (width - 1) + (_MASK,)]
+    packed = [pk.pack(m) for m in monos]
+    for m, p in zip(monos, packed):
+        assert pk.unpack(p) == m
+        assert p & pk.guards == 0
+    for _ in range(400):
+        i, j = rng.randrange(len(monos)), rng.randrange(len(monos))
+        a, b, pa, pb = monos[i], monos[j], packed[i], packed[j]
+        assert (pa < pb) == (key(a) < key(b))
+        assert (pa == pb) == (a == b)
+        assert pk.divides(pa, pb) == _divides(a, b)
+        if max(a) <= big and max(b) <= big:
+            assert pa + pb - pk.base == pk.pack(_mono_mul(a, b))
+        if _divides(a, b):
+            assert pb - pa + pk.base == pk.pack(tuple(y - x for x, y in zip(a, b)))
+
+    # one field pushed past its width: by packing, and by a product
+    past = (_MASK + 1,) + (0,) * (width - 1)
+    with pytest.raises(MonomialOverflowError):
+        pk.pack(past)
+    with pytest.raises(MonomialOverflowError):
+        pk.pack((-1,) + (0,) * (width - 1))
+    top = pk.pack((_MASK,) + (0,) * (width - 1))
+    one = pk.pack((1,) + (0,) * (width - 1))
+    assert (top + one - pk.base) & pk.guards
+    if width > 1 and order.kind == "grevlex":
+        # each exponent fits, the total degree does not
+        with pytest.raises(MonomialOverflowError):
+            pk.pack((_MASK, 1) + (0,) * (width - 2))
+
+
+def _random_poly(ring, rng, degrees=(1, 2, 3), terms=6):
+    monos = [m for d in degrees for m in monomials_of_degree(ring.width, d)]
+    return ring.from_dict({
+        rng.choice(monos): Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, elimination_order([0, 2])], ids=["grevlex", "lex", "block"]
+)
+def test_reduction_agrees_with_the_tuple_oracle_on_moved_normal_forms(order):
+    rng = random.Random(f"tuple-oracle:{order.kind}")
+    for n in range(3, 7):
+        for kind in ("I", "II", "III", "IV"):
+            I = random_linear_change(normal_form_ideal(n, kind), rng.randrange(10**6))
+            ring = I.ring.with_order(order)
+            gens = [g.convert(ring) for g in I.generators]
+            gb = buchberger(gens, order, transform=False)
+            f = _random_poly(ring, rng)
+            for g in gens[:2]:
+                f = f + g * _random_poly(ring, rng, degrees=(0, 1), terms=3)
+            r, q = gb.reduce(f, want_quotients=True)
+            r0, q0 = reduce_by_tuples(f, gb.elements)
+            assert r == r0 and q == q0
+            assert not r.is_zero() and any(not p.is_zero() for p in q)
+
+            g = gens[rng.randrange(len(gens))]
+            h = _random_poly(ring, rng)
+            rem, (quot,) = reduce_by_tuples(g * h, [g])
+            assert rem.is_zero() and quot == h
+            assert exact_divide(g * h, g) == quot
+
+
+def test_exponents_past_the_field_width_raise_a_typed_error():
+    ring = PolyRing(2)
+    x0, x1 = ring.x(0), ring.x(1)
+    assert issubclass(MonomialOverflowError, KernelError)
+    # on the way in
+    with pytest.raises(MonomialOverflowError):
+        buchberger([x0 ** (_MASK + 1) - x1, x0 * x1])
+    # inside the reduction: x0^2 -> x0*x1^MASK -> x1^(2*MASK) under lex
+    lex = ring.with_order(LEX)
+    g = x0.convert(lex) - x1.convert(lex) ** _MASK
+    with pytest.raises(MonomialOverflowError):
+        buchberger([g, x0.convert(lex) ** 2])
+    # the largest exponent a field holds still computes exactly
+    gb = buchberger([x0 ** _MASK - x1, x0 * x1], LEX, transform=False)
+    assert [str(p) for p in gb.elements] == [f"x0^{_MASK} - x1", "x0*x1", "x1^2"]
