@@ -4,8 +4,12 @@ A Family is a homogeneous (in the x grading) ideal in QQ[t][x].  The limit
 of the t-flat closure is computed by saturating out t, specializing t = 0,
 and saturating with respect to the irrelevant ideal; a flatness probe
 compares the Hilbert polynomial of the limit with those of deterministic
-sample fibers.  Projective pencils are handled on the affine chart where
-the other pencil coordinate equals 1; the report records that chart.
+sample fibers.  Both saturations are `ideals.saturate`: by (t) it is one
+elimination of u from (I, 1 - u*t), and by the irrelevant ideal it is read
+off the grevlex basis of the fiber and certified by its Hilbert polynomial,
+with the quotient loop as the fallback.  Projective pencils are handled on
+the affine chart where the other pencil coordinate equals 1; the report
+records that chart.
 """
 
 from __future__ import annotations

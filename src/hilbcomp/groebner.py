@@ -182,7 +182,8 @@ def _poly(ring, items, factor=Fraction(1)):
     int) items that are already in descending order, as every remainder and
     quotient of `_reduce_int` is."""
     unpack = _ring_packing(ring).unpack
-    return Polynomial(ring, tuple((unpack(m), c * factor) for m, c in items))
+    num, den = factor.numerator, factor.denominator
+    return Polynomial(ring, tuple((unpack(m), Fraction(c * num, den)) for m, c in items))
 
 
 class _Entry:
@@ -430,7 +431,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
 
     rng = random.Random(seed) if seed is not None else None
     basis = []
-    pairs = set()
+    pairs = {}  # (i, j) -> lcm of the two leads, fixed once the pair exists
 
     def add_element(int_dict, sugar, vec):
         basis.append(_Entry(int_dict, pk, sugar, vec))
@@ -439,28 +440,24 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     def gm_update(new_idx):
         """Gebauer-Moeller pair update: product and chain criteria."""
         lmf = basis[new_idx].lead
-        lms = [e.lead for e in basis]
+        with_new = [_mono_lcm(basis[i].lead, lmf) for i in range(new_idx)]
         stale = [
             (i, j)
-            for (i, j) in pairs
-            if _divides(lmf, _mono_lcm(lms[i], lms[j]))
-            and _mono_lcm(lms[i], lms[j]) != _mono_lcm(lms[i], lmf)
-            and _mono_lcm(lms[i], lms[j]) != _mono_lcm(lms[j], lmf)
+            for (i, j), L in pairs.items()
+            if _divides(lmf, L) and L != with_new[i] and L != with_new[j]
         ]
         for p in stale:
-            pairs.discard(p)
+            del pairs[p]
         by_lcm = {}
-        for i in range(new_idx):
-            by_lcm.setdefault(_mono_lcm(lms[i], lmf), []).append(i)
+        for i, L in enumerate(with_new):
+            by_lcm.setdefault(L, []).append(i)
         minimal = []
         for L in sorted(by_lcm, key=key):
             if not any(_divides(M, L) for M in minimal):
                 minimal.append(L)
         for L in minimal:
-            if not any(
-                _mono_lcm(lms[i], lmf) == _mono_mul(lms[i], lmf) for i in by_lcm[L]
-            ):
-                pairs.add((min(by_lcm[L]), new_idx))
+            if not any(L == _mono_mul(basis[i].lead, lmf) for i in by_lcm[L]):
+                pairs[(min(by_lcm[L]), new_idx)] = L
 
     r = len(originals)
     for i, g in enumerate(originals):
@@ -479,7 +476,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         if cached is not None:
             return cached
         i, j = p
-        lcm = _mono_lcm(basis[i].lead, basis[j].lead)
+        lcm = pairs[p]
         deg = sum(lcm)
         sugar = max(
             basis[i].sugar + deg - sum(basis[i].lead),
@@ -493,10 +490,9 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             chosen = rng.choice(sorted(pairs))
         else:
             chosen = min(pairs, key=pair_key)
-        pairs.discard(chosen)
+        lcm = pairs.pop(chosen)
         i, j = chosen
         e1, e2 = basis[i], basis[j]
-        lcm = _mono_lcm(e1.lead, e2.lead)
         s, den, (s1, s2, c1, c2) = _int_spoly(e1, e2, pk.pack(lcm), pk)
         if not s:
             continue

@@ -5,8 +5,12 @@ An Ideal is a generator list in a fixed ring with a cached reduced Groebner
 basis.  Equality means equality of grevlex reduced bases, which is the
 canonical representative throughout the package.  Intersections go through
 one auxiliary variable u and block elimination; quotients reduce to
-intersections with principal ideals; saturation iterates the quotient until
-the ascending chain stabilizes.
+intersections with principal ideals.  Saturation takes the cheapest of three
+routes: by an ideal with the irrelevant radical, it reads I : x_n^oo off the
+grevlex basis of I and keeps it when the Hilbert polynomial certifies it;
+by a principal ideal (f), it eliminates u from (I, 1 - u*f); otherwise, or
+when the certificate fails, it iterates the quotient until the ascending
+chain stabilizes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .groebner import (
     eliminate_generators,
     exact_divide,
 )
+from .hilbert import hilbert_series
 from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
 
 
@@ -126,6 +131,24 @@ def _with_seeded_gb(ring, reduced_gens):
     return out
 
 
+def _u_ring(ring):
+    """The ring with one more auxiliary variable u, ordered to eliminate u,
+    and u's index.  Generators are built in this ring itself, so they enter
+    the elimination as they are and each result crosses rings once."""
+    ext = ring.with_aux(ring.num_aux + 1)
+    u_idx = ext.aux_index(ext.num_aux - 1)  # the last index
+    return ext.with_order(elimination_order([u_idx])), u_idx
+
+
+def _eliminate_u(ring, gens, u_idx):
+    """<gens> meet the u-free subring, as an ideal of `ring`."""
+    elim = eliminate_generators(gens, [u_idx])
+    # the u-free part of the reduced block basis is itself the reduced
+    # grevlex basis of the elimination ideal: the block order restricted to
+    # u-free monomials is grevlex, and autoreduction is inherited
+    return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
+
+
 def intersect(I, J):
     """the intersection of I and J via u*I + (1-u)*J and elimination of the auxiliary u."""
     _require_same_ring(I, J)
@@ -134,13 +157,9 @@ def intersect(I, J):
     if J.is_zero():
         return J
     ring = I.ring
-    ext = ring.with_aux(ring.num_aux + 1)
-    u_idx = ext.aux_index(ext.num_aux - 1)  # the last index
-    # built in the block-order ring itself, so the generators enter the
-    # elimination as they are and each result crosses rings once; that
-    # order ranks u-degree first, so u*f keeps f's term order and every
-    # term of u*g precedes every term of g
-    ext = ext.with_order(elimination_order([u_idx]))
+    ext, u_idx = _u_ring(ring)
+    # the block order ranks u-degree first, so u*f keeps f's term order and
+    # every term of u*g precedes every term of g
 
     def times_u(p, sign):
         return tuple((m[:-1] + (1,), sign * c) for m, c in p.terms)
@@ -149,11 +168,7 @@ def intersect(I, J):
     for g in J.generators:
         g = g.convert(ext)
         gens.append(Polynomial(ext, times_u(g, -1) + g.terms))
-    elim = eliminate_generators(gens, [u_idx])
-    # the u-free part of the reduced block basis is itself the reduced
-    # grevlex basis of the intersection: the block order restricted to
-    # u-free monomials is grevlex, and autoreduction is inherited
-    return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
+    return _eliminate_u(ring, gens, u_idx)
 
 
 def quotient(I, J):
@@ -172,14 +187,77 @@ def quotient(I, J):
 
 
 def saturate(I, J):
-    """(I : J^infinity), iterating the quotient until the chain stabilizes."""
+    """(I : J^infinity), canonical.
+
+    When I is homogeneous in a plain x-ring and J is a proper homogeneous
+    ideal whose radical is the irrelevant ideal m = (x_0..x_n), then
+    I : J^oo = I : m^oo =: I^sat, and the grevlex basis of I gives a
+    candidate in one step: dividing each element by the largest power of
+    the last variable x_n that divides it yields generators of
+    K = I : x_n^oo (Bayer's lemma: for a homogeneous grevlex basis, x_n
+    divides an element exactly when it divides its lead).  Since x_n lies
+    in m, I^sat is inside K.  K is accepted only when its Hilbert
+    polynomial equals that of I, which proves K == I^sat: I^sat / I has
+    finite length, so HP(I^sat) == HP(I), and K / I^sat sits inside
+    S / I^sat, which has no m-torsion; so a nonzero K / I^sat has
+    positive-dimensional support and a nonzero Hilbert polynomial, and
+    HP(I) - HP(K) == HP(K / I^sat) would not vanish.  In coordinates where
+    x_n is not general for I the check fails and the quotient loop below
+    runs instead.
+
+    For J = (f) the saturation is the u-free part of (I, 1 - u*f)
+    (Rabinowitsch), one elimination.  Any other J iterates the quotient
+    I : J until the ascending chain stabilizes.
+    """
     _require_same_ring(I, J)
+    if _radical_is_irrelevant(I, J):
+        candidate = _saturate_by_last_variable(I)
+        if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
+            return candidate
+    elif len(J.generators) == 1:
+        return _saturate_principal(I, J.generators[0])
     current = I.canonical()
     while True:
         step = quotient(current, J)
         if step == current:
             return current
         current = step
+
+
+def _radical_is_irrelevant(I, J):
+    """I homogeneous in a plain x-ring, J proper homogeneous with radical m."""
+    ring = I.ring
+    return (
+        not ring.has_param
+        and not ring.num_aux
+        and I.is_homogeneous()
+        and J.is_homogeneous()
+        and all(g.total_degree() > 0 for g in J.generators)
+        and hilbert_series(J).dimension == -1
+    )
+
+
+def _saturate_by_last_variable(I):
+    """I : x_n^oo from the grevlex basis of homogeneous I: each element
+    divided by the power of x_n in its lead, which divides every term."""
+    gb = I.groebner_basis()
+    powers = [g.lead_monomial()[-1] for g in gb.elements]
+    if not any(powers):
+        return I.canonical()  # x_n is a nonzerodivisor mod I
+    gens = []
+    for g, k in zip(gb.elements, powers):
+        terms = tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms)
+        gens.append(Polynomial(gb.ring, terms).convert(I.ring))
+    return Ideal(I.ring, gens).canonical()
+
+
+def _saturate_principal(I, f):
+    """I : f^oo as the u-free part of (I, 1 - u*f)."""
+    ring = I.ring
+    ext, u_idx = _u_ring(ring)
+    gens = [g.convert(ext) for g in I.generators]
+    gens.append(ext.one - ext.variable(u_idx) * f.convert(ext))
+    return _eliminate_u(ring, gens, u_idx)
 
 
 def ideal_sum(I, J):

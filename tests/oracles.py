@@ -151,3 +151,15 @@ def graded_piece_quotient(I, J, d):
     if not rows:
         return [tuple(int(i == j) for j in range(len(monos))) for i in range(len(monos))], monos
     return linalg.nullspace(rows, len(monos)), monos
+
+
+def saturate_by_quotients(I, J):
+    """(I : J^infinity) by iterating the quotient until the chain stabilizes."""
+    from hilbcomp.ideals import quotient
+
+    current = I.canonical()
+    while True:
+        step = quotient(current, J)
+        if step == current:
+            return current
+        current = step

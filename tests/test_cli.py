@@ -84,6 +84,18 @@ def test_quotient_and_saturate(files, capsys, tmp_path):
     assert sorted(got) == ["x2", "x3"]
 
 
+def test_saturate_by_the_irrelevant_ideal(tmp_path, capsys):
+    # (x0) * m has an embedded point at the origin; saturating removes it
+    unsaturated = tmp_path / "I.ideal"
+    unsaturated.write_text("ring n=2 param=0\nx0^2\nx0*x1\nx0*x2\n")
+    m = tmp_path / "m.ideal"
+    m.write_text("ring n=2 param=0\nx0\nx1\nx2\n")
+    assert run_subcommand(["saturate", str(unsaturated), str(m)]) == 0
+    assert capsys.readouterr().out == "ring n=2 param=0\nx0\n"
+    assert run_subcommand(["--format", "json", "saturate", str(unsaturated), str(m)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"generators": ["x0"]}
+
+
 def test_limit_subcommand(files, capsys):
     assert run_subcommand(["limit", files["family"], "--probe"]) == 0
     out = capsys.readouterr().out

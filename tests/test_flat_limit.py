@@ -2,13 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import fixtures
+from hilbcomp import fixtures, ideals
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
-from hilbcomp.flat_limit import Family, fiber, flatness_probe, limit_ideal
+from hilbcomp.flat_limit import (
+    SAMPLE_POINTS,
+    Family,
+    _specialize,
+    fiber,
+    flatness_probe,
+    limit_ideal,
+)
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
-from hilbcomp.ideals import Ideal, intersect, irrelevant_ideal, saturate
+from hilbcomp.ideals import (
+    Ideal,
+    intersect,
+    irrelevant_ideal,
+    random_linear_change,
+    saturate,
+)
 from hilbcomp.rings import PolyRing, parse
+
+from oracles import saturate_by_quotients
 
 Rt = PolyRing(4, has_param=True)
 R = PolyRing(4)
@@ -160,3 +175,29 @@ def test_naive_fiber_is_contained_in_the_limit():
         assert limit.contains_ideal(naive), name
     pencil = fixtures.get("pencil_planar_double_n3").payload
     assert limit_ideal(pencil).contains_ideal(fiber(pencil, 0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("moved", [False, True])
+def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monkeypatch):
+    # the grevlex read-off must agree with the quotient loop on the special
+    # fiber and on sample fibers; in moved coordinates x_n is general for
+    # every fiber, so the Hilbert-polynomial check accepts without the loop
+    cases = []
+    for k, name in enumerate(("embedded", "double", "quadric_union", "substitution")):
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        if moved:
+            total = random_linear_change(total, seed=100 * n + k)
+        ring = total.ring
+        special = _specialize(saturate_by_quotients(total, Ideal(ring, [ring.t])), 0)
+        m = irrelevant_ideal(special.ring)
+        for X in [special] + [_specialize(total, t0) for t0 in SAMPLE_POINTS[:2]]:
+            cases.append((X, m, saturate_by_quotients(X, m)))
+    quotient_calls = []
+    original = ideals.quotient
+    monkeypatch.setattr(ideals, "quotient", lambda A, B: quotient_calls.append(1) or original(A, B))
+    for X, m, want in cases:
+        got = saturate(X, m)
+        assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
+    if moved:
+        assert not quotient_calls

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hilbcomp import ideals
 from hilbcomp.errors import RingMismatchError
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.classify import normal_form_ideal
@@ -21,7 +22,7 @@ from hilbcomp.ideals import (
 )
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import graded_piece_quotient
+from oracles import graded_piece_quotient, saturate_by_quotients
 
 R = PolyRing(4)
 X = [R.x(i) for i in range(4)]
@@ -99,6 +100,72 @@ def test_saturation_by_a_nonvanishing_coordinate():
     # saturating by x0 exhausts everything
     assert saturate(I("x0^2", "x0*x1"), I("x1")) == I("x0")
     assert saturate(I("x0^2", "x0*x1"), I("x0")) == Ideal(R, [R.one])
+
+
+def _count_quotients(monkeypatch):
+    calls = []
+    original = ideals.quotient
+    monkeypatch.setattr(ideals, "quotient", lambda A, B: calls.append(1) or original(A, B))
+    return calls
+
+
+def test_saturation_rejects_a_candidate_with_the_wrong_hilbert_polynomial(monkeypatch):
+    # x2 is not general for (x0*x2): I : x2^oo = (x0), with HP m + 1
+    # against 2m + 1, so the check refuses it and the quotient loop decides
+    R3 = PolyRing(3)
+    A = Ideal(R3, [parse("x0*x2", R3)])
+    candidate = ideals._saturate_by_last_variable(A)
+    assert candidate == Ideal(R3, [R3.x(0)])
+    assert str(hilbert_series(candidate).hilbert_polynomial) == "m + 1"
+    assert str(hilbert_series(A).hilbert_polynomial) == "2*m + 1"
+    calls = _count_quotients(monkeypatch)
+    assert saturate(A, irrelevant_ideal(R3)) == A
+    assert calls
+
+
+def test_saturation_by_an_m_primary_ideal_matches_m(monkeypatch):
+    # (x0)*m moved into general coordinates saturates to the moved (x0)
+    R3 = PolyRing(3)
+    m = irrelevant_ideal(R3)
+    A = random_linear_change(ideal_product(Ideal(R3, [R3.x(0)]), m), seed=5)
+    primary = Ideal(R3, [parse(t, R3) for t in ("x0^2", "x1", "x2^3")])
+    calls = _count_quotients(monkeypatch)
+    got = saturate(A, primary)
+    assert not calls
+    assert got == saturate(A, m) == random_linear_change(Ideal(R3, [R3.x(0)]), seed=5)
+    assert got == saturate_by_quotients(A, primary)
+
+
+def test_saturation_by_the_unit_ideal_is_identity():
+    A = I("x0^2", "x0*x1", "x0*x2", "x1*x2")
+    assert saturate(A, Ideal(R, [R.one])) == A
+    fam = Ideal(Rt, [parse("t*x0", Rt), parse("x1^2", Rt)])
+    assert saturate(fam, Ideal(Rt, [Rt.constant(3)])) == fam
+
+
+@pytest.mark.parametrize(
+    "texts, f",
+    [
+        (("x0^2*x1", "x0*x2^2", "x1^3*x3"), "x0"),
+        (("x0^2", "x0*x1", "x0*x3 - x1*x2"), "x1 + x3"),
+        (("x0*x2", "x0*x3", "x1*x2", "x1*x3"), "x0*x2"),
+    ],
+)
+def test_principal_saturation_matches_the_quotient_loop(texts, f):
+    A = I(*texts)
+    J = I(f)
+    assert saturate(A, J) == saturate_by_quotients(A, J)
+
+
+def test_principal_saturation_with_a_parameter_matches_the_quotient_loop():
+    A = Ideal(Rt, [parse(t, Rt) for t in
+                   ("t*x0*x2 - t^2*x1*x3", "x0^2 - t*x0*x1", "t^2*x1^2", "x2*x3")])
+    for f in ("t", "t*x0 + x1", "x3"):
+        J = Ideal(Rt, [parse(f, Rt)])
+        got = saturate(A, J)
+        want = saturate_by_quotients(A, J)
+        assert got == want
+        assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
 
 
 def test_saturation_idempotent_and_chain():
