@@ -2,8 +2,11 @@
 
 The decision procedure is linkage plus a generic-slice reducedness test:
 
-  * equidimensional hull through a complete-intersection link F inside I,
-    hull = (F : (F : I)), with the CI certified by its Hilbert series;
+  * equidimensional hull by double linkage through a complete intersection
+    F of two quadrics inside I, certified by its Hilbert series; each link
+    F : J is F : h for one random element h of J, one principal
+    elimination, accepted only when F : h has the linked degree
+    e(F) - e(J), and otherwise computed generator by generator;
   * the hull either equals I (no embedded part) or strictly contains it;
   * a generic codimension-(n-2) linear slice of the hull is a length-two
     point scheme whose coordinate algebra is semisimple exactly when the
@@ -25,7 +28,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
-from .ideals import Ideal, quotient
+from .groebner import exact_divide
+from .ideals import Ideal, intersect, quotient
 from .rings import PolyRing
 
 LABELS = {
@@ -90,32 +94,86 @@ def _quadric_basis(I):
     return out
 
 
-def equidimensional_hull(I, seed=0, stats=None):
-    """Top-dimensional part of I by double linkage through a random
-    complete intersection of two quadrics inside I."""
-    data = hilbert_series(I)
-    n = I.ring.num_vars - 1
-    if data.dimension != n - 2:
-        raise ClassificationError(
-            f"expected codimension two (dimension {n - 2}), found {data.dimension}"
-        )
+def _complete_intersection(I, rng):
+    """Two random combinations of I's quadrics that cut out a complete
+    intersection, certified by its Hilbert series, and the failed draws."""
     quadrics = _quadric_basis(I)
     if len(quadrics) < 2:
         raise ClassificationError("ideal has fewer than two independent quadrics")
-    rng = random.Random(f"hull:{seed}")
     for attempt in range(5):
         f1 = sum((q.scale(rng.randint(-5, 5)) for q in quadrics), I.ring.zero)
         f2 = sum((q.scale(rng.randint(-5, 5)) for q in quadrics), I.ring.zero)
         if f1.is_zero() or f2.is_zero():
             continue
         ci = Ideal(I.ring, [f1, f2])
-        if hilbert_series(ci).series_numerator != CI_NUMERATOR:
-            continue
-        if stats is not None:
-            stats["hull_retries"] = attempt
-        linked = quotient(ci, I)
-        return quotient(ci, linked).canonical()
+        if hilbert_series(ci).series_numerator == CI_NUMERATOR:
+            return ci, attempt
     raise RetriesExhaustedError("no complete-intersection link found in 5 attempts")
+
+
+def _generic_element(J, rng):
+    """A random homogeneous element of J: the sum of its canonical
+    generators, each times a small integer and the power of one random
+    linear form that lifts it to the top generator degree."""
+    ring = J.ring
+    gens = J.canonical_generators()
+    top = max(g.total_degree() for g in gens)
+    form = sum((ring.x(i).scale(rng.randint(-5, 5)) for i in range(ring.num_vars)), ring.zero)
+    return sum(
+        (g.scale(rng.randint(-5, 5)) * form ** (top - g.total_degree()) for g in gens),
+        ring.zero,
+    )
+
+
+def _link(ci, J, rng):
+    """ci : J for a complete intersection ci inside J, through one element.
+
+    A random homogeneous h in J gives ci : h as (ci meet (h)) / h, one
+    principal elimination.  It is accepted when S/(ci : h) has dimension
+    n - 2 and degree e(ci) - e(J), which proves ci : h == ci : J
+    (Peskine-Szpiro, Invent. Math. 26, 1974; Eisenbud-Huneke-Vasconcelos,
+    Invent. Math. 110, 1992):
+
+      * ci : J is inside ci : h, because h lies in J;
+      * S/(ci : h) is isomorphic to h * (S/ci) inside the Cohen-Macaulay
+        S/ci, so ci : h is unmixed, and so is ci : J;
+      * at each minimal prime P of ci, S_P/ci_P is Artinian Gorenstein, so
+        the length of its quotient by (0 : J) is the length of J there;
+        summed over P, e(ci : J) = e(ci) - e(J);
+      * a nonzero (ci : h)/(ci : J) has only codimension-two associated
+        primes, so it would make e(ci : h) smaller than e(ci : J).
+
+    After two rejected draws the colon is computed generator by generator.
+    """
+    ring = ci.ring
+    n = ring.num_vars - 1
+    linked_degree = hilbert_series(ci).degree - hilbert_series(J).degree
+    for _ in range(2):
+        h = _generic_element(J, rng)
+        if h.is_zero():
+            continue
+        meet = intersect(ci, Ideal(ring, [h]))
+        colon = Ideal(ring, [exact_divide(p, h) for p in meet.generators]).canonical()
+        data = hilbert_series(colon)
+        if data.dimension == n - 2 and data.degree == linked_degree:
+            return colon
+    return quotient(ci, J)
+
+
+def equidimensional_hull(I, seed=0, stats=None):
+    """Top-dimensional part of I, (ci : (ci : I)), by double linkage through
+    a random complete intersection ci of two quadrics inside I."""
+    data = hilbert_series(I)
+    n = I.ring.num_vars - 1
+    if data.dimension != n - 2:
+        raise ClassificationError(
+            f"expected codimension two (dimension {n - 2}), found {data.dimension}"
+        )
+    rng = random.Random(f"hull:{seed}")
+    ci, retries = _complete_intersection(I, rng)
+    if stats is not None:
+        stats["hull_retries"] = retries
+    return _link(ci, _link(ci, I, rng), rng)
 
 
 def _mult_matrix(gb, linear, basis_from, index_to):

@@ -152,11 +152,6 @@ def nu_column(n):
     return (ring.zero, x0, -x2, x1)
 
 
-def presentation_ideal(n):
-    """The planar-double ideal with generators in presentation order."""
-    return Ideal(PolyRing(n + 1), lambda_generators(n))
-
-
 def tangent_trivial_elements(n):
     """The 3n-3 flag-motion assignments, one per coordinate derivation,
     as (name, images) against the presentation generator order."""

@@ -66,7 +66,7 @@ def _specialize(I, t0):
     base = PolyRing(ring.num_vars)
     out = []
     for g in I.generators:
-        h = g.substitute(ring.param_index, ring.constant(t0))
+        h = g.substitute(ring.param_index, t0)
         if not h.is_zero():
             out.append(h.convert(base))
     return Ideal(base, out)

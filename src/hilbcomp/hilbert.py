@@ -48,9 +48,6 @@ class UniPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def leading_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def __call__(self, m):
         acc = Fraction(0)
         for c in reversed(self.coeffs):

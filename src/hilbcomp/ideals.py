@@ -15,6 +15,7 @@ chain stabilizes.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -112,8 +113,10 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+@functools.lru_cache(maxsize=32)
 def irrelevant_ideal(ring):
-    """(x_0, ..., x_n) in the given ring."""
+    """(x_0, ..., x_n) in the given ring; one shared immutable Ideal per
+    ring, so its Groebner bases are built once."""
     return Ideal(ring, [ring.x(i) for i in range(ring.num_vars)])
 
 

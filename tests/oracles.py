@@ -163,3 +163,22 @@ def saturate_by_quotients(I, J):
         if step == current:
             return current
         current = step
+
+
+def hull_by_quotients(ci, I):
+    """ci : (ci : I), each colon one intersection per generator: the
+    equidimensional hull by double linkage without a generic element."""
+    from hilbcomp.ideals import quotient
+
+    return quotient(ci, quotient(ci, I)).canonical()
+
+
+def substitute_by_expansion(p, var_index, value):
+    """p with variable var_index set to a constant, term by term through
+    Polynomial arithmetic: the sum of c * value**e * (term without x^e)."""
+    ring = p.ring
+    out = ring.zero
+    for m, c in p.terms:
+        rest = ring.from_dict({m[:var_index] + (0,) + m[var_index + 1:]: c})
+        out = out + rest.scale(Fraction(value) ** m[var_index])
+    return out

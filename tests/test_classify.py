@@ -1,7 +1,12 @@
+import importlib
+import random
+
 import pytest
 
 from hilbcomp import fixtures
 from hilbcomp.classify import (
+    _complete_intersection,
+    _link,
     classify,
     equidimensional_hull,
     generic_slice_reduced,
@@ -12,6 +17,11 @@ from hilbcomp.flat_limit import limit_ideal
 from hilbcomp.hilbert import hilbert_series
 from hilbcomp.ideals import Ideal, intersect, random_linear_change
 from hilbcomp.rings import PolyRing, parse
+
+from oracles import hull_by_quotients
+
+# the package exports the classify function under the module's name
+classify_module = importlib.import_module("hilbcomp.classify")
 
 R = PolyRing(4)
 
@@ -57,6 +67,53 @@ def test_hull_idempotent_and_contains():
         assert hull.contains_ideal(base)
         assert equidimensional_hull(hull, seed=4) == hull
         assert (hull == base) == (label in ("I", "II"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_linked_hull_equals_hull_by_quotients(n, label):
+    for seed in (1, 2):
+        moved = random_linear_change(normal_form_ideal(n, label), seed=10 * n + seed)
+        ci, _ = _complete_intersection(moved, random.Random(f"hull:{seed}"))
+        assert equidimensional_hull(moved, seed=seed) == hull_by_quotients(ci, moved)
+
+
+def test_link_falls_back_when_the_degree_certificate_fails(monkeypatch):
+    # every element h of ci gives ci : h = (1): dimension -1 and degree 0,
+    # never the linked degree e(ci) - e(ci) = 0 in dimension n - 2
+    fallbacks = []
+    real = classify_module.quotient
+    monkeypatch.setattr(classify_module, "quotient", lambda A, B: fallbacks.append(B) or real(A, B))
+    base = normal_form_ideal(4, "I")
+    ci, _ = _complete_intersection(base, random.Random("hull:0"))
+    linked = _link(ci, ci, random.Random(5))
+    assert len(fallbacks) == 1
+    assert linked == Ideal(base.ring, [base.ring.one])
+
+
+def test_link_rejects_a_colon_of_the_wrong_degree(monkeypatch):
+    # ci = (x0*x2, x1*x3) is the four planes (x0,x1), (x0,x3), (x1,x2),
+    # (x2,x3); J is the first and last, so ci : J is the middle two, of
+    # degree 2.  h = x0*x3 lies in J but only off (x1,x2), so ci : h is that
+    # one plane: dimension n - 2, degree 1, and the gate must refuse it
+    fallbacks = []
+    real = classify_module.quotient
+    monkeypatch.setattr(classify_module, "quotient", lambda A, B: fallbacks.append(B) or real(A, B))
+    monkeypatch.setattr(classify_module, "_generic_element", lambda J, rng: parse("x0*x3", R))
+    ci = I("x0*x2", "x1*x3")
+    J = I("x0*x2", "x0*x3", "x1*x2", "x1*x3")
+    assert _link(ci, J, random.Random(0)) == intersect(I("x0", "x3"), I("x1", "x2"))
+    assert len(fallbacks) == 1
+
+
+def test_moved_normal_forms_never_fall_back(monkeypatch):
+    calls = []
+    monkeypatch.setattr(classify_module, "quotient", lambda A, B: calls.append(B))
+    for label in ("I", "II", "III", "IV"):
+        for seed in range(3):
+            moved = random_linear_change(normal_form_ideal(5, label), seed=seed)
+            assert classify(moved, seed=seed).label == label
+    assert calls == []
 
 
 def test_slice_reducedness_on_hulls():

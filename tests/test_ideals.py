@@ -286,3 +286,22 @@ def test_cached_basis_generates_the_same_ideal():
     # and every basis element lies in the ideal of the generators
     for g in A.generators:
         assert gb.reduce(g).is_zero()
+
+
+def test_irrelevant_ideal_is_shared_and_its_basis_built_once(monkeypatch):
+    ring = PolyRing(6)
+    ideals.irrelevant_ideal.cache_clear()
+    builds = []
+    real = ideals.buchberger
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    first = irrelevant_ideal(ring)
+    assert irrelevant_ideal(ring) is first
+    for _ in range(3):
+        irrelevant_ideal(ring).groebner_basis()
+    assert len(builds) == 1
+    assert irrelevant_ideal(PolyRing(5)) is not first

@@ -14,7 +14,7 @@ from hilbcomp.rings import (
     parse,
 )
 
-from oracles import convert_by_name, validate_canonical
+from oracles import convert_by_name, substitute_by_expansion, validate_canonical
 
 
 @pytest.fixture
@@ -127,6 +127,23 @@ def test_substitute_identity(ring):
 def test_substitute_binomial_expansion(tring):
     x0, x3, t = tring.x(0), tring.x(3), tring.t
     assert (x0**2).substitute(0, x0 + t * x3) == x0**2 + 2 * t * x0 * x3 + t**2 * x3**2
+
+
+def test_substitute_constant_matches_expansion(tring):
+    rng = random.Random(23)
+    values = [0, 1, -2, Fraction(1, 3), Fraction(-5, 7), Fraction(9, 4)]
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            mono = tuple(rng.randint(0, 3) for _ in range(tring.width))
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        p = tring.from_dict(terms)
+        var = rng.randrange(tring.width)
+        for value in values:
+            got = p.substitute(var, value)
+            assert got == substitute_by_expansion(p, var, value)
+            assert all(m[var] == 0 for m, _ in got.terms)
+            validate_canonical(got)
 
 
 def test_ring_laws_on_random_polynomials(ring):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +66,16 @@ def test_failures_are_recorded_not_raised():
     report = run_battery(n_min=3, n_max=3, seed=2, faults=["lattice.pairing_wn"])
     assert report.summary["fail"] >= 1
     assert report.exit_code() == 1
+
+
+def test_report_is_byte_identical_to_the_golden_files():
+    # the golden files are `hilbcomp verify --n-min 3 --n-max 4 --seed 7`
+    # (text, then --format json) as generated before the one-element
+    # linkage; a fixed seed must keep giving exactly these bytes, so they
+    # are never regenerated to make a change pass
+    data = Path(__file__).parent / "data"
+    report = run_battery(n_min=3, n_max=4, seed=7)
+    text = report.to_text() + "\n"
+    rendered = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert text.encode() == (data / "verify_n3_4_seed7.txt").read_bytes()
+    assert rendered.encode() == (data / "verify_n3_4_seed7.json").read_bytes()
