@@ -36,7 +36,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from . import linalg
@@ -175,6 +175,38 @@ def _int_terms(p, pk):
         den = den * c.denominator // gcd(den, c.denominator)
     pack = pk.pack
     return {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms}, den
+
+
+def _shifted(terms, shift, pk):
+    """x^shift * terms, for a packed {mono: int} dict and a packed monomial."""
+    delta = shift - pk.base
+    out = {m + delta: c for m, c in terms.items()}
+    if any(m & pk.guards for m in out):
+        raise _overflow()
+    return out
+
+
+def _int_combination(pairs, pk):
+    """A positive integer multiple of sum(s * g for s, g in pairs) as a packed
+    {mono: int} dict, empty exactly when the sum is zero.
+
+    Each product is scaled by L / (den_s * den_g), L the lcm of those
+    denominators, so every pair contributes L times its exact product.
+    """
+    prods = [(_int_terms(s, pk), _int_terms(g, pk)) for s, g in pairs if s and g]
+    L = lcm(*(ds * dg for (_, ds), (_, dg) in prods))
+    acc = {}
+    for (st, ds), (gt, dg) in prods:
+        f = L // (ds * dg)
+        for a, ca in st.items():
+            ca *= f
+            for m, c in _shifted(gt, a, pk).items():
+                v = acc.get(m, 0) + ca * c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+    return acc
 
 
 def _poly(ring, items, factor=Fraction(1)):
@@ -614,13 +646,9 @@ class SyzygyModule:
     shifts: tuple
 
     def verify(self):
-        for row in self.generators:
-            acc = self.ring.zero
-            for s, f in zip(row, self.target):
-                acc = acc + s * f
-            if not acc.is_zero():
-                return False
-        return True
+        """True when every row combines the target to exactly zero."""
+        pk = _ring_packing(self.ring)
+        return not any(_int_combination(zip(row, self.target), pk) for row in self.generators)
 
     def contains(self, candidate):
         """Degreewise module membership for a homogeneous candidate row."""
@@ -657,14 +685,24 @@ def _tuple_shift(row, target):
     return degs.pop()
 
 
-def _row_coordinates(ring, target, row, shift):
-    """Flatten a degree-`shift` module row into a rational coordinate vector."""
+@functools.lru_cache(maxsize=None)
+def _monomial_index(width, d):
+    return {m: k for k, m in enumerate(monomials_of_degree(width, d))}
+
+
+def _row_coordinates(ring, target, row, shift, mono=None):
+    """Flatten the degree-`shift` module row mono * row (mono an exponent
+    tuple, None for 1) into a rational coordinate vector over the
+    monomials_of_degree bases of the entries."""
     coords = []
     for s, f in zip(row, target):
-        d = shift - f.total_degree()
-        monos = monomials_of_degree(ring.width, d)
-        lookup = dict(s.terms)
-        coords.extend(Fraction(lookup.get(m, 0)) for m in monos)
+        index = _monomial_index(ring.width, shift - f.total_degree())
+        vec = [0] * len(index)
+        for m, c in s.terms:
+            k = index.get(m if mono is None else _mono_mul(m, mono))
+            if k is not None:
+                vec[k] = c
+        coords.extend(vec)
     return coords
 
 
@@ -673,8 +711,7 @@ def _degree_span(ring, target, generators, shift):
     span = linalg.RowSpan()
     for gen in generators:
         for m in monomials_of_degree(ring.width, shift - _tuple_shift(gen, target)):
-            mono = Polynomial(ring, ((m, Fraction(1)),))
-            span.add(_row_coordinates(ring, target, tuple(mono * s for s in gen), shift))
+            span.add(_row_coordinates(ring, target, gen, shift, m))
     return span
 
 

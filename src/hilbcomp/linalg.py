@@ -9,6 +9,12 @@ column, with its content stripped after every step, until it is zero
 (dependent) or leads at a free column (a new pivot).  Rank, span membership,
 the reduced row echelon form, nullspaces, solving and inversion are all read
 off this core.
+
+The batch functions (`rank`, `rref`, `nullspace`, `solve_unique`,
+`in_row_span`, `invert`) add their rows sparsest first, a stable sort by
+nonzero count: every answer they give depends only on the row space, and
+sparse rows reduce against few pivots and keep later rows sparse.
+`RowSpan.add` takes rows in the caller's order.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ class RowSpan:
 
 def _span(rows):
     span = RowSpan()
-    for row in rows:
+    for row in sorted(rows, key=lambda row: len(row) - row.count(0)):
         span.add(row)
     return span
 

@@ -456,21 +456,17 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
+@functools.lru_cache(maxsize=None)
 def monomials_of_degree(width, d):
-    """All exponent tuples of total degree d in `width` variables."""
+    """All exponent tuples of total degree d in `width` variables, as one
+    shared tuple per (width, d), ascending lexicographically."""
     if d < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == width - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], d, 0)
-    return out
+        return ()
+    if width == 0:
+        return ((),) if d == 0 else ()
+    return tuple(
+        (e,) + rest for e in range(d + 1) for rest in monomials_of_degree(width - 1, d - e)
+    )
 
 
 # ---------------------------------------------------------------------------

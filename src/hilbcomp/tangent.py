@@ -7,19 +7,33 @@ relation per generating syzygy (s_1..s_r):
     sum_j s_j * g_j == 0 in S/I.
 
 Images are written over the standard-monomial basis and the syzygy
-relations expand to an exact rational linear system; the dimension is the
-corank.  Since I kills S/I, maps from I automatically kill I^2, so this
-module Hom agrees with Hom(I/I^2, S/I).
+relations expand to an exact linear system; the dimension is the corank.
+Since I kills S/I, maps from I automatically kill I^2, so this module Hom
+agrees with Hom(I/I^2, S/I).
+
+The system is built as integer rows.  The unknown of column (j, k) is the
+coefficient of the standard monomial m_k in the image of f_j, so the block
+of equations of one syzygy (s_1..s_r) has in column (j, k) the coordinates
+of NF(s_j * m_k) over the standard monomials of the syzygy's degree.  The
+engine reduces s_j * m_k fraction-free and returns that normal form as an
+integer remainder over den * scale.  A row mixes columns with different
+denominators, so each column cannot be cleared on its own without changing
+the row space; instead every entry of the block is multiplied by one
+integer L, the lcm of the block's den * scale.  That multiplies each row of
+the block by the same nonzero constant L, which leaves each row's zero
+pattern and the row space of the block, hence of the whole system, and its
+rank unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import HomogeneityError
-from .groebner import syzygies
+from .groebner import _int_combination, _int_terms, _reduce_int, _ring_packing, _shifted, syzygies
 from .ideals import Ideal
 
 
@@ -70,41 +84,56 @@ def _check_ring(I):
         raise HomogeneityError("tangent computations require a homogeneous ideal")
 
 
-def hom_degree_zero(I):
-    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate."""
-    _check_ring(I)
-    if I.is_zero():
-        raise ValueError("the zero ideal has no generators to deform")
-    ring = I.ring
+def _system(I):
+    """(generator degrees, unknown bases, integer rows) of the tangent system.
+
+    Each product s_j * m_k is reduced inside the engine as a packed integer
+    term dict, giving remainder / (den * scale) with den clearing s_j.  The
+    block of one syzygy is scaled by L, the lcm of its den * scale (see the
+    module docstring); only its nonzero rows are kept, in basis order.
+    """
     gens = minimal_generators(I)
     degrees = tuple(g.total_degree() for g in gens)
     gb = I.groebner_basis()
+    pk = _ring_packing(gb.ring)
+    entries = gb._entries()
     bases = tuple(gb.standard_monomials(d) for d in degrees)
-    offsets = []
-    total = 0
-    for b in bases:
-        offsets.append(total)
-        total += len(b)
+    packed = [[pk.pack(m) for m in b] for b in bases]
+    total = sum(map(len, bases))
 
     module = syzygies(list(gens))
     rows = []
     for row, shift in zip(module.generators, module.shifts):
         # the relation lands in (S/I)_shift; one equation per basis monomial
-        target_basis = gb.standard_monomials(shift)
-        index = {m: k for k, m in enumerate(target_basis)}
-        eqs = [[Fraction(0)] * total for _ in target_basis]
-        for j, s_j in enumerate(row):
-            if s_j.is_zero():
-                continue
-            for k, mono in enumerate(bases[j]):
-                product = s_j * ring.from_dict({mono: Fraction(1)})
-                reduced = gb.reduce(product)
-                col = offsets[j] + k
-                for m, c in reduced.terms:
-                    eqs[index[m]][col] += c
+        index = {pk.pack(m): k for k, m in enumerate(gb.standard_monomials(shift))}
+        reduced = []   # (column, remainder, den * scale)
+        col = 0
+        for s_j, monos in zip(row, packed):
+            if s_j:
+                terms, den = _int_terms(s_j, pk)
+                for k, m in enumerate(monos):
+                    rem, scale, _ = _reduce_int(_shifted(terms, m, pk), entries, pk)
+                    reduced.append((col + k, rem, den * scale))
+            col += len(monos)
+        block = lcm(*(f for _, _, f in reduced))
+        eqs = [[0] * total for _ in index]
+        for c, rem, f in reduced:
+            mult = block // f
+            for m, v in rem.items():
+                eqs[index[m]][c] = v * mult
         rows.extend(eq for eq in eqs if any(eq))
+    return degrees, bases, rows
 
+
+def hom_degree_zero(I):
+    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate."""
+    _check_ring(I)
+    if I.is_zero():
+        raise ValueError("the zero ideal has no generators to deform")
+    degrees, bases, rows = _system(I)
+    total = sum(map(len, bases))
     rank = linalg.rank(rows)
+    ring = I.ring
     unknown_names = tuple(
         tuple(str(ring.from_dict({m: Fraction(1)})) for m in b) for b in bases
     )
@@ -136,12 +165,11 @@ def explicit_basis_check(I, images):
                 f"mapped to degree {im_red.total_degree()}"
             )
         reduced_images.append(im_red)
+    pk = _ring_packing(gb.ring)
+    entries = gb._entries()
     module = syzygies(list(gens))
     for row in module.generators:
-        acc = I.ring.zero
-        for s_j, im in zip(row, reduced_images):
-            if not (s_j.is_zero() or im.is_zero()):
-                acc = acc + s_j * im
-        if not gb.reduce(acc).is_zero():
+        rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), entries, pk)
+        if rem:
             return False
     return True

@@ -182,3 +182,61 @@ def substitute_by_expansion(p, var_index, value):
         rest = ring.from_dict({m[:var_index] + (0,) + m[var_index + 1:]: c})
         out = out + rest.scale(Fraction(value) ** m[var_index])
     return out
+
+
+def tangent_rows_by_polynomials(I):
+    """The tangent system of `tangent.hom_degree_zero` with Fraction entries,
+    one Polynomial product and one `GroebnerBasis.reduce` per (syzygy,
+    column): a list of blocks, one per generating syzygy, each holding that
+    syzygy's nonzero rows in the order of the target standard monomials."""
+    from hilbcomp.groebner import syzygies
+    from hilbcomp.tangent import minimal_generators
+
+    ring = I.ring
+    gens = minimal_generators(I)
+    gb = I.groebner_basis()
+    bases = [gb.standard_monomials(g.total_degree()) for g in gens]
+    offsets = [sum(map(len, bases[:j])) for j in range(len(bases))]
+    total = sum(map(len, bases))
+    module = syzygies(list(gens))
+    blocks = []
+    for row, shift in zip(module.generators, module.shifts):
+        target_basis = gb.standard_monomials(shift)
+        index = {m: k for k, m in enumerate(target_basis)}
+        eqs = [[Fraction(0)] * total for _ in target_basis]
+        for j, s_j in enumerate(row):
+            if s_j.is_zero():
+                continue
+            for k, mono in enumerate(bases[j]):
+                reduced = gb.reduce(s_j * ring.from_dict({mono: Fraction(1)}))
+                for m, c in reduced.terms:
+                    eqs[index[m]][offsets[j] + k] += c
+        blocks.append([eq for eq in eqs if any(eq)])
+    return blocks
+
+
+def syzygy_verify_by_polynomials(module):
+    """True when every row of the module satisfies sum(s_j * f_j) == 0,
+    summed through Polynomial arithmetic."""
+    for row in module.generators:
+        acc = module.ring.zero
+        for s, f in zip(row, module.target):
+            acc = acc + s * f
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def row_coordinates_by_products(ring, target, row, shift, mono=None):
+    """Coordinates of the degree-`shift` module row mono * row, built as
+    Polynomial products and read off over monomials_of_degree."""
+    if mono is not None:
+        factor = ring.from_dict({mono: Fraction(1)})
+        row = tuple(factor * s for s in row)
+    coords = []
+    for s, f in zip(row, target):
+        lookup = dict(s.terms)
+        coords.extend(
+            Fraction(lookup.get(m, 0)) for m in monomials_of_degree(ring.width, shift - f.total_degree())
+        )
+    return coords

@@ -1,13 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hilbcomp import linalg, normal_form_ideal, random_linear_change
+from hilbcomp import fixtures, linalg, normal_form_ideal, random_linear_change
 from hilbcomp.errors import HomogeneityError, KernelError, MonomialOverflowError
 from hilbcomp.groebner import (
     _MASK,
+    _int_terms,
     _packing,
+    _row_coordinates,
+    _shifted,
     buchberger,
     eliminate_generators,
     exact_divide,
@@ -25,7 +29,12 @@ from hilbcomp.rings import (
     parse,
 )
 
-from oracles import reduce_by_tuples, validate_canonical
+from oracles import (
+    reduce_by_tuples,
+    row_coordinates_by_products,
+    syzygy_verify_by_polynomials,
+    validate_canonical,
+)
 
 
 R4 = PolyRing(4)
@@ -375,6 +384,50 @@ def test_exponents_past_the_field_width_raise_a_typed_error():
     g = x0.convert(lex) - x1.convert(lex) ** _MASK
     with pytest.raises(MonomialOverflowError):
         buchberger([g, x0.convert(lex) ** 2])
+    # in a packed product built outside the division
+    pk = _packing(GREVLEX, 2)
+    big, _ = _int_terms(x1 ** _MASK, pk)
+    with pytest.raises(MonomialOverflowError):
+        _shifted(big, pk.pack((0, 1)), pk)
     # the largest exponent a field holds still computes exactly
     gb = buchberger([x0 ** _MASK - x1, x0 * x1], LEX, transform=False)
     assert [str(p) for p in gb.elements] == [f"x0^{_MASK} - x1", "x0*x1", "x1^2"]
+
+
+_SYZYGY_CASES = [
+    (f"{label}-P{n}", lambda n=n, label=label: random_linear_change(
+        normal_form_ideal(n, label), seed=7 * n + len(label)).generators)
+    for n in (3, 4, 5)
+    for label in ("I", "II", "III", "IV")
+] + [(f"lambda-n{n}", lambda n=n: fixtures.lambda_generators(n)) for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("name,build", _SYZYGY_CASES, ids=[c[0] for c in _SYZYGY_CASES])
+def test_packed_syzygy_check_agrees_with_polynomial_oracle(name, build):
+    module = syzygies(list(build()))
+    ring, target = module.ring, module.target
+    assert module.verify() and syzygy_verify_by_polynomials(module)
+    for row, shift in zip(module.generators, module.shifts):
+        assert _row_coordinates(ring, target, row, shift) == row_coordinates_by_products(
+            ring, target, row, shift
+        )
+        for m in monomials_of_degree(ring.width, 1):
+            assert _row_coordinates(ring, target, row, shift + 1, m) == (
+                row_coordinates_by_products(ring, target, row, shift + 1, m)
+            )
+
+    rng = random.Random(f"syzygy-perturb:{name}")
+    i = rng.randrange(len(module.generators))
+    row, shift = module.generators[i], module.shifts[i]
+    j = rng.choice([j for j, s in enumerate(row) if s])
+    mono = rng.choice(monomials_of_degree(ring.width, shift - target[j].total_degree()))
+    for entry in (row[j].scale(2), row[j] + ring.from_dict({mono: 1})):
+        bad_row = row[:j] + (entry,) + row[j + 1:]
+        bad = dataclasses.replace(
+            module, generators=module.generators[:i] + (bad_row,) + module.generators[i + 1:]
+        )
+        assert not bad.verify()
+        assert not syzygy_verify_by_polynomials(bad)
+        assert _row_coordinates(ring, target, bad_row, shift) == row_coordinates_by_products(
+            ring, target, bad_row, shift
+        )

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -216,8 +217,19 @@ def test_monomials_of_degree_counts():
     # stars and bars
     assert len(monomials_of_degree(4, 3)) == 20
     assert len(monomials_of_degree(1, 5)) == 1
-    assert monomials_of_degree(3, 0) == [(0, 0, 0)]
-    assert monomials_of_degree(3, -1) == []
+    assert monomials_of_degree(3, 0) == ((0, 0, 0),)
+    assert monomials_of_degree(3, -1) == ()
+    # every degree-d multiset of variables once, ascending lexicographically
+    for width in range(1, 7):
+        for d in range(5):
+            want = sorted(
+                tuple(combo.count(i) for i in range(width))
+                for combo in itertools.combinations_with_replacement(range(width), d)
+            )
+            got = monomials_of_degree(width, d)
+            assert isinstance(got, tuple) and list(got) == want
+            # one shared object per (width, d)
+            assert monomials_of_degree(width, d) is got
 
 
 def test_convert_between_compatible_rings(ring, tring):

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from hilbcomp import fixtures, linalg
+from hilbcomp import fixtures, linalg, tangent
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
 from hilbcomp.ideals import Ideal, random_linear_change
 from hilbcomp.rings import PolyRing, monomials_of_degree, parse
 from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_generators
+
+from oracles import tangent_rows_by_polynomials
 
 R = PolyRing(4)
 
@@ -147,3 +151,48 @@ def test_rejects_inhomogeneous_and_param_rings():
     Rt = PolyRing(3, has_param=True)
     with pytest.raises(ValueError):
         hom_degree_zero(Ideal(Rt, [Rt.x(0)]))
+
+
+def _mixed_degree_ideal():
+    # minimal generators of degrees 1, 2 and 3, moved so that the basis and
+    # the syzygies carry denominators
+    x = [R.x(i) for i in range(4)]
+    base = Ideal(R, [x[0], x[1] ** 2 - x[2] * x[3], x[1] * x[2] ** 2, x[2] ** 3])
+    return random_linear_change(base, seed=41)
+
+
+_ORACLE_CASES = [
+    (f"{label}-P{n}", lambda n=n, label=label: random_linear_change(
+        normal_form_ideal(n, label), seed=100 * n + ord(label[-1])))
+    for n in (3, 4, 5)
+    for label in ("I", "II", "III", "IV")
+] + [
+    ("conic_plane", lambda: fixtures.get("ideal_conic_plane").payload),
+    ("conic_space", lambda: fixtures.get("ideal_conic_space").payload),
+    ("mixed_degree", _mixed_degree_ideal),
+]
+
+
+@pytest.mark.parametrize("name,build", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
+def test_integer_system_matches_polynomial_oracle(name, build):
+    I = build()
+    degrees, _, rows = tangent._system(I)
+    if name == "mixed_degree":
+        assert len(set(degrees)) == 3
+    blocks = tangent_rows_by_polynomials(I)
+    assert len(rows) == sum(map(len, blocks))
+    remaining = iter(rows)
+    for block in blocks:
+        # one positive rational multiple per syzygy block
+        multiples = set()
+        for want in block:
+            got = next(remaining)
+            assert all(isinstance(a, int) for a in got)
+            lead = next(i for i, a in enumerate(want) if a)
+            q = Fraction(got[lead]) / want[lead]
+            assert q > 0
+            assert got == [q * a for a in want]
+            multiples.add(q)
+        assert len(multiples) <= 1
+    flat = [row for block in blocks for row in block]
+    assert linalg.rank(rows) == linalg.rank(flat)
