@@ -347,23 +347,10 @@ class Polynomial:
 
     # ----- structural operations --------------------------------------
     def substitute(self, var_index, replacement):
-        """Image under the ring map sending variable var_index to replacement.
-
-        A constant replacement takes one pass over the terms: each drops the
-        variable's exponent e, its coefficient gains the factor
-        replacement**e, and equal monomials merge.
-        """
+        """Image under the ring map sending variable var_index to replacement,
+        a polynomial of the same ring or a rational constant."""
         if isinstance(replacement, (int, Fraction)):
-            value = Fraction(replacement)
-            powers = {}
-            acc = {}
-            for m, c in self.terms:
-                e = m[var_index]
-                if e not in powers:
-                    powers[e] = value**e
-                rest = m[:var_index] + (0,) + m[var_index + 1:]
-                acc[rest] = acc.get(rest, 0) + c * powers[e]
-            return self.ring.from_dict(acc)
+            replacement = self.ring.constant(replacement)
         self._require_same_ring(replacement)
         out = self.ring.zero
         powers = {0: self.ring.one}

@@ -33,8 +33,16 @@ from math import lcm
 
 from . import linalg
 from .errors import HomogeneityError
-from .groebner import _int_combination, _int_terms, _reduce_int, _ring_packing, _shifted, syzygies
-from .ideals import Ideal
+from .groebner import (
+    _int_combination,
+    _int_terms,
+    _monomial_index,
+    _reduce_int,
+    _ring_packing,
+    _shifted,
+    syzygies,
+)
+from .rings import _mono_mul, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -61,15 +69,37 @@ class TangentReport:
         }
 
 
+def _in_ideal_of(f, others, width):
+    """True when the homogeneous f lies in the ideal of the homogeneous
+    `others`: its degree-d piece is spanned by the products m * g with g in
+    others and m a monomial of degree d - deg g."""
+    d = f.total_degree()
+    index = _monomial_index(width, d)
+    rows = []
+    for g in others:
+        for mono in monomials_of_degree(width, d - g.total_degree()):
+            row = [0] * len(index)
+            for m, c in g.terms:
+                row[index[_mono_mul(m, mono)]] = c
+            rows.append(row)
+    target = [0] * len(index)
+    for m, c in f.terms:
+        target[index[m]] = c
+    return linalg.in_row_span(rows, target)
+
+
 def minimal_generators(I):
-    """Drop generators lying in the ideal of the others (honest generators)."""
+    """Drop generators lying in the ideal of the others (honest generators),
+    the first redundant one at a time, deciding membership degree by degree."""
+    if not I.is_homogeneous():
+        raise HomogeneityError("minimal generators need a homogeneous ideal")
     gens = list(I.generators)
     changed = True
     while changed and len(gens) > 1:
         changed = False
         for i in range(len(gens)):
             others = gens[:i] + gens[i + 1 :]
-            if Ideal(I.ring, others).contains(gens[i]):
+            if _in_ideal_of(gens[i], others, I.ring.width):
                 gens = others
                 changed = True
                 break

@@ -184,6 +184,40 @@ def substitute_by_expansion(p, var_index, value):
     return out
 
 
+def specialize_by_substitution(I, t0):
+    """Image of an ideal of QQ[t][x] under t -> t0 as an ideal of QQ[x],
+    one `Polynomial.substitute` and one `convert` per generator."""
+    from hilbcomp.ideals import Ideal
+    from hilbcomp.rings import PolyRing
+
+    ring = I.ring
+    base = PolyRing(ring.num_vars)
+    out = []
+    for g in I.generators:
+        h = g.substitute(ring.param_index, t0)
+        if not h.is_zero():
+            out.append(h.convert(base))
+    return Ideal(base, out)
+
+
+def minimal_generators_by_bases(I):
+    """`tangent.minimal_generators` deciding each membership with a fresh
+    grevlex basis of the other generators."""
+    from hilbcomp.ideals import Ideal
+
+    gens = list(I.generators)
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for i in range(len(gens)):
+            others = gens[:i] + gens[i + 1 :]
+            if Ideal(I.ring, others).contains(gens[i]):
+                gens = others
+                changed = True
+                break
+    return tuple(gens)
+
+
 def tangent_rows_by_polynomials(I):
     """The tangent system of `tangent.hom_degree_zero` with Fraction entries,
     one Polynomial product and one `GroebnerBasis.reduce` per (syzygy,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,19 @@ def test_limit_subcommand(files, capsys):
     out = capsys.readouterr().out
     assert "x1*x2" in out
     assert "# probe: flat" in out
+
+
+@pytest.mark.parametrize("kind", ["embedded", "double", "quadric_union", "substitution"])
+def test_limit_probe_json_is_byte_identical_to_the_golden_files(kind, capsys):
+    # limit_<kind>_n5.ideal is the P^5 family of that kind after a seeded
+    # coordinate change; the .json beside it is `hilbcomp --format json
+    # limit <file> --probe` as generated before the limit was kept on its
+    # Family and the probe stopped saturating, and is never regenerated to
+    # make a change pass
+    data = Path(__file__).parent / "data"
+    path = data / f"limit_{kind}_n5.ideal"
+    assert run_subcommand(["--format", "json", "limit", str(path), "--probe"]) == 0
+    assert capsys.readouterr().out.encode() == (data / f"limit_{kind}_n5.json").read_bytes()
 
 
 def test_limit_rejects_plain_ideal_file(files, capsys):

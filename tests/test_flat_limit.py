@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import fixtures, ideals
+from hilbcomp import fixtures, flat_limit, ideals
 from hilbcomp.classify import normal_form_ideal
-from hilbcomp.errors import HomogeneityError
+from hilbcomp.errors import HomogeneityError, RingMismatchError
 from hilbcomp.flat_limit import (
     SAMPLE_POINTS,
     Family,
@@ -23,7 +23,9 @@ from hilbcomp.ideals import (
 )
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import saturate_by_quotients
+from oracles import saturate_by_quotients, specialize_by_substitution
+
+FAMILIES = ("embedded", "double", "quadric_union", "substitution")
 
 Rt = PolyRing(4, has_param=True)
 R = PolyRing(4)
@@ -123,6 +125,9 @@ def test_flatness_probe_passes_for_the_degeneration_families():
         assert report.flat, (name, report)
         assert report.limit_polynomial == pair_hilbert_polynomial(3)
         assert report.sample_points == (Fraction(1), Fraction(2), Fraction(1, 3))
+        assert report.sample_polynomials == tuple(
+            hilbert_series(fiber(fam, t0)).hilbert_polynomial for t0 in report.sample_points
+        ), name
 
 
 def test_flatness_probe_pencil_and_chart_note():
@@ -138,6 +143,9 @@ def test_flatness_probe_detects_constructed_jump():
     report = flatness_probe(bad)
     assert not report.flat
     assert Fraction(1) in report.mismatched_points
+    assert report.sample_polynomials == tuple(
+        hilbert_series(fiber(bad, t0)).hilbert_polynomial for t0 in report.sample_points
+    )
 
 
 def test_probe_argument_validation():
@@ -149,6 +157,55 @@ def test_probe_argument_validation():
 def test_limit_rejects_empty_family():
     with pytest.raises(ValueError):
         limit_ideal(Family(Ideal(Rt, [])))
+
+
+def test_limit_is_built_once_per_family(monkeypatch):
+    # the probe reuses the limit its caller built and saturates no fiber:
+    # the only saturations are the two of the one limit computation
+    principal, saturations = [], []
+    original_principal, original_saturate = ideals._saturate_principal, flat_limit.saturate
+    monkeypatch.setattr(
+        ideals, "_saturate_principal",
+        lambda I, f: principal.append(1) or original_principal(I, f),
+    )
+    monkeypatch.setattr(
+        flat_limit, "saturate", lambda I, J: saturations.append(1) or original_saturate(I, J)
+    )
+    fam = fixtures.get("family_double_limit_n4").payload
+    assert limit_ideal(fam) is limit_ideal(fam)
+    assert flatness_probe(fam).flat
+    assert len(principal) == 1
+    assert len(saturations) == 2
+    # an equal family built afresh computes its own limit, equal to the first
+    again = fixtures.get("family_double_limit_n4").payload
+    assert again == fam and limit_ideal(again) == limit_ideal(fam)
+    assert len(principal) == 2
+    # errors are not kept: the empty family raises on every call
+    empty = Family(Ideal(Rt, []))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            limit_ideal(empty)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("moved", [False, True])
+def test_specialize_matches_substitution_oracle(n, moved):
+    points = (0, 1, 2, Fraction(1, 3), Fraction(-5, 7))
+    for k, name in enumerate(FAMILIES):
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        if moved:
+            total = random_linear_change(total, seed=200 * n + k)
+        for t0 in points:
+            got = _specialize(total, t0)
+            want = specialize_by_substitution(total, t0)
+            assert got.ring == want.ring
+            assert [g.terms for g in got.generators] == [g.terms for g in want.generators], (name, t0)
+
+
+def test_specialize_rejects_auxiliary_variables():
+    ring = Rt.with_aux(1)
+    with pytest.raises(RingMismatchError):
+        _specialize(Ideal(ring, [ring.x(0) + ring.t * ring.x(1)]), 1)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -9,7 +9,7 @@ from hilbcomp.ideals import Ideal, random_linear_change
 from hilbcomp.rings import PolyRing, monomials_of_degree, parse
 from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_generators
 
-from oracles import tangent_rows_by_polynomials
+from oracles import minimal_generators_by_bases, tangent_rows_by_polynomials
 
 R = PolyRing(4)
 
@@ -65,6 +65,30 @@ def test_minimal_generators_drops_redundant():
         parse("x0^2 + x0*x1", R)
     ])
     assert hom_degree_zero(padded).dimension == 12
+    # minimality is only defined for graded ideals
+    with pytest.raises(HomogeneityError):
+        minimal_generators(Ideal(R, [parse("x0^2 + x1", R), R.x(2)]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_minimal_generators_agree_with_basis_oracle(n):
+    # padded moved normal forms: redundant elements of degrees 2 and 3 in
+    # several positions, so the first-redundant-then-restart loop must drop
+    # exactly the generators the basis-membership oracle drops
+    S = PolyRing(n + 1)
+    x = [S.x(i) for i in range(n + 1)]
+    for k, label in enumerate(("I", "II", "III", "IV")):
+        I = random_linear_change(normal_form_ideal(n, label), seed=300 * n + k)
+        g = I.generators
+        pads = [
+            [g[0] + 2 * g[1]] + list(g),
+            list(g[:2]) + [x[0] * g[0] - g[1] * x[n]] + list(g[2:]),
+            list(g) + [x[1] ** 2 * x[2], x[1] * g[-1]],
+            [g[-1]] + [Fraction(1, 3) * g[0] - g[-1]] + list(g),
+        ]
+        for gens in pads:
+            ideal = Ideal(S, gens)
+            assert minimal_generators(ideal) == minimal_generators_by_bases(ideal), (label, gens)
 
 
 def test_report_json_shape():
