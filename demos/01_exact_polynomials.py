@@ -31,7 +31,7 @@ print("pencil member:", pencil)
 print("total degree:", pencil.total_degree(), "| degree in x:", pencil.x_degree())
 
 # Substitution is an exact ring map:  x2 -> x1 + t*x2 shears a coordinate.
-sheared = parse("x1*x2", Rt).substitute(2, Rt.x(1) + Rt.t * Rt.x(2))
+sheared = parse("x1*x2", Rt).substitute({2: Rt.x(1) + Rt.t * Rt.x(2)})
 print("x1*x2 under x2 -> x1 + t*x2:", sheared)
 
 # Coefficients stay exact no matter how they are combined.

@@ -1,6 +1,6 @@
 """Groebner bases, normal forms, elimination, and syzygies."""
 
-from hilbcomp import PolyRing, buchberger, normal_form, parse, syzygies
+from hilbcomp import PolyRing, buchberger, parse, syzygies
 from hilbcomp.ideals import Ideal, eliminate
 
 R = PolyRing(4)
@@ -14,8 +14,8 @@ print("reduced basis:", [str(g) for g in gb.elements])
 print("all S-pairs reduce to zero:", gb.spair_certificate())
 
 # Membership is a zero normal form.
-print("x0*x2*x3 in the ideal:", normal_form(x0 * x2 * x3, gb).is_zero())
-print("x3^2 normal form:", normal_form(x3**2, gb))
+print("x0*x2*x3 in the ideal:", gb.reduce(x0 * x2 * x3).is_zero())
+print("x3^2 normal form:", gb.reduce(x3**2))
 
 # Each basis element knows its exact expression in the input generators.
 gb2 = buchberger([x0 + x1, x0 - x1])

@@ -37,7 +37,6 @@ from .groebner import (
     buchberger,
     eliminate_generators,
     exact_divide,
-    normal_form,
     syzygies,
 )
 from .ideals import (

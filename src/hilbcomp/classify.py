@@ -28,8 +28,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
-from .groebner import exact_divide
-from .ideals import Ideal, intersect, quotient
+from .ideals import Ideal, quotient, quotient_by_element
 from .rings import PolyRing
 
 LABELS = {
@@ -94,6 +93,11 @@ def _quadric_basis(I):
     return out
 
 
+def _random_combination(polys, rng):
+    """Sum of the polys, each times an integer in [-5, 5] drawn in order."""
+    return sum((p.scale(rng.randint(-5, 5)) for p in polys), polys[0].ring.zero)
+
+
 def _complete_intersection(I, rng):
     """Two random combinations of I's quadrics that cut out a complete
     intersection, certified by its Hilbert series, and the failed draws."""
@@ -101,8 +105,8 @@ def _complete_intersection(I, rng):
     if len(quadrics) < 2:
         raise ClassificationError("ideal has fewer than two independent quadrics")
     for attempt in range(5):
-        f1 = sum((q.scale(rng.randint(-5, 5)) for q in quadrics), I.ring.zero)
-        f2 = sum((q.scale(rng.randint(-5, 5)) for q in quadrics), I.ring.zero)
+        f1 = _random_combination(quadrics, rng)
+        f2 = _random_combination(quadrics, rng)
         if f1.is_zero() or f2.is_zero():
             continue
         ci = Ideal(I.ring, [f1, f2])
@@ -118,11 +122,8 @@ def _generic_element(J, rng):
     ring = J.ring
     gens = J.canonical_generators()
     top = max(g.total_degree() for g in gens)
-    form = sum((ring.x(i).scale(rng.randint(-5, 5)) for i in range(ring.num_vars)), ring.zero)
-    return sum(
-        (g.scale(rng.randint(-5, 5)) * form ** (top - g.total_degree()) for g in gens),
-        ring.zero,
-    )
+    form = _random_combination([ring.x(i) for i in range(ring.num_vars)], rng)
+    return _random_combination([g * form ** (top - g.total_degree()) for g in gens], rng)
 
 
 def _link(ci, J, rng):
@@ -145,15 +146,13 @@ def _link(ci, J, rng):
 
     After two rejected draws the colon is computed generator by generator.
     """
-    ring = ci.ring
-    n = ring.num_vars - 1
+    n = ci.ring.num_vars - 1
     linked_degree = hilbert_series(ci).degree - hilbert_series(J).degree
     for _ in range(2):
         h = _generic_element(J, rng)
         if h.is_zero():
             continue
-        meet = intersect(ci, Ideal(ring, [h]))
-        colon = Ideal(ring, [exact_divide(p, h) for p in meet.generators]).canonical()
+        colon = quotient_by_element(ci, h).canonical()
         data = hilbert_series(colon)
         if data.dimension == n - 2 and data.degree == linked_degree:
             return colon
@@ -199,9 +198,7 @@ def _slice_algebra(I, rng, stats=None):
     ring = I.ring
     n = ring.num_vars - 1
     variables = [ring.x(i) for i in range(n + 1)]
-    cuts = []
-    for _ in range(n - 2):
-        cuts.append(sum((v.scale(rng.randint(-5, 5)) for v in variables), ring.zero))
+    cuts = [_random_combination(variables, rng) for _ in range(n - 2)]
     if any(c.is_zero() for c in cuts):
         return None
     sliced = Ideal(ring, list(I.generators) + cuts)
@@ -218,7 +215,7 @@ def _slice_algebra(I, rng, stats=None):
 
     chart = None
     for _ in range(n + 3):
-        cand = sum((v.scale(rng.randint(-5, 5)) for v in variables), ring.zero)
+        cand = _random_combination(variables, rng)
         if cand.is_zero():
             continue
         ml = _mult_matrix(gb, cand, basis_d, index)
@@ -237,7 +234,7 @@ def _slice_algebra(I, rng, stats=None):
         dt = op[0][0] * op[1][1] - op[0][1] * op[1][0]
         return tr * tr - 4 * dt
 
-    mu = sum((v.scale(rng.randint(-5, 5)) for v in variables), ring.zero)
+    mu = _random_combination(variables, rng)
     if not mu.is_zero() and discriminant(operator(mu)) != 0:
         return ("reduced", None)
     coordinate_ops = [operator(v) for v in variables]

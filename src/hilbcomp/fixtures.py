@@ -106,7 +106,7 @@ def family_substitution_limit(n):
     ring = _param_ring(n)
     x, t = [ring.x(i) for i in range(4)], ring.t
     base = [x[0] ** 2, x[0] * x[1], x[0] * x[2], x[1] * x[2]]
-    return Family(Ideal(ring, [g.substitute(2, x[1] + t * x[2]) for g in base]))
+    return Family(Ideal(ring, [g.substitute({2: x[1] + t * x[2]}) for g in base]))
 
 
 def pencil_planar_double(n, mirror=False):

@@ -583,11 +583,6 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     return GroebnerBasis(ring, elements, originals, matrix)
 
 
-def normal_form(f, gb):
-    """Remainder of full division of f by the basis; f - result lies in <gb>."""
-    return gb.reduce(f)
-
-
 def eliminate_generators(gens, front_vars):
     """Generators of <gens> intersected with the subring avoiding front_vars.
 
@@ -780,20 +775,12 @@ def syzygies(gens):
         rows.append(tuple(row))
 
     target = gb.generators
-    cleaned = []
-    seen = set()
-    for row in rows:
-        if all(p.is_zero() for p in row):
-            continue
-        row = _primitive_row(row)
-        if row in seen:
-            continue
-        seen.add(row)
-        cleaned.append(row)
+    cleaned = [_primitive_row(row) for row in rows if not all(p.is_zero() for p in row)]
 
-    # graded pruning: keep only rows outside the module span of earlier ones;
-    # a kept row of the current shift spans only itself in that degree, so
-    # one span per shift takes every candidate of the shift in turn
+    # graded pruning: keep only rows outside the module span of earlier ones,
+    # which also drops a row equal to an earlier one; a kept row of the
+    # current shift spans only itself in that degree, so one span per shift
+    # takes every candidate of the shift in turn
     cleaned.sort(key=lambda row: _tuple_shift(row, target))
     pruned = []
     span_shift = None

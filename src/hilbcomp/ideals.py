@@ -174,8 +174,14 @@ def intersect(I, J):
     return _eliminate_u(ring, gens, u_idx)
 
 
+def quotient_by_element(I, g):
+    """(I : g) as (I meet (g)) / g, not canonicalized."""
+    K = intersect(I, Ideal(I.ring, [g]))
+    return Ideal(I.ring, [exact_divide(p, g) for p in K.generators])
+
+
 def quotient(I, J):
-    """(I : J) = {f : f*J inside I}, via (I meet (g))/g per generator g of J."""
+    """(I : J) = {f : f*J inside I}, the meet of I : g over the generators g of J."""
     _require_same_ring(I, J)
     if J.is_zero():
         raise ValueError("quotient by the zero ideal")
@@ -183,8 +189,7 @@ def quotient(I, J):
         return I
     result = None
     for g in J.generators:
-        K = intersect(I, Ideal(I.ring, [g]))
-        part = Ideal(I.ring, [exact_divide(p, g) for p in K.generators])
+        part = quotient_by_element(I, g)
         result = part if result is None else intersect(result, part)
     return result.canonical()
 
@@ -278,15 +283,16 @@ def eliminate(I, front_vars):
     front = tuple(sorted(set(front_vars)))
     if not front or I.is_zero():
         return I
-    gens = eliminate_generators(list(I.generators), front)
-    return Ideal(I.ring, gens).canonical()
+    # the front-free part of the reduced block basis is the reduced grevlex
+    # basis of the elimination ideal (see _eliminate_u)
+    return _with_seeded_gb(I.ring, eliminate_generators(list(I.generators), front))
 
 
-def random_invertible_matrix(ring, seed, attempts=10):
+def random_invertible_matrix(ring, seed):
     """Small-integer invertible substitution matrix on the x variables."""
     rng = random.Random(f"linear-change:{seed}")
     nv = ring.num_vars
-    for _ in range(attempts):
+    for _ in range(10):
         m = [[Fraction(rng.randint(-5, 5)) for _ in range(nv)] for _ in range(nv)]
         if linalg.rank(m) == nv:
             return m
@@ -300,16 +306,30 @@ def random_linear_change(I, seed, matrix=None):
     """
     if not I.is_x_homogeneous():
         raise HomogeneityError("coordinate changes require homogeneous ideals")
+    ring = I.ring
+    nv = ring.num_vars
     if matrix is None:
-        matrix = random_invertible_matrix(I.ring, seed)
-    elif linalg.rank(matrix) < len(matrix):
+        matrix = random_invertible_matrix(ring, seed)
+    elif len(matrix) != nv or any(len(row) != nv for row in matrix):
+        raise ValueError(f"substitution matrix must be {nv} by {nv}")
+    elif linalg.rank(matrix) < nv:
         raise ValueError("substitution matrix is singular")
-    return Ideal(I.ring, [g.compose_linear(matrix) for g in I.generators])
+    images = {
+        i: ring.from_dict({x.lead_monomial(): a for x, a in zip(ring.variables(), row)})
+        for i, row in enumerate(matrix)
+    }
+    return Ideal(ring, [g.substitute(images) for g in I.generators])
 
 
 # ---------------------------------------------------------------------------
 # ideal files: header "ring n=<n> param=<0|1>", one polynomial per line
 # ---------------------------------------------------------------------------
+
+# largest n a file header may declare, far above the n = 3..8 studied here;
+# every parsed term holds one exponent per variable, so an unbounded n lets
+# one header exhaust memory
+MAX_FILE_N = 100
+
 
 def dumps_ideal(I):
     ring = I.ring
@@ -332,6 +352,8 @@ def loads_ideal(text):
         raise ValueError(f"bad ideal file header: {lines[0]!r}") from None
     if header[1][:2] != "n=" or header[2][:6] != "param=" or param not in (0, 1):
         raise ValueError(f"bad ideal file header: {lines[0]!r}")
+    if n > MAX_FILE_N:
+        raise ValueError(f"ring n={n} exceeds the largest supported n={MAX_FILE_N}")
     ring = PolyRing(n + 1, has_param=bool(param))
     return Ideal(ring, [parse(ln, ring) for ln in lines[1:]])
 

@@ -9,6 +9,9 @@ descending under the ring's monomial order, no zero coefficients, no
 duplicate monomials.
 
 Everything here is immutable and hashable; operations are pure functions.
+`Polynomial.substitute` is the one ring map: it sends any set of variables
+to polynomial or constant images at once, so a linear change of all the x
+coordinates and a one-variable shear are the same call.
 
 Variables sit at fixed positions by role: x_0..x_{n}, then t, then u_j, so
 rings that differ only in their order share one index layout.  The tuple
@@ -346,21 +349,38 @@ class Polynomial:
         return self.scale(Fraction(1) / lc)
 
     # ----- structural operations --------------------------------------
-    def substitute(self, var_index, replacement):
-        """Image under the ring map sending variable var_index to replacement,
-        a polynomial of the same ring or a rational constant."""
-        if isinstance(replacement, (int, Fraction)):
-            replacement = self.ring.constant(replacement)
-        self._require_same_ring(replacement)
-        out = self.ring.zero
-        powers = {0: self.ring.one}
+    def substitute(self, images):
+        """Image under the ring map sending each variable index i of the
+        dict `images` to images[i], all at once; the others stay.  An image
+        is a polynomial of the same ring or a rational constant."""
+        ring = self.ring
+        images = {
+            i: ring.constant(v) if isinstance(v, (int, Fraction)) else v
+            for i, v in images.items()
+        }
+        for v in images.values():
+            self._require_same_ring(v)
+        powers = {}
+        acc = {}
         for m, c in self.terms:
-            e = m[var_index]
-            if e not in powers:
-                powers[e] = replacement**e
-            rest = tuple(0 if i == var_index else v for i, v in enumerate(m))
-            out = out + powers[e].scale(c) * Polynomial(self.ring, ((rest, Fraction(1)),))
-        return out
+            rest = list(m)
+            image = None
+            for i, v in images.items():
+                e = m[i]
+                if e:
+                    rest[i] = 0
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[i, e] = v**e
+                    image = p if image is None else image * p
+            rest = tuple(rest)
+            if image is None:
+                acc[rest] = acc.get(rest, 0) + c
+                continue
+            for im, ic in image.terms:
+                key = _mono_mul(im, rest)
+                acc[key] = acc.get(key, 0) + c * ic
+        return ring.from_dict(acc)
 
     def convert(self, target):
         """Reinterpret in a ring with the same variable identities.
@@ -395,31 +415,6 @@ class Polynomial:
                     out[j] = e
             terms.append((tuple(out), c))
         return Polynomial(target, _sorted_terms(terms, key))
-
-    def compose_linear(self, matrix):
-        """Substitute x_i -> sum_j matrix[i][j] * x_j simultaneously."""
-        ring = self.ring
-        nv = ring.num_vars
-        images = []
-        for i in range(nv):
-            row = matrix[i]
-            acc = {}
-            for j, a in enumerate(row):
-                if a:
-                    mono = tuple(1 if k == j else 0 for k in range(ring.width))
-                    acc[mono] = Fraction(a)
-            images.append(ring.from_dict(acc))
-        out = ring.zero
-        for m, c in self.terms:
-            term = ring.constant(c)
-            for i in range(nv):
-                if m[i]:
-                    term = term * images[i] ** m[i]
-            for i in range(nv, ring.width):
-                if m[i]:
-                    term = term * ring.variable(i) ** m[i]
-            out = out + term
-        return out
 
     # ----- comparisons / hashing ---------------------------------------
     def __eq__(self, other):

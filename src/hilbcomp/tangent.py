@@ -11,6 +11,11 @@ relations expand to an exact linear system; the dimension is the corank.
 Since I kills S/I, maps from I automatically kill I^2, so this module Hom
 agrees with Hom(I/I^2, S/I).
 
+The f_i are the minimal generators.  Whether a generator is redundant is
+decided in its own degree by the same graded module span that prunes
+syzygies (`groebner._degree_span`), with each generator as a one-entry row,
+so no Groebner basis is built for it.
+
 The system is built as integer rows.  The unknown of column (j, k) is the
 coefficient of the standard monomial m_k in the image of f_j, so the block
 of equations of one syzygy (s_1..s_r) has in column (j, k) the coordinates
@@ -34,15 +39,15 @@ from math import lcm
 from . import linalg
 from .errors import HomogeneityError
 from .groebner import (
+    _degree_span,
     _int_combination,
     _int_terms,
-    _monomial_index,
     _reduce_int,
     _ring_packing,
+    _row_coordinates,
     _shifted,
     syzygies,
 )
-from .rings import _mono_mul, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -69,37 +74,24 @@ class TangentReport:
         }
 
 
-def _in_ideal_of(f, others, width):
-    """True when the homogeneous f lies in the ideal of the homogeneous
-    `others`: its degree-d piece is spanned by the products m * g with g in
-    others and m a monomial of degree d - deg g."""
-    d = f.total_degree()
-    index = _monomial_index(width, d)
-    rows = []
-    for g in others:
-        for mono in monomials_of_degree(width, d - g.total_degree()):
-            row = [0] * len(index)
-            for m, c in g.terms:
-                row[index[_mono_mul(m, mono)]] = c
-            rows.append(row)
-    target = [0] * len(index)
-    for m, c in f.terms:
-        target[index[m]] = c
-    return linalg.in_row_span(rows, target)
-
-
 def minimal_generators(I):
     """Drop generators lying in the ideal of the others (honest generators),
-    the first redundant one at a time, deciding membership degree by degree."""
+    the first redundant one at a time: g lies in (others) when it lies in
+    the span of the m * h, h in others and deg m = deg g - deg h, which is
+    the degree-(deg g) module span of the rows (h,) against the target (1,)."""
     if not I.is_homogeneous():
         raise HomogeneityError("minimal generators need a homogeneous ideal")
+    ring = I.ring
+    one = (ring.one,)
     gens = list(I.generators)
     changed = True
     while changed and len(gens) > 1:
         changed = False
         for i in range(len(gens)):
             others = gens[:i] + gens[i + 1 :]
-            if _in_ideal_of(gens[i], others, I.ring.width):
+            d = gens[i].total_degree()
+            span = _degree_span(ring, one, [(h,) for h in others], d)
+            if _row_coordinates(ring, one, (gens[i],), d) in span:
                 gens = others
                 changed = True
                 break

@@ -4,7 +4,9 @@ machine-readable report.
 Each check has a stable id, a description of the fact it verifies, the
 expected and computed values, and a pass/fail/skipped status.  The report is
 byte-deterministic for a fixed (seed, flags); wall-clock timings are
-attached only on request.  Failures never raise: they are data.
+attached only on request.  Each check is a plain function of its arguments
+that returns (expected, computed, ok); `_Battery.run` calls it and records
+the result.  Failures never raise: they are data.
 """
 
 from __future__ import annotations
@@ -117,10 +119,11 @@ class _Battery:
         self.seed = seed
         self.results = []
 
-    def run(self, check_id, description, fn):
+    def run(self, check_id, description, check, *args):
+        """Record check(*args), which returns (expected, computed, ok)."""
         t0 = time.perf_counter()
         try:
-            expected, computed, ok = fn()
+            expected, computed, ok = check(*args)
             status = "pass" if ok else "fail"
         except Exception as exc:  # a crash is a failing check, not a crash
             expected, computed, status = None, f"{type(exc).__name__}: {exc}", "fail"
@@ -152,7 +155,8 @@ _LIMIT_FAMILIES = (
 )
 
 # probe divisors for the rank-2 chamber table: (coords, chamber, base locus,
-# model for n >= 4, model for n == 3)
+# model for n >= 4, model for n == 3); the rank-3 table starts at n = 4 and
+# has one model column
 _HN_PROBES = (
     ((1, 1), "[F,M]", (), "H_n", "H_n"),
     ((2, 3), "[F,M]", (), "H_n", "H_n"),
@@ -191,244 +195,187 @@ def _double_structure_ideal(n, k):
 
 
 def _check_hilbert_normal_form(n, label):
-    def fn():
-        hp = hilbert_series(normal_form_ideal(n, label)).hilbert_polynomial
-        want = pair_hilbert_polynomial(n)
-        return str(want), str(hp), hp == want
-
-    return fn
+    hp = hilbert_series(normal_form_ideal(n, label)).hilbert_polynomial
+    want = pair_hilbert_polynomial(n)
+    return str(want), str(hp), hp == want
 
 
 def _check_double_structure(n, k):
-    def fn():
-        ideal = _double_structure_ideal(n, k)
-        data = hilbert_series(ideal)
-        expected = {}
-        computed = {}
-        ok = True
-        for m in range(k + 1, k + 6):
-            want = double_structure_hilbert_count(n, k, m)
-            got = hilbert_function(ideal, m)
-            expected[f"m={m}"] = want
-            computed[f"m={m}"] = got
-            ok = ok and want == got
-        matches_reference = data.hilbert_polynomial == pair_hilbert_polynomial(n)
-        expected["matches_reference_polynomial"] = (k == 1)
-        computed["matches_reference_polynomial"] = matches_reference
-        ok = ok and (matches_reference == (k == 1))
-        return expected, computed, ok
-
-    return fn
+    ideal = _double_structure_ideal(n, k)
+    data = hilbert_series(ideal)
+    expected = {}
+    computed = {}
+    ok = True
+    for m in range(k + 1, k + 6):
+        want = double_structure_hilbert_count(n, k, m)
+        got = hilbert_function(ideal, m)
+        expected[f"m={m}"] = want
+        computed[f"m={m}"] = got
+        ok = ok and want == got
+    matches_reference = data.hilbert_polynomial == pair_hilbert_polynomial(n)
+    expected["matches_reference_polynomial"] = (k == 1)
+    computed["matches_reference_polynomial"] = matches_reference
+    ok = ok and (matches_reference == (k == 1))
+    return expected, computed, ok
 
 
 def _check_limit(name, expected_label, n, seed):
-    def fn():
-        fam = fixtures.get(f"family_{name}_limit_n{n}").payload
-        limit = limit_ideal(fam)
-        if name == "substitution":
-            # the substitution family lands on the presentation representative
-            # of the planar-double type, not the normal form itself
-            want = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
-        else:
-            want = normal_form_ideal(n, expected_label)
-        probe = flatness_probe(fam)
-        label = classify(limit, seed=seed).label
-        expected = {
-            "limit": [str(g) for g in want.canonical_generators()],
-            "flat": True,
-            "label": expected_label,
-        }
-        computed = {
-            "limit": [str(g) for g in limit.generators],
-            "flat": probe.flat,
-            "label": label,
-        }
-        ok = limit == want and probe.flat and label == expected_label
-        return expected, computed, ok
-
-    return fn
+    fam = fixtures.get(f"family_{name}_limit_n{n}").payload
+    limit = limit_ideal(fam)
+    if name == "substitution":
+        # the substitution family lands on the presentation representative
+        # of the planar-double type, not the normal form itself
+        want = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
+    else:
+        want = normal_form_ideal(n, expected_label)
+    probe = flatness_probe(fam)
+    label = classify(limit, seed=seed).label
+    expected = {
+        "limit": [str(g) for g in want.canonical_generators()],
+        "flat": True,
+        "label": expected_label,
+    }
+    computed = {
+        "limit": [str(g) for g in limit.generators],
+        "flat": probe.flat,
+        "label": label,
+    }
+    ok = limit == want and probe.flat and label == expected_label
+    return expected, computed, ok
 
 
 def _check_tangent(n, label):
-    def fn():
-        want = _EXPECTED_TANGENT[label](n)
-        got = hom_degree_zero(normal_form_ideal(n, label)).dimension
-        return want, got, want == got
-
-    return fn
+    want = _EXPECTED_TANGENT[label](n)
+    got = hom_degree_zero(normal_form_ideal(n, label)).dimension
+    return want, got, want == got
 
 
 def _check_conic_plane():
-    def fn():
-        got = hom_degree_zero(fixtures.get("ideal_conic_plane").payload).dimension
-        return 7, got, got == 7
-
-    return fn
+    got = hom_degree_zero(fixtures.get("ideal_conic_plane").payload).dimension
+    return 7, got, got == 7
 
 
 def _check_conic_space():
-    def fn():
-        got = hom_degree_zero(fixtures.get("ideal_conic_space").payload).dimension
-        # reported against the sheaf-theoretic count without asserting either
-        computed = {"module_hom_dimension": got, "agrees_with_sheaf_count": got == 11}
-        return {"sheaf_count_reference": 11}, computed, True
-
-    return fn
+    got = hom_degree_zero(fixtures.get("ideal_conic_space").payload).dimension
+    # reported against the sheaf-theoretic count without asserting either
+    computed = {"module_hom_dimension": got, "agrees_with_sheaf_count": got == 11}
+    return {"sheaf_count_reference": 11}, computed, True
 
 
 def _check_explicit_elements(n):
-    def fn():
-        row = fixtures.get(f"lambda_generators_n{n}")
-        I = Ideal(PolyRing(n + 1), row.payload)
-        trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
-        versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
-        all_ok = all(explicit_basis_check(I, images) for _, images in trivial + versal)
-        counts_ok = (
-            len(trivial) == 3 * n - 3
-            and len(versal) == 5 * (n - 2) + 1
-            and len(trivial) + len(versal) == 8 * n - 12
-        )
-        expected = {"satisfy_constraints": True, "count": 8 * n - 12}
-        computed = {
-            "satisfy_constraints": all_ok,
-            "count": len(trivial) + len(versal),
-        }
-        return expected, computed, all_ok and counts_ok
-
-    return fn
+    row = fixtures.get(f"lambda_generators_n{n}")
+    I = Ideal(PolyRing(n + 1), row.payload)
+    trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
+    versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
+    all_ok = all(explicit_basis_check(I, images) for _, images in trivial + versal)
+    counts_ok = (
+        len(trivial) == 3 * n - 3
+        and len(versal) == 5 * (n - 2) + 1
+        and len(trivial) + len(versal) == 8 * n - 12
+    )
+    expected = {"satisfy_constraints": True, "count": 8 * n - 12}
+    computed = {
+        "satisfy_constraints": all_ok,
+        "count": len(trivial) + len(versal),
+    }
+    return expected, computed, all_ok and counts_ok
 
 
 def _check_classify(n, seed):
-    def fn():
-        expected = {}
-        computed = {}
-        ok = True
-        for label in TYPE_LABELS:
-            base = normal_form_ideal(n, label)
-            got = classify(base, seed=seed).label
-            expected[f"{label}:base"] = label
-            computed[f"{label}:base"] = got
+    expected = {}
+    computed = {}
+    ok = True
+    for label in TYPE_LABELS:
+        base = normal_form_ideal(n, label)
+        got = classify(base, seed=seed).label
+        expected[f"{label}:base"] = label
+        computed[f"{label}:base"] = got
+        ok = ok and got == label
+        for trial in range(CLASSIFY_SEEDS):
+            s = seed * 1000 + trial * 17 + n
+            moved = random_linear_change(base, seed=s)
+            got = classify(moved, seed=s + 1).label
+            expected[f"{label}:{trial}"] = label
+            computed[f"{label}:{trial}"] = got
             ok = ok and got == label
-            for trial in range(CLASSIFY_SEEDS):
-                s = seed * 1000 + trial * 17 + n
-                moved = random_linear_change(base, seed=s)
-                got = classify(moved, seed=s + 1).label
-                expected[f"{label}:{trial}"] = label
-                computed[f"{label}:{trial}"] = got
-                ok = ok and got == label
-        return expected, computed, ok
-
-    return fn
+    return expected, computed, ok
 
 
-def _check_relations(space, n, corrupt=False):
-    def fn():
-        if space == HN:
-            stated = dict(picard.HN_STATED)
-            if corrupt:
-                stated[("B3", "N")] = 5
-            lattice = hn_lattice(n, stated=stated)
-            want = {"N": (2, -2), "E": (-1, 2)}
-        else:
-            stated = dict(picard.WN_STATED)
-            if corrupt:
-                stated[("B5", "N'")] = 3
-            lattice = wn_lattice(n, stated=stated)
-            want = {"N'": (2, -2, 0), "E'": (-1, 2, -1)}
-        report = solve_relations(lattice)
-        got = {k: report.classes[k].coords for k in want}
-        ok = report.unique and got == want
-        return {k: list(v) for k, v in want.items()}, {k: list(v) for k, v in got.items()}, ok
-
-    return fn
+def _check_relations(space, n, corrupt):
+    if space == HN:
+        stated = dict(picard.HN_STATED)
+        if corrupt:
+            stated[("B3", "N")] = 5
+        lattice = hn_lattice(n, stated=stated)
+        want = {"N": (2, -2), "E": (-1, 2)}
+    else:
+        stated = dict(picard.WN_STATED)
+        if corrupt:
+            stated[("B5", "N'")] = 3
+        lattice = wn_lattice(n, stated=stated)
+        want = {"N'": (2, -2, 0), "E'": (-1, 2, -1)}
+    report = solve_relations(lattice)
+    got = {k: report.classes[k].coords for k in want}
+    ok = report.unique and got == want
+    return {k: list(v) for k, v in want.items()}, {k: list(v) for k, v in got.items()}, ok
 
 
 def _check_derived_entries(n):
-    def fn():
-        report = solve_relations(hn_lattice(n))
-        expected = {"B3.F": 1, "B2.E": -1, "B4.N": -2}
-        computed = {
-            "B3.F": report.derived.get(("B3", "F")),
-            "B2.E": report.derived.get(("B2", "E")),
-            "B4.N": report.derived.get(("B4", "N")),
+    report = solve_relations(hn_lattice(n))
+    expected = {"B3.F": 1, "B2.E": -1, "B4.N": -2}
+    computed = {
+        "B3.F": report.derived.get(("B3", "F")),
+        "B2.E": report.derived.get(("B2", "E")),
+        "B4.N": report.derived.get(("B4", "N")),
+    }
+    consistent = pairing(report.curve("B3"), report.lattice.basis_divisor("F")) == 1
+    return expected, computed, computed == expected and consistent
+
+
+def _check_chambers(space, n):
+    lattice, probes = (hn_lattice(n), _HN_PROBES) if space == HN else (wn_lattice(n), _WN_PROBES)
+    expected = {}
+    computed = {}
+    ok = True
+    for coords, chamber, locus, *models in probes:
+        rep = chamber_of(lattice.divisor(coords), n)
+        key = str(list(coords))
+        expected[key] = {
+            "chamber": chamber,
+            "base_locus": list(locus),
+            "model": models[-1] if n == 3 else models[0],
         }
-        consistent = pairing(report.curve("B3"), report.lattice.basis_divisor("F")) == 1
-        return expected, computed, computed == expected and consistent
-
-    return fn
-
-
-def _check_chambers_hn(n):
-    def fn():
-        lattice = hn_lattice(n)
-        expected = {}
-        computed = {}
-        ok = True
-        for coords, chamber, locus, model4, model3 in _HN_PROBES:
-            want_model = model3 if n == 3 else model4
-            rep = chamber_of(lattice.divisor(coords), n)
-            key = str(list(coords))
-            expected[key] = {"chamber": chamber, "base_locus": list(locus), "model": want_model}
-            computed[key] = {
-                "chamber": rep.chamber,
-                "base_locus": list(rep.base_locus),
-                "model": rep.model,
-            }
-            ok = ok and expected[key] == computed[key]
-        return expected, computed, ok
-
-    return fn
-
-
-def _check_chambers_wn(n):
-    def fn():
-        lattice = wn_lattice(n)
-        expected = {}
-        computed = {}
-        ok = True
-        for coords, chamber, locus, model in _WN_PROBES:
-            rep = chamber_of(lattice.divisor(coords), n)
-            key = str(list(coords))
-            expected[key] = {"chamber": chamber, "base_locus": list(locus), "model": model}
-            computed[key] = {
-                "chamber": rep.chamber,
-                "base_locus": list(rep.base_locus),
-                "model": rep.model,
-            }
-            ok = ok and expected[key] == computed[key]
-        return expected, computed, ok
-
-    return fn
+        computed[key] = {
+            "chamber": rep.chamber,
+            "base_locus": list(rep.base_locus),
+            "model": rep.model,
+        }
+        ok = ok and expected[key] == computed[key]
+    return expected, computed, ok
 
 
 def _check_fano(space, n):
-    def fn():
-        want = (n in (3, 4)) if space == HN else True
-        got = is_fano(space, n)
-        k = canonical_class(space, n)
-        return {"fano": want}, {"fano": got, "canonical": list(k.coords)}, got == want
-
-    return fn
+    want = (n in (3, 4)) if space == HN else True
+    got = is_fano(space, n)
+    k = canonical_class(space, n)
+    return {"fano": want}, {"fano": got, "canonical": list(k.coords)}, got == want
 
 
 def _check_dimension_table(n):
-    def fn():
-        dt = dimension_table(n)
-        expected = {
-            "loci": {"I": 4 * n - 4, "II": 4 * n - 5, "III": 3 * n - 2, "IV": 3 * n - 3},
-            "other_component": 7 * n - 10,
-            "tangent_at_planar_double": 8 * n - 12,
-            "transverse_identity": True,
-        }
-        computed = {
-            "loci": dict(dt.loci),
-            "other_component": dt.other_component,
-            "tangent_at_planar_double": dt.tangent_at_planar_double,
-            "transverse_identity": dt.transverse_identity,
-        }
-        return expected, computed, expected == computed
-
-    return fn
+    dt = dimension_table(n)
+    expected = {
+        "loci": {"I": 4 * n - 4, "II": 4 * n - 5, "III": 3 * n - 2, "IV": 3 * n - 3},
+        "other_component": 7 * n - 10,
+        "tangent_at_planar_double": 8 * n - 12,
+        "transverse_identity": True,
+    }
+    computed = {
+        "loci": dict(dt.loci),
+        "other_component": dt.other_component,
+        "tangent_at_planar_double": dt.tangent_at_planar_double,
+        "transverse_identity": dt.transverse_identity,
+    }
+    return expected, computed, expected == computed
 
 
 def _determinism_ideals():
@@ -449,86 +396,74 @@ def _determinism_ideals():
 
 
 def _check_gb_determinism(shuffles):
-    def fn():
-        mismatches = []
-        for idx, gens in enumerate(_determinism_ideals()):
-            baseline = buchberger(list(gens), transform=False)
-            base = tuple(g.terms for g in baseline.elements)
-            for s in range(1, shuffles + 1):
-                shuffled = buchberger(list(gens), transform=False, seed=s)
-                if tuple(g.terms for g in shuffled.elements) != base:
-                    mismatches.append((idx, s))
-        return {"mismatches": []}, {"mismatches": mismatches}, not mismatches
-
-    return fn
+    mismatches = []
+    for idx, gens in enumerate(_determinism_ideals()):
+        baseline = buchberger(list(gens), transform=False)
+        base = tuple(g.terms for g in baseline.elements)
+        for s in range(1, shuffles + 1):
+            shuffled = buchberger(list(gens), transform=False, seed=s)
+            if tuple(g.terms for g in shuffled.elements) != base:
+                mismatches.append((idx, s))
+    return {"mismatches": []}, {"mismatches": mismatches}, not mismatches
 
 
 def _check_hilbert_order_independence():
-    def fn():
-        bad = []
-        for label in TYPE_LABELS:
-            for n in (3, 4):
-                I = normal_form_ideal(n, label)
-                grev = hilbert_series(I)
-                lex_leads = [
-                    g.lead_monomial() for g in buchberger(list(I.generators), LEX).elements
-                ]
-                lex_ideal = Ideal(I.ring, [
-                    I.ring.from_dict({m: 1}) for m in lex_leads
-                ])
-                lexd = hilbert_series(lex_ideal)
-                if lexd.hilbert_polynomial != grev.hilbert_polynomial or (
-                    lexd.reduced_numerator != grev.reduced_numerator
-                ):
-                    bad.append(f"{label}:n{n}")
-        return {"mismatches": []}, {"mismatches": bad}, not bad
-
-    return fn
+    bad = []
+    for label in TYPE_LABELS:
+        for n in (3, 4):
+            I = normal_form_ideal(n, label)
+            grev = hilbert_series(I)
+            lex_leads = [
+                g.lead_monomial() for g in buchberger(list(I.generators), LEX).elements
+            ]
+            lex_ideal = Ideal(I.ring, [
+                I.ring.from_dict({m: 1}) for m in lex_leads
+            ])
+            lexd = hilbert_series(lex_ideal)
+            if lexd.hilbert_polynomial != grev.hilbert_polynomial or (
+                lexd.reduced_numerator != grev.reduced_numerator
+            ):
+                bad.append(f"{label}:n{n}")
+    return {"mismatches": []}, {"mismatches": bad}, not bad
 
 
 def _check_syzygy_exactness():
-    def fn():
-        bad = []
-        for label in TYPE_LABELS:
-            for n in (3, 4):
-                gens = list(normal_form_ideal(n, label).generators)
-                if not syzygies(gens).verify():
-                    bad.append(f"{label}:n{n}")
-        lam = fixtures.get("lambda_generators_n3").payload
-        if not syzygies(list(lam)).verify():
-            bad.append("presentation_row")
-        return {"failures": []}, {"failures": bad}, not bad
-
-    return fn
+    bad = []
+    for label in TYPE_LABELS:
+        for n in (3, 4):
+            gens = list(normal_form_ideal(n, label).generators)
+            if not syzygies(gens).verify():
+                bad.append(f"{label}:n{n}")
+    lam = fixtures.get("lambda_generators_n3").payload
+    if not syzygies(list(lam)).verify():
+        bad.append("presentation_row")
+    return {"failures": []}, {"failures": bad}, not bad
 
 
 def _check_presentation_fixtures():
-    def fn():
-        lam = fixtures.get("lambda_generators_n3").payload
-        mu = fixtures.get("mu_matrix").payload
-        nu = fixtures.get("nu_column").payload
-        ring = lam[0].ring
-        lam_mu_zero = all(
-            sum((lam[i] * mu[i][j] for i in range(4)), ring.zero).is_zero()
-            for j in range(4)
-        )
-        mu_nu_zero = all(
-            sum((mu[i][j] * nu[j] for j in range(4)), ring.zero).is_zero()
-            for i in range(4)
-        )
-        module = syzygies(list(lam))
-        columns_in_module = all(
-            module.contains(tuple(mu[i][j] for i in range(4))) for j in range(4)
-        )
-        expected = {"lam_mu_zero": True, "mu_nu_zero": True, "columns_in_module": True}
-        computed = {
-            "lam_mu_zero": lam_mu_zero,
-            "mu_nu_zero": mu_nu_zero,
-            "columns_in_module": columns_in_module,
-        }
-        return expected, computed, expected == computed
-
-    return fn
+    lam = fixtures.get("lambda_generators_n3").payload
+    mu = fixtures.get("mu_matrix").payload
+    nu = fixtures.get("nu_column").payload
+    ring = lam[0].ring
+    lam_mu_zero = all(
+        sum((lam[i] * mu[i][j] for i in range(4)), ring.zero).is_zero()
+        for j in range(4)
+    )
+    mu_nu_zero = all(
+        sum((mu[i][j] * nu[j] for j in range(4)), ring.zero).is_zero()
+        for i in range(4)
+    )
+    module = syzygies(list(lam))
+    columns_in_module = all(
+        module.contains(tuple(mu[i][j] for i in range(4))) for j in range(4)
+    )
+    expected = {"lam_mu_zero": True, "mu_nu_zero": True, "columns_in_module": True}
+    computed = {
+        "lam_mu_zero": lam_mu_zero,
+        "mu_nu_zero": mu_nu_zero,
+        "columns_in_module": columns_in_module,
+    }
+    return expected, computed, expected == computed
 
 
 def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
@@ -543,7 +478,7 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
             b.run(
                 f"hilbert.normal_form.{label}.n{n}",
                 f"type ({label}) normal form in P^{n} has the reference Hilbert polynomial",
-                _check_hilbert_normal_form(n, label),
+                _check_hilbert_normal_form, n, label,
             )
         if n <= RANDOM_TRIAL_MAX_N:
             for k in (1, 2, 3):
@@ -551,43 +486,43 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
                     f"hilbert.double_structure.k{k}.n{n}",
                     "double-structure Hilbert function matches the closed form "
                     f"(tie degree {k}, P^{n})",
-                    _check_double_structure(n, k),
+                    _check_double_structure, n, k,
                 )
             for name, expected_label in _LIMIT_FAMILIES:
                 b.run(
                     f"limit.{name}.n{n}",
                     f"flat limit of the {name} family in P^{n} is the type "
                     f"({expected_label}) normal form",
-                    _check_limit(name, expected_label, n, seed),
+                    _check_limit, name, expected_label, n, seed,
                 )
             b.run(
                 f"tangent.explicit_elements.n{n}",
                 "explicit tangent assignments satisfy the syzygy constraints "
                 f"and count 8n-12 (P^{n})",
-                _check_explicit_elements(n),
+                _check_explicit_elements, n,
             )
             b.run(
                 f"classify.normal_forms.n{n}",
                 f"classification is stable under random coordinate changes (P^{n})",
-                _check_classify(n, seed),
+                _check_classify, n, seed,
             )
         if n <= TANGENT_MAX_N:
             for label in TYPE_LABELS:
                 b.run(
                     f"tangent.type_{label}.n{n}",
                     f"tangent dimension at the type ({label}) point of P^{n}",
-                    _check_tangent(n, label),
+                    _check_tangent, n, label,
                 )
         b.run(
             f"cone.chambers.hn.n{n}",
             f"rank-2 chamber table, base loci and models (n={n})",
-            _check_chambers_hn(n),
+            _check_chambers, HN, n,
         )
         if n >= 4:
             b.run(
                 f"cone.chambers.wn.n{n}",
                 f"rank-3 chamber table, base loci and models (n={n})",
-                _check_chambers_wn(n),
+                _check_chambers, WN, n,
             )
         else:
             b.skip(
@@ -598,63 +533,63 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
         b.run(
             f"cone.fano.hn.n{n}",
             f"anticanonical ampleness on the rank-2 side (n={n})",
-            _check_fano(HN, n),
+            _check_fano, HN, n,
         )
         b.run(
             f"cone.fano.wn.n{n}",
             f"anticanonical ampleness on the rank-3 side (n={n})",
-            _check_fano(WN, n),
+            _check_fano, WN, n,
         )
         b.run(
             f"cone.dimension_table.n{n}",
             f"locus dimensions and the transversality identity (n={n})",
-            _check_dimension_table(n),
+            _check_dimension_table, n,
         )
 
     b.run(
         "tangent.conic_plane",
         "tangent dimension of the in-plane double conic with embedded point",
-        _check_conic_plane(),
+        _check_conic_plane,
     )
     b.run(
         "tangent.conic_space",
         "module-Hom dimension of the space conic reported against the sheaf count",
-        _check_conic_space(),
+        _check_conic_space,
     )
     b.run(
         "lattice.relations.hn",
         "rank-2 divisor relations solve uniquely from stated pairings",
-        _check_relations(HN, max(n_min, 3), corrupt="lattice.pairing_hn" in faults),
+        _check_relations, HN, max(n_min, 3), "lattice.pairing_hn" in faults,
     )
     b.run(
         "lattice.relations.wn",
         "rank-3 divisor relations solve uniquely from stated pairings",
-        _check_relations(WN, max(n_min, 4), corrupt="lattice.pairing_wn" in faults),
+        _check_relations, WN, max(n_min, 4), "lattice.pairing_wn" in faults,
     )
     b.run(
         "lattice.derived_entries",
         "derived pairing entries are consistent with every stored row",
-        _check_derived_entries(max(n_min, 3)),
+        _check_derived_entries, max(n_min, 3),
     )
     b.run(
         "engine.gb_determinism",
         "reduced bases are identical under S-pair schedule permutations",
-        _check_gb_determinism(20 if deep else 5),
+        _check_gb_determinism, 20 if deep else 5,
     )
     b.run(
         "engine.hilbert_order_independence",
         "Hilbert data agrees between grevlex and lex initial ideals",
-        _check_hilbert_order_independence(),
+        _check_hilbert_order_independence,
     )
     b.run(
         "engine.syzygy_exactness",
         "every generating syzygy annihilates its generators exactly",
-        _check_syzygy_exactness(),
+        _check_syzygy_exactness,
     )
     b.run(
         "engine.presentation_fixtures",
         "presentation matrices multiply to zero and columns lie in the syzygy module",
-        _check_presentation_fixtures(),
+        _check_presentation_fixtures,
     )
 
     return VerifyReport(seed, n_min, n_max, deep, tuple(b.results))

@@ -184,6 +184,31 @@ def substitute_by_expansion(p, var_index, value):
     return out
 
 
+def compose_linear_by_products(p, matrix):
+    """p under x_i -> sum_j matrix[i][j] * x_j for all x_i at once, as a sum
+    of products of whole-polynomial powers of the images."""
+    ring = p.ring
+    nv = ring.num_vars
+    images = []
+    for i in range(nv):
+        acc = {}
+        for j, a in enumerate(matrix[i]):
+            if a:
+                acc[tuple(1 if k == j else 0 for k in range(ring.width))] = Fraction(a)
+        images.append(ring.from_dict(acc))
+    out = ring.zero
+    for m, c in p.terms:
+        term = ring.constant(c)
+        for i in range(nv):
+            if m[i]:
+                term = term * images[i] ** m[i]
+        for i in range(nv, ring.width):
+            if m[i]:
+                term = term * ring.variable(i) ** m[i]
+        out = out + term
+    return out
+
+
 def specialize_by_substitution(I, t0):
     """Image of an ideal of QQ[t][x] under t -> t0 as an ideal of QQ[x],
     one `Polynomial.substitute` and one `convert` per generator."""
@@ -194,7 +219,7 @@ def specialize_by_substitution(I, t0):
     base = PolyRing(ring.num_vars)
     out = []
     for g in I.generators:
-        h = g.substitute(ring.param_index, t0)
+        h = g.substitute({ring.param_index: t0})
         if not h.is_zero():
             out.append(h.convert(base))
     return Ideal(base, out)

@@ -1,12 +1,15 @@
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from hilbcomp import fixtures
 from hilbcomp.classify import (
     _complete_intersection,
+    _generic_element,
     _link,
+    _slice_algebra,
     classify,
     equidimensional_hull,
     generic_slice_reduced,
@@ -205,3 +208,20 @@ def test_normal_form_ideal_validation():
         normal_form_ideal(2, "I")
     with pytest.raises(ValueError):
         normal_form_ideal(3, "V")
+
+
+def test_random_draws_keep_their_order():
+    # the expected values were computed before the random combinations went
+    # through one helper; a draw taken in another order changes them, while
+    # labels and hulls, being certified, would not show it
+    rng = random.Random("draw-order")
+    ci, attempt = _complete_intersection(normal_form_ideal(4, "II"), rng)
+    assert attempt == 0
+    assert [str(g) for g in ci.generators] == [
+        "-3*x0^2 - 5*x0*x1 - x1^2 + 4*x1*x2 - 4*x0*x3",
+        "-3*x0^2 + x0*x1 + 3*x1^2 - 2*x1*x2 + 2*x0*x3",
+    ]
+    J = Ideal(PolyRing(5), ["x0", "x1*x2"])
+    assert str(_generic_element(J, rng)) == "12*x0^2 + 4*x0*x1 - x1*x2 + 20*x0*x3 + 16*x0*x4"
+    point = (0, 0, Fraction(-12, 121), Fraction(13, 121), Fraction(-3, 121))
+    assert _slice_algebra(normal_form_ideal(4, "II"), rng) == ("double", point)

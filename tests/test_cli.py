@@ -5,6 +5,7 @@ import pytest
 
 from hilbcomp import Ideal, PolyRing, cli
 from hilbcomp.cli import run_subcommand
+from hilbcomp.ideals import MAX_FILE_N
 from hilbcomp.rings import MAX_EXPONENT
 
 TYPE_I = "ring n=3 param=0\nx0*x2\nx0*x3\nx1*x2\nx1*x3\n"
@@ -117,6 +118,20 @@ def test_limit_probe_json_is_byte_identical_to_the_golden_files(kind, capsys):
     assert capsys.readouterr().out.encode() == (data / f"limit_{kind}_n5.json").read_bytes()
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_moved_tangent_json_is_byte_identical_to_the_golden_files(label, n, capsys):
+    # moved_<label>_n<n>.ideal is the normal form after the seeded matrix
+    # random_invertible_matrix(ring, "tangent-golden:<label>:n<n>"); the
+    # .tangent.json beside it is `hilbcomp --format json tangent <file>` as
+    # generated before the second ring map and membership span were removed,
+    # and is never regenerated to make a change pass
+    data = Path(__file__).parent / "data"
+    stem = f"moved_{label}_n{n}"
+    assert run_subcommand(["--format", "json", "tangent", str(data / f"{stem}.ideal")]) == 0
+    assert capsys.readouterr().out.encode() == (data / f"{stem}.tangent.json").read_bytes()
+
+
 def test_limit_rejects_plain_ideal_file(files, capsys):
     assert run_subcommand(["limit", files["type_i"]]) == 2
 
@@ -182,6 +197,19 @@ def test_monomial_overflow_exits_with_code_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "load_ideal", lambda path: huge)
     assert run_subcommand(["gb", "unused.ideal"]) == 1
     assert "exceeds the packed field width" in capsys.readouterr().err
+
+
+def test_oversized_ring_header_is_a_usage_error(tmp_path, capsys):
+    # every parsed term holds one exponent per variable, so the header bound
+    # is checked before any polynomial line is read
+    path = tmp_path / "huge.ideal"
+    for n in (10**9, MAX_FILE_N + 1):
+        path.write_text(f"ring n={n} param=0\nx0 - x1\nx0*x1\n")
+        assert run_subcommand(["hilbert", str(path)]) == 2
+        assert f"n={MAX_FILE_N}" in capsys.readouterr().err
+    path.write_text(f"ring n={MAX_FILE_N} param=0\nx0\n")
+    assert run_subcommand(["gb", str(path)]) == 0
+    assert capsys.readouterr().out == "x0\n"
 
 
 def test_seed_flag_accepted_in_both_positions(files, capsys):

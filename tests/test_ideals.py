@@ -20,7 +20,8 @@ from hilbcomp.ideals import (
     random_linear_change,
     saturate,
 )
-from hilbcomp.rings import PolyRing, parse
+from hilbcomp.groebner import eliminate_generators
+from hilbcomp.rings import LEX, PolyRing, parse
 
 from oracles import graded_piece_quotient, saturate_by_quotients
 
@@ -224,6 +225,18 @@ def test_random_linear_change_rejects_singular_matrix():
         random_linear_change(A, 0, matrix=singular)
 
 
+def test_random_linear_change_rejects_a_matrix_of_the_wrong_shape():
+    A = I("x0*x2", "x0*x3", "x1*x2", "x1*x3")
+    wrong = (
+        [[0, 1, 0, 0], [1, 0, 0, 0]],
+        [[1, 0], [0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    )
+    for matrix in wrong:
+        with pytest.raises(ValueError, match="4 by 4"):
+            random_linear_change(A, 0, matrix=matrix)
+
+
 def test_random_invertible_matrix_is_pinned():
     # the first draw for this seed is singular, so the pin also fixes the retry
     assert random_invertible_matrix(PolyRing(2), 3) == [[-2, 5], [2, 1]]
@@ -248,6 +261,20 @@ def test_eliminate_ideal_level():
     got = eliminate(J, [Rt.param_index])
     assert got.contains(parse("x0*x1", Rt))
     assert eliminate(J, []) == J
+
+
+@pytest.mark.parametrize("order", [None, LEX])
+@pytest.mark.parametrize("front", [[0], [3], [0, 1], [1, 3]])
+def test_eliminate_seeds_the_canonical_basis(order, front):
+    ring = PolyRing(4) if order is None else PolyRing(4).with_order(order)
+    texts = ("x1^2 - x0*x2", "x1*x2 - x0*x3", "x2^2 - x1*x3", "x0*x3 + x1^2 - x2^2 + x3")
+    J = Ideal(ring, [parse(t, ring) for t in texts])
+    got = eliminate(J, front)
+    want = Ideal(ring, eliminate_generators(list(J.generators), front)).canonical()
+    assert got.ring == ring
+    assert [g.terms for g in got.generators] == [g.terms for g in want.generators]
+    fresh = Ideal(ring, got.generators).groebner_basis().elements
+    assert [g.terms for g in got.groebner_basis().elements] == [g.terms for g in fresh]
 
 
 def test_ideal_file_round_trip(tmp_path):

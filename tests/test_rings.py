@@ -15,7 +15,12 @@ from hilbcomp.rings import (
     parse,
 )
 
-from oracles import convert_by_name, substitute_by_expansion, validate_canonical
+from oracles import (
+    compose_linear_by_products,
+    convert_by_name,
+    substitute_by_expansion,
+    validate_canonical,
+)
 
 
 @pytest.fixture
@@ -117,17 +122,17 @@ def test_arith_rejects_ring_mismatch(ring, tring):
 
 def test_substitute_shear(tring):
     x1, x2, t = tring.x(1), tring.x(2), tring.t
-    assert (x1 * x2).substitute(2, x1 + t * x2) == x1**2 + t * x1 * x2
+    assert (x1 * x2).substitute({2: x1 + t * x2}) == x1**2 + t * x1 * x2
 
 
 def test_substitute_identity(ring):
     p = parse("x0^2 - 3*x1*x2 + x3", ring)
-    assert p.substitute(0, ring.x(0)) == p
+    assert p.substitute({0: ring.x(0)}) == p
 
 
 def test_substitute_binomial_expansion(tring):
     x0, x3, t = tring.x(0), tring.x(3), tring.t
-    assert (x0**2).substitute(0, x0 + t * x3) == x0**2 + 2 * t * x0 * x3 + t**2 * x3**2
+    assert (x0**2).substitute({0: x0 + t * x3}) == x0**2 + 2 * t * x0 * x3 + t**2 * x3**2
 
 
 def test_substitute_constant_matches_expansion(tring):
@@ -141,10 +146,45 @@ def test_substitute_constant_matches_expansion(tring):
         p = tring.from_dict(terms)
         var = rng.randrange(tring.width)
         for value in values:
-            got = p.substitute(var, value)
+            got = p.substitute({var: value})
             assert got == substitute_by_expansion(p, var, value)
             assert all(m[var] == 0 for m, _ in got.terms)
             validate_canonical(got)
+
+
+def _linear_images(ring, matrix):
+    return {
+        i: sum((ring.x(j).scale(a) for j, a in enumerate(row)), ring.zero)
+        for i, row in enumerate(matrix)
+    }
+
+
+@pytest.mark.parametrize("has_param", [False, True])
+def test_substitute_all_x_matches_compose_linear_oracle(has_param):
+    ring = PolyRing(4, has_param=has_param)
+    rng = random.Random(29)
+    for _ in range(25):
+        matrix = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)] for _ in range(4)
+        ]
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = tuple(rng.randint(0, 2) for _ in range(ring.width))
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        p = ring.from_dict(terms)
+        got = p.substitute(_linear_images(ring, matrix))
+        assert got == compose_linear_by_products(p, matrix)
+        validate_canonical(got)
+
+
+def test_substitute_swaps_two_variables_at_once(tring):
+    x0, x1, x2, t = tring.x(0), tring.x(1), tring.x(2), tring.t
+    p = x0**2 * x1 + 3 * t * x0 - x2
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    got = p.substitute({0: x1, 1: x0})
+    assert got == x1**2 * x0 + 3 * t * x1 - x2
+    assert got == compose_linear_by_products(p, swap)
+    assert got.substitute({0: x1, 1: x0}) == p
 
 
 def test_ring_laws_on_random_polynomials(ring):
