@@ -1,4 +1,7 @@
 import itertools
+import json
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from hilbcomp.errors import LatticeDataError
 from hilbcomp.picard import (
     HN,
     WN,
+    DivisorClass,
     canonical_class,
     chamber_of,
     dimension_table,
@@ -17,6 +21,33 @@ from hilbcomp.picard import (
     solve_relations,
     wn_lattice,
 )
+
+
+CHAMBERS_GOLDEN = Path(__file__).parent / "data" / "chambers.txt"
+
+
+def chamber_lines():
+    """One line per (space, n, class): the chamber_of JSON, or the exception
+    type and message.  H_n classes range over [-5,5]^2, W_n classes over
+    [-3,3]^3, both at n = 3, 4, 8."""
+    grids = {HN: itertools.product(range(-5, 6), repeat=2),
+             WN: itertools.product(range(-3, 4), repeat=3)}
+    for space, grid in grids.items():
+        for coords in grid:
+            for n in (3, 4, 8):
+                try:
+                    rep = chamber_of(DivisorClass(space, coords), n)
+                    body = json.dumps(rep.to_json(), sort_keys=True)
+                except Exception as exc:  # the golden records the failure too
+                    body = f"{type(exc).__name__}: {exc}"
+                yield f"{space} n={n} {list(coords)} {body}"
+
+
+def _primitive(coords):
+    g = 0
+    for c in coords:
+        g = gcd(g, abs(c))
+    return tuple(c // g for c in coords) if g > 1 else tuple(coords)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +204,7 @@ def test_chamber_partition_covers_effective_cone():
             chamber_of(lat.divisor((a, b)), 4)
         # overlaps happen only on the shared boundary rays M and F
         if sum(members) > 1:
-            prim = picard._primitive((a, b))
+            prim = _primitive((a, b))
             assert prim in ((1, 0), (0, 1)), (a, b)
 
 
@@ -243,3 +274,8 @@ def test_base_locus_lookup_validated_by_sweeping_curves():
         assert validate_base_locus_data(HN, n)
     for n in (4, 5):
         assert validate_base_locus_data(WN, n)
+
+
+def test_chamber_lookup_matches_golden():
+    lines = CHAMBERS_GOLDEN.read_text().splitlines()
+    assert list(chamber_lines()) == lines
