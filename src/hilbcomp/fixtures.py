@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .classify import normal_form_ideal
 from .flat_limit import Family
 from .ideals import Ideal, intersect, ideal_product
-from .picard import HN_STATED, WN_STATED
+from .picard import DIMENSION_FORMULAS, HN_STATED, WN_STATED
 from .rings import PolyRing
 
 
@@ -208,20 +208,6 @@ def conic_space_ideal():
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-
-# linear formulas a*n + b for the dimension bookkeeping
-DIMENSION_FORMULAS = {
-    "locus_I": (4, -4),
-    "locus_II": (4, -5),
-    "locus_III": (3, -2),
-    "locus_IV": (3, -3),
-    "other_component": (7, -10),
-    "tangent_at_planar_double": (8, -12),
-    "pair_component": (4, -4),
-    "conic_component": (4, -1),
-    "components_intersection": (4, -5),
-}
-
 
 _STATIC = {
     "dimension_formulas": (

@@ -646,7 +646,10 @@ class SyzygyModule:
         return not any(_int_combination(zip(row, self.target), pk) for row in self.generators)
 
     def contains(self, candidate):
-        """Degreewise module membership for a homogeneous candidate row."""
+        """Degreewise module membership for a homogeneous candidate row;
+        raises HomogeneityError when an entry is not homogeneous."""
+        if not all(s.is_homogeneous() for s in candidate):
+            raise HomogeneityError("syzygy row is not homogeneous")
         shift = _tuple_shift(candidate, self.target)
         coords = _row_coordinates(self.ring, self.target, candidate, shift)
         return coords in _degree_span(self.ring, self.target, self.generators, shift)

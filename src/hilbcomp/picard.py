@@ -8,13 +8,15 @@ are exact integers; the table distinguishes entries stored as input data
 ("stated") from entries the relation solver derives.  No intersection theory
 is computed geometrically: the table is the ground truth and every derived
 relation is solved from it by exact linear algebra, then cross-checked
-against all stored entries.
+against all stored entries.  Each space is described by tables (lattice
+spec, rays, chamber list, sweeping curves) that one code path per job reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import LatticeDataError
@@ -32,15 +34,40 @@ HN_STATED = {
 
 # the rank-3 table inherits the rank-2 rows (R'-pairing zero for B1..B4) and
 # adds the two extra curves
-WN_STATED = {}
-for (_c, _d), _v in HN_STATED.items():
-    WN_STATED[(_c, _d + "'")] = _v
+WN_STATED = {(c, d + "'"): v for (c, d), v in HN_STATED.items()}
 WN_STATED.update({
     ("B1", "R'"): 0, ("B2", "R'"): 0, ("B3", "R'"): 0, ("B4", "R'"): 0,
     ("B5", "M'"): 1, ("B5", "F'"): 1, ("B5", "R'"): 1,
     ("B5", "N'"): 0, ("B5", "E'"): 0,
     ("B6", "M'"): 0, ("B6", "F'"): 0, ("B6", "R'"): 1,
 })
+
+
+class _LatticeSpec(NamedTuple):
+    """What the one lattice builder and relation solver read per space."""
+
+    basis: tuple
+    curves: tuple
+    open_entry: tuple   # the one (curve, basis divisor) pairing left to the solver
+    solve_n: tuple      # (N, curves whose stated rows give N in the basis)
+    solve_e: tuple      # (E, curves whose stated rows give E, N in place of F)
+    stated: dict
+    n_min: int
+    n_error: str
+
+
+_LATTICE_SPECS = {
+    HN: _LatticeSpec(
+        ("M", "F"), ("B1", "B2", "B3", "B4"), ("B3", "F"),
+        ("N", ("B1", "B2")), ("E", ("B1", "B3")),
+        HN_STATED, 3, "defined for n >= 3",
+    ),
+    WN: _LatticeSpec(
+        ("M'", "F'", "R'"), ("B1", "B2", "B3", "B4", "B5", "B6"), ("B3", "F'"),
+        ("N'", ("B1", "B2", "B5")), ("E'", ("B1", "B3", "B5")),
+        WN_STATED, 4, "the rank-3 lattice is defined for n >= 4",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -80,36 +107,26 @@ class PicLattice:
         return self.divisor(tuple(int(i == j) for j in range(len(self.basis))), name)
 
 
-def hn_lattice(n, stated=None):
-    if n < 3:
-        raise ValueError("defined for n >= 3")
-    stated = dict(HN_STATED if stated is None else stated)
-    rows = {
-        "B1": (stated[("B1", "M")], stated[("B1", "F")]),
-        "B2": (stated[("B2", "M")], stated[("B2", "F")]),
-        "B3": (stated[("B3", "M")], None),  # F-pairing of B3 is derived
-        "B4": (stated[("B4", "M")], stated[("B4", "F")]),
-    }
+def _lattice(space, n, stated):
+    spec = _LATTICE_SPECS[space]
+    if n < spec.n_min:
+        raise ValueError(spec.n_error)
+    stated = dict(spec.stated if stated is None else stated)
     curves = {
-        name: CurveClass(HN, name, row) for name, row in rows.items()
+        c: CurveClass(space, c, tuple(
+            None if (c, d) == spec.open_entry else stated[(c, d)] for d in spec.basis
+        ))
+        for c in spec.curves
     }
-    return PicLattice(HN, n, ("M", "F"), curves, stated)
+    return PicLattice(space, n, spec.basis, curves, stated)
+
+
+def hn_lattice(n, stated=None):
+    return _lattice(HN, n, stated)
 
 
 def wn_lattice(n, stated=None):
-    if n < 4:
-        raise ValueError("the rank-3 lattice is defined for n >= 4")
-    stated = dict(WN_STATED if stated is None else stated)
-    rows = {
-        "B1": (stated[("B1", "M'")], stated[("B1", "F'")], stated[("B1", "R'")]),
-        "B2": (stated[("B2", "M'")], stated[("B2", "F'")], stated[("B2", "R'")]),
-        "B3": (stated[("B3", "M'")], None, stated[("B3", "R'")]),
-        "B4": (stated[("B4", "M'")], stated[("B4", "F'")], stated[("B4", "R'")]),
-        "B5": (stated[("B5", "M'")], stated[("B5", "F'")], stated[("B5", "R'")]),
-        "B6": (stated[("B6", "M'")], stated[("B6", "F'")], stated[("B6", "R'")]),
-    }
-    curves = {name: CurveClass(WN, name, row) for name, row in rows.items()}
-    return PicLattice(WN, n, ("M'", "F'", "R'"), curves, stated)
+    return _lattice(WN, n, stated)
 
 
 def pairing(curve, divisor):
@@ -143,99 +160,56 @@ def _solve_named(rows, values):
     coords, unique = sol
     if not unique:
         raise LatticeDataError("pairing data does not determine a unique class")
-    out = []
-    for c in coords:
-        if c.denominator != 1:
-            raise LatticeDataError("pairing data forces non-integral coordinates")
-        out.append(int(c))
-    return tuple(out)
+    if any(c.denominator != 1 for c in coords):
+        raise LatticeDataError("pairing data forces non-integral coordinates")
+    return tuple(int(c) for c in coords)
 
 
 def solve_relations(lattice):
     """Derive the non-basis divisor classes from stated pairings only,
     then complete the derived table and check global consistency."""
     st = lattice.stated
-    if lattice.space == HN:
-        M, F, N, E = "M", "F", "N", "E"
-        curve_names = ("B1", "B2", "B3", "B4")
-    else:
-        M, F, N, E = "M'", "F'", "N'", "E'"
-        curve_names = ("B1", "B2", "B3", "B4", "B5", "B6")
+    spec = _LATTICE_SPECS[lattice.space]
+    basis = lattice.basis
+    (N, n_curves), (E, e_curves) = spec.solve_n, spec.solve_e
+    f = basis.index(spec.open_entry[1])
 
-    def stated_row(curve, names):
-        return [st[(curve, d)] for d in names]
+    def solve(target, names, curve_names):
+        return _solve_named(
+            [[st[(c, d)] for d in names] for c in curve_names],
+            [st[(c, target)] for c in curve_names],
+        )
 
-    classes = {}
-    if lattice.space == HN:
-        # N in basis (M, F) from the two fully stated curve rows
-        ncoords = _solve_named(
-            [stated_row("B1", (M, F)), stated_row("B2", (M, F))],
-            [st[("B1", N)], st[("B2", N)]],
-        )
-        # E in basis (M, N): every entry stated; convert through N
-        e_mn = _solve_named(
-            [stated_row("B1", (M, N)), stated_row("B3", (M, N))],
-            [st[("B1", E)], st[("B3", E)]],
-        )
-        ecoords = (
-            e_mn[0] + e_mn[1] * ncoords[0],
-            e_mn[1] * ncoords[1],
-        )
-        basis_classes = {M: (1, 0), F: (0, 1)}
-    else:
-        ncoords = _solve_named(
-            [stated_row("B1", (M, F, "R'")), stated_row("B2", (M, F, "R'")),
-             stated_row("B5", (M, F, "R'"))],
-            [st[("B1", N)], st[("B2", N)], st[("B5", N)]],
-        )
-        e_mnr = _solve_named(
-            [stated_row("B1", (M, N, "R'")), stated_row("B3", (M, N, "R'")),
-             stated_row("B5", (M, N, "R'"))],
-            [st[("B1", E)], st[("B3", E)], st[("B5", E)]],
-        )
-        ecoords = (
-            e_mnr[0] + e_mnr[1] * ncoords[0],
-            e_mnr[1] * ncoords[1],
-            e_mnr[2] + e_mnr[1] * ncoords[2],
-        )
-        basis_classes = {M: (1, 0, 0), F: (0, 1, 0), "R'": (0, 0, 1)}
-
-    classes = {
-        name: DivisorClass(lattice.space, coords, name)
-        for name, coords in basis_classes.items()
-    }
+    ncoords = solve(N, basis, n_curves)
+    # E in the basis with N in place of F: every entry stated; convert through N
+    e_alt = solve(E, basis[:f] + (N,) + basis[f + 1:], e_curves)
+    ecoords = tuple(
+        (e_alt[i] if i != f else 0) + e_alt[f] * ncoords[i] for i in range(len(basis))
+    )
+    classes = {name: lattice.basis_divisor(name) for name in basis}
     classes[N] = DivisorClass(lattice.space, ncoords, N)
     classes[E] = DivisorClass(lattice.space, ecoords, E)
 
     # complete the curve rows (fill derived F-pairings), then check everything
     curves = {}
     derived = {}
-    for cname in curve_names:
+    for cname in spec.curves:
         row = list(lattice.curves[cname].row)
         if None in row:
-            # the basis entry is pinned by a stated pairing against a solved
+            # the open entry is pinned by a stated pairing against a solved
             # class: row . class = stated value
             idx = row.index(None)
-            known = None
             for dname in (N, E):
-                if (cname, dname) in st:
-                    target = classes[dname]
-                    rest = sum(
-                        row[k] * target.coords[k]
-                        for k in range(len(row))
-                        if k != idx
-                    )
-                    if target.coords[idx] == 0:
-                        continue
-                    val = Fraction(st[(cname, dname)] - rest, target.coords[idx])
+                target = classes[dname].coords
+                if (cname, dname) in st and target[idx] != 0:
+                    rest = sum(row[k] * target[k] for k in range(len(row)) if k != idx)
+                    val = Fraction(st[(cname, dname)] - rest, target[idx])
                     if val.denominator != 1:
                         raise LatticeDataError("derived pairing is not integral")
-                    known = int(val)
                     break
-            if known is None:
+            else:
                 raise LatticeDataError(f"cannot derive the row of {cname}")
-            row[idx] = known
-            derived[(cname, lattice.basis[idx])] = known
+            row[idx] = derived[(cname, basis[idx])] = int(val)
         curves[cname] = CurveClass(lattice.space, cname, tuple(row))
 
     # consistency: every stated entry must match the completed table
@@ -250,11 +224,11 @@ def solve_relations(lattice):
                 f"stored {value}, derived {got}"
             )
     for dname in (N, E):
-        for cname in curve_names:
+        for cname in spec.curves:
             if (cname, dname) not in st:
                 derived[(cname, dname)] = pairing(curves[cname], classes[dname])
 
-    lattice = PicLattice(lattice.space, lattice.n, lattice.basis, curves, lattice.stated)
+    lattice = PicLattice(lattice.space, lattice.n, basis, curves, lattice.stated)
     return RelationReport(lattice, classes, derived, unique=True)
 
 
@@ -264,15 +238,9 @@ def solve_relations(lattice):
 
 def _cone_coefficients(coords, rays):
     """Rational coefficients of coords over the ray matrix, or None."""
-    cols = [list(r) for r in rays]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(coords))]
+    rows = [[r[i] for r in rays] for i in range(len(coords))]
     sol = linalg.solve_unique(rows, [Fraction(c) for c in coords])
-    if sol is None:
-        return None
-    coeffs, unique = sol
-    if not unique:
-        return None
-    return coeffs
+    return sol[0] if sol is not None and sol[1] else None
 
 
 def in_cone(coords, rays):
@@ -304,101 +272,94 @@ class ChamberReport:
         }
 
 
-# named ray coordinates in the (M, F) basis
+# named ray coordinates in the (M, F) and (M', F', R') bases
 _HN_RAYS = {"M": (1, 0), "F": (0, 1), "N": (2, -2), "E": (-1, 2)}
+_WN_RAYS = {
+    "M'": (1, 0, 0), "F'": (0, 1, 0), "R'": (0, 0, 1), "N'": (2, -2, 0), "E'": (-1, 2, -1),
+}
+_RAYS = {HN: _HN_RAYS, WN: _WN_RAYS}
+
+# the effective cone and its label in the "not effective" message
+_EFFECTIVE_CONES = {HN: (("N", "E"), "[N,E]"), WN: (("R'", "E'", "N'"), "<R',E',N'>")}
+
+
+class _Chamber(NamedTuple):
+    cones: tuple    # ray-name tuples; the chamber is their union
+    name: str
+    locus: tuple    # stable base locus
+    models: dict    # positive-ray pattern -> (model for n >= 4, model for n = 3)
+
+
+# lookup order matters on shared faces; the first entry is the nef cone.
+# Models are keyed by which rays of the matching cone have a positive
+# coefficient; a pattern missing from the table has no model.
+_CHAMBERS = {
+    HN: (
+        _Chamber((("F", "M"),), "[F,M]", (), {
+            (True, True): ("H_n", "H_n"),
+            (False, True): ("Sym^2 G(n-2,n)", "Sym^2 G(n-2,n)"),
+            (True, False): ("Theta_n", "Theta_n"),
+        }),
+        _Chamber((("M", "N"),), "(M,N]", ("II", "IV"), {
+            (True, True): ("Sym^2 G(n-2,n)", "Sym^2 G(n-2,n)"),
+        }),
+        _Chamber((("E", "F"),), "[E,F)", ("III", "IV"), {
+            (True, False): ("G(3,n)", None),
+            (True, True): ("Psi_n (flip)", "Psi_3 = G(3,5)"),
+        }),
+    ),
+    WN: (
+        _Chamber((("R'", "F'", "M'"),), "<R',F',M'>", (), {
+            (True, True, True): ("W_n", "W_n"),
+            (False, True, True): ("Bl_Delta Sym^2 G(1,n)", "Bl_Delta Sym^2 G(1,n)"),
+            (True, True, False): ("Psi_n", "Psi_n"),
+            (True, False, True): (
+                "relative Chow of line pairs over G(3,n)",
+                "relative Chow of line pairs over G(3,n)",
+            ),
+            (False, True, False): ("Theta_n", "Theta_n"),
+            (False, False, True): ("Sym^2 G(1,n)", "Sym^2 G(1,n)"),
+            (True, False, False): ("G(3,n)", "G(3,n)"),
+        }),
+        _Chamber(
+            (("E'", "F'", "R'"), ("E'", "F'", "M'")), "<E',F',R'> u <E',F',M'>",
+            ("E'",), {},
+        ),
+        _Chamber((("R'", "M'", "N'"),), "<R',M',N'>", ("N'",), {}),
+        _Chamber((("E'", "M'", "N'"),), "<E',M',N'>", ("E'", "N'"), {}),
+    ),
+}
+
+
+def _cone_weights(space, coords, cone):
+    """Coefficients of coords over the named rays when coords lies in their
+    cone, else None."""
+    coeffs = _cone_coefficients(coords, tuple(_RAYS[space][r] for r in cone))
+    return coeffs if coeffs is not None and all(c >= 0 for c in coeffs) else None
 
 
 def chamber_of(divisor, n):
     """Chamber, stable base locus, and model of an effective divisor class."""
-    if divisor.space == HN:
-        return _chamber_hn(divisor, n)
-    return _chamber_wn(divisor, n)
-
-
-def _primitive(coords):
-    from math import gcd
-
-    g = 0
-    for c in coords:
-        g = gcd(g, abs(int(c)))
-    return tuple(int(c) // g for c in coords) if g > 1 else tuple(int(c) for c in coords)
-
-
-def _chamber_hn(divisor, n):
-    D = tuple(int(c) for c in divisor.coords)
-    if D == (0, 0):
-        raise LatticeDataError("the zero class has no chamber")
-    R = _HN_RAYS
-    prim = _primitive(D)
-
-    if in_cone(D, (R["F"], R["M"])):
-        if prim == R["M"]:
-            return ChamberReport(HN, n, D, "[F,M]", (), "Sym^2 G(n-2,n)", False, True)
-        if prim == R["F"]:
-            return ChamberReport(HN, n, D, "[F,M]", (), "Theta_n", False, True)
-        return ChamberReport(HN, n, D, "[F,M]", (), "H_n", True, True)
-    if in_cone(D, (R["M"], R["N"])):
-        model = None if prim == _primitive(R["N"]) else "Sym^2 G(n-2,n)"
-        return ChamberReport(HN, n, D, "(M,N]", ("II", "IV"), model, False, False)
-    if in_cone(D, (R["E"], R["F"])):
-        if prim == R["E"]:
-            model = "G(3,n)" if n >= 4 else None
-        elif n >= 4:
-            model = "Psi_n (flip)"
-        else:
-            model = "Psi_3 = G(3,5)"
-        return ChamberReport(HN, n, D, "[E,F)", ("III", "IV"), model, False, False)
-    raise LatticeDataError(f"divisor class {D} is not effective (outside [N,E])")
-
-
-# named ray coordinates in the (M', F', R') basis
-_WN_RAYS = {
-    "M'": (1, 0, 0),
-    "F'": (0, 1, 0),
-    "R'": (0, 0, 1),
-    "N'": (2, -2, 0),
-    "E'": (-1, 2, -1),
-}
-
-
-def _chamber_wn(divisor, n):
-    if n < 4:
+    space = divisor.space
+    if space == WN and n < 4:
         raise ValueError("the rank-3 chamber decomposition is defined for n >= 4")
     D = tuple(int(c) for c in divisor.coords)
-    if D == (0, 0, 0):
+    if not any(D):
         raise LatticeDataError("the zero class has no chamber")
-    R = _WN_RAYS
-    if not in_cone(D, (R["R'"], R["E'"], R["N'"])):
-        raise LatticeDataError(f"divisor class {D} is not effective (outside <R',E',N'>)")
-
-    semi = _cone_coefficients(D, (R["R'"], R["F'"], R["M'"]))
-    if semi is not None and all(c >= 0 for c in semi):
-        r_c, f_c, m_c = semi
-        positive = [c > 0 for c in (r_c, f_c, m_c)]
-        if all(positive):
-            model, ample = "W_n", True
-        elif positive == [False, True, True]:
-            model, ample = "Bl_Delta Sym^2 G(1,n)", False
-        elif positive == [True, True, False]:
-            model, ample = "Psi_n", False
-        elif positive == [True, False, True]:
-            model, ample = "relative Chow of line pairs over G(3,n)", False
-        elif positive == [False, True, False]:
-            model, ample = "Theta_n", False
-        elif positive == [False, False, True]:
-            model, ample = "Sym^2 G(1,n)", False
-        else:  # ray R'
-            model, ample = "G(3,n)", False
-        return ChamberReport(WN, n, D, "<R',F',M'>", (), model, ample, True)
-
-    if in_cone(D, (R["E'"], R["F'"], R["R'"])) or in_cone(D, (R["E'"], R["F'"], R["M'"])):
-        return ChamberReport(
-            WN, n, D, "<E',F',R'> u <E',F',M'>", ("E'",), None, False, False
-        )
-    if in_cone(D, (R["R'"], R["M'"], R["N'"])):
-        return ChamberReport(WN, n, D, "<R',M',N'>", ("N'",), None, False, False)
-    if in_cone(D, (R["E'"], R["M'"], R["N'"])):
-        return ChamberReport(WN, n, D, "<E',M',N'>", ("E'", "N'"), None, False, False)
+    effective, label = _EFFECTIVE_CONES[space]
+    if _cone_weights(space, D, effective) is None:
+        raise LatticeDataError(f"divisor class {D} is not effective (outside {label})")
+    for index, chamber in enumerate(_CHAMBERS[space]):
+        for cone in chamber.cones:
+            coeffs = _cone_weights(space, D, cone)
+            if coeffs is not None:
+                positive = tuple(c > 0 for c in coeffs)
+                model = chamber.models.get(positive, (None, None))[n == 3]
+                nef = index == 0
+                return ChamberReport(
+                    space, n, D, chamber.name, chamber.locus, model,
+                    nef and all(positive), nef,
+                )
     raise LatticeDataError(f"effective class {D} escaped the chamber table")
 
 
@@ -407,77 +368,53 @@ def _chamber_wn(divisor, n):
 # ---------------------------------------------------------------------------
 
 # curves sweeping each base-locus entry: negativity against one of them
-# certifies the divisor's presence in the stable base locus
+# certifies the entry's presence in the stable base locus.  A locus keyed
+# whole (rank 2) is certified at once; otherwise each divisor in it is.
 _SWEEPING_CURVES = {
     HN: {("II", "IV"): ("B4",), ("III", "IV"): ("B2",)},
     WN: {"E'": ("B2", "B6"), "N'": ("B4",)},
 }
+
+# positive ray weights sampling the interior of a cone on 2 or 3 rays
+_INTERIOR_SAMPLES = {2: ((1, 1), (2, 1), (1, 3)), 3: ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2))}
 
 
 def validate_base_locus_data(space, n):
     """Cross-check the chamber lookup against the curve pairings.
 
     Samples each chamber with positive combinations of its rays; every
-    divisor claimed in the stable base locus there must pair negatively with
+    entry claimed in the stable base locus there must pair negatively with
     one of its sweeping curves (with the other claimed divisors peeled off
     first, mirroring how base loci accumulate).  Raises on any violation.
     """
-    if space == HN:
-        report = solve_relations(hn_lattice(n))
-        ray_classes = {k: report.classes[k] for k in ("M", "F", "N", "E")}
-        chambers = (
-            (("M", "N"), ("II", "IV")),
-            (("E", "F"), ("III", "IV")),
-        )
-    else:
-        report = solve_relations(wn_lattice(n))
-        ray_classes = {k: report.classes[k] for k in ("M'", "F'", "R'", "N'", "E'")}
-        chambers = (
-            (("E'", "F'", "R'"), ("E'",)),
-            (("E'", "F'", "M'"), ("E'",)),
-            (("R'", "M'", "N'"), ("N'",)),
-            (("E'", "M'", "N'"), ("E'", "N'")),
-        )
+    report = solve_relations(_lattice(space, n, None))
+    classes = report.classes
     curves = report.lattice.curves
-    width = len(report.lattice.basis)
+    sweeping = _SWEEPING_CURVES[space]
 
-    def negative_on(locus_key, coords):
-        names = _SWEEPING_CURVES[space][locus_key]
-        return any(
-            sum(a * b for a, b in zip(curves[c].row, coords)) < 0 for c in names
-        )
-
-    for rays, locus in chambers:
-        for weights in _interior_samples(len(rays)):
-            coords = [0] * width
-            for w, ray in zip(weights, rays):
-                for i, c in enumerate(ray_classes[ray].coords):
-                    coords[i] += w * c
-            remaining = list(coords)
-            if space == HN:
-                if not negative_on(locus, remaining):
-                    raise LatticeDataError(
-                        f"{locus} not certified by a sweeping curve at {coords}"
-                    )
-            else:
-                for entry in locus:
-                    if not negative_on(entry, remaining):
+    for chamber in _CHAMBERS[space][1:]:
+        entries = (chamber.locus,) if chamber.locus in sweeping else chamber.locus
+        for rays in chamber.cones:
+            for weights in _INTERIOR_SAMPLES[len(rays)]:
+                coords = [
+                    sum(w * classes[r].coords[i] for w, r in zip(weights, rays))
+                    for i in range(len(report.lattice.basis))
+                ]
+                remaining = list(coords)
+                for entry in entries:
+                    if not any(
+                        sum(a * b for a, b in zip(curves[c].row, remaining)) < 0
+                        for c in sweeping[entry]
+                    ):
                         raise LatticeDataError(
                             f"{entry} not certified by a sweeping curve at {coords}"
                         )
-                    # peel the certified divisor before checking the next one
-                    weight = max(
-                        w for w, ray in zip(weights, rays) if ray == entry
-                    ) if entry in rays else 0
-                    for i, c in enumerate(ray_classes[entry].coords):
-                        remaining[i] -= weight * c
+                    if entry in rays:
+                        # peel the certified divisor before checking the next one
+                        weight = weights[rays.index(entry)]
+                        for i, c in enumerate(classes[entry].coords):
+                            remaining[i] -= weight * c
     return True
-
-
-def _interior_samples(k):
-    if k == 2:
-        return ((1, 1), (2, 1), (1, 3))
-    return ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 
 def canonical_class(space, n):
@@ -494,19 +431,27 @@ def is_fano(space, n):
     """Whether the anticanonical class is ample."""
     if n < 3:
         raise ValueError("defined for n >= 3")
-    if space == HN:
-        k = canonical_class(HN, n)
-        anti = (-k.coords[0], -k.coords[1])
-        coeffs = _cone_coefficients(anti, (_HN_RAYS["F"], _HN_RAYS["M"]))
-        return coeffs is not None and all(c > 0 for c in coeffs)
     if n == 3:
         # the rank-3 lattice degenerates at n=3 (the span-a-P3 condition is
         # vacuous), where the space coincides with the rank-2 case
-        return is_fano(HN, 3)
-    k = canonical_class(WN, n)
-    anti = tuple(-c for c in k.coords)
-    coeffs = _cone_coefficients(anti, (_WN_RAYS["R'"], _WN_RAYS["F'"], _WN_RAYS["M'"]))
+        space = HN
+    anti = tuple(-c for c in canonical_class(space, n).coords)
+    coeffs = _cone_weights(space, anti, _CHAMBERS[space][0].cones[0])
     return coeffs is not None and all(c > 0 for c in coeffs)
+
+
+# linear formulas a*n + b for the dimension bookkeeping
+DIMENSION_FORMULAS = {
+    "locus_I": (4, -4),
+    "locus_II": (4, -5),
+    "locus_III": (3, -2),
+    "locus_IV": (3, -3),
+    "other_component": (7, -10),
+    "tangent_at_planar_double": (8, -12),
+    "pair_component": (4, -4),
+    "conic_component": (4, -1),
+    "components_intersection": (4, -5),
+}
 
 
 @dataclass(frozen=True)
@@ -521,32 +466,15 @@ class DimensionTable:
     transverse_identity: bool
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "loci": dict(self.loci),
-            "other_component": self.other_component,
-            "tangent_at_planar_double": self.tangent_at_planar_double,
-            "pair_component": self.pair_component,
-            "conic_component": self.conic_component,
-            "components_intersection": self.components_intersection,
-            "transverse_identity": self.transverse_identity,
-        }
+        return asdict(self)
 
 
 def dimension_table(n):
     if n < 3:
         raise ValueError("defined for n >= 3")
-    loci = {"I": 4 * n - 4, "II": 4 * n - 5, "III": 3 * n - 2, "IV": 3 * n - 3}
-    other = 7 * n - 10
-    tangent = 8 * n - 12
-    identity = loci["I"] + other - loci["III"] == tangent
-    return DimensionTable(
-        n=n,
-        loci=loci,
-        other_component=other,
-        tangent_at_planar_double=tangent,
-        pair_component=4 * n - 4,
-        conic_component=4 * n - 1,
-        components_intersection=4 * n - 5,
-        transverse_identity=identity,
+    dims = {key: a * n + b for key, (a, b) in DIMENSION_FORMULAS.items()}
+    loci = {label: dims.pop(f"locus_{label}") for label in ("I", "II", "III", "IV")}
+    identity = (
+        loci["I"] + dims["other_component"] - loci["III"] == dims["tangent_at_planar_double"]
     )
+    return DimensionTable(n=n, loci=loci, transverse_identity=identity, **dims)

@@ -441,14 +441,27 @@ class Polynomial:
 @functools.lru_cache(maxsize=None)
 def monomials_of_degree(width, d):
     """All exponent tuples of total degree d in `width` variables, as one
-    shared tuple per (width, d), ascending lexicographically."""
-    if d < 0:
+    shared tuple per (width, d), ascending lexicographically.
+
+    Enumerated in place: the successor of a tuple moves one unit from its
+    last nonzero entry to the entry before it and gathers the rest of that
+    entry in the last variable."""
+    if d < 0 or (width == 0 and d > 0):
         return ()
-    if width == 0:
-        return ((),) if d == 0 else ()
-    return tuple(
-        (e,) + rest for e in range(d + 1) for rest in monomials_of_degree(width - 1, d - e)
-    )
+    e = [0] * width
+    if width:
+        e[-1] = d
+    out = [tuple(e)]
+    while True:
+        j = width - 1
+        while j > 0 and e[j] == 0:
+            j -= 1
+        if j <= 0:
+            return tuple(out)
+        mass, e[j] = e[j], 0
+        e[j - 1] += 1
+        e[-1] = mass - 1
+        out.append(tuple(e))
 
 
 # ---------------------------------------------------------------------------

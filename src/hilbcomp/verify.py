@@ -414,7 +414,8 @@ def _check_hilbert_order_independence():
             I = normal_form_ideal(n, label)
             grev = hilbert_series(I)
             lex_leads = [
-                g.lead_monomial() for g in buchberger(list(I.generators), LEX).elements
+                g.lead_monomial()
+                for g in buchberger(list(I.generators), LEX, transform=False).elements
             ]
             lex_ideal = Ideal(I.ring, [
                 I.ring.from_dict({m: 1}) for m in lex_leads

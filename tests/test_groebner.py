@@ -250,6 +250,18 @@ def test_pair_ideal_syzygies_match_brute_force():
         assert module.contains(row)
 
 
+def test_contains_rejects_inhomogeneous_entries():
+    # the row combines the generators to x0*x2, not to zero; judged by the
+    # top-degree part of its entries alone it would look like a syzygy
+    gens = quads("x0*x2", "x0*x3", "x1*x2", "x1*x3")
+    module = syzygies(gens)
+    z = R4.zero
+    row = (X[1] + R4.one, z, -X[0], z)
+    assert sum((a * g for a, g in zip(row, gens)), z) == parse("x0*x2", R4)
+    with pytest.raises(HomogeneityError):
+        module.contains(row)
+
+
 def test_presentation_row_syzygies_contain_matrix_columns():
     gens = quads("x0*x1", "x0*x2", "x0^2", "x1^2")
     module = syzygies(gens)

@@ -279,3 +279,18 @@ def test_base_locus_lookup_validated_by_sweeping_curves():
 def test_chamber_lookup_matches_golden():
     lines = CHAMBERS_GOLDEN.read_text().splitlines()
     assert list(chamber_lines()) == lines
+
+
+@pytest.mark.parametrize("space, n, entry, message", [
+    (HN, 4, ("II", "IV"), "('II', 'IV') not certified by a sweeping curve at [3, -2]"),
+    (WN, 4, "E'", "E' not certified by a sweeping curve at [-1, 3, 0]"),
+])
+def test_base_locus_validator_rejects_a_curve_that_does_not_sweep(
+    monkeypatch, space, n, entry, message
+):
+    # B1 is a moving curve: it meets every effective class non-negatively,
+    # so it certifies no base locus
+    monkeypatch.setitem(picard._SWEEPING_CURVES[space], entry, ("B1",))
+    with pytest.raises(LatticeDataError) as err:
+        picard.validate_base_locus_data(space, n)
+    assert str(err.value) == message

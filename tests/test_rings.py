@@ -272,6 +272,31 @@ def test_monomials_of_degree_counts():
             assert monomials_of_degree(width, d) is got
 
 
+def _monomials_recursive(width, d):
+    """The recursive definition: first exponent ascending, then the rest."""
+    if d < 0:
+        return ()
+    if width == 0:
+        return ((),) if d == 0 else ()
+    return tuple(
+        (e,) + rest for e in range(d + 1) for rest in _monomials_recursive(width - 1, d - e)
+    )
+
+
+def test_monomials_of_degree_matches_the_recursive_definition():
+    for width in range(0, 6):
+        for d in range(-1, 6):
+            assert monomials_of_degree(width, d) == _monomials_recursive(width, d), (width, d)
+
+
+def test_monomials_of_degree_in_a_wide_ring():
+    # deeper than the interpreter's recursion limit
+    monos = monomials_of_degree(1200, 1)
+    assert len(monos) == 1200
+    assert monos[0] == (0,) * 1199 + (1,) and monos[-1] == (1,) + (0,) * 1199
+    assert list(monos) == sorted(monos)
+
+
 def test_convert_between_compatible_rings(ring, tring):
     p = parse("x0*x3 - x1*x2", ring)
     q = p.convert(tring)
