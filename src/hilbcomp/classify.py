@@ -17,6 +17,38 @@ Evidence (embedded part present, generically reduced) determines the label:
 (False, True) -> I, (False, False) -> II, (True, True) -> III,
 (True, False) -> IV.  Randomized choices are gated by exact certificates
 and can only force a retry, never a wrong label.
+
+All four normal forms are generated by quadrics in x_0..x_3, so every point
+of the component in P^n is a cone, with vertex P^(n-4), over a point of
+P^3.  Before the procedure runs, I is written in its essential variables
+(E. Carlini, "Reducing the number of variables of a polynomial", Algebraic
+Geometry and Geometric Modeling, Springer 2006):
+
+  * let W be the span of the first partial derivatives of the quadrics of
+    I.  Over QQ a quadric q = x^T Q x has gradient 2Qx, so the partials of
+    all the quadrics span the column spaces of their symmetric matrices,
+    and every kernel of a Q contains the orthogonal complement of W;
+  * complete a basis w_0..w_(k-1) of W (as coefficient rows) to an
+    invertible matrix A and substitute x -> A^-1 y.  For j >= k column j of
+    A^-1 is orthogonal to w_0..w_(k-1), so it lies in every kernel and the
+    substituted quadrics do not involve y_j: they lie in
+    S' = QQ[y_0..y_(m-1)] with m = max(4, k);
+  * when m < n + 1 they generate an ideal I' of S', and I'S lies in the
+    substituted ideal gI.  Adjoining a variable divides a Hilbert series
+    by 1 - T, so S'/I' and S/I'S have the same series numerator (the
+    numerator over (1 - T)^(number of variables)), and S/gI has that of
+    S/I.  When the two numerators agree, I'S and gI have the same dimension
+    in every degree, so I'S == gI;
+  * S' -> S is a polynomial extension: faithfully flat, and PS is prime of
+    the same codimension for every prime P of S'.  So primary
+    decompositions extend, with every projective dimension raised by
+    n + 1 - m: hull(I')S is the hull of I'S, hull(I') == I' exactly when
+    hull(I'S) == I'S, hull(I')^2 lies in I' exactly when its extension
+    lies in I'S, and I'S is generically reduced exactly when I' is.
+
+A linear change of coordinates keeps the evidence too, so the label and
+the evidence of I' are those of I.  When the numerators differ, I is not
+generated by its quadrics and the procedure runs on I itself.
 """
 
 from __future__ import annotations
@@ -28,7 +60,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
-from .ideals import Ideal, quotient, quotient_by_element
+from .ideals import Ideal, quotient, quotient_by_element, random_linear_change
 from .rings import PolyRing
 
 LABELS = {
@@ -91,6 +123,39 @@ def _quadric_basis(I):
         elif d == 1:
             out.extend(g * ring.x(i) for i in range(ring.num_vars))
     return out
+
+
+def _essential_form(I, data):
+    """(I', dropped): the quadrics of I written in their essential
+    variables, in m = max(4, dim W) of them, with dropped = n + 1 - m; or
+    (I, 0) when no variable drops or the quadrics do not generate I.
+
+    `data` is the Hilbert data of I; see the module docstring for the proof.
+    """
+    ring = I.ring
+    nv = ring.num_vars
+    quadrics = _quadric_basis(I)
+    partials = linalg.RowSpan()
+    for q in quadrics:
+        gradient = [[0] * nv for _ in range(nv)]  # row i: d q / d x_i
+        for mono, c in q.terms:
+            a, b = (i for i, e in enumerate(mono) for _ in range(e))
+            gradient[a][b] += c
+            gradient[b][a] += c
+        for row in gradient:
+            partials.add(row)
+    basis, pivots = partials.rref()
+    m = max(4, len(basis))
+    if m >= nv:
+        return I, 0
+    free = [j for j in range(nv) if j not in pivots]
+    A = basis + [[int(i == j) for i in range(nv)] for j in free]
+    moved = random_linear_change(Ideal(ring, quadrics), None, matrix=linalg.invert(A))
+    small = PolyRing(m)
+    reduced = Ideal(small, [g.convert(small) for g in moved.generators])
+    if hilbert_series(reduced).series_numerator != data.series_numerator:
+        return I, 0
+    return reduced, nv - m
 
 
 def _random_combination(polys, rng):
@@ -331,13 +396,17 @@ def classify(I, seed=0):
             "Hilbert polynomial mismatch: not a point of the pair component "
             f"(got {data.hilbert_polynomial})"
         )
+    I, dropped = _essential_form(I, data)
     stats = {}
     hull = equidimensional_hull(I, seed=seed, stats=stats)
     hull_data = hilbert_series(hull)
-    if hull_data.dimension != n - 2 or hull_data.degree != 2:
+    # the hull of a positive-dimensional I is a proper ideal, so its cone in
+    # P^n gains one dimension per dropped variable
+    dimension = hull_data.dimension + dropped
+    if dimension != n - 2 or hull_data.degree != 2:
         raise ClassificationError(
             "not in the four-type table: top-dimensional part has "
-            f"dimension {hull_data.dimension} and degree {hull_data.degree}"
+            f"dimension {dimension} and degree {hull_data.degree}"
         )
     has_embedded = hull != I
     if has_embedded:

@@ -31,7 +31,7 @@ from .ideals import (
 from .picard import HN, WN, canonical_class, chamber_of, hn_lattice, is_fano, wn_lattice
 from .rings import GREVLEX, LEX, parse
 from .tangent import hom_degree_zero
-from .verify import run_battery
+from .verify import MAX_N, run_battery
 
 _MATH_ERRORS = (
     ClassificationError,
@@ -101,12 +101,21 @@ def _build_parser():
     cn = sub.add_parser("cone", help="chamber report for a divisor class")
     cn.add_argument("--space", choices=(HN, WN), required=True)
     cn.add_argument("--n", type=int, required=True)
-    cn.add_argument("--divisor", required=True, help="comma-separated integers")
+    cn.add_argument(
+        "--divisor",
+        required=True,
+        help="comma-separated integers; write a class whose first coordinate "
+        "is negative with '=', as in --divisor=-1,2",
+    )
 
     vf = sub.add_parser("verify", help="run the full verification battery")
     vf.add_argument("--n-min", type=int, default=3)
     vf.add_argument("--n-max", type=int, default=5)
-    vf.add_argument("--deep", action="store_true", help="extend the range to n=8")
+    vf.add_argument(
+        "--deep",
+        action="store_true",
+        help=f"extend the range to n={MAX_N}",
+    )
     vf.add_argument("--out", default=None)
     vf.add_argument("--timings", action="store_true")
     vf.add_argument("--inject-fault", action="append", default=[], help=argparse.SUPPRESS)
@@ -221,7 +230,7 @@ def _cmd_cone(args):
 
 
 def _cmd_verify(args):
-    n_max = 8 if args.deep else args.n_max
+    n_max = MAX_N if args.deep else args.n_max
     report = run_battery(
         n_min=args.n_min,
         n_max=n_max,

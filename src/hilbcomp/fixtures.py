@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .classify import normal_form_ideal
 from .flat_limit import Family
-from .ideals import Ideal, intersect, ideal_product
+from .ideals import Ideal, intersect
 from .picard import DIMENSION_FORMULAS, HN_STATED, WN_STATED
 from .rings import PolyRing
 
@@ -91,13 +91,6 @@ def family_quadric_union_limit(n):
     """
     a, b = quadric_union_factors(n)
     return Family(intersect(a, b))
-
-
-def family_quadric_union_product(n):
-    """Product-presentation variant of the quadric-union family (the
-    6-generator form); agrees with the union only for n = 3."""
-    a, b = quadric_union_factors(n)
-    return Family(ideal_product(a, b))
 
 
 def family_substitution_limit(n):
@@ -317,7 +310,3 @@ def get(fixture_id):
         if m:
             return make(m)
     raise UnknownFixtureError(fixture_id)
-
-
-def known_static_ids():
-    return tuple(sorted(_STATIC))

@@ -243,11 +243,6 @@ def _cone_coefficients(coords, rays):
     return sol[0] if sol is not None and sol[1] else None
 
 
-def in_cone(coords, rays):
-    coeffs = _cone_coefficients(coords, rays)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
-
-
 @dataclass(frozen=True)
 class ChamberReport:
     space: str

@@ -42,8 +42,7 @@ from .tangent import explicit_basis_check, hom_degree_zero
 
 SCHEMA_VERSION = 1
 
-TANGENT_MAX_N = 6     # stated range of the tangent-dimension checks
-RANDOM_TRIAL_MAX_N = 5
+MAX_N = 8             # end of the paper's range; --deep runs to it
 CLASSIFY_SEEDS = 10   # random coordinate changes per (type, n)
 
 
@@ -469,8 +468,8 @@ def _check_presentation_fixtures():
 
 def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
     """Run every check for the requested n range and return the report."""
-    if not (3 <= n_min <= n_max <= 8):
-        raise ValueError("need 3 <= n_min <= n_max <= 8")
+    if not (3 <= n_min <= n_max <= MAX_N):
+        raise ValueError(f"need 3 <= n_min <= n_max <= {MAX_N}")
     faults = frozenset(faults)
     b = _Battery(seed)
 
@@ -481,39 +480,37 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
                 f"type ({label}) normal form in P^{n} has the reference Hilbert polynomial",
                 _check_hilbert_normal_form, n, label,
             )
-        if n <= RANDOM_TRIAL_MAX_N:
-            for k in (1, 2, 3):
-                b.run(
-                    f"hilbert.double_structure.k{k}.n{n}",
-                    "double-structure Hilbert function matches the closed form "
-                    f"(tie degree {k}, P^{n})",
-                    _check_double_structure, n, k,
-                )
-            for name, expected_label in _LIMIT_FAMILIES:
-                b.run(
-                    f"limit.{name}.n{n}",
-                    f"flat limit of the {name} family in P^{n} is the type "
-                    f"({expected_label}) normal form",
-                    _check_limit, name, expected_label, n, seed,
-                )
+        for k in (1, 2, 3):
             b.run(
-                f"tangent.explicit_elements.n{n}",
-                "explicit tangent assignments satisfy the syzygy constraints "
-                f"and count 8n-12 (P^{n})",
-                _check_explicit_elements, n,
+                f"hilbert.double_structure.k{k}.n{n}",
+                "double-structure Hilbert function matches the closed form "
+                f"(tie degree {k}, P^{n})",
+                _check_double_structure, n, k,
             )
+        for name, expected_label in _LIMIT_FAMILIES:
             b.run(
-                f"classify.normal_forms.n{n}",
-                f"classification is stable under random coordinate changes (P^{n})",
-                _check_classify, n, seed,
+                f"limit.{name}.n{n}",
+                f"flat limit of the {name} family in P^{n} is the type "
+                f"({expected_label}) normal form",
+                _check_limit, name, expected_label, n, seed,
             )
-        if n <= TANGENT_MAX_N:
-            for label in TYPE_LABELS:
-                b.run(
-                    f"tangent.type_{label}.n{n}",
-                    f"tangent dimension at the type ({label}) point of P^{n}",
-                    _check_tangent, n, label,
-                )
+        b.run(
+            f"tangent.explicit_elements.n{n}",
+            "explicit tangent assignments satisfy the syzygy constraints "
+            f"and count 8n-12 (P^{n})",
+            _check_explicit_elements, n,
+        )
+        b.run(
+            f"classify.normal_forms.n{n}",
+            f"classification is stable under random coordinate changes (P^{n})",
+            _check_classify, n, seed,
+        )
+        for label in TYPE_LABELS:
+            b.run(
+                f"tangent.type_{label}.n{n}",
+                f"tangent dimension at the type ({label}) point of P^{n}",
+                _check_tangent, n, label,
+            )
         b.run(
             f"cone.chambers.hn.n{n}",
             f"rank-2 chamber table, base loci and models (n={n})",

@@ -181,7 +181,33 @@ def test_other_component_points_surface_as_errors():
         classify(other_point, seed=1)
 
 
-def test_smooth_quadric_union_plane_also_refused():
+def _spy_on_hull(monkeypatch):
+    """Record the ideal every equidimensional_hull call receives."""
+    seen = []
+    real = classify_module.equidimensional_hull
+
+    def spy(J, seed=0, stats=None):
+        seen.append(J)
+        return real(J, seed=seed, stats=stats)
+
+    monkeypatch.setattr(classify_module, "equidimensional_hull", spy)
+    return seen
+
+
+def _count_changes(monkeypatch):
+    """Count the coordinate changes classify makes: one per Hilbert series
+    gate it reaches."""
+    calls = []
+    real = classify_module.random_linear_change
+    monkeypatch.setattr(
+        classify_module,
+        "random_linear_change",
+        lambda *args, **kw: calls.append(args[0]) or real(*args, **kw),
+    )
+    return calls
+
+
+def test_smooth_quadric_union_plane_also_refused(monkeypatch):
     # same component, smooth quadric this time; the line meets the quadric
     # surface in a single reduced point, so the Hilbert polynomial matches
     R5 = PolyRing(5)
@@ -191,8 +217,72 @@ def test_smooth_quadric_union_plane_also_refused():
     from hilbcomp.hilbert import pair_hilbert_polynomial
 
     assert hilbert_series(X).hilbert_polynomial == pair_hilbert_polynomial(4)
-    with pytest.raises(ClassificationError):
+    # its quadrics involve all five variables, so no variable drops; as a
+    # cone in P^5 it is generated by them (its cubic basis elements lie in
+    # their ideal), so the five-variable ideal is used, with the same error
+    R6 = PolyRing(6)
+    cone = Ideal(R6, [g.convert(R6) for g in X.generators])
+    seen = _spy_on_hull(monkeypatch)
+    changes = _count_changes(monkeypatch)
+    with pytest.raises(ClassificationError, match="residual structure is not embedded"):
         classify(X, seed=3)
+    assert changes == [] and seen[0] is X
+    with pytest.raises(ClassificationError, match="residual structure is not embedded"):
+        classify(cone, seed=3)
+    assert len(changes) == 1 and seen[1].ring == R5
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_moved_forms_are_classified_on_four_variables(monkeypatch, n):
+    seen = _spy_on_hull(monkeypatch)
+    moved = {
+        label: random_linear_change(normal_form_ideal(n, label), seed=n + 20)
+        for label in ("I", "II", "III", "IV")
+    }
+    for label, ideal in moved.items():
+        assert classify(ideal, seed=n).label == label
+    if n == 3:
+        assert len(seen) == 4 and all(got is want for got, want in zip(seen, moved.values()))
+    else:
+        assert [J.ring for J in seen] == [PolyRing(4)] * 4
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_cone_evidence_matches_the_full_ring(label):
+    for seed in (0, 1):
+        moved = random_linear_change(normal_form_ideal(5, label), seed=seed + 40)
+        hull = equidimensional_hull(moved, seed=seed)
+        evidence = (hull != moved, generic_slice_reduced(hull, seed=seed))
+        assert classify(moved, seed=seed).evidence == evidence
+
+
+def test_ideal_not_generated_by_its_quadrics_keeps_the_full_ring(monkeypatch):
+    # the pair of planes (x0, x1) and (x2, x3) in P^4 with x1*x3 cut back to
+    # its cubic multiples: the same Hilbert polynomial, and three quadrics
+    # in four variables that do not generate it, so the Hilbert series gate
+    # refuses the four-variable ideal and the procedure runs on the input
+    R5 = PolyRing(5)
+    cubics = [f"x1*x3*x{i}" for i in range(5)]
+    X = random_linear_change(I("x0*x2", "x0*x3", "x1*x2", *cubics, ring=R5), seed=4)
+    hull = equidimensional_hull(X, seed=2)
+    evidence = (hull != X, generic_slice_reduced(hull, seed=2))
+    seen = _spy_on_hull(monkeypatch)
+    changes = _count_changes(monkeypatch)
+    assert classify(X, seed=2).evidence == evidence
+    assert len(changes) == 1
+    assert len(seen) == 1 and seen[0] is X
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("embedded", "III"), ("double", "II"), ("quadric_union", "III"), ("substitution", "IV")],
+)
+def test_p3_fixture_written_in_p6_keeps_its_label(name, label):
+    R7 = PolyRing(7)
+    limit = limit_ideal(fixtures.get(f"family_{name}_limit_n3").payload)
+    cone = Ideal(R7, [g.convert(R7) for g in limit.generators])
+    assert classify(cone, seed=7).label == label
+    assert classify(random_linear_change(cone, seed=5), seed=7).label == label
 
 
 def test_scheme_type_json():

@@ -173,7 +173,18 @@ def test_cone_text_and_json(capsys):
 def test_cone_non_effective_is_math_failure(capsys):
     # negative leading coordinates need the --divisor=... spelling
     assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor=-1,0"]) == 1
-    assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor=-1,2"]) == 0
+    # the ray E = 2F - M has coordinates (-1, 2)
+    assert run_subcommand(
+        ["--format", "json", "cone", "--space", "hn", "--n", "4", "--divisor=-1,2"]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["divisor"] == [-1, 2]
+    assert payload["chamber"] == "[E,F)"
+    assert payload["stable_base_locus"] == ["III", "IV"]
+    assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor", "-1,2"]) == 2
+    capsys.readouterr()
+    assert run_subcommand(["cone", "--help"]) == 0
+    assert "--divisor=-1,2" in capsys.readouterr().out
 
 
 def test_cone_bad_divisor_is_usage_error(capsys):

@@ -99,8 +99,9 @@ def test_pencil_fixture_mirrors():
 
 
 def test_static_ids_enumerate():
-    ids = fixtures.known_static_ids()
+    ids = sorted(fixtures._STATIC)
     assert "mu_matrix" in ids and "pairing_hn" in ids
+    assert all(fixtures.get(i).id == i for i in ids)
 
 
 def test_dimension_formulas_agree_with_the_table():

@@ -16,6 +16,7 @@ from hilbcomp.flat_limit import (
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
+    ideal_product,
     intersect,
     irrelevant_ideal,
     random_linear_change,
@@ -64,13 +65,20 @@ def test_limit_of_quadric_union_family():
     assert limit_ideal(fam) == normal_form_ideal(3, "III")
 
 
+def quadric_union_product(n):
+    """Product-presentation variant of the quadric-union family (the
+    6-generator form); agrees with the union only for n = 3."""
+    a, b = fixtures.quadric_union_factors(n)
+    return Family(ideal_product(a, b))
+
+
 def test_quadric_union_product_presentation_agrees_only_at_n3():
-    prod3 = fixtures.family_quadric_union_product(3)
+    prod3 = quadric_union_product(3)
     assert limit_ideal(prod3) == normal_form_ideal(3, "III")
     assert flatness_probe(prod3).flat
     # from n=4 on the product picks up an embedded point where the two
     # pieces meet, so its fibers leave the reference Hilbert polynomial
-    prod4 = fixtures.family_quadric_union_product(4)
+    prod4 = quadric_union_product(4)
     hp = hilbert_series(fiber(prod4, 1)).hilbert_polynomial
     assert hp != pair_hilbert_polynomial(4)
     assert hp == pair_hilbert_polynomial(4) + 1

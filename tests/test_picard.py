@@ -1,11 +1,12 @@
 import itertools
 import json
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from hilbcomp import picard
+from hilbcomp import linalg, picard
 from hilbcomp.errors import LatticeDataError
 from hilbcomp.picard import (
     HN,
@@ -15,7 +16,6 @@ from hilbcomp.picard import (
     chamber_of,
     dimension_table,
     hn_lattice,
-    in_cone,
     is_fano,
     pairing,
     solve_relations,
@@ -24,6 +24,13 @@ from hilbcomp.picard import (
 
 
 CHAMBERS_GOLDEN = Path(__file__).parent / "data" / "chambers.txt"
+
+
+def in_cone(coords, rays):
+    """True when coords is a unique non-negative combination of the rays."""
+    rows = [[r[i] for r in rays] for i in range(len(coords))]
+    sol = linalg.solve_unique(rows, [Fraction(c) for c in coords])
+    return sol is not None and sol[1] and all(c >= 0 for c in sol[0])
 
 
 def chamber_lines():

@@ -68,6 +68,16 @@ def test_failures_are_recorded_not_raised():
     assert report.exit_code() == 1
 
 
+def test_every_check_family_runs_at_n7():
+    # each family runs for every n in [n_min, n_max], with or without --deep
+    families = ("hilbert.double_structure.", "limit.", "tangent.explicit_elements.",
+                "classify.normal_forms.", "tangent.type_")
+    report = run_battery(n_min=7, n_max=7, seed=2)
+    checks = [c for c in report.checks if c.id.startswith(families)]
+    assert len(checks) == 13 and all(c.status == "pass" for c in checks)
+    assert report.exit_code() == 0
+
+
 def test_report_is_byte_identical_to_the_golden_files():
     # the golden files are `hilbcomp verify --n-min 3 --n-max 4 --seed 7`
     # (text, then --format json) as generated before the one-element
