@@ -15,8 +15,11 @@ The decision procedure is linkage plus a generic-slice reducedness test:
 
 Evidence (embedded part present, generically reduced) determines the label:
 (False, True) -> I, (False, False) -> II, (True, True) -> III,
-(True, False) -> IV.  Randomized choices are gated by exact certificates
-and can only force a retry, never a wrong label.
+(True, False) -> IV.  A generically reduced hull that holds a linear form
+must be two linear spaces and not a quadric of rank >= 3 in a hyperplane,
+such as a plane conic; see _require_linear_components.  Randomized choices
+are gated by exact certificates and can only force a retry, never a wrong
+label.
 
 All four normal forms are generated by quadrics in x_0..x_3, so every point
 of the component in P^n is a cone, with vertex P^(n-4), over a point of
@@ -28,11 +31,20 @@ Geometry and Geometric Modeling, Springer 2006):
     I.  Over QQ a quadric q = x^T Q x has gradient 2Qx, so the partials of
     all the quadrics span the column spaces of their symmetric matrices,
     and every kernel of a Q contains the orthogonal complement of W;
-  * complete a basis w_0..w_(k-1) of W (as coefficient rows) to an
-    invertible matrix A and substitute x -> A^-1 y.  For j >= k column j of
-    A^-1 is orthogonal to w_0..w_(k-1), so it lies in every kernel and the
-    substituted quadrics do not involve y_j: they lie in
-    S' = QQ[y_0..y_(m-1)] with m = max(4, k);
+  * let w_0..w_(k-1) be the reduced row echelon basis of W (as
+    coefficient rows), w_i with pivot column p_i, and complete it by the
+    unit rows at the free columns to an invertible matrix A.  Substitute
+    x -> A^-1 y.  For j >= k column j of A^-1 is orthogonal to
+    w_0..w_(k-1), so it lies in every kernel and the substituted quadrics
+    do not involve y_j: they lie in S' = QQ[y_0..y_(m-1)] with
+    m = max(4, k);
+  * for i < k column i of A^-1 is the unit vector e_(p_i), because
+    A e_(p_i) = (w_0[p_i], ..., w_(k-1)[p_i], 0, ..., 0) = e_i: an rref row
+    is 1 at its own pivot and 0 at the others, and e_(p_i) has no free
+    entry.  Setting the absent y_j (j >= k) to 0 thus sends x to
+    y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted quadric is
+    the quadric with every free variable set to 0 and x_(p_i) renamed y_i.
+    The change of coordinates is a restriction, and A is never built;
   * when m < n + 1 they generate an ideal I' of S', and I'S lies in the
     substituted ideal gI.  Adjoining a variable divides a Hilbert series
     by 1 - T, so S'/I' and S/I'S have the same series numerator (the
@@ -60,7 +72,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
-from .ideals import Ideal, quotient, quotient_by_element, random_linear_change
+from .ideals import Ideal, quotient, quotient_by_element
 from .rings import PolyRing
 
 LABELS = {
@@ -125,6 +137,17 @@ def _quadric_basis(I):
     return out
 
 
+def _symmetric_matrix(q, nv):
+    """2Q for the quadric q = x^T Q x: row i holds the coefficients of the
+    partial derivative d q / d x_i."""
+    rows = [[0] * nv for _ in range(nv)]
+    for mono, c in q.terms:
+        a, b = (i for i, e in enumerate(mono) for _ in range(e))
+        rows[a][b] += c
+        rows[b][a] += c
+    return rows
+
+
 def _essential_form(I, data):
     """(I', dropped): the quadrics of I written in their essential
     variables, in m = max(4, dim W) of them, with dropped = n + 1 - m; or
@@ -132,27 +155,31 @@ def _essential_form(I, data):
 
     `data` is the Hilbert data of I; see the module docstring for the proof.
     """
-    ring = I.ring
-    nv = ring.num_vars
+    nv = I.ring.num_vars
     quadrics = _quadric_basis(I)
     partials = linalg.RowSpan()
     for q in quadrics:
-        gradient = [[0] * nv for _ in range(nv)]  # row i: d q / d x_i
-        for mono, c in q.terms:
-            a, b = (i for i, e in enumerate(mono) for _ in range(e))
-            gradient[a][b] += c
-            gradient[b][a] += c
-        for row in gradient:
+        for row in _symmetric_matrix(q, nv):
             partials.add(row)
     basis, pivots = partials.rref()
     m = max(4, len(basis))
     if m >= nv:
         return I, 0
-    free = [j for j in range(nv) if j not in pivots]
-    A = basis + [[int(i == j) for i in range(nv)] for j in free]
-    moved = random_linear_change(Ideal(ring, quadrics), None, matrix=linalg.invert(A))
+    # restrict to the free variables = 0 and rename x_(p_i) to y_i
+    position = {p: i for i, p in enumerate(pivots)}
     small = PolyRing(m)
-    reduced = Ideal(small, [g.convert(small) for g in moved.generators])
+    restricted = []
+    for q in quadrics:
+        acc = {}
+        for mono, c in q.terms:
+            if all(j in position for j, e in enumerate(mono) if e):
+                image = [0] * m
+                for j, e in enumerate(mono):
+                    if e:
+                        image[position[j]] = e
+                acc[tuple(image)] = c
+        restricted.append(small.from_dict(acc))
+    reduced = Ideal(small, restricted)
     if hilbert_series(reduced).series_numerator != data.series_numerator:
         return I, 0
     return reduced, nv - m
@@ -160,7 +187,13 @@ def _essential_form(I, data):
 
 def _random_combination(polys, rng):
     """Sum of the polys, each times an integer in [-5, 5] drawn in order."""
-    return sum((p.scale(rng.randint(-5, 5)) for p in polys), polys[0].ring.zero)
+    acc = {}
+    for p in polys:
+        k = rng.randint(-5, 5)
+        if k:
+            for mono, c in p.terms:
+                acc[mono] = acc.get(mono, 0) + k * c
+    return polys[0].ring.from_dict(acc)
 
 
 def _complete_intersection(I, rng):
@@ -381,6 +414,43 @@ def generic_slice_reduced(I, seed=0, stats=None):
     raise RetriesExhaustedError("no conclusive linear slice found in 4 attempts")
 
 
+def _require_linear_components(hull):
+    """Refuse a generically reduced hull that is a quadric of rank >= 3
+    inside a hyperplane, such as a plane conic.
+
+    The hull is unmixed, so all its associated primes are minimal, and
+    generically reduced, so it is reduced at them: it is radical.  A radical
+    ideal of codimension two and degree two is two codimension-two linear
+    spaces or one irreducible variety of degree two, and an irreducible
+    variety that spans P^N has degree at least its codimension in P^N plus
+    one, so the latter is a quadric inside a hyperplane.  When the hull
+    holds a linear form l, its variety is a quadric Q inside V(l) either
+    way, and the hull is (l, q) with q | (l = 0) an equation of Q.  Every
+    quadric of the hull restricts to a multiple of that equation, and some
+    quadric generator restricts to a nonzero one.  Q is two linear spaces
+    (over an algebraic closure) exactly when its equation factors, that is
+    when it has rank <= 2.
+    """
+    ring = hull.ring
+    gens = hull.canonical_generators()
+    linear = [g for g in gens if g.total_degree() == 1]
+    if not linear:
+        return
+    form = linear[0]
+    j = next(i for i, e in enumerate(form.lead_monomial()) if e)
+    # x_j -> x_j - form / a_j, with a_j the lead coefficient, sends form to 0
+    image = ring.x(j) - form.scale(1 / form.lead_coeff())
+    for g in gens:
+        if g.total_degree() != 2:
+            continue
+        rank = linalg.rank(_symmetric_matrix(g.substitute({j: image}), ring.num_vars))
+        if rank > 2:
+            raise ClassificationError(
+                "not in the four-type table: the top-dimensional part is a "
+                f"quadric of rank {rank} in a hyperplane, not two linear spaces"
+            )
+
+
 def classify(I, seed=0):
     """Label a saturated ideal with the reference Hilbert polynomial as one
     of the four types, or raise ClassificationError."""
@@ -423,5 +493,7 @@ def classify(I, seed=0):
                         "not embedded in the top-dimensional part"
                     )
     reduced = generic_slice_reduced(hull, seed=seed, stats=stats)
+    if reduced:
+        _require_linear_components(hull)
     retries = stats.get("hull_retries", 0) + stats.get("slice_retries", 0)
     return SchemeType(LABELS[(has_embedded, reduced)], (has_embedded, reduced), retries)

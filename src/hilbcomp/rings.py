@@ -531,11 +531,11 @@ class _Parser:
         return self.ring.from_dict(acc)
 
     def _term(self, acc, sign):
-        coeff = Fraction(sign)
+        num, den = sign, 1
         mono = [0] * self.ring.width
         kind, val, pos = self.peek()
         if kind == "num" or (kind == "op" and val == "-"):
-            coeff = coeff * self._coeff()
+            num, den = self._coeff(sign)
             kind, val, pos = self.peek()
             while kind == "op" and val == "*":
                 self.advance()
@@ -551,17 +551,17 @@ class _Parser:
         else:
             raise ParseError(f"expected a term, found {val!r}", pos)
         m = tuple(mono)
-        acc[m] = acc.get(m, 0) + coeff
+        acc[m] = acc.get(m, 0) + (num if den == 1 else Fraction(num, den))
 
-    def _coeff(self):
+    def _coeff(self, sign):
+        """(numerator, denominator) of a signed coefficient times sign."""
         kind, val, pos = self.advance()
-        neg = False
         if kind == "op" and val == "-":
-            neg = True
+            sign = -sign
             kind, val, pos = self.advance()
         if kind != "num":
             raise ParseError(f"expected an integer, found {val!r}", pos)
-        num = int(val)
+        num = sign * int(val)
         kind2, val2, _ = self.peek()
         if kind2 == "op" and val2 == "/":
             self.advance()
@@ -571,10 +571,8 @@ class _Parser:
             den = int(val3)
             if den == 0:
                 raise ParseError("zero denominator", pos3)
-            result = Fraction(num, den)
-        else:
-            result = Fraction(num)
-        return -result if neg else result
+            return num, den
+        return num, 1
 
     def _factor(self, mono):
         kind, val, pos = self.advance()

@@ -209,6 +209,41 @@ def compose_linear_by_products(p, matrix):
     return out
 
 
+def essential_form_by_substitution(I, data):
+    """`classify._essential_form` through the full change of coordinates:
+    complete the rref basis w_0..w_(k-1) of the quadrics' partials by unit
+    rows at the free columns to an invertible A, substitute x -> A^-1 y, and
+    read the images in the first m = max(4, k) variables."""
+    from hilbcomp.classify import _quadric_basis
+    from hilbcomp.hilbert import hilbert_series
+    from hilbcomp.ideals import Ideal, random_linear_change
+    from hilbcomp.rings import PolyRing
+
+    ring = I.ring
+    nv = ring.num_vars
+    quadrics = _quadric_basis(I)
+    rows = []
+    for q in quadrics:
+        gradient = [[0] * nv for _ in range(nv)]  # row i: d q / d x_i
+        for mono, c in q.terms:
+            a, b = (i for i, e in enumerate(mono) for _ in range(e))
+            gradient[a][b] += c
+            gradient[b][a] += c
+        rows.extend(gradient)
+    basis, pivots = linalg.rref(rows)
+    m = max(4, len(basis))
+    if m >= nv:
+        return I, 0
+    free = [j for j in range(nv) if j not in pivots]
+    A = basis + [[int(i == j) for i in range(nv)] for j in free]
+    moved = random_linear_change(Ideal(ring, quadrics), None, matrix=linalg.invert(A))
+    small = PolyRing(m)
+    reduced = Ideal(small, [g.convert(small) for g in moved.generators])
+    if hilbert_series(reduced).series_numerator != data.series_numerator:
+        return I, 0
+    return reduced, nv - m
+
+
 def specialize_by_substitution(I, t0):
     """Image of an ideal of QQ[t][x] under t -> t0 as an ideal of QQ[x],
     one `Polynomial.substitute` and one `convert` per generator."""

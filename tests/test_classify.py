@@ -1,6 +1,9 @@
 import importlib
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,16 +20,18 @@ from hilbcomp.classify import (
 )
 from hilbcomp.errors import ClassificationError
 from hilbcomp.flat_limit import limit_ideal
-from hilbcomp.hilbert import hilbert_series
+from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import Ideal, intersect, random_linear_change
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import hull_by_quotients
+from oracles import essential_form_by_substitution, hull_by_quotients
 
 # the package exports the classify function under the module's name
 classify_module = importlib.import_module("hilbcomp.classify")
 
 R = PolyRing(4)
+
+CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify_moved.json"
 
 
 def I(*texts, ring=R):
@@ -181,6 +186,30 @@ def test_other_component_points_surface_as_errors():
         classify(other_point, seed=1)
 
 
+PLANE_CONIC_WITH_POINT = ("x0*x1 - x2^2", "x0*x3", "x2*x3", "x3^2")
+
+
+def test_plane_conic_with_an_embedded_point_is_refused():
+    # saturated with the reference Hilbert polynomial; its hull, a smooth
+    # conic in the plane x3 = 0, has degree two, its square lies in I and
+    # its generic slice is two reduced points: only the rank of the conic
+    # shows that the support is not two lines
+    X = I(*PLANE_CONIC_WITH_POINT)
+    assert hilbert_series(X).hilbert_polynomial == pair_hilbert_polynomial(3)
+    assert equidimensional_hull(X, seed=0) == I("x3", "x0*x1 - x2^2")
+    with pytest.raises(ClassificationError, match="not in the four-type table: .* rank 3"):
+        classify(X)
+
+
+def test_moved_plane_conic_with_an_embedded_point_is_refused(monkeypatch):
+    # the cone over it in P^5, refused in its four essential variables
+    X = random_linear_change(I(*PLANE_CONIC_WITH_POINT, ring=PolyRing(6)), seed=3)
+    seen = _spy_on_hull(monkeypatch)
+    with pytest.raises(ClassificationError, match="not in the four-type table: .* rank 3"):
+        classify(X, seed=3)
+    assert [J.ring for J in seen] == [PolyRing(4)]
+
+
 def _spy_on_hull(monkeypatch):
     """Record the ideal every equidimensional_hull call receives."""
     seen = []
@@ -194,16 +223,18 @@ def _spy_on_hull(monkeypatch):
     return seen
 
 
-def _count_changes(monkeypatch):
-    """Count the coordinate changes classify makes: one per Hilbert series
-    gate it reaches."""
+def _count_gates(monkeypatch):
+    """Record the ideal of every Hilbert series gate classify reaches: the
+    hilbert_series calls made from _essential_form."""
     calls = []
-    real = classify_module.random_linear_change
-    monkeypatch.setattr(
-        classify_module,
-        "random_linear_change",
-        lambda *args, **kw: calls.append(args[0]) or real(*args, **kw),
-    )
+    real = classify_module.hilbert_series
+
+    def spy(J):
+        if sys._getframe(1).f_code is classify_module._essential_form.__code__:
+            calls.append(J)
+        return real(J)
+
+    monkeypatch.setattr(classify_module, "hilbert_series", spy)
     return calls
 
 
@@ -223,13 +254,13 @@ def test_smooth_quadric_union_plane_also_refused(monkeypatch):
     R6 = PolyRing(6)
     cone = Ideal(R6, [g.convert(R6) for g in X.generators])
     seen = _spy_on_hull(monkeypatch)
-    changes = _count_changes(monkeypatch)
+    gates = _count_gates(monkeypatch)
     with pytest.raises(ClassificationError, match="residual structure is not embedded"):
         classify(X, seed=3)
-    assert changes == [] and seen[0] is X
+    assert gates == [] and seen[0] is X
     with pytest.raises(ClassificationError, match="residual structure is not embedded"):
         classify(cone, seed=3)
-    assert len(changes) == 1 and seen[1].ring == R5
+    assert len(gates) == 1 and seen[1].ring == R5
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -264,13 +295,28 @@ def test_ideal_not_generated_by_its_quadrics_keeps_the_full_ring(monkeypatch):
     R5 = PolyRing(5)
     cubics = [f"x1*x3*x{i}" for i in range(5)]
     X = random_linear_change(I("x0*x2", "x0*x3", "x1*x2", *cubics, ring=R5), seed=4)
+    data = hilbert_series(X)
+    assert classify_module._essential_form(X, data) == (X, 0)
+    assert essential_form_by_substitution(X, data) == (X, 0)
     hull = equidimensional_hull(X, seed=2)
     evidence = (hull != X, generic_slice_reduced(hull, seed=2))
     seen = _spy_on_hull(monkeypatch)
-    changes = _count_changes(monkeypatch)
+    gates = _count_gates(monkeypatch)
     assert classify(X, seed=2).evidence == evidence
-    assert len(changes) == 1
+    assert len(gates) == 1
     assert len(seen) == 1 and seen[0] is X
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_essential_form_equals_the_change_of_coordinates(n, label):
+    for seed in (1, 2):
+        moved = random_linear_change(normal_form_ideal(n, label), seed=seed + 60)
+        data = hilbert_series(moved)
+        got, dropped = classify_module._essential_form(moved, data)
+        want, want_dropped = essential_form_by_substitution(moved, data)
+        assert (got.ring, dropped) == (want.ring, want_dropped) == (PolyRing(4), n - 3)
+        assert got.generators == want.generators
 
 
 @pytest.mark.parametrize(
@@ -315,3 +361,20 @@ def test_random_draws_keep_their_order():
     assert str(_generic_element(J, rng)) == "12*x0^2 + 4*x0*x1 - x1*x2 + 20*x0*x3 + 16*x0*x4"
     point = (0, 0, Fraction(-12, 121), Fraction(13, 121), Fraction(-3, 121))
     assert _slice_algebra(normal_form_ideal(4, "II"), rng) == ("double", point)
+
+
+def classify_payloads():
+    """classify(...).to_json() of each type in P^3..P^7, moved and
+    classified at seeds 1 and 8 (seed 8 takes one retry on IV in P^6)."""
+    out = {}
+    for label in ("I", "II", "III", "IV"):
+        for n in range(3, 8):
+            for seed in (1, 8):
+                moved = random_linear_change(normal_form_ideal(n, label), seed=seed)
+                out[f"{label} n={n} seed={seed}"] = classify(moved, seed=seed).to_json()
+    return out
+
+
+def test_classify_json_matches_golden():
+    # label, evidence and retries; the verify goldens do not show retries
+    assert classify_payloads() == json.loads(CLASSIFY_GOLDEN.read_text())
