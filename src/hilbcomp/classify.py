@@ -1,6 +1,6 @@
 """Four-type classification of saturated degree-two codimension-two ideals.
 
-The decision procedure is linkage plus a generic-slice reducedness test:
+The decision procedure is linkage plus the Jacobian criterion:
 
   * equidimensional hull by double linkage through a complete intersection
     F of two quadrics inside I, certified by its Hilbert series; each link
@@ -8,18 +8,18 @@ The decision procedure is linkage plus a generic-slice reducedness test:
     elimination, accepted only when F : h has the linked degree
     e(F) - e(J), and otherwise computed generator by generator;
   * the hull either equals I (no embedded part) or strictly contains it;
-  * a generic codimension-(n-2) linear slice of the hull is a length-two
-    point scheme whose coordinate algebra is semisimple exactly when the
-    hull is generically reduced; this is read off the discriminant of a
-    2x2 multiplication operator.
+  * the hull is generically reduced exactly when the 2x2 minors of its
+    Jacobian matrix cut out a set of dimension below n - 2 inside it; see
+    generic_slice_reduced.  This step is exact and draws nothing.
 
 Evidence (embedded part present, generically reduced) determines the label:
 (False, True) -> I, (False, False) -> II, (True, True) -> III,
 (True, False) -> IV.  A generically reduced hull that holds a linear form
 must be two linear spaces and not a quadric of rank >= 3 in a hyperplane,
-such as a plane conic; see _require_linear_components.  Randomized choices
-are gated by exact certificates and can only force a retry, never a wrong
-label.
+such as a plane conic; see _require_linear_components.  The random
+complete intersection and the random elements of the links are gated by
+exact certificates and can only force a retry, never a wrong label;
+SchemeType.retries counts the rejected complete-intersection draws.
 
 All four normal forms are generated by quadrics in x_0..x_3, so every point
 of the component in P^n is a cone, with vertex P^(n-4), over a point of
@@ -67,13 +67,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
 from .ideals import Ideal, quotient, quotient_by_element
-from .rings import PolyRing
+from .rings import PolyRing, _mono_mul, monomials_of_degree
 
 LABELS = {
     (False, True): "I",
@@ -85,7 +86,8 @@ LABELS = {
 
 @dataclass(frozen=True)
 class SchemeType:
-    """Classification outcome with its evidence pair and retry count."""
+    """Classification outcome with its evidence pair and the number of
+    rejected complete-intersection draws."""
 
     label: str
     evidence: tuple  # (has_embedded_component, generically_reduced)
@@ -273,145 +275,79 @@ def equidimensional_hull(I, seed=0, stats=None):
     return _link(ci, _link(ci, I, rng), rng)
 
 
-def _mult_matrix(gb, linear, basis_from, index_to):
-    ring = linear.ring
-    cols = []
-    for m in basis_from:
-        prod = gb.reduce(linear * ring.from_dict({m: Fraction(1)}))
-        col = [Fraction(0)] * len(index_to)
-        for mono, c in prod.terms:
-            col[index_to[mono]] += c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(index_to))]
+def _integer_partials(g):
+    """The partial derivatives of a multiple of g with integer coefficients,
+    one {monomial: int} per variable."""
+    den = lcm(*(c.denominator for _, c in g.terms))
+    partials = [{} for _ in range(g.ring.width)]
+    for mono, c in g.terms:
+        c = c.numerator * (den // c.denominator)
+        for i, e in enumerate(mono):
+            if e:
+                partials[i][mono[:i] + (e - 1,) + mono[i + 1:]] = e * c
+    return partials
 
 
-def _slice_algebra(I, rng, stats=None):
-    """One random length-two linear slice of I.
-
-    Returns ("reduced", None) when some multiplication operator has two
-    distinct eigenvalues (a certificate of two distinct points), or
-    ("double", point) with the exact projective support of the double point,
-    or None for a degenerate slice (wrong colength or no invertible chart).
-    """
-    ring = I.ring
-    n = ring.num_vars - 1
-    variables = [ring.x(i) for i in range(n + 1)]
-    cuts = [_random_combination(variables, rng) for _ in range(n - 2)]
-    if any(c.is_zero() for c in cuts):
-        return None
-    sliced = Ideal(ring, list(I.generators) + cuts)
-    sdata = hilbert_series(sliced)
-    if sdata.hilbert_polynomial != 2:
-        return None  # wrong colength
-    d = max(sdata.agreement_bound, 1)
-    gb = sliced.groebner_basis()
-    basis_d = gb.standard_monomials(d)
-    basis_d1 = gb.standard_monomials(d + 1)
-    if len(basis_d) != 2 or len(basis_d1) != 2:
-        return None
-    index = {m: k for k, m in enumerate(basis_d1)}
-
-    chart = None
-    for _ in range(n + 3):
-        cand = _random_combination(variables, rng)
-        if cand.is_zero():
-            continue
-        ml = _mult_matrix(gb, cand, basis_d, index)
-        inv = linalg.invert(ml)
-        if inv is not None:
-            chart = inv
-            break
-    if chart is None:
-        return None
-
-    def operator(mu):
-        return linalg.mat_mul(chart, _mult_matrix(gb, mu, basis_d, index))
-
-    def discriminant(op):
-        tr = op[0][0] + op[1][1]
-        dt = op[0][0] * op[1][1] - op[0][1] * op[1][0]
-        return tr * tr - 4 * dt
-
-    mu = _random_combination(variables, rng)
-    if not mu.is_zero() and discriminant(operator(mu)) != 0:
-        return ("reduced", None)
-    coordinate_ops = [operator(v) for v in variables]
-    if any(discriminant(op) != 0 for op in coordinate_ops):
-        # the coordinate functions generate the algebra, so some operator
-        # separates two distinct points whenever there are two
-        return ("reduced", None)
-    # every operator has a repeated eigenvalue: a double point whose exact
-    # support has chart coordinates x_i/chart-form = trace/2
-    point = tuple(Fraction(op[0][0] + op[1][1], 2) for op in coordinate_ops)
-    return ("double", point)
+def _minor(a, b, i, j):
+    """a_i * b_j - a_j * b_i for integer polynomials keyed by monomial."""
+    acc = {}
+    for p, q, sign in ((a[i], b[j], 1), (a[j], b[i], -1)):
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = _mono_mul(m1, m2)
+                acc[m] = acc.get(m, 0) + sign * c1 * c2
+    return acc
 
 
-def generic_slice_reduced(I, seed=0, stats=None):
-    """True iff the generic length-two linear slice of I consists of two
-    distinct points; certified in both directions.
+def generic_slice_reduced(I):
+    """True iff the unmixed codimension-two ideal I is generically reduced,
+    by the Jacobian criterion (Eisenbud, Commutative Algebra, GTM 150,
+    section 16.6).
 
-    A slice with an operator of distinct eigenvalues certifies two distinct
-    points, hence generic reducedness.  Double-point slices are only
-    evidence: their supports are collected from n-1 independent slices, and
-    non-reducedness is certified by exhibiting the codimension-two linear
-    ideal P of the common support with P^2 inside I inside P (a double structure).
-    A degenerate random choice can only force a retry, never a wrong label.
+    Let K be I plus the 2x2 minors of the Jacobian matrix of its canonical
+    generators.  I is generically reduced exactly when V(K) has projective
+    dimension < n - 2:
+
+      * K does not depend on the generators: K / I is the Fitting ideal
+        Fitt_(n-1) of the module of differentials of S/I over QQ, which the
+        Jacobian matrix presents;
+      * every associated prime P of the unmixed I is minimal, of
+        codimension two.  Over QQ the local ring (S/I)_P is regular exactly
+        when the Jacobian matrix has rank 2 modulo P, that is when P does
+        not contain K; and the Artinian (S/I)_P is regular exactly when it
+        is a field, that is when it is reduced;
+      * V(K) lies in V(I), whose components all have dimension n - 2, so
+        V(K) has dimension n - 2 exactly when it contains a component V(P),
+        that is when I is not reduced at some minimal prime P.
+
+    The minors are integer coordinate rows, one RowSpan per degree d, and
+    V(K) is empty as soon as one of them fills S_d.
     """
     ring = I.ring
     n = ring.num_vars - 1
     data = hilbert_series(I)
     if data.dimension != n - 2 or data.degree != 2:
         raise ClassificationError("slice test requires an unmixed degree-two ideal")
-    rng = random.Random(f"slice:{seed}")
-    retries = 0
-    for attempt in range(4):
-        first = _slice_algebra(I, rng)
-        if first is None:
-            retries += 1
-            continue
-        if first[0] == "reduced":
-            if stats is not None:
-                stats["slice_retries"] = retries
-            return True
-        points = [first[1]]
-        failed = False
-        while len(points) < n - 1:
-            extra = None
-            for _ in range(3):
-                extra = _slice_algebra(I, rng)
-                if extra is not None:
-                    break
-                retries += 1
-            if extra is None:
-                failed = True
-                break
-            if extra[0] == "reduced":
-                if stats is not None:
-                    stats["slice_retries"] = retries
+    gens = I.canonical_generators()
+    spans = {}  # degree d -> (RowSpan of the degree-d minors, column of each monomial)
+    for (ga, pa), (gb, pb) in combinations(zip(gens, map(_integer_partials, gens)), 2):
+        d = ga.total_degree() + gb.total_degree() - 2
+        if d not in spans:
+            monos = monomials_of_degree(ring.num_vars, d)
+            spans[d] = (linalg.RowSpan(), {m: k for k, m in enumerate(monos)})
+        span, column = spans[d]
+        for i, j in combinations(range(n + 1), 2):
+            row = [0] * len(column)
+            for m, c in _minor(pa, pb, i, j).items():
+                row[column[m]] = c
+            if span.add(row) and len(span) == len(column):
                 return True
-            points.append(extra[1])
-        if failed:
-            continue
-        # candidate support plane: the linear forms vanishing on all points
-        span = linalg.nullspace([list(p) for p in points], n + 1)
-        if len(span) != 2:
-            retries += 1
-            continue  # support points in special position
-        linear_forms = [
-            sum((ring.x(i).scale(c) for i, c in enumerate(vec)), ring.zero)
-            for vec in span
-        ]
-        support = Ideal(ring, linear_forms)
-        contained = all(support.contains(g) for g in I.generators)
-        squares_in = all(
-            I.contains(a * b) for a in linear_forms for b in linear_forms
-        )
-        if contained and squares_in:
-            if stats is not None:
-                stats["slice_retries"] = retries
-            return False  # certified double structure on V(support)
-        retries += 1
-    raise RetriesExhaustedError("no conclusive linear slice found in 4 attempts")
+    minors = [
+        ring.from_dict(dict(zip(column, row)))
+        for span, column in spans.values()
+        for row in span.rref()[0]
+    ]
+    return hilbert_series(Ideal(ring, list(gens) + minors)).dimension < n - 2
 
 
 def _require_linear_components(hull):
@@ -492,8 +428,8 @@ def classify(I, seed=0):
                         "not in the four-type table: residual structure is "
                         "not embedded in the top-dimensional part"
                     )
-    reduced = generic_slice_reduced(hull, seed=seed, stats=stats)
+    reduced = generic_slice_reduced(hull)
     if reduced:
         _require_linear_components(hull)
-    retries = stats.get("hull_retries", 0) + stats.get("slice_retries", 0)
-    return SchemeType(LABELS[(has_embedded, reduced)], (has_embedded, reduced), retries)
+    evidence = (has_embedded, reduced)
+    return SchemeType(LABELS[evidence], evidence, stats["hull_retries"])

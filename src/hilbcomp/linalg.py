@@ -14,7 +14,9 @@ The batch functions (`rank`, `rref`, `nullspace`, `solve_unique`,
 `in_row_span`, `invert`) add their rows sparsest first, a stable sort by
 nonzero count: every answer they give depends only on the row space, and
 sparse rows reduce against few pivots and keep later rows sparse.
-`RowSpan.add` takes rows in the caller's order.
+`RowSpan.add` takes rows in the caller's order.  `nullspace` and `invert`
+have no caller inside the package: the test oracles use them, and
+`perfbench/spans.py` times them by name.
 """
 
 from __future__ import annotations
@@ -139,18 +141,6 @@ def solve_unique(rows, rhs):
 def in_row_span(rows, vector):
     """True when vector is a QQ-linear combination of the rows."""
     return vector in _span(rows)
-
-
-def mat_mul(a, b):
-    """Matrix product with Fraction entries."""
-    if not a or not b:
-        return []
-    ncols = len(b[0])
-    inner = len(b)
-    return [
-        [sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
-        for row in a
-    ]
 
 
 def invert(matrix):

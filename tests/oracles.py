@@ -173,6 +173,29 @@ def hull_by_quotients(ci, I):
     return quotient(ci, quotient(ci, I)).canonical()
 
 
+def reducedness_by_components(hull, primes):
+    """Generic reducedness of an unmixed hull from its known prime
+    components, by two certificates that do not use the Jacobian.
+
+    True when the hull is the intersection of the primes, hence radical.
+    False when it is a double structure on one prime P: P^2 inside the hull
+    inside P, with the hull not P itself, so P is its only associated prime
+    and the hull is not reduced there.  Any other case fails the assertion.
+    """
+    from hilbcomp.ideals import intersect
+
+    meet = primes[0]
+    for P in primes[1:]:
+        meet = intersect(meet, P)
+    if hull == meet:
+        return True
+    assert len(primes) == 1, "the hull is not the intersection of its components"
+    (P,) = primes
+    assert P.contains_ideal(hull)
+    assert all(hull.contains(a * b) for a in P.generators for b in P.generators)
+    return False
+
+
 def substitute_by_expansion(p, var_index, value):
     """p with variable var_index set to a constant, term by term through
     Polynomial arithmetic: the sum of c * value**e * (term without x^e)."""

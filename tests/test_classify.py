@@ -2,7 +2,6 @@ import importlib
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,6 @@ from hilbcomp.classify import (
     _complete_intersection,
     _generic_element,
     _link,
-    _slice_algebra,
     classify,
     equidimensional_hull,
     generic_slice_reduced,
@@ -21,10 +19,10 @@ from hilbcomp.classify import (
 from hilbcomp.errors import ClassificationError
 from hilbcomp.flat_limit import limit_ideal
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
-from hilbcomp.ideals import Ideal, intersect, random_linear_change
+from hilbcomp.ideals import Ideal, intersect, random_invertible_matrix, random_linear_change
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import essential_form_by_substitution, hull_by_quotients
+from oracles import essential_form_by_substitution, hull_by_quotients, reducedness_by_components
 
 # the package exports the classify function under the module's name
 classify_module = importlib.import_module("hilbcomp.classify")
@@ -125,12 +123,56 @@ def test_moved_normal_forms_never_fall_back(monkeypatch):
 
 
 def test_slice_reducedness_on_hulls():
-    assert generic_slice_reduced(normal_form_ideal(3, "I"), seed=2)
-    assert not generic_slice_reduced(normal_form_ideal(3, "II"), seed=2)
+    assert generic_slice_reduced(normal_form_ideal(3, "I"))
+    assert not generic_slice_reduced(normal_form_ideal(3, "II"))
     hull4 = equidimensional_hull(normal_form_ideal(3, "IV"), seed=2)
-    assert not generic_slice_reduced(hull4, seed=2)
+    assert not generic_slice_reduced(hull4)
     hull3 = equidimensional_hull(normal_form_ideal(3, "III"), seed=2)
-    assert generic_slice_reduced(hull3, seed=2)
+    assert generic_slice_reduced(hull3)
+
+
+# the prime components of each normal form's hull: two planes for I and
+# III, and the one plane that carries the double structure for II and IV
+COMPONENTS = {
+    "I": [("x0", "x1"), ("x2", "x3")],
+    "II": [("x0", "x1")],
+    "III": [("x0", "x1"), ("x0", "x2")],
+    "IV": [("x0", "x1")],
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_jacobian_reducedness_matches_the_component_certificates(n, label):
+    # the full-ring hull of a moved normal form, against its moved
+    # components; the III and IV hulls hold a linear generator
+    ring = PolyRing(n + 1)
+    matrix = random_invertible_matrix(ring, f"reduced:{label}:{n}")
+    moved = random_linear_change(normal_form_ideal(n, label), None, matrix=matrix)
+    primes = [
+        random_linear_change(I(*gens, ring=ring), None, matrix=matrix)
+        for gens in COMPONENTS[label]
+    ]
+    hull = equidimensional_hull(moved, seed=n)
+    has_linear = any(g.total_degree() == 1 for g in hull.canonical_generators())
+    assert has_linear == (label in ("III", "IV"))
+    reduced = reducedness_by_components(hull, primes)
+    assert reduced == (label in ("I", "III"))
+    assert generic_slice_reduced(hull) == reduced
+
+
+def test_generic_slice_reduced_requires_an_unmixed_degree_two_ideal():
+    with pytest.raises(ClassificationError, match="unmixed degree-two ideal"):
+        generic_slice_reduced(I("x0", "x1"))
+    with pytest.raises(ClassificationError, match="unmixed degree-two ideal"):
+        generic_slice_reduced(I("x0*x1"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_rejected_complete_intersection_counts_as_a_retry(n):
+    # at seed 55 the first complete-intersection draw for the III normal
+    # form is rejected; retries counts only such draws
+    assert classify(normal_form_ideal(n, "III"), seed=55).retries == 1
 
 
 def test_slice_is_robust_against_adversarial_seeds():
@@ -196,7 +238,10 @@ def test_plane_conic_with_an_embedded_point_is_refused():
     # shows that the support is not two lines
     X = I(*PLANE_CONIC_WITH_POINT)
     assert hilbert_series(X).hilbert_polynomial == pair_hilbert_polynomial(3)
-    assert equidimensional_hull(X, seed=0) == I("x3", "x0*x1 - x2^2")
+    hull = equidimensional_hull(X, seed=0)
+    assert hull == I("x3", "x0*x1 - x2^2")
+    # an irreducible hull with a linear generator: its own one component
+    assert reducedness_by_components(hull, [hull]) and generic_slice_reduced(hull)
     with pytest.raises(ClassificationError, match="not in the four-type table: .* rank 3"):
         classify(X)
 
@@ -283,7 +328,7 @@ def test_cone_evidence_matches_the_full_ring(label):
     for seed in (0, 1):
         moved = random_linear_change(normal_form_ideal(5, label), seed=seed + 40)
         hull = equidimensional_hull(moved, seed=seed)
-        evidence = (hull != moved, generic_slice_reduced(hull, seed=seed))
+        evidence = (hull != moved, generic_slice_reduced(hull))
         assert classify(moved, seed=seed).evidence == evidence
 
 
@@ -299,7 +344,9 @@ def test_ideal_not_generated_by_its_quadrics_keeps_the_full_ring(monkeypatch):
     assert classify_module._essential_form(X, data) == (X, 0)
     assert essential_form_by_substitution(X, data) == (X, 0)
     hull = equidimensional_hull(X, seed=2)
-    evidence = (hull != X, generic_slice_reduced(hull, seed=2))
+    planes = [random_linear_change(I(*gens, ring=R5), seed=4) for gens in COMPONENTS["I"]]
+    assert reducedness_by_components(hull, planes) and generic_slice_reduced(hull)
+    evidence = (hull != X, generic_slice_reduced(hull))
     seen = _spy_on_hull(monkeypatch)
     gates = _count_gates(monkeypatch)
     assert classify(X, seed=2).evidence == evidence
@@ -359,13 +406,12 @@ def test_random_draws_keep_their_order():
     ]
     J = Ideal(PolyRing(5), ["x0", "x1*x2"])
     assert str(_generic_element(J, rng)) == "12*x0^2 + 4*x0*x1 - x1*x2 + 20*x0*x3 + 16*x0*x4"
-    point = (0, 0, Fraction(-12, 121), Fraction(13, 121), Fraction(-3, 121))
-    assert _slice_algebra(normal_form_ideal(4, "II"), rng) == ("double", point)
 
 
 def classify_payloads():
     """classify(...).to_json() of each type in P^3..P^7, moved and
-    classified at seeds 1 and 8 (seed 8 takes one retry on IV in P^6)."""
+    classified at seeds 1 and 8.  No entry takes a retry: retries counts
+    only rejected complete-intersection draws."""
     out = {}
     for label in ("I", "II", "III", "IV"):
         for n in range(3, 8):

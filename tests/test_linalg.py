@@ -55,8 +55,11 @@ def test_solve_unique():
 def test_invert_roundtrip():
     m = [[1, 2], [3, 5]]
     inv = linalg.invert(m)
-    prod = linalg.mat_mul(m, inv)
-    assert prod == [[1, 0], [0, 1]]
+    assert inv == [[-5, 2], [3, -1]]
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in m] == [
+        [1, 0],
+        [0, 1],
+    ]
     assert linalg.invert([[1, 2], [2, 4]]) is None
 
 
