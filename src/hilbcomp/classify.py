@@ -327,7 +327,7 @@ def generic_slice_reduced(I):
     n = ring.num_vars - 1
     data = hilbert_series(I)
     if data.dimension != n - 2 or data.degree != 2:
-        raise ClassificationError("slice test requires an unmixed degree-two ideal")
+        raise ClassificationError("the Jacobian test requires an unmixed degree-two ideal")
     gens = I.canonical_generators()
     spans = {}  # degree d -> (RowSpan of the degree-d minors, column of each monomial)
     for (ga, pa), (gb, pb) in combinations(zip(gens, map(_integer_partials, gens)), 2):

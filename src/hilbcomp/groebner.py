@@ -23,9 +23,11 @@ Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
 equality a tuple comparison downstream.  Pair management uses the
 Gebauer-Moeller refinement of Buchberger's first and second criteria, on
-the exponent tuples of the leads; pair selection is by sugar degree with the
-order key of the lcm as tie-break.  An optional seed randomizes the
-processing schedule (the reduced basis must not depend on it).
+the exponent tuples of the leads.  Each pair is stored once, when it is
+created, with the lcm of its leads and its selection key: sugar degree,
+then the order key of the lcm, then the two indices.  The pair with the
+smallest key is processed next; an optional seed randomizes the processing
+schedule instead (the reduced basis must not depend on it).
 """
 
 from __future__ import annotations
@@ -349,6 +351,18 @@ def _int_spoly(e1, e2, lcm, pk):
     return acc, (e1.lc * e2.lc) // g, (d1 + pk.base, d2 + pk.base, c1, c2)
 
 
+def _reduced_spairs(entries, pk):
+    """(i, j, den, (s1, s2, c1, c2), (rem, scale, quots)) for every i < j in
+    that order: the S-pair of entries i and j as `_int_spoly` gives it, and
+    its division by all the entries with quotients."""
+    for i, e1 in enumerate(entries):
+        for j in range(i + 1, len(entries)):
+            e2 = entries[j]
+            lcm = pk.pack(_mono_lcm(e1.lead, e2.lead))
+            s, den, shifts = _int_spoly(e1, e2, lcm, pk)
+            yield i, j, den, shifts, _reduce_int(s, entries, pk, want_quotients=True)
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis with the generators it came from.
@@ -379,13 +393,10 @@ class GroebnerBasis:
             if not any(_divides(g, m) for g in leads)
         ]
 
+    @functools.cached_property
     def _entries(self):
-        cached = getattr(self, "_entry_cache", None)
-        if cached is None:
-            pk = _ring_packing(self.ring)
-            cached = tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
-            object.__setattr__(self, "_entry_cache", cached)
-        return cached
+        pk = _ring_packing(self.ring)
+        return tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
 
     def reduce(self, f, want_quotients=False):
         """Full normal form of f against this basis, returned in f's ring.
@@ -398,7 +409,7 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial is not in the basis ring")
         pk = _ring_packing(self.ring)
         work, den = _int_terms(f, pk)
-        entries = self._entries()
+        entries = self._entries
         rem, scale, quots = _reduce_int(work, entries, pk, want_quotients)
         result = _poly(self.ring, rem.items(), Fraction(1, den * scale)).convert(f.ring)
         if not want_quotients:
@@ -413,16 +424,8 @@ class GroebnerBasis:
 
     def spair_certificate(self):
         """True when every S-pair of the basis reduces to zero."""
-        entries = self._entries()
-        pk = _ring_packing(self.ring)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                lcm = pk.pack(_mono_lcm(entries[i].lead, entries[j].lead))
-                s, _, _ = _int_spoly(entries[i], entries[j], lcm, pk)
-                rem, _, _ = _reduce_int(s, entries, pk)
-                if rem:
-                    return False
-        return True
+        pairs = _reduced_spairs(self._entries, _ring_packing(self.ring))
+        return not any(rem for *_, (rem, _, _) in pairs)
 
     def transform_certificate(self):
         """Exact check that transform . generators == elements."""
@@ -463,19 +466,28 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
 
     rng = random.Random(seed) if seed is not None else None
     basis = []
-    pairs = {}  # (i, j) -> lcm of the two leads, fixed once the pair exists
+    pairs = {}  # (i, j) -> (selection key, lcm of the two leads), set at creation
 
     def add_element(int_dict, sugar, vec):
         basis.append(_Entry(int_dict, pk, sugar, vec))
         gm_update(len(basis) - 1)
 
+    def minus_quotients(vec, quots, entries):
+        """vec - sum_k q_k * entries[k].vec, the q_k packed quotient dicts."""
+        for q, entry in zip(quots, entries):
+            if q:
+                qp = _poly(ring, q.items())
+                vec = [a - qp * b for a, b in zip(vec, entry.vec)]
+        return vec
+
     def gm_update(new_idx):
         """Gebauer-Moeller pair update: product and chain criteria."""
-        lmf = basis[new_idx].lead
+        new = basis[new_idx]
+        lmf = new.lead
         with_new = [_mono_lcm(basis[i].lead, lmf) for i in range(new_idx)]
         stale = [
             (i, j)
-            for (i, j), L in pairs.items()
+            for (i, j), (_, L) in pairs.items()
             if _divides(lmf, L) and L != with_new[i] and L != with_new[j]
         ]
         for p in stale:
@@ -489,7 +501,9 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
                 minimal.append(L)
         for L in minimal:
             if not any(L == _mono_mul(basis[i].lead, lmf) for i in by_lcm[L]):
-                pairs[(min(by_lcm[L]), new_idx)] = L
+                i = min(by_lcm[L])
+                sugar = sum(L) + max(basis[i].sugar - sum(basis[i].lead), new.sugar - sum(lmf))
+                pairs[(i, new_idx)] = ((sugar,) + key(L) + (i, new_idx), L)
 
     r = len(originals)
     for i, g in enumerate(originals):
@@ -501,52 +515,23 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             )
         add_element(d, g.total_degree(), vec)
 
-    pair_keys = {}  # a pair's key is fixed once both elements exist
-
-    def pair_key(p):
-        cached = pair_keys.get(p)
-        if cached is not None:
-            return cached
-        i, j = p
-        lcm = pairs[p]
-        deg = sum(lcm)
-        sugar = max(
-            basis[i].sugar + deg - sum(basis[i].lead),
-            basis[j].sugar + deg - sum(basis[j].lead),
-        )
-        pair_keys[p] = out = (sugar,) + key(lcm) + (i, j)
-        return out
-
     while pairs:
-        if rng is not None:
-            chosen = rng.choice(sorted(pairs))
-        else:
-            chosen = min(pairs, key=pair_key)
-        lcm = pairs.pop(chosen)
-        i, j = chosen
-        e1, e2 = basis[i], basis[j]
+        chosen = rng.choice(sorted(pairs)) if rng is not None else min(pairs, key=pairs.get)
+        (sugar, *_), lcm = pairs.pop(chosen)
+        e1, e2 = basis[chosen[0]], basis[chosen[1]]
         s, den, (s1, s2, c1, c2) = _int_spoly(e1, e2, pk.pack(lcm), pk)
         if not s:
             continue
         rem, scale, quots = _reduce_int(s, basis, pk, want_quotients=transform)
         if not rem:
             continue
-        deg = sum(lcm)
-        sugar = max(
-            e1.sugar + deg - sum(e1.lead),
-            e2.sugar + deg - sum(e2.lead),
-        )
         vec = None
         if transform:
             # remainder == scale * spoly - sum_k quot_k * prim_k, all prim-based
             m1 = _poly(ring, ((s1, c1 * scale),))
             m2 = _poly(ring, ((s2, c2 * scale),))
             vec = [m1 * a - m2 * b for a, b in zip(e1.vec, e2.vec)]
-            for k, q in enumerate(quots):
-                if q:
-                    qp = _poly(ring, q.items())
-                    vec = [a - qp * b for a, b in zip(vec, basis[k].vec)]
-            vec = tuple(vec)
+            vec = tuple(minus_quotients(vec, quots, basis))
         add_element(rem, sugar, vec)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -563,19 +548,12 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         rem, scale, quots = _reduce_int(
             dict(basis[i].terms), others, pk, want_quotients=transform
         )
+        lm, lc = next(iter(rem.items()))
         vec = None
         if transform:
-            vec = [p.scale(scale) for p in basis[i].vec]
-            for entry, q in zip(others, quots):
-                if q:
-                    qp = _poly(ring, q.items())
-                    vec = [a - qp * b for a, b in zip(vec, entry.vec)]
-        lm, lc = next(iter(rem.items()))
-        poly = _poly(ring, rem.items(), Fraction(1, lc))
-        if vec is not None:
-            inv = Fraction(1, lc)
-            vec = tuple(p.scale(inv) for p in vec)
-        final.append((lm, poly, vec))
+            vec = minus_quotients([p.scale(scale) for p in basis[i].vec], quots, others)
+            vec = tuple(p.scale(Fraction(1, lc)) for p in vec)
+        final.append((lm, _poly(ring, rem.items(), Fraction(1, lc)), vec))
 
     final.sort(key=itemgetter(0), reverse=True)
     elements = tuple(p for _, p, _ in final)
@@ -683,7 +661,7 @@ def _tuple_shift(row, target):
     return degs.pop()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _monomial_index(width, d):
     return {m: k for k, m in enumerate(monomials_of_degree(width, d))}
 
@@ -738,44 +716,32 @@ def syzygies(gens):
             raise AssertionError("generator failed to reduce to zero against its own basis")
         B.append(tuple(quots))
 
+    def lift(v):
+        """v . A: a combination of the basis elements, in the generators."""
+        return tuple(
+            sum((a * row[col] for a, row in zip(v, A) if a and row[col]), ring.zero)
+            for col in range(r)
+        )
+
     rows = []
-    entries = gb._entries()
-    pk = _ring_packing(ring)
+    entries = gb._entries
     # Schreyer rows tau_ij mapped through A
-    for i in range(s):
-        for j in range(i + 1, s):
-            e1, e2 = entries[i], entries[j]
-            lcm = pk.pack(_mono_lcm(e1.lead, e2.lead))
-            sp, den, (s1, s2, c1, c2) = _int_spoly(e1, e2, lcm, pk)
-            rem, scale, quots = _reduce_int(sp, entries, pk, want_quotients=True)
-            if rem:
-                raise AssertionError("S-pair of a reduced basis failed to vanish")
-            # x^s1*monic_i - x^s2*monic_j == sum_k Q_k*lc_k/(scale*den) * monic_k
-            tau = [ring.zero] * s
-            tau[i] = tau[i] + _poly(ring, ((s1, 1),))
-            tau[j] = tau[j] - _poly(ring, ((s2, 1),))
-            for k, q in enumerate(quots):
-                if q:
-                    tau[k] = tau[k] - _poly(ring, q.items(), Fraction(entries[k].lc, scale * den))
-            row = []
-            for col in range(r):
-                acc = ring.zero
-                for k in range(s):
-                    if tau[k].is_zero() or A[k][col].is_zero():
-                        continue
-                    acc = acc + tau[k] * A[k][col]
-                row.append(acc)
-            rows.append(tuple(row))
+    for i, j, den, (s1, s2, _, _), (rem, scale, quots) in _reduced_spairs(
+        entries, _ring_packing(ring)
+    ):
+        if rem:
+            raise AssertionError("S-pair of a reduced basis failed to vanish")
+        # x^s1*monic_i - x^s2*monic_j == sum_k Q_k*lc_k/(scale*den) * monic_k
+        tau = [ring.zero] * s
+        tau[i] = _poly(ring, ((s1, 1),))
+        tau[j] = -_poly(ring, ((s2, 1),))
+        for k, q in enumerate(quots):
+            if q:
+                tau[k] = tau[k] - _poly(ring, q.items(), Fraction(entries[k].lc, scale * den))
+        rows.append(lift(tau))
     # rows of I - B.A
-    for i in range(r):
-        row = []
-        for col in range(r):
-            acc = ring.one if col == i else ring.zero
-            for k in range(s):
-                if not (B[i][k].is_zero() or A[k][col].is_zero()):
-                    acc = acc - B[i][k] * A[k][col]
-            row.append(acc)
-        rows.append(tuple(row))
+    for i, b in enumerate(B):
+        rows.append(tuple((ring.one if c == i else ring.zero) - p for c, p in enumerate(lift(b))))
 
     target = gb.generators
     cleaned = [_primitive_row(row) for row in rows if not all(p.is_zero() for p in row)]

@@ -11,9 +11,9 @@ the reduced row echelon form, nullspaces, solving and inversion are all read
 off this core.
 
 The batch functions (`rank`, `rref`, `nullspace`, `solve_unique`,
-`in_row_span`, `invert`) add their rows sparsest first, a stable sort by
-nonzero count: every answer they give depends only on the row space, and
-sparse rows reduce against few pivots and keep later rows sparse.
+`invert`) add their rows sparsest first, a stable sort by nonzero count:
+every answer they give depends only on the row space, and sparse rows
+reduce against few pivots and keep later rows sparse.
 `RowSpan.add` takes rows in the caller's order.  `nullspace` and `invert`
 have no caller inside the package: the test oracles use them, and
 `perfbench/spans.py` times them by name.
@@ -136,11 +136,6 @@ def solve_unique(rows, rhs):
         x[col] = m[r][ncols]
     unique = len(pivots) == ncols
     return tuple(x), unique
-
-
-def in_row_span(rows, vector):
-    """True when vector is a QQ-linear combination of the rows."""
-    return vector in _span(rows)
 
 
 def invert(matrix):

@@ -438,10 +438,11 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def monomials_of_degree(width, d):
     """All exponent tuples of total degree d in `width` variables, as one
-    shared tuple per (width, d), ascending lexicographically.
+    tuple ascending lexicographically, shared per (width, d) while it is
+    among the 128 most recently used.
 
     Enumerated in place: the successor of a tuple moves one unit from its
     last nonzero entry to the entry before it and gathers the rest of that

@@ -118,7 +118,7 @@ def _system(I):
     degrees = tuple(g.total_degree() for g in gens)
     gb = I.groebner_basis()
     pk = _ring_packing(gb.ring)
-    entries = gb._entries()
+    entries = gb._entries
     bases = tuple(gb.standard_monomials(d) for d in degrees)
     packed = [[pk.pack(m) for m in b] for b in bases]
     total = sum(map(len, bases))
@@ -188,7 +188,7 @@ def explicit_basis_check(I, images):
             )
         reduced_images.append(im_red)
     pk = _ring_packing(gb.ring)
-    entries = gb._entries()
+    entries = gb._entries
     module = syzygies(list(gens))
     for row in module.generators:
         rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), entries, pk)

@@ -9,7 +9,9 @@ from hilbcomp import fixtures, linalg, loads_ideal, normal_form_ideal, random_li
 from hilbcomp.errors import HomogeneityError, KernelError, MonomialOverflowError
 from hilbcomp.groebner import (
     _MASK,
+    GroebnerBasis,
     _int_terms,
+    _monomial_index,
     _packing,
     _row_coordinates,
     _shifted,
@@ -136,15 +138,42 @@ def test_determinism_under_schedule_permutation():
             assert tuple(g.terms for g in other.elements) == fingerprint
 
 
+CI_QUADRICS = ("x0^2 - x1*x2", "x1*x3 - x2^2", "x0*x3 + x1^2")
+
+
 def test_transform_certificate():
-    for gens in (
-        quads("x0^2", "x0*x1", "x1^2", "x0*x3 - x1*x2"),
-        quads("x0^2 - x1*x2", "x1*x3 - x2^2", "x0*x3 + x1^2"),
-        [X[0] + X[1], X[0] - X[1]],
+    # the transform depends on the schedule, so every seeded one is checked;
+    # in lex the three quadrics grow to ten elements through S-pairs
+    for gens, order in (
+        (quads("x0^2", "x0*x1", "x1^2", "x0*x3 - x1*x2"), GREVLEX),
+        (quads(*CI_QUADRICS), GREVLEX),
+        (quads(*CI_QUADRICS), LEX),
+        (quads("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"), elimination_order((0,))),
+        ([X[0] + X[1], X[0] - X[1]], GREVLEX),
     ):
-        gb = buchberger(gens, transform=True)
-        assert gb.transform_certificate()
-        assert gb.spair_certificate()
+        for seed in (None, 1, 2, 3, 4, 5):
+            gb = buchberger(gens, order, transform=True, seed=seed)
+            assert gb.transform_certificate(), seed
+            assert gb.spair_certificate(), seed
+
+
+def test_spair_certificate_rejects_a_generating_set_that_is_not_a_basis():
+    # the three quadrics are a grevlex basis but not a lex one
+    gens = quads(*CI_QUADRICS)
+    assert buchberger(gens).spair_certificate()
+    lex_gens = tuple(g.convert(R4.with_order(LEX)) for g in gens)
+    assert not GroebnerBasis(R4.with_order(LEX), lex_gens, lex_gens).spair_certificate()
+
+
+def test_transform_certificate_rejects_a_perturbed_entry():
+    gb = buchberger(quads(*CI_QUADRICS), LEX, transform=True)
+    assert gb.transform_certificate()
+    for i, j in ((0, 0), (4, 2), (9, 1)):
+        rows = [list(row) for row in gb.transform]
+        rows[i][j] = rows[i][j] + gb.ring.x(3) ** rows[i][j].total_degree()
+        bad = dataclasses.replace(gb, transform=tuple(map(tuple, rows)))
+        assert not bad.transform_certificate(), (i, j)
+    assert not dataclasses.replace(gb, transform=None).transform_certificate()
 
 
 def test_buchberger_rejects_bad_input():
@@ -458,3 +487,37 @@ def test_moved_syzygy_rows_are_byte_identical_to_the_golden_files(label, n):
     rows = syzygies(list(ideal.generators)).generators
     text = "".join(" ; ".join(map(str, row)) + "\n" for row in rows)
     assert text.encode() == (data / f"moved_{label}_n{n}.syzygies.txt").read_bytes()
+
+
+def _transform_text(gb):
+    return "".join(" ; ".join(map(str, row)) + "\n" for row in gb.transform)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_moved_transforms_are_byte_identical_to_the_golden_files(label, n):
+    # moved_<label>_n<n>.transform.txt holds str() of every row of the
+    # transform that buchberger records, one row per line, as generated
+    # before the pair bookkeeping was folded into one record per pair; it
+    # is never regenerated to make a change pass.  These inputs are already
+    # grevlex bases up to interreduction, so the rows are constants.
+    data = Path(__file__).parent / "data"
+    ideal = loads_ideal((data / f"moved_{label}_n{n}.ideal").read_text())
+    gb = buchberger(list(ideal.generators), transform=True)
+    assert _transform_text(gb).encode() == (data / f"moved_{label}_n{n}.transform.txt").read_bytes()
+
+
+def test_lex_transform_through_s_pairs_is_byte_identical_to_the_golden_file():
+    # the same pin on an input whose transform is built by S-pair reductions
+    # (three quadrics grow to ten lex elements, rows up to degree six)
+    gb = buchberger(quads(*CI_QUADRICS), LEX, transform=True)
+    data = Path(__file__).parent / "data"
+    assert _transform_text(gb).encode() == (data / "quadrics_lex.transform.txt").read_bytes()
+
+
+def test_monomial_index_cache_is_bounded():
+    bound = _monomial_index.cache_info().maxsize
+    assert bound is not None
+    for d in range(bound + 10):
+        _monomial_index(1, d)
+    assert _monomial_index.cache_info().currsize <= bound

@@ -64,11 +64,11 @@ def test_invert_roundtrip():
 
 
 def test_in_row_span():
-    rows = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.in_row_span(rows, [2, 3, 5])
-    assert not linalg.in_row_span(rows, [0, 0, 1])
-    assert linalg.in_row_span([], [0, 0, 0])
-    assert not linalg.in_row_span([], [1, 0, 0])
+    span = linalg.RowSpan()
+    span.add([1, 0, 1])
+    span.add([0, 1, 1])
+    assert [2, 3, 5] in span
+    assert [0, 0, 1] not in span
 
 
 def _random_matrix(rng, rows, cols):
@@ -165,3 +165,5 @@ def test_rowspan_add_matches_batch_rank_on_prefixes():
             assert len(span) == linalg.rank(m[:k])
             assert was_new == (linalg.rank(m[:k]) > linalg.rank(m[: k - 1]))
             assert row in span
+    assert [0, 0, 0] in linalg.RowSpan()
+    assert [1, 0, 0] not in linalg.RowSpan()

@@ -289,6 +289,14 @@ def test_monomials_of_degree_matches_the_recursive_definition():
             assert monomials_of_degree(width, d) == _monomials_recursive(width, d), (width, d)
 
 
+def test_monomials_of_degree_cache_is_bounded():
+    bound = monomials_of_degree.cache_info().maxsize
+    assert bound is not None
+    for d in range(bound + 10):
+        monomials_of_degree(1, d)
+    assert monomials_of_degree.cache_info().currsize <= bound
+
+
 def test_monomials_of_degree_in_a_wide_ring():
     # deeper than the interpreter's recursion limit
     monos = monomials_of_degree(1200, 1)
