@@ -36,7 +36,7 @@ import functools
 import heapq
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -199,16 +199,21 @@ def _int_combination(pairs, pk):
     L = lcm(*(ds * dg for (_, ds), (_, dg) in prods))
     acc = {}
     for (st, ds), (gt, dg) in prods:
-        f = L // (ds * dg)
-        for a, ca in st.items():
-            ca *= f
-            for m, c in _shifted(gt, a, pk).items():
-                v = acc.get(m, 0) + ca * c
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
+        _add_product(acc, st, gt, pk, L // (ds * dg))
     return acc
+
+
+def _add_product(acc, st, gt, pk, f=1):
+    """acc += f * st * gt in place, for packed {mono: int} dicts; acc keeps
+    no zero coefficient."""
+    for a, ca in st.items():
+        ca *= f
+        for m, c in _shifted(gt, a, pk).items():
+            v = acc.get(m, 0) + ca * c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
 
 
 def _poly(ring, items, factor=Fraction(1)):
@@ -611,12 +616,14 @@ class SyzygyModule:
     Every row satisfies sum(row[j] * target[j]) == 0 exactly; rows are
     homogeneous with the recorded degree shifts and generate the full
     module (Schreyer construction lifted through the basis transform).
+    `basis` is the reduced basis `syzygies` built them on (None if given).
     """
 
     ring: object
     target: tuple
     generators: tuple
     shifts: tuple
+    basis: GroebnerBasis = field(default=None, compare=False, repr=False)
 
     def verify(self):
         """True when every row combines the target to exactly zero."""
@@ -631,24 +638,6 @@ class SyzygyModule:
         shift = _tuple_shift(candidate, self.target)
         coords = _row_coordinates(self.ring, self.target, candidate, shift)
         return coords in _degree_span(self.ring, self.target, self.generators, shift)
-
-
-def _primitive_row(row):
-    """Scale a polynomial tuple to coprime integer coefficients, positive lead."""
-    num = 0
-    den = 1
-    for p in row:
-        for _, c in p.terms:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-    if num == 0:
-        return row
-    content = Fraction(num, den)
-    row = tuple(p.scale(1 / content) for p in row)
-    lead = next(p for p in row if not p.is_zero())
-    if lead.lead_coeff() < 0:
-        row = tuple(-p for p in row)
-    return row
 
 
 def _tuple_shift(row, target):
@@ -693,8 +682,14 @@ def _degree_span(ring, target, generators, shift):
 
 def syzygies(gens):
     """Generating syzygies of (f_1, ..., f_r): Schreyer rows on the reduced
-    basis, pulled back through the recorded transform, plus the rows of
-    I - B.A that absorb the division of each generator by the basis."""
+    basis, pulled back through the recorded transform A, plus the rows of
+    I - B.A that absorb the division of each generator by the basis.
+
+    The lift is integral: A is cleared to packed {mono: int} entries over one
+    common denominator and v . A summed from v scaled by the D = scale * den
+    of its division.  Each row is made primitive (coprime integers, the lead
+    term of its first nonzero entry positive) and becomes Polynomials once.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("generator list must be non-empty")
@@ -703,48 +698,59 @@ def syzygies(gens):
             raise HomogeneityError("syzygies require homogeneous generators")
     gb = buchberger(gens, transform=True)
     ring = gb.ring
-    elements = gb.elements
-    s = len(elements)
+    pk = _ring_packing(ring)
+    entries = gb._entries
     r = len(gens)
-    A = gb.transform  # s x r
-
-    # B: each generator written in the basis (r x s)
-    B = []
-    for g in gb.generators:
-        rem, quots = gb.reduce(g, want_quotients=True)
-        if not rem.is_zero():
-            raise AssertionError("generator failed to reduce to zero against its own basis")
-        B.append(tuple(quots))
+    # A == A_int / den_A, s x r
+    A = [[_int_terms(p, pk) for p in row] for row in gb.transform]
+    den_A = lcm(*(d for row in A for _, d in row))
+    A = [[{m: c * (den_A // d) for m, c in t.items()} for t, d in row] for row in A]
 
     def lift(v):
-        """v . A: a combination of the basis elements, in the generators."""
-        return tuple(
-            sum((a * row[col] for a, row in zip(v, A) if a and row[col]), ring.zero)
-            for col in range(r)
-        )
+        """v . A_int, for v a packed integer combination of the basis."""
+        out = [{} for _ in range(r)]
+        for a, row in zip(v, A):
+            for acc, t in zip(out, row):
+                _add_product(acc, a, t, pk)
+        return out
+
+    def minus_quotients(quots):
+        return [{m: -c * e.lc for m, c in q.items()} for q, e in zip(quots, entries)]
 
     rows = []
-    entries = gb._entries
-    # Schreyer rows tau_ij mapped through A
-    for i, j, den, (s1, s2, _, _), (rem, scale, quots) in _reduced_spairs(
-        entries, _ring_packing(ring)
-    ):
+    # Schreyer rows tau_ij . A scaled by D * den_A, from
+    # D * (x^s1*monic_i - x^s2*monic_j) == sum_k Q_k*lc_k * monic_k; every
+    # monomial of Q_i lies below s1 (and of Q_j below s2)
+    for i, j, den, (s1, s2, _, _), (rem, scale, quots) in _reduced_spairs(entries, pk):
         if rem:
             raise AssertionError("S-pair of a reduced basis failed to vanish")
-        # x^s1*monic_i - x^s2*monic_j == sum_k Q_k*lc_k/(scale*den) * monic_k
-        tau = [ring.zero] * s
-        tau[i] = _poly(ring, ((s1, 1),))
-        tau[j] = -_poly(ring, ((s2, 1),))
-        for k, q in enumerate(quots):
-            if q:
-                tau[k] = tau[k] - _poly(ring, q.items(), Fraction(entries[k].lc, scale * den))
+        tau = minus_quotients(quots)
+        tau[i][s1] = scale * den
+        tau[j][s2] = -scale * den
         rows.append(lift(tau))
-    # rows of I - B.A
-    for i, b in enumerate(B):
-        rows.append(tuple((ring.one if c == i else ring.zero) - p for c, p in enumerate(lift(b))))
+    # rows of I - B.A as D * den_A * e_i - (D * B_i) . A_int, from
+    # D * f_i == sum_k Q_k*lc_k * monic_k
+    for i, g in enumerate(gb.generators):
+        work, den = _int_terms(g, pk)
+        rem, scale, quots = _reduce_int(work, entries, pk, want_quotients=True)
+        if rem:
+            raise AssertionError("generator failed to reduce to zero against its own basis")
+        row = lift(minus_quotients(quots))
+        _add_product(row[i], {pk.base: scale * den}, {pk.base: den_A}, pk)
+        rows.append(row)
+
+    def primitive(row):
+        content = gcd(*(c for t in row for c in t.values()))
+        lead = next(t for t in row if t)
+        if lead[max(lead)] < 0:
+            content = -content
+        return tuple(
+            _poly(ring, sorted(((m, c // content) for m, c in t.items()), reverse=True))
+            for t in row
+        )
 
     target = gb.generators
-    cleaned = [_primitive_row(row) for row in rows if not all(p.is_zero() for p in row)]
+    cleaned = [primitive(row) for row in rows if any(row)]
 
     # graded pruning: keep only rows outside the module span of earlier ones,
     # which also drops a row equal to an earlier one; a kept row of the
@@ -766,6 +772,7 @@ def syzygies(gens):
         target,
         tuple(pruned),
         tuple(_tuple_shift(row, target) for row in pruned),
+        gb,
     )
     if not module.verify():
         raise AssertionError("syzygy construction produced an inexact relation")

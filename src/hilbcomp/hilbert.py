@@ -174,7 +174,7 @@ def _minimalize(gens):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _numerator(gens):
     """Q(T) for S/(monomial ideal) as an integer UniPoly; gens minimal, as a
     sorted tuple."""

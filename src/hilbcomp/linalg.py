@@ -3,12 +3,14 @@
 Matrices are lists of rows; entries are ints or Fractions.  `RowSpan` is the
 only elimination routine: it keeps the row space of the rows added so far as
 primitive integer rows (content 1) keyed by pivot column, the column of their
-first nonzero entry.  A new row is cleared of denominators and reduced
-fraction-free against the basis row whose pivot is its current leading
-column, with its content stripped after every step, until it is zero
-(dependent) or leads at a free column (a new pivot).  Rank, span membership,
-the reduced row echelon form, nullspaces, solving and inversion are all read
-off this core.
+first nonzero entry.  Rows are stored sparse, as {column: int} dicts of their
+nonzeros; the API is dense, with rows in and out as lists, those out as wide
+as the widest row added.  A new row is cleared of the denominators of its
+nonzeros and reduced fraction-free against the basis row whose pivot is its
+current leading column, with its content stripped after every step, until
+it is zero (dependent) or leads at a free column (a new pivot).  Rank, span
+membership, the reduced row echelon form, nullspaces, solving and inversion
+are all read off this core.
 
 The batch functions (`rank`, `rref`, `nullspace`, `solve_unique`,
 `invert`) add their rows sparsest first, a stable sort by nonzero count:
@@ -25,39 +27,54 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _eliminate(v, basis, col):
+    """v <- p * v - c * basis in place, for sparse rows and the smallest
+    integers p, c that clear column col of v."""
+    g = gcd(basis[col], v[col])
+    p, c = basis[col] // g, v[col] // g
+    if p != 1:
+        for k in v:
+            v[k] *= p
+    for k, b in basis.items():
+        a = v.get(k, 0) - c * b
+        if a:
+            v[k] = a
+        else:
+            del v[k]
+
+
 class RowSpan:
     """Row space over QQ of the rows added so far, in echelon form."""
 
     def __init__(self):
-        # pivot column -> primitive integer row from the pivot column on
+        # pivot column -> primitive integer row as {column: nonzero int},
+        # whose smallest column is the pivot
         self._rows = {}
+        self._width = 0
 
     def __len__(self):
         return len(self._rows)
 
     def _reduce(self, row):
-        """Remainder of row modulo the span: (pivot, primitive tail) or None."""
-        den = lcm(*(a.denominator for a in row))
-        v = [a.numerator * (den // a.denominator) for a in row]
-        start = 0
-        while True:
-            content = gcd(*v)
-            if not content:
-                return None
+        """Remainder of a dense row modulo the span: (pivot, primitive sparse
+        row) or None."""
+        nonzeros = [(k, a) for k, a in enumerate(row) if a]
+        den = lcm(*(a.denominator for _, a in nonzeros))
+        v = {k: a.numerator * (den // a.denominator) for k, a in nonzeros}
+        while v:
+            content = gcd(*v.values())
             if content > 1:
-                v = [a // content for a in v]
-            lead = next(i for i, a in enumerate(v) if a)
-            v = v[lead:]
-            start += lead
+                v = {k: a // content for k, a in v.items()}
+            start = min(v)
             basis = self._rows.get(start)
             if basis is None:
                 return start, v
-            g = gcd(basis[0], v[0])
-            p, c = basis[0] // g, v[0] // g
-            v = [p * a - c * b for a, b in zip(v, basis)]
+            _eliminate(v, basis, start)
+        return None
 
     def add(self, row):
         """Add row to the span; True when it was independent of it."""
+        self._width = max(self._width, len(row))
         reduced = self._reduce(row)
         if reduced is None:
             return False
@@ -68,19 +85,18 @@ class RowSpan:
         return self._reduce(row) is None
 
     def rref(self):
-        """The unique reduced row echelon basis: (Fraction rows, pivot columns)."""
+        """The unique reduced row echelon basis: (Fraction rows as wide as the
+        widest row added, pivot columns)."""
         pivots = sorted(self._rows)
         done = {}
         for p in reversed(pivots):
-            v = [0] * p + self._rows[p]
-            for q in pivots:
-                if q > p and v[q]:
-                    basis = done[q]
-                    g = gcd(basis[q], v[q])
-                    f, c = basis[q] // g, v[q] // g
-                    v = [f * a - c * b for a, b in zip(v, basis)]
+            v = dict(self._rows[p])
+            # clearing a later pivot column brings in no other pivot column
+            for q in [k for k in v if k in done]:
+                _eliminate(v, done[q], q)
             done[p] = v
-        return [[Fraction(a, done[p][p]) for a in done[p]] for p in pivots], pivots
+        columns = range(self._width)
+        return [[Fraction(done[p].get(k, 0), done[p][p]) for k in columns] for p in pivots], pivots
 
 
 def _span(rows):

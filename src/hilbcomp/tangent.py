@@ -109,21 +109,23 @@ def _check_ring(I):
 def _system(I):
     """(generator degrees, unknown bases, integer rows) of the tangent system.
 
-    Each product s_j * m_k is reduced inside the engine as a packed integer
-    term dict, giving remainder / (den * scale) with den clearing s_j.  The
-    block of one syzygy is scaled by L, the lcm of its den * scale (see the
-    module docstring); only its nonzero rows are kept, in basis order.
+    One grevlex basis serves the whole system: the one `syzygies` builds on
+    the minimal generators, which is the reduced basis of I.  Each product
+    s_j * m_k is reduced inside the engine as a packed integer term dict,
+    giving remainder / (den * scale) with den clearing s_j.  The block of one
+    syzygy is scaled by L, the lcm of its den * scale (see the module
+    docstring); only its nonzero rows are kept, in basis order.
     """
     gens = minimal_generators(I)
     degrees = tuple(g.total_degree() for g in gens)
-    gb = I.groebner_basis()
+    module = syzygies(list(gens))
+    gb = module.basis
     pk = _ring_packing(gb.ring)
     entries = gb._entries
     bases = tuple(gb.standard_monomials(d) for d in degrees)
     packed = [[pk.pack(m) for m in b] for b in bases]
     total = sum(map(len, bases))
 
-    module = syzygies(list(gens))
     rows = []
     for row, shift in zip(module.generators, module.shifts):
         # the relation lands in (S/I)_shift; one equation per basis monomial
@@ -177,7 +179,8 @@ def explicit_basis_check(I, images):
     gens = I.generators
     if len(images) != len(gens):
         raise ValueError("need exactly one image per generator")
-    gb = I.groebner_basis()
+    module = syzygies(list(gens))
+    gb = module.basis
     reduced_images = []
     for g, im in zip(gens, images):
         im_red = gb.reduce(im)
@@ -189,7 +192,6 @@ def explicit_basis_check(I, images):
         reduced_images.append(im_red)
     pk = _ring_packing(gb.ring)
     entries = gb._entries
-    module = syzygies(list(gens))
     for row in module.generators:
         rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), entries, pk)
         if rem:

@@ -8,6 +8,7 @@ from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
 from hilbcomp.hilbert import (
     UniPoly,
+    _numerator,
     binomial_polynomial,
     double_structure_hilbert_count,
     hilbert_function,
@@ -177,3 +178,11 @@ def test_rejects_parameter_rings():
     Rt = PolyRing(3, has_param=True)
     with pytest.raises(ValueError):
         hilbert_series(Ideal(Rt, [Rt.x(0)]))
+
+
+def test_numerator_cache_is_bounded():
+    bound = _numerator.cache_info().maxsize
+    assert bound is not None
+    for d in range(1, bound + 10):
+        assert _numerator(((d,),)).coeffs == (1,) + (0,) * (d - 1) + (-1,)
+    assert _numerator.cache_info().currsize <= bound

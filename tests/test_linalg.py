@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbcomp import linalg
 
@@ -167,3 +170,84 @@ def test_rowspan_add_matches_batch_rank_on_prefixes():
             assert row in span
     assert [0, 0, 0] in linalg.RowSpan()
     assert [1, 0, 0] not in linalg.RowSpan()
+
+
+def _sympy(m, cols):
+    return sympy.Matrix(len(m), cols, [sympy.Rational(a.numerator, a.denominator) for row in m for a in row])
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(matrix, column count): int or Fraction entries, about two thirds
+    zero, with zero rows, all-zero trailing columns and no rows at all
+    among the shapes drawn."""
+    rows, cols, tail = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    values = draw(st.sampled_from([
+        st.integers(-6, 6),
+        st.fractions(-6, 6, max_denominator=4),
+    ]))
+    m = []
+    for _ in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            m.append([0] * (cols + tail))
+            continue
+        row = [draw(values) if draw(st.integers(0, 2)) == 0 else 0 for _ in range(cols)]
+        m.append(row + [0] * tail)
+    return m, cols + tail
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(_sparse_matrices())
+def test_rank_and_rref_agree_with_sympy_on_sparse_matrices(case):
+    m, cols = case
+    ref = _sympy(m, cols)
+    assert linalg.rank(m) == ref.rank()
+    red, pivots = linalg.rref(m)
+    ref_red, ref_pivots = ref.rref()
+    assert tuple(pivots) == ref_pivots
+    assert all(len(row) == cols for row in red)
+    assert _sympy(red, cols) == ref_red[: len(pivots), :]
+
+
+@_PROPERTY
+@given(_sparse_matrices())
+def test_stored_rows_are_sparse_primitive_and_keyed_by_pivot(case):
+    m, _ = case
+    span = linalg.RowSpan()
+    for row in m:
+        span.add(row)
+        for pivot, stored in span._rows.items():
+            assert all(stored.values())
+            assert min(stored) == pivot
+            assert gcd(*stored.values()) == 1
+    assert len(span) == linalg.rank(m)
+
+
+def test_rref_keeps_the_input_width_past_zero_columns():
+    red, pivots = linalg.rref([[2, 4, 0, 0], [1, 2, 0, 0], [0, 0, 0, 0]])
+    assert red == [[1, 2, 0, 0]] and pivots == [0]
+    assert linalg.rref([[0, 0, 0]]) == ([], [])
+
+
+def test_nullspace_of_one_row_with_zero_columns():
+    null = linalg.nullspace([[1, 0, 0]])
+    assert null == [(0, 1, 0), (0, 0, 1)]
+
+
+def test_membership_leaves_the_span_unchanged():
+    assert [0, 0, 0] in linalg.RowSpan()
+    span = linalg.RowSpan()
+    span.add([1, 2])
+    assert [2, 4, 0, 0, 0] in span
+    assert [0, 0, 0, 0, 1] not in span
+    assert span.rref() == ([[1, 2]], [0])
+    assert len(span) == 1
+
+
+def test_solve_unique_with_a_zero_right_hand_side():
+    assert linalg.solve_unique([[1, 2], [3, 4]], [0, 0]) == ((0, 0), True)
+    assert linalg.solve_unique([[1, 2], [2, 4]], [0, 0]) == ((0, 0), False)
+    assert linalg.solve_unique([[0, 0, 0]], [0]) == ((0, 0, 0), False)

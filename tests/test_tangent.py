@@ -91,6 +91,29 @@ def test_minimal_generators_agree_with_basis_oracle(n):
             assert minimal_generators(ideal) == minimal_generators_by_bases(ideal), (label, gens)
 
 
+def test_hom_degree_zero_builds_one_basis(monkeypatch):
+    # the reductions and the standard monomials read the basis that
+    # syzygies built on the minimal generators: the reduced basis of I
+    from hilbcomp import groebner, ideals
+
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("transform", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    I = random_linear_change(normal_form_ideal(4, "III"), seed=8)
+    assert hom_degree_zero(I).dimension == 20
+    assert calls == [True]
+    calls.clear()
+    images = [I.ring.zero] * len(I.generators)
+    assert explicit_basis_check(I, images)
+    assert calls == [True]
+
+
 def test_report_json_shape():
     report = hom_degree_zero(normal_form_ideal(3, "IV"))
     payload = report.to_json()
