@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .classify import classify
@@ -104,8 +105,8 @@ def _build_parser():
     cn.add_argument(
         "--divisor",
         required=True,
-        help="comma-separated integers; write a class whose first coordinate "
-        "is negative with '=', as in --divisor=-1,2",
+        help="comma-separated integers, as in --divisor 0,6; a negative first "
+        "coordinate may be written --divisor -1,2 or --divisor=-1,2",
     )
 
     vf = sub.add_parser("verify", help="run the full verification battery")
@@ -266,11 +267,23 @@ _COMMANDS = {
 }
 
 
+def _joined_divisor(argv):
+    """argv with `--divisor -1,2` written `--divisor=-1,2`: argparse reads a
+    separate value that starts with '-' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--divisor" and re.match(r"-\d", arg):
+            out[-1] = f"--divisor={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run_subcommand(argv=None):
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_divisor(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

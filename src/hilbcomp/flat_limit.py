@@ -7,9 +7,9 @@ compares the Hilbert polynomial of the limit with those of deterministic
 sample fibers.  Both saturations are `ideals.saturate`: by (t) it is one
 elimination of u from (I, 1 - u*t), and by the irrelevant ideal it is read
 off the grevlex basis of the fiber and certified by its Hilbert polynomial,
-with the quotient loop as the fallback.  Projective pencils are handled on
-the affine chart where the other pencil coordinate equals 1; the report
-records that chart.
+with the meet of the principal saturations by x_0..x_n as the fallback.
+Projective pencils are handled on the affine chart where the other pencil
+coordinate equals 1; the report records that chart.
 
 The limit is computed once per Family: `limit_ideal` keeps it on the frozen
 Family, so the probe reuses the limit its caller already built.  The probe

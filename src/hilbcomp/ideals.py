@@ -5,12 +5,12 @@ An Ideal is a generator list in a fixed ring with a cached reduced Groebner
 basis.  Equality means equality of grevlex reduced bases, which is the
 canonical representative throughout the package.  Intersections go through
 one auxiliary variable u and block elimination; quotients reduce to
-intersections with principal ideals.  Saturation takes the cheapest of three
-routes: by an ideal with the irrelevant radical, it reads I : x_n^oo off the
-grevlex basis of I and keeps it when the Hilbert polynomial certifies it;
-by a principal ideal (f), it eliminates u from (I, 1 - u*f); otherwise, or
-when the certificate fails, it iterates the quotient until the ascending
-chain stabilizes.
+intersections with principal ideals.  Saturation has two routes: by an
+ideal with the irrelevant radical, it reads I : x_n^oo off the grevlex
+basis of I and keeps it when the Hilbert polynomial certifies it;
+otherwise, or when the certificate fails, it is the meet of principal
+saturations I : g^oo over the generators g, each one elimination of u from
+(I, 1 - u*g).
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def _u_ring(ring):
     return ext.with_order(elimination_order([u_idx])), u_idx
 
 
-def _eliminate_u(ring, gens, u_idx):
-    """<gens> meet the u-free subring, as an ideal of `ring`."""
-    elim = eliminate_generators(gens, [u_idx])
-    # the u-free part of the reduced block basis is itself the reduced
+def _eliminated(ring, gens, front):
+    """<gens> meet the subring free of the `front` variables, as an ideal of
+    `ring`."""
+    elim = eliminate_generators(gens, front)
+    # the front-free part of the reduced block basis is itself the reduced
     # grevlex basis of the elimination ideal: the block order restricted to
-    # u-free monomials is grevlex, and autoreduction is inherited
+    # front-free monomials is grevlex, and autoreduction is inherited
     return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
 
 
@@ -171,7 +172,7 @@ def intersect(I, J):
     for g in J.generators:
         g = g.convert(ext)
         gens.append(Polynomial(ext, times_u(g, -1) + g.terms))
-    return _eliminate_u(ring, gens, u_idx)
+    return _eliminated(ring, gens, [u_idx])
 
 
 def quotient_by_element(I, g):
@@ -210,26 +211,21 @@ def saturate(I, J):
     S / I^sat, which has no m-torsion; so a nonzero K / I^sat has
     positive-dimensional support and a nonzero Hilbert polynomial, and
     HP(I) - HP(K) == HP(K / I^sat) would not vanish.  In coordinates where
-    x_n is not general for I the check fails and the quotient loop below
-    runs instead.
+    x_n is not general for I the check fails and the meet below decides.
 
-    For J = (f) the saturation is the u-free part of (I, 1 - u*f)
-    (Rabinowitsch), one elimination.  Any other J iterates the quotient
-    I : J until the ascending chain stabilizes.
+    Otherwise I : J^oo is the meet of the principal saturations I : g^oo
+    over the generators g of J: if f*g^k lies in I for every g, so does
+    f*J^N for N large, as J^N lies in the ideal of the g^k.  Each I : g^oo
+    is the u-free part of (I, 1 - u*g) (Rabinowitsch), one elimination.
     """
     _require_same_ring(I, J)
+    if J.is_zero():
+        raise ValueError("saturation by the zero ideal")
     if _radical_is_irrelevant(I, J):
         candidate = _saturate_by_last_variable(I)
         if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
             return candidate
-    elif len(J.generators) == 1:
-        return _saturate_principal(I, J.generators[0])
-    current = I.canonical()
-    while True:
-        step = quotient(current, J)
-        if step == current:
-            return current
-        current = step
+    return functools.reduce(intersect, (_saturate_principal(I, g) for g in J.generators))
 
 
 def _radical_is_irrelevant(I, J):
@@ -265,7 +261,7 @@ def _saturate_principal(I, f):
     ext, u_idx = _u_ring(ring)
     gens = [g.convert(ext) for g in I.generators]
     gens.append(ext.one - ext.variable(u_idx) * f.convert(ext))
-    return _eliminate_u(ring, gens, u_idx)
+    return _eliminated(ring, gens, [u_idx])
 
 
 def ideal_sum(I, J):
@@ -283,9 +279,7 @@ def eliminate(I, front_vars):
     front = tuple(sorted(set(front_vars)))
     if not front or I.is_zero():
         return I
-    # the front-free part of the reduced block basis is the reduced grevlex
-    # basis of the elimination ideal (see _eliminate_u)
-    return _with_seeded_gb(I.ring, eliminate_generators(list(I.generators), front))
+    return _eliminated(I.ring, I.generators, front)
 
 
 def random_invertible_matrix(ring, seed):

@@ -470,146 +470,69 @@ def monomials_of_degree(width, d):
 #               term := coeff ('*' factor)* | factor ('*' factor)*
 #               factor := var ('^' nat)? ;  coeff := int | int '/' posint
 #               var := 'x' nat | 't'
+# Whitespace may separate any two symbols.  A '-' opens a term only as the
+# sign of an integer coefficient: "-1*x0" parses, "-x0" does not.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<var>x\d+|t)|(?P<num>\d+)|(?P<op>[-+*/^]))"
-)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        elif m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text, ring):
-        self.text = text
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        acc = {}
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "end":
-            raise ParseError("empty polynomial expression", pos)
-        self._term(acc, sign)
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and val in "+-":
-                self.advance()
-                self._term(acc, 1 if val == "+" else -1)
-            else:
-                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
-        return self.ring.from_dict(acc)
-
-    def _term(self, acc, sign):
-        num, den = sign, 1
-        mono = [0] * self.ring.width
-        kind, val, pos = self.peek()
-        if kind == "num" or (kind == "op" and val == "-"):
-            num, den = self._coeff(sign)
-            kind, val, pos = self.peek()
-            while kind == "op" and val == "*":
-                self.advance()
-                self._factor(mono)
-                kind, val, pos = self.peek()
-        elif kind == "var":
-            self._factor(mono)
-            kind, val, pos = self.peek()
-            while kind == "op" and val == "*":
-                self.advance()
-                self._factor(mono)
-                kind, val, pos = self.peek()
-        else:
-            raise ParseError(f"expected a term, found {val!r}", pos)
-        m = tuple(mono)
-        acc[m] = acc.get(m, 0) + (num if den == 1 else Fraction(num, den))
-
-    def _coeff(self, sign):
-        """(numerator, denominator) of a signed coefficient times sign."""
-        kind, val, pos = self.advance()
-        if kind == "op" and val == "-":
-            sign = -sign
-            kind, val, pos = self.advance()
-        if kind != "num":
-            raise ParseError(f"expected an integer, found {val!r}", pos)
-        num = sign * int(val)
-        kind2, val2, _ = self.peek()
-        if kind2 == "op" and val2 == "/":
-            self.advance()
-            kind3, val3, pos3 = self.advance()
-            if kind3 != "num":
-                raise ParseError(f"expected a denominator, found {val3!r}", pos3)
-            den = int(val3)
-            if den == 0:
-                raise ParseError("zero denominator", pos3)
-            return num, den
-        return num, 1
-
-    def _factor(self, mono):
-        kind, val, pos = self.advance()
-        if kind != "var":
-            raise ParseError(f"expected a variable, found {val!r}", pos)
-        idx = self._var_index(val, pos)
-        exp = 1
-        kind2, val2, _ = self.peek()
-        if kind2 == "op" and val2 == "^":
-            self.advance()
-            kind3, val3, pos3 = self.advance()
-            if kind3 != "num":
-                raise ParseError(f"expected an exponent, found {val3!r}", pos3)
-            exp = int(val3)
-            if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} too large", pos3)
-        mono[idx] += exp
-        if mono[idx] > MAX_EXPONENT:
-            raise ParseError("accumulated exponent too large", pos)
-
-    def _var_index(self, name, pos):
-        ring = self.ring
-        if name == "t":
-            if not ring.has_param:
-                raise ParseError("variable t not available in this ring", pos)
-            return ring.param_index
-        i = int(name[1:])
-        if i >= ring.num_vars:
-            raise ParseError(f"unknown variable {name}", pos)
-        return i
+_FACTOR = r"(?:x\d+|t)(?:\s*\^\s*\d+)?"
+_TERM = re.compile(rf"\s*(?:(-)?\s*(\d+)(?:\s*/\s*(\d+))?|{_FACTOR})(?:\s*\*\s*{_FACTOR})*")
+_VARIABLE = re.compile(r"(x\d+|t)(?:\s*\^\s*(\d+))?")
+_OPERATOR = re.compile(r"\s*([-+]|$)")
 
 
 def parse(text, ring):
-    """Parse polynomial text into canonical form.  parse(format(p)) == p."""
-    # a leading '-' must open a signed integer coefficient per the grammar
-    return _Parser(text, ring).parse()
+    """Parse polynomial text into canonical form.  parse(format(p)) == p.
+
+    Each term is one anchored match where the previous operator ended, and
+    one scan of that match reads its variables and exponents.  A syntax
+    error is reported at the first character where no term or operator
+    matches."""
+    acc = {}
+    sign, pos = 1, 0
+    while True:
+        term = _TERM.match(text, pos)
+        if term is None:
+            raise _syntax_error(text, pos, "a term")
+        minus, num, den = term.groups()
+        coeff = (-sign if minus else sign) * int(num or 1)
+        if den is not None:
+            if int(den) == 0:
+                raise ParseError("zero denominator", term.start(3))
+            coeff = Fraction(coeff, int(den))
+        mono = [0] * ring.width
+        for factor in _VARIABLE.finditer(text, term.start(), term.end()):
+            name, exp = factor.groups()
+            at = factor.start()
+            if name == "t":
+                if not ring.has_param:
+                    raise ParseError("variable t not available in this ring", at)
+                idx = ring.param_index
+            else:
+                idx = int(name[1:])
+                if idx >= ring.num_vars:
+                    raise ParseError(f"unknown variable {name}", at)
+            e = 1 if exp is None else int(exp)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} too large", factor.start(2))
+            mono[idx] += e
+            if mono[idx] > MAX_EXPONENT:
+                raise ParseError("accumulated exponent too large", at)
+        m = tuple(mono)
+        acc[m] = acc.get(m, 0) + coeff
+        op = _OPERATOR.match(text, term.end())
+        if op is None:
+            raise _syntax_error(text, term.end(), "'+' or '-'")
+        if not op.group(1):
+            return ring.from_dict(acc)
+        sign = 1 if op.group(1) == "+" else -1
+        pos = op.end()
+
+
+def _syntax_error(text, pos, wanted):
+    """ParseError at the first non-space character from pos, or at the end."""
+    at = len(text) - len(text[pos:].lstrip())
+    found = repr(text[at]) if at < len(text) else "the end"
+    return ParseError(f"expected {wanted}, found {found}", at)
 
 
 def format_polynomial(p):

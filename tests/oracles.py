@@ -1,12 +1,13 @@
 """Brute-force oracles and invariant checks that the test suites compare against."""
 
 import heapq
+import re
 from fractions import Fraction
 from math import gcd
 
 from hilbcomp import linalg
-from hilbcomp.errors import RingMismatchError
-from hilbcomp.rings import _divides, _mono_mul, monomials_of_degree
+from hilbcomp.errors import ParseError, RingMismatchError
+from hilbcomp.rings import MAX_EXPONENT, _divides, _mono_mul, monomials_of_degree
 
 
 def validate_canonical(p):
@@ -357,3 +358,146 @@ def row_coordinates_by_products(ring, target, row, shift, mono=None):
             Fraction(lookup.get(m, 0)) for m in monomials_of_degree(ring.width, shift - f.total_degree())
         )
     return coords
+
+
+# A recursive-descent parser of the grammar in `rings` over a token list.  The
+# whole line is tokenized first, so a syntax error lands at the first
+# untokenizable character or at the offending token.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<var>x\d+|t)|(?P<num>\d+)|(?P<op>[-+*/^]))"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == m.start():
+            if text[pos:].strip() == "":
+                break
+            bad = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[bad]!r}", bad)
+        if m.lastgroup == "var":
+            tokens.append(("var", m.group("var"), m.start("var")))
+        elif m.lastgroup == "num":
+            tokens.append(("num", m.group("num"), m.start("num")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text, ring):
+        self.text = text
+        self.ring = ring
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        acc = {}
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "end":
+            raise ParseError("empty polynomial expression", pos)
+        self._term(acc, sign)
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "end":
+                break
+            if kind == "op" and val in "+-":
+                self.advance()
+                self._term(acc, 1 if val == "+" else -1)
+            else:
+                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
+        return self.ring.from_dict(acc)
+
+    def _term(self, acc, sign):
+        num, den = sign, 1
+        mono = [0] * self.ring.width
+        kind, val, pos = self.peek()
+        if kind == "num" or (kind == "op" and val == "-"):
+            num, den = self._coeff(sign)
+            kind, val, pos = self.peek()
+            while kind == "op" and val == "*":
+                self.advance()
+                self._factor(mono)
+                kind, val, pos = self.peek()
+        elif kind == "var":
+            self._factor(mono)
+            kind, val, pos = self.peek()
+            while kind == "op" and val == "*":
+                self.advance()
+                self._factor(mono)
+                kind, val, pos = self.peek()
+        else:
+            raise ParseError(f"expected a term, found {val!r}", pos)
+        m = tuple(mono)
+        acc[m] = acc.get(m, 0) + (num if den == 1 else Fraction(num, den))
+
+    def _coeff(self, sign):
+        """(numerator, denominator) of a signed coefficient times sign."""
+        kind, val, pos = self.advance()
+        if kind == "op" and val == "-":
+            sign = -sign
+            kind, val, pos = self.advance()
+        if kind != "num":
+            raise ParseError(f"expected an integer, found {val!r}", pos)
+        num = sign * int(val)
+        kind2, val2, _ = self.peek()
+        if kind2 == "op" and val2 == "/":
+            self.advance()
+            kind3, val3, pos3 = self.advance()
+            if kind3 != "num":
+                raise ParseError(f"expected a denominator, found {val3!r}", pos3)
+            den = int(val3)
+            if den == 0:
+                raise ParseError("zero denominator", pos3)
+            return num, den
+        return num, 1
+
+    def _factor(self, mono):
+        kind, val, pos = self.advance()
+        if kind != "var":
+            raise ParseError(f"expected a variable, found {val!r}", pos)
+        idx = self._var_index(val, pos)
+        exp = 1
+        kind2, val2, _ = self.peek()
+        if kind2 == "op" and val2 == "^":
+            self.advance()
+            kind3, val3, pos3 = self.advance()
+            if kind3 != "num":
+                raise ParseError(f"expected an exponent, found {val3!r}", pos3)
+            exp = int(val3)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} too large", pos3)
+        mono[idx] += exp
+        if mono[idx] > MAX_EXPONENT:
+            raise ParseError("accumulated exponent too large", pos)
+
+    def _var_index(self, name, pos):
+        ring = self.ring
+        if name == "t":
+            if not ring.has_param:
+                raise ParseError("variable t not available in this ring", pos)
+            return ring.param_index
+        i = int(name[1:])
+        if i >= ring.num_vars:
+            raise ParseError(f"unknown variable {name}", pos)
+        return i
+
+
+def parse_by_tokens(text, ring):
+    """`rings.parse` by tokens and recursive descent: the same strings are
+    accepted and give the same polynomials; error positions may differ."""
+    return _Parser(text, ring).parse()

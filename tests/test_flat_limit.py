@@ -247,7 +247,8 @@ def test_naive_fiber_is_contained_in_the_limit():
 def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monkeypatch):
     # the grevlex read-off must agree with the quotient loop on the special
     # fiber and on sample fibers; in moved coordinates x_n is general for
-    # every fiber, so the Hilbert-polynomial check accepts without the loop
+    # every fiber, so the Hilbert-polynomial check accepts without the
+    # principal meet
     cases = []
     for k, name in enumerate(("embedded", "double", "quadric_union", "substitution")):
         total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
@@ -258,11 +259,13 @@ def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monk
         m = irrelevant_ideal(special.ring)
         for X in [special] + [_specialize(total, t0) for t0 in SAMPLE_POINTS[:2]]:
             cases.append((X, m, saturate_by_quotients(X, m)))
-    quotient_calls = []
-    original = ideals.quotient
-    monkeypatch.setattr(ideals, "quotient", lambda A, B: quotient_calls.append(1) or original(A, B))
+    principal_calls = []
+    original = ideals._saturate_principal
+    monkeypatch.setattr(
+        ideals, "_saturate_principal", lambda A, g: principal_calls.append(g) or original(A, g)
+    )
     for X, m, want in cases:
         got = saturate(X, m)
         assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
     if moved:
-        assert not quotient_calls
+        assert not principal_calls

@@ -103,25 +103,35 @@ def test_saturation_by_a_nonvanishing_coordinate():
     assert saturate(I("x0^2", "x0*x1"), I("x0")) == Ideal(R, [R.one])
 
 
-def _count_quotients(monkeypatch):
+def _spy_principal(monkeypatch):
+    """Record the g of every principal saturation I : g^oo that saturate runs."""
     calls = []
-    original = ideals.quotient
-    monkeypatch.setattr(ideals, "quotient", lambda A, B: calls.append(1) or original(A, B))
+    original = ideals._saturate_principal
+    monkeypatch.setattr(
+        ideals, "_saturate_principal", lambda B, g: calls.append(g) or original(B, g)
+    )
     return calls
 
 
 def test_saturation_rejects_a_candidate_with_the_wrong_hilbert_polynomial(monkeypatch):
     # x2 is not general for (x0*x2): I : x2^oo = (x0), with HP m + 1
-    # against 2m + 1, so the check refuses it and the quotient loop decides
+    # against 2m + 1, so the check refuses it and the meet of the principal
+    # saturations by x0, x1, x2 decides
     R3 = PolyRing(3)
     A = Ideal(R3, [parse("x0*x2", R3)])
     candidate = ideals._saturate_by_last_variable(A)
     assert candidate == Ideal(R3, [R3.x(0)])
     assert str(hilbert_series(candidate).hilbert_polynomial) == "m + 1"
     assert str(hilbert_series(A).hilbert_polynomial) == "2*m + 1"
-    calls = _count_quotients(monkeypatch)
-    assert saturate(A, irrelevant_ideal(R3)) == A
-    assert calls
+    principal = _spy_principal(monkeypatch)
+    m = irrelevant_ideal(R3)
+    assert saturate(A, m) == A
+    assert principal == list(m.generators)
+
+
+def test_saturation_by_the_zero_ideal_is_refused():
+    with pytest.raises(ValueError):
+        saturate(I("x0*x1"), Ideal(R, []))
 
 
 def test_saturation_by_an_m_primary_ideal_matches_m(monkeypatch):
@@ -130,9 +140,9 @@ def test_saturation_by_an_m_primary_ideal_matches_m(monkeypatch):
     m = irrelevant_ideal(R3)
     A = random_linear_change(ideal_product(Ideal(R3, [R3.x(0)]), m), seed=5)
     primary = Ideal(R3, [parse(t, R3) for t in ("x0^2", "x1", "x2^3")])
-    calls = _count_quotients(monkeypatch)
+    principal = _spy_principal(monkeypatch)
     got = saturate(A, primary)
-    assert not calls
+    assert not principal
     assert got == saturate(A, m) == random_linear_change(Ideal(R3, [R3.x(0)]), seed=5)
     assert got == saturate_by_quotients(A, primary)
 

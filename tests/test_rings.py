@@ -1,10 +1,12 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from hilbcomp.errors import ParseError, RingMismatchError
+from hilbcomp.ideals import loads_ideal
 from hilbcomp.rings import (
     GREVLEX,
     LEX,
@@ -18,6 +20,7 @@ from hilbcomp.rings import (
 from oracles import (
     compose_linear_by_products,
     convert_by_name,
+    parse_by_tokens,
     substitute_by_expansion,
     validate_canonical,
 )
@@ -77,6 +80,55 @@ def test_parse_rejects_bare_unary_minus_monomial(ring):
     with pytest.raises(ParseError):
         parse("-x0", ring)
     assert parse("-1*x0", ring) == -ring.x(0)
+
+
+# pieces of random parser input: variables (x01 reads as x1, x9 exists only
+# in the ring without t), separators, a non-ASCII digit and characters that
+# belong to no symbol
+_PARSE_PIECES = (
+    "x0", "x01", "x9", "t", "0", "/", "*", "^", "+", "-", "--",
+    " ", "\t", "\n", "\u0663", ".", "?", "99999999",
+)
+
+
+def _parse_outcome(parser, text, ring):
+    """The parsed polynomial, or None after a ParseError whose position is
+    a non-space character of text or its end."""
+    try:
+        return parser(text, ring)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text), (text, exc.position)
+        assert exc.position == len(text) or not text[exc.position].isspace(), text
+        return None
+
+
+def test_parse_agrees_with_the_token_parser_on_random_text():
+    rng = random.Random(16)
+    rings = (PolyRing(10), PolyRing(4, has_param=True))
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(
+            rng.choice(_PARSE_PIECES) if rng.random() < 0.7 else str(rng.randint(1, 12))
+            for _ in range(rng.randint(1, 8))
+        )
+        for R in rings:
+            got = _parse_outcome(parse, text, R)
+            want = _parse_outcome(parse_by_tokens, text, R)
+            assert got == want, (text, R)
+            accepted += got is not None
+    assert accepted > 2000
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(__file__).parent.glob("data/*.ideal")), ids=lambda p: p.name
+)
+def test_parse_agrees_with_the_token_parser_on_ideal_files(path):
+    text = path.read_text(encoding="utf-8")
+    ring = loads_ideal(text).ring
+    lines = [ln.strip() for ln in text.splitlines()]
+    # the first content line is the header
+    for line in [ln for ln in lines if ln and not ln.startswith("#")][1:]:
+        assert parse(line, ring) == parse_by_tokens(line, ring)
 
 
 @pytest.mark.parametrize(
