@@ -23,34 +23,17 @@ SchemeType.retries counts the rejected complete-intersection draws.
 
 All four normal forms are generated by quadrics in x_0..x_3, so every point
 of the component in P^n is a cone, with vertex P^(n-4), over a point of
-P^3.  Before the procedure runs, I is written in its essential variables
-(E. Carlini, "Reducing the number of variables of a polynomial", Algebraic
-Geometry and Geometric Modeling, Springer 2006):
+P^3.  Before the procedure runs, the quadrics of I are written in their
+essential variables by ideals.essential_form, which holds the proof: a
+linear change of coordinates g, found as a restriction, takes them into
+S' = QQ[y_0..y_(m-1)] with m = max(4, k), where they generate an ideal I'.
+Then:
 
-  * let W be the span of the first partial derivatives of the quadrics of
-    I.  Over QQ a quadric q = x^T Q x has gradient 2Qx, so the partials of
-    all the quadrics span the column spaces of their symmetric matrices,
-    and every kernel of a Q contains the orthogonal complement of W;
-  * let w_0..w_(k-1) be the reduced row echelon basis of W (as
-    coefficient rows), w_i with pivot column p_i, and complete it by the
-    unit rows at the free columns to an invertible matrix A.  Substitute
-    x -> A^-1 y.  For j >= k column j of A^-1 is orthogonal to
-    w_0..w_(k-1), so it lies in every kernel and the substituted quadrics
-    do not involve y_j: they lie in S' = QQ[y_0..y_(m-1)] with
-    m = max(4, k);
-  * for i < k column i of A^-1 is the unit vector e_(p_i), because
-    A e_(p_i) = (w_0[p_i], ..., w_(k-1)[p_i], 0, ..., 0) = e_i: an rref row
-    is 1 at its own pivot and 0 at the others, and e_(p_i) has no free
-    entry.  Setting the absent y_j (j >= k) to 0 thus sends x to
-    y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted quadric is
-    the quadric with every free variable set to 0 and x_(p_i) renamed y_i.
-    The change of coordinates is a restriction, and A is never built;
-  * when m < n + 1 they generate an ideal I' of S', and I'S lies in the
-    substituted ideal gI.  Adjoining a variable divides a Hilbert series
-    by 1 - T, so S'/I' and S/I'S have the same series numerator (the
-    numerator over (1 - T)^(number of variables)), and S/gI has that of
-    S/I.  When the two numerators agree, I'S and gI have the same dimension
-    in every degree, so I'S == gI;
+  * when m < n + 1, I'S lies in the substituted ideal gI.  Adjoining a
+    variable divides a Hilbert series by 1 - T, so S'/I' and S/I'S have the
+    same series numerator (the numerator over (1 - T)^(number of
+    variables)), and S/gI has that of S/I.  When the two numerators agree,
+    I'S and gI have the same dimension in every degree, so I'S == gI;
   * S' -> S is a polynomial extension: faithfully flat, and PS is prime of
     the same codimension for every prime P of S'.  So primary
     decompositions extend, with every projective dimension raised by
@@ -73,7 +56,7 @@ from math import lcm
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import hilbert_series, pair_hilbert_polynomial
-from .ideals import Ideal, quotient, quotient_by_element
+from .ideals import Ideal, _symmetric_matrix, essential_form, quotient, quotient_by_element
 from .rings import PolyRing, _mono_mul, monomials_of_degree
 
 LABELS = {
@@ -139,52 +122,19 @@ def _quadric_basis(I):
     return out
 
 
-def _symmetric_matrix(q, nv):
-    """2Q for the quadric q = x^T Q x: row i holds the coefficients of the
-    partial derivative d q / d x_i."""
-    rows = [[0] * nv for _ in range(nv)]
-    for mono, c in q.terms:
-        a, b = (i for i, e in enumerate(mono) for _ in range(e))
-        rows[a][b] += c
-        rows[b][a] += c
-    return rows
-
-
 def _essential_form(I, data):
     """(I', dropped): the quadrics of I written in their essential
     variables, in m = max(4, dim W) of them, with dropped = n + 1 - m; or
     (I, 0) when no variable drops or the quadrics do not generate I.
 
-    `data` is the Hilbert data of I; see the module docstring for the proof.
+    `data` is the Hilbert data of I; the gate is the module docstring's
+    series-numerator comparison.
     """
-    nv = I.ring.num_vars
-    quadrics = _quadric_basis(I)
-    partials = linalg.RowSpan()
-    for q in quadrics:
-        for row in _symmetric_matrix(q, nv):
-            partials.add(row)
-    basis, pivots = partials.rref()
-    m = max(4, len(basis))
-    if m >= nv:
+    reduced, _ = essential_form(I.ring, _quadric_basis(I))
+    dropped = I.ring.num_vars - reduced.ring.num_vars
+    if not dropped or hilbert_series(reduced).series_numerator != data.series_numerator:
         return I, 0
-    # restrict to the free variables = 0 and rename x_(p_i) to y_i
-    position = {p: i for i, p in enumerate(pivots)}
-    small = PolyRing(m)
-    restricted = []
-    for q in quadrics:
-        acc = {}
-        for mono, c in q.terms:
-            if all(j in position for j, e in enumerate(mono) if e):
-                image = [0] * m
-                for j, e in enumerate(mono):
-                    if e:
-                        image[position[j]] = e
-                acc[tuple(image)] = c
-        restricted.append(small.from_dict(acc))
-    reduced = Ideal(small, restricted)
-    if hilbert_series(reduced).series_numerator != data.series_numerator:
-        return I, 0
-    return reduced, nv - m
+    return reduced, dropped
 
 
 def _random_combination(polys, rng):

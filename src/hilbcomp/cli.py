@@ -267,23 +267,32 @@ _COMMANDS = {
 }
 
 
-def _joined_divisor(argv):
-    """argv with `--divisor -1,2` written `--divisor=-1,2`: argparse reads a
-    separate value that starts with '-' as an option."""
-    out = []
-    for arg in argv:
+def _normalized_argv(argv):
+    """argv as argparse must see it.  argparse reads a separate argument
+    that starts with '-' as an option unless it is a plain negative number,
+    so `--divisor -1,2` is written `--divisor=-1,2`, and any other argument
+    that starts with '-' and a digit, such as the polynomial of
+    `nf <file> "-1*x0"`, moves behind a '--' at the end.  Arguments after a
+    given '--' are kept as they are."""
+    out, positional = [], []
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            positional.extend(argv[k + 1:])
+            break
         if out and out[-1] == "--divisor" and re.match(r"-\d", arg):
             out[-1] = f"--divisor={arg}"
+        elif re.match(r"-\d", arg) and not re.fullmatch(r"-\d+", arg):
+            positional.append(arg)
         else:
             out.append(arg)
-    return out
+    return out + ["--"] + positional if positional else out
 
 
 def run_subcommand(argv=None):
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_joined_divisor(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_normalized_argv(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

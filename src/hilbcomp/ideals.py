@@ -10,7 +10,8 @@ ideal with the irrelevant radical, it reads I : x_n^oo off the grevlex
 basis of I and keeps it when the Hilbert polynomial certifies it;
 otherwise, or when the certificate fails, it is the meet of principal
 saturations I : g^oo over the generators g, each one elimination of u from
-(I, 1 - u*g).
+(I, 1 - u*g).  `essential_form` writes quadrics in their essential
+variables, for classification and tangent spaces alike.
 """
 
 from __future__ import annotations
@@ -313,6 +314,80 @@ def random_linear_change(I, seed, matrix=None):
         for i, row in enumerate(matrix)
     }
     return Ideal(ring, [g.substitute(images) for g in I.generators])
+
+
+def _symmetric_matrix(q, nv):
+    """2Q for the quadric q = x^T Q x: row i holds the coefficients of the
+    partial derivative d q / d x_i."""
+    rows = [[0] * nv for _ in range(nv)]
+    for mono, c in q.terms:
+        a, b = (i for i, e in enumerate(mono) for _ in range(e))
+        rows[a][b] += c
+        rows[b][a] += c
+    return rows
+
+
+def essential_form(ring, quadrics):
+    """(I', columns): the ideal of the quadrics, polynomials of
+    ring = QQ[x_0..x_n], written in their m = max(4, k) essential variables
+    y_0..y_(m-1), with k the dimension of the span W of their first
+    partials.  y_i stands for x_(columns[i]): columns lists the pivot
+    columns of W's rref basis, then the free columns in ascending order,
+    n + 1 entries in all, and the y_j with j >= m are the dropped variables.
+    When m >= n + 1 nothing is restricted: I' is the ideal of the quadrics in
+    ring itself and columns is the identity.
+
+    The proof (E. Carlini, "Reducing the number of variables of a
+    polynomial", Algebraic Geometry and Geometric Modeling, Springer 2006):
+
+      * let W be the span of the first partial derivatives of the quadrics.
+        Over QQ a quadric q = x^T Q x has gradient 2Qx, so the partials of
+        all the quadrics span the column spaces of their symmetric
+        matrices, and every kernel of a Q contains the orthogonal complement
+        of W;
+      * let w_0..w_(k-1) be the reduced row echelon basis of W (as
+        coefficient rows), w_i with pivot column p_i, and complete it by the
+        unit rows at the free columns to an invertible matrix A.  Substitute
+        x -> A^-1 y.  For j >= k column j of A^-1 is orthogonal to
+        w_0..w_(k-1), so it lies in every kernel and the substituted
+        quadrics do not involve y_j: they lie in S' = QQ[y_0..y_(m-1)] with
+        m = max(4, k);
+      * for i < k column i of A^-1 is the unit vector e_(p_i), because
+        A e_(p_i) = (w_0[p_i], ..., w_(k-1)[p_i], 0, ..., 0) = e_i: an rref
+        row is 1 at its own pivot and 0 at the others, and e_(p_i) has no
+        free entry.  Setting the absent y_j (j >= k) to 0 thus sends x to
+        y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted quadric
+        is the quadric with every free variable set to 0 and x_(p_i) renamed
+        y_i.  The change of coordinates is a restriction, and A is never
+        built.
+
+    So the substituted ideal gI of the quadrics is I'S.
+    """
+    nv = ring.num_vars
+    partials = linalg.RowSpan()
+    for q in quadrics:
+        for row in _symmetric_matrix(q, nv):
+            partials.add(row)
+    basis, pivots = partials.rref()
+    m = max(4, len(basis))
+    if m >= nv:
+        return Ideal(ring, quadrics), tuple(range(nv))
+    # restrict to the free variables = 0 and rename x_(p_i) to y_i
+    position = {p: i for i, p in enumerate(pivots)}
+    small = PolyRing(m)
+    restricted = []
+    for q in quadrics:
+        acc = {}
+        for mono, c in q.terms:
+            if all(j in position for j, e in enumerate(mono) if e):
+                image = [0] * m
+                for j, e in enumerate(mono):
+                    if e:
+                        image[position[j]] = e
+                acc[tuple(image)] = c
+        restricted.append(small.from_dict(acc))
+    free = tuple(j for j in range(nv) if j not in position)
+    return Ideal(small, restricted), tuple(pivots) + free
 
 
 # ---------------------------------------------------------------------------

@@ -476,7 +476,7 @@ def monomials_of_degree(width, d):
 
 _FACTOR = r"(?:x\d+|t)(?:\s*\^\s*\d+)?"
 _TERM = re.compile(rf"\s*(?:(-)?\s*(\d+)(?:\s*/\s*(\d+))?|{_FACTOR})(?:\s*\*\s*{_FACTOR})*")
-_VARIABLE = re.compile(r"(x\d+|t)(?:\s*\^\s*(\d+))?")
+_VARIABLE = re.compile(r"(?:x(\d+)|t)(?:\s*\^\s*(\d+))?")
 _OPERATOR = re.compile(r"\s*([-+]|$)")
 
 
@@ -494,24 +494,25 @@ def parse(text, ring):
         if term is None:
             raise _syntax_error(text, pos, "a term")
         minus, num, den = term.groups()
-        coeff = (-sign if minus else sign) * int(num or 1)
+        coeff = (-sign if minus else sign) * (_integer(term, 2) if num else 1)
         if den is not None:
-            if int(den) == 0:
+            den = _integer(term, 3)
+            if den == 0:
                 raise ParseError("zero denominator", term.start(3))
-            coeff = Fraction(coeff, int(den))
+            coeff = Fraction(coeff, den)
         mono = [0] * ring.width
         for factor in _VARIABLE.finditer(text, term.start(), term.end()):
-            name, exp = factor.groups()
+            index, exp = factor.groups()
             at = factor.start()
-            if name == "t":
+            if index is None:
                 if not ring.has_param:
                     raise ParseError("variable t not available in this ring", at)
                 idx = ring.param_index
             else:
-                idx = int(name[1:])
+                idx = _integer(factor, 1)
                 if idx >= ring.num_vars:
-                    raise ParseError(f"unknown variable {name}", at)
-            e = 1 if exp is None else int(exp)
+                    raise ParseError(f"unknown variable x{index}", at)
+            e = 1 if exp is None else _integer(factor, 2)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} too large", factor.start(2))
             mono[idx] += e
@@ -526,6 +527,17 @@ def parse(text, ring):
             return ring.from_dict(acc)
         sign = 1 if op.group(1) == "+" else -1
         pos = op.end()
+
+
+def _integer(match, group):
+    """The digits of a match group as an int; a ParseError at their start
+    when int() refuses them (more digits than sys.get_int_max_str_digits(),
+    4,300 by default)."""
+    try:
+        return int(match.group(group))
+    except ValueError:
+        digits = len(match.group(group))
+        raise ParseError(f"number of {digits} digits too long", match.start(group)) from None
 
 
 def _syntax_error(text, pos, wanted):

@@ -28,6 +28,45 @@ integer L, the lcm of the block's den * scale.  That multiplies each row of
 the block by the same nonzero constant L, which leaves each row's zero
 pattern and the row space of the block, hence of the whole system, and its
 rank unchanged.
+
+When every minimal generator is a quadric, the system is solved on the
+essential variables by flat base change.  `ideals.essential_form` finds the
+coordinates y = A x, A the rref of the generators' first partials completed
+by unit rows, in which the generators lie in S' = QQ[y_0..y_(m-1)] and
+generate I' there; so I = I'S with S = S'[z], z = y_m..y_n the
+d = n + 1 - m dropped variables (d = 0 and y = x when m >= n + 1).  S is a
+free S'-module, so I = I' (x)_S' S and
+
+    Hom_S(I, S/I) = Hom_S'(I', S/I) = (+)_v Hom_S'(I', S'/I') * v
+
+over the monomials v of QQ[z], since S/I = (+)_v (S'/I') * v and the
+finitely presented I' commutes Hom with the sum.  In degree zero the
+summand of a v of degree e is Hom_S'(I', S'/I')_(-e), and there are
+mult_e = C(d + e - 1, e) such v.  So dim Hom_S(I, S/I)_0 is the sum of
+mult_e * (cols_e - rank_e) over the shifts e = 0, 1, 2, where the system of
+shift e has the images of f_j in (S'/I')_(d_j - e) as unknowns and one
+equation per syzygy and standard monomial of (S'/I')_(shift - e); a shift
+e > 2 leaves no image for a quadric.  At d = 0 only e = 0 counts, and its
+system is the one above on I itself, which is also the path of an ideal with
+a generator of another degree.
+
+The report describes the full system in the y coordinates, and that system
+is block diagonal: the reduced basis of I'S is the one of I' (no lead term
+involves z), so NF(p * v) = NF(p) * v, and the syzygies of the f_j over S
+are those over S' (flatness).  The unknown (j, u * v), u a standard
+monomial of S'/I', and the equation of a syzygy at u * v meet only
+unknowns with the same v, with the coefficients of the shift-e system at
+(j, u) and u.  So the full system is the direct sum of mult_e copies of
+each shift-e system: its columns, rank and nonzero rows are the sums of
+mult_e * cols_e, mult_e * rank_e and mult_e * rows_e.  `dimension` is
+dim Hom(I, S/I)_0, `total_unknowns` (= `system.cols`) is the sum of the
+Hilbert function of S/I at the d_j, and `rank` = `constraint_rank` is their
+difference, so none of them depends on the coordinates.  `unknowns` are
+monomials in y, each y_i written x_(columns[i]) with the pivot columns
+first and then the free ones (so an ideal already in its essential
+variables keeps the names x), listed per generator in the order of the
+exponent tuples, as `standard_monomials` lists them; they and
+`system.rows` depend on the coordinates.
 """
 
 from __future__ import annotations
@@ -48,6 +87,8 @@ from .groebner import (
     _shifted,
     syzygies,
 )
+from .ideals import essential_form
+from .rings import monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -106,30 +147,30 @@ def _check_ring(I):
         raise HomogeneityError("tangent computations require a homogeneous ideal")
 
 
-def _system(I):
-    """(generator degrees, unknown bases, integer rows) of the tangent system.
+def _system(module, e):
+    """(unknown bases, integer rows) of the tangent system of shift e over
+    the syzygy module of the minimal generators f_j: the images of f_j in
+    (S/I)_(d_j - e), and one equation per syzygy and standard monomial of
+    (S/I)_(shift - e).  Shift 0 is Hom(I, S/I)_0.
 
-    One grevlex basis serves the whole system: the one `syzygies` builds on
-    the minimal generators, which is the reduced basis of I.  Each product
-    s_j * m_k is reduced inside the engine as a packed integer term dict,
-    giving remainder / (den * scale) with den clearing s_j.  The block of one
-    syzygy is scaled by L, the lcm of its den * scale (see the module
-    docstring); only its nonzero rows are kept, in basis order.
+    One grevlex basis serves every shift: the one `syzygies` built on the
+    f_j, which is the reduced basis of I.  Each product s_j * m_k is reduced
+    inside the engine as a packed integer term dict, giving remainder /
+    (den * scale) with den clearing s_j.  The block of one syzygy is scaled
+    by L, the lcm of its den * scale (see the module docstring); only its
+    nonzero rows are kept, in basis order.
     """
-    gens = minimal_generators(I)
-    degrees = tuple(g.total_degree() for g in gens)
-    module = syzygies(list(gens))
     gb = module.basis
     pk = _ring_packing(gb.ring)
     entries = gb._entries
-    bases = tuple(gb.standard_monomials(d) for d in degrees)
+    bases = tuple(gb.standard_monomials(f.total_degree() - e) for f in module.target)
     packed = [[pk.pack(m) for m in b] for b in bases]
     total = sum(map(len, bases))
 
     rows = []
     for row, shift in zip(module.generators, module.shifts):
-        # the relation lands in (S/I)_shift; one equation per basis monomial
-        index = {pk.pack(m): k for k, m in enumerate(gb.standard_monomials(shift))}
+        # the relation lands in (S/I)_(shift - e); one equation per basis monomial
+        index = {pk.pack(m): k for k, m in enumerate(gb.standard_monomials(shift - e))}
         reduced = []   # (column, remainder, den * scale)
         col = 0
         for s_j, monos in zip(row, packed):
@@ -146,20 +187,49 @@ def _system(I):
             for m, v in rem.items():
                 eqs[index[m]][c] = v * mult
         rows.extend(eq for eq in eqs if any(eq))
-    return degrees, bases, rows
+    return bases, rows
 
 
 def hom_degree_zero(I):
-    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate."""
+    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate, on
+    the essential variables when every minimal generator is a quadric (see
+    the module docstring)."""
     _check_ring(I)
     if I.is_zero():
         raise ValueError("the zero ideal has no generators to deform")
-    degrees, bases, rows = _system(I)
-    total = sum(map(len, bases))
-    rank = linalg.rank(rows)
     ring = I.ring
+    gens = minimal_generators(I)
+    if all(g.total_degree() == 2 for g in gens):
+        reduced, columns = essential_form(ring, gens)
+        gens = reduced.generators
+    else:
+        columns = range(ring.num_vars)
+    module = syzygies(list(gens))
+    dropped = ring.num_vars - gens[0].ring.num_vars
+    degrees = tuple(g.total_degree() for g in gens)
+    unknowns = [[] for _ in gens]   # exponents in y, per generator
+    total = rank = rows = 0
+    for e in range(max(degrees) + 1):
+        # one block per monomial v of degree e in the dropped variables
+        vs = monomials_of_degree(dropped, e)
+        if not vs:
+            continue
+        bases, eqs = _system(module, e)
+        for found, basis in zip(unknowns, bases):
+            found.extend(u + v for u in basis for v in vs)
+        total += len(vs) * sum(map(len, bases))
+        rank += len(vs) * linalg.rank(eqs)
+        rows += len(vs) * len(eqs)
+
+    def in_x(y):
+        mono = [0] * ring.num_vars
+        for c, a in zip(columns, y):
+            mono[c] = a
+        return tuple(mono)
+
     unknown_names = tuple(
-        tuple(str(ring.from_dict({m: Fraction(1)})) for m in b) for b in bases
+        tuple(str(ring.from_dict({m: Fraction(1)})) for m in sorted(map(in_x, found)))
+        for found in unknowns
     )
     return TangentReport(
         dimension=total - rank,
@@ -167,7 +237,7 @@ def hom_degree_zero(I):
         unknowns=unknown_names,
         total_unknowns=total,
         constraint_rank=rank,
-        system_rows=len(rows),
+        system_rows=rows,
         system_cols=total,
     )
 

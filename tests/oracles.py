@@ -333,6 +333,17 @@ def tangent_rows_by_polynomials(I):
     return blocks
 
 
+def tangent_counts_by_polynomials(I):
+    """(dimension, total unknowns, rank) of the full-ring Fraction system of
+    `tangent_rows_by_polynomials`, in all the variables of I's ring."""
+    from hilbcomp.tangent import minimal_generators
+
+    gb = I.groebner_basis()
+    total = sum(len(gb.standard_monomials(g.total_degree())) for g in minimal_generators(I))
+    rank = linalg.rank([row for block in tangent_rows_by_polynomials(I) for row in block])
+    return total - rank, total, rank
+
+
 def syzygy_verify_by_polynomials(module):
     """True when every row of the module satisfies sum(s_j * f_j) == 0,
     summed through Polynomial arithmetic."""

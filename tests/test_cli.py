@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,18 @@ def test_gb_and_nf(files, capsys):
     assert capsys.readouterr().out.strip() == "0"
     assert run_subcommand(["nf", files["type_iv"], "x3^2"]) == 0
     assert capsys.readouterr().out.strip() == "x3^2"
+
+
+def test_nf_reads_a_polynomial_with_a_signed_coefficient(files, capsys):
+    # "-1*x0" is how format_polynomial writes a negative lead monomial
+    assert run_subcommand(["nf", files["type_i"], "--", "-1*x0"]) == 0
+    want = capsys.readouterr().out
+    assert want.strip() == "-1*x0"
+    for argv in (["nf", files["type_i"], "-1*x0"],
+                 ["nf", files["type_i"], "-1*x0", "--order", "lex"],
+                 ["--format", "text", "nf", files["type_i"], "-3/2*x0*x2 - x0"]):
+        assert run_subcommand(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_nf_with_lex_order(files, capsys):
@@ -123,13 +136,45 @@ def test_limit_probe_json_is_byte_identical_to_the_golden_files(kind, capsys):
 def test_moved_tangent_json_is_byte_identical_to_the_golden_files(label, n, capsys):
     # moved_<label>_n<n>.ideal is the normal form after the seeded matrix
     # random_invertible_matrix(ring, "tangent-golden:<label>:n<n>"); the
-    # .tangent.json beside it is `hilbcomp --format json tangent <file>` as
-    # generated before the second ring map and membership span were removed,
-    # and is never regenerated to make a change pass
+    # .tangent.json beside it is `hilbcomp --format json tangent <file>`.
+    # The P^3 files date from before the second ring map and membership span
+    # were removed.  The P^4 and P^5 files were rewritten once, when the
+    # system moved to the essential variables: it is then described in the
+    # coordinates y = A x, and only `system.rows` changed, while the
+    # coordinate-free fields (dimension, total_unknowns, rank,
+    # constraint_rank, system.cols) kept their bytes.  None is regenerated
+    # to make a change pass
     data = Path(__file__).parent / "data"
     stem = f"moved_{label}_n{n}"
     assert run_subcommand(["--format", "json", "tangent", str(data / f"{stem}.ideal")]) == 0
     assert capsys.readouterr().out.encode() == (data / f"{stem}.tangent.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_normal_form_tangent_json_is_byte_identical_to_the_golden_files(label, n, capsys):
+    # normal_<label>_n<n>.ideal is normal_form_ideal(n, label), already in
+    # its essential variables; the .tangent.json beside it is `hilbcomp
+    # --format json tangent <file>` as generated by the full-ring system,
+    # before the essential variables, and is never regenerated: the block
+    # diagonal system keeps every name, order and count of the full one
+    data = Path(__file__).parent / "data"
+    stem = f"normal_{label}_n{n}"
+    assert run_subcommand(["--format", "json", "tangent", str(data / f"{stem}.ideal")]) == 0
+    assert capsys.readouterr().out.encode() == (data / f"{stem}.tangent.json").read_bytes()
+
+
+def test_tangent_on_an_accepted_100_variable_file(tmp_path, capsys):
+    # two quadrics in four essential variables of P^99: 96 variables drop,
+    # and the images of each generator fill (S/I)_2, of dimension 5050 - 2
+    path = tmp_path / "wide.ideal"
+    path.write_text("ring n=99 param=0\nx0*x1\nx2*x3\n")
+    start = time.perf_counter()
+    assert run_subcommand(["tangent", str(path)]) == 0
+    assert time.perf_counter() - start < 10
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dimension"] == payload["total_unknowns"] == 2 * (5050 - 2)
+    assert [len(u) for u in payload["unknowns"]] == [5048, 5048]
 
 
 def test_limit_rejects_plain_ideal_file(files, capsys):

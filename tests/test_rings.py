@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbcomp.cli import run_subcommand
 from hilbcomp.errors import ParseError, RingMismatchError
 from hilbcomp.ideals import loads_ideal
 from hilbcomp.rings import (
@@ -74,6 +75,20 @@ def test_parse_syntax_error_carries_position(ring):
 def test_parse_rejects_exponent_overflow(ring):
     with pytest.raises(ParseError):
         parse("x0^99999999", ring)
+
+
+def test_parse_rejects_an_over_long_number_at_its_start(ring, tmp_path, capsys):
+    # int() refuses more than 4,300 digits; each place a number is read
+    long = "1" * 5000
+    for text, at in (("1" * 5000, 0), (f"x0 - {long}", 5), (f"2/{long}*x1", 2),
+                     (f"x{long}", 1), (f"x1^{long}", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text, PolyRing(2))
+        assert err.value.position == at, text
+    path = tmp_path / "long.ideal"
+    path.write_text(f"ring n=2 param=0\nx0*x1 + {long}*x2^2\n")
+    assert run_subcommand(["gb", str(path)]) == 2
+    assert "at position 8" in capsys.readouterr().err
 
 
 def test_parse_rejects_bare_unary_minus_monomial(ring):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,16 @@ import pytest
 from hilbcomp import fixtures, linalg, tangent
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
+from hilbcomp.groebner import syzygies
 from hilbcomp.ideals import Ideal, random_linear_change
 from hilbcomp.rings import PolyRing, monomials_of_degree, parse
 from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_generators
 
-from oracles import minimal_generators_by_bases, tangent_rows_by_polynomials
+from oracles import (
+    minimal_generators_by_bases,
+    tangent_counts_by_polynomials,
+    tangent_rows_by_polynomials,
+)
 
 R = PolyRing(4)
 
@@ -223,7 +229,9 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("name,build", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
 def test_integer_system_matches_polynomial_oracle(name, build):
     I = build()
-    degrees, _, rows = tangent._system(I)
+    module = syzygies(list(minimal_generators(I)))
+    _, rows = tangent._system(module, 0)
+    degrees = [f.total_degree() for f in module.target]
     if name == "mixed_degree":
         assert len(set(degrees)) == 3
     blocks = tangent_rows_by_polynomials(I)
@@ -243,3 +251,75 @@ def test_integer_system_matches_polynomial_oracle(name, build):
         assert len(multiples) <= 1
     flat = [row for block in blocks for row in block]
     assert linalg.rank(rows) == linalg.rank(flat)
+
+
+def _counts(report):
+    return report.dimension, report.total_unknowns, report.constraint_rank
+
+
+def _cubic_generator_ideal():
+    # a quadric pair and a cubic minimal generator in P^4, moved
+    S = PolyRing(5)
+    return random_linear_change(Ideal(S, ["x0*x1", "x2*x3", "x0*x2*x4"]), seed=17)
+
+
+def _sheared_quadrics(seed):
+    """1-4 random quadrics in x_0..x_(k-1), k in 1..4, of P^4, moved by a
+    shear (a unitriangular integer matrix) with its columns permuted."""
+    rng = random.Random(f"tangent-oracle:{seed}")
+    S = PolyRing(5)
+    k = rng.randint(1, 4)
+    monos = [m for m in monomials_of_degree(5, 2) if not any(m[k:])]
+    quadrics = [
+        S.from_dict({m: Fraction(rng.randint(-3, 3)) for m in rng.sample(monos, min(3, len(monos)))})
+        for _ in range(rng.randint(1, 4))
+    ]
+    quadrics = [q for q in quadrics if not q.is_zero()] or [S.x(0) ** 2]
+    shear = [[1 if i == j else rng.randint(-2, 2) if j > i and rng.random() < 0.4 else 0
+              for j in range(5)] for i in range(5)]
+    perm = rng.sample(range(5), 5)
+    matrix = [[Fraction(row[perm[j]]) for j in range(5)] for row in shear]
+    return random_linear_change(Ideal(S, quadrics), None, matrix=matrix)
+
+
+_FULL_RING_CASES = [
+    (f"moved-{label}-P{n}", lambda n=n, label=label: random_linear_change(
+        normal_form_ideal(n, label), seed=200 * n + len(label)))
+    for n in (3, 4, 5, 6)
+    for label in ("I", "II", "III", "IV")
+] + [
+    (f"sheared-{seed}", lambda seed=seed: _sheared_quadrics(seed)) for seed in range(50)
+] + [
+    ("conic_plane", lambda: fixtures.get("ideal_conic_plane").payload),
+    ("conic_space", lambda: fixtures.get("ideal_conic_space").payload),
+    ("cubic_generator", _cubic_generator_ideal),
+]
+
+
+@pytest.mark.parametrize("name,build", _FULL_RING_CASES, ids=[c[0] for c in _FULL_RING_CASES])
+def test_essential_variables_match_the_full_ring_oracle(name, build):
+    # dimension, unknown count and rank of the block-diagonal system on the
+    # essential variables against the Fraction system in all n + 1 variables
+    I = build()
+    assert _counts(hom_degree_zero(I)) == tangent_counts_by_polynomials(I)
+
+
+def test_only_quadric_generators_take_the_essential_variables(monkeypatch):
+    # a linear or cubic minimal generator keeps the full-ring system, and a
+    # redundant cubic does not stop the quadrics from dropping variables
+    seen = []
+    real = tangent.essential_form
+
+    def spy(ring, quadrics):
+        reduced, columns = real(ring, quadrics)
+        seen.append(ring.num_vars - reduced.ring.num_vars)
+        return reduced, columns
+
+    monkeypatch.setattr(tangent, "essential_form", spy)
+    for fallback in (fixtures.get("ideal_conic_plane").payload, _cubic_generator_ideal()):
+        hom_degree_zero(fallback)
+    assert seen == []
+    S = PolyRing(6)
+    padded = Ideal(S, ["x0*x1", "x2*x3", "x0*x1*x5"])
+    assert hom_degree_zero(padded).dimension == hom_degree_zero(Ideal(S, ["x0*x1", "x2*x3"])).dimension
+    assert seen == [2, 2]
