@@ -11,13 +11,16 @@ is guard-tested, so an exponent or degree past 2**31 - 1 raises
 fraction-free: the working polynomial is scaled by integer pivots and every
 intermediate is stripped to its integer content, which keeps coefficient
 growth bounded; exact rational results appear only at the boundary (monic
-basis elements, normal forms, quotients).
+basis elements, normal forms, quotients, the transform).
 
 The boundary with `Polynomial` is crossed in one place each way: polynomials
 enter through `_int_terms` (which packs) and the `_Entry` normalizer, and
-every result leaves through `_poly` (which unpacks).  Rings that differ only
-in their order share one index layout, so a polynomial of any compatible
-ring reduces against a basis without conversion.
+every result leaves through `_poly` (which unpacks).  Buchberger's transform
+is tracked packed too, one {mono: Fraction} dict per generator, until the
+basis is interreduced; shifts, the S-polynomial, the transform and the
+Schreyer lift are all summed by `_add_product`.  Rings that differ only in
+their order share one index layout, so a polynomial of any compatible ring
+reduces against a basis without conversion.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
@@ -181,10 +184,8 @@ def _int_terms(p, pk):
 
 def _shifted(terms, shift, pk):
     """x^shift * terms, for a packed {mono: int} dict and a packed monomial."""
-    delta = shift - pk.base
-    out = {m + delta: c for m, c in terms.items()}
-    if any(m & pk.guards for m in out):
-        raise _overflow()
+    out = {}
+    _add_product(out, {shift: 1}, terms, pk)
     return out
 
 
@@ -204,11 +205,16 @@ def _int_combination(pairs, pk):
 
 
 def _add_product(acc, st, gt, pk, f=1):
-    """acc += f * st * gt in place, for packed {mono: int} dicts; acc keeps
-    no zero coefficient."""
+    """acc += f * st * gt in place, for packed {mono: coefficient} dicts; acc
+    keeps no zero coefficient, and every product monomial is guard-tested."""
+    guards = pk.guards
     for a, ca in st.items():
         ca *= f
-        for m, c in _shifted(gt, a, pk).items():
+        delta = a - pk.base
+        for m, c in gt.items():
+            m += delta
+            if m & guards:
+                raise _overflow()
             v = acc.get(m, 0) + ca * c
             if v:
                 acc[m] = v
@@ -216,10 +222,24 @@ def _add_product(acc, st, gt, pk, f=1):
                 del acc[m]
 
 
+def _combination(terms, quots, vecs, pk, factors=None):
+    """sum(t * v for t, v in terms) - sum(c_k * q_k * vecs[k] over k) as a
+    list of packed dicts, one per entry of the vectors: each t is a packed
+    multiplier, each q_k a packed quotient dict, c_k == factors[k] (1 when
+    factors is None)."""
+    minus = [(q, -factors[k] if factors else -1, vecs[k]) for k, q in enumerate(quots) if q]
+    out = [{} for _ in terms[0][1]]
+    for t, f, vec in [(t, 1, v) for t, v in terms] + minus:
+        for acc, v in zip(out, vec):
+            _add_product(acc, t, v, pk, f)
+    return out
+
+
 def _poly(ring, items, factor=Fraction(1)):
     """Canonical polynomial sum(c * factor * x^m) from engine (packed mono,
-    int) items that are already in descending order, as every remainder and
-    quotient of `_reduce_int` is."""
+    coefficient) items that are already in descending order, as every
+    remainder and quotient of `_reduce_int` is; a coefficient is an int or,
+    in a tracked transform, a Fraction."""
     unpack = _ring_packing(ring).unpack
     num, den = factor.numerator, factor.denominator
     return Polynomial(ring, tuple((unpack(m), Fraction(c * num, den)) for m, c in items))
@@ -230,11 +250,12 @@ class _Entry:
 
     Built from a {packed mono: int} dict in descending order: the content is
     stripped and the lead made positive, so input == unit * prim, and a
-    tracked vec is divided by the same unit.  `lead` is the exponent tuple
-    of the packed lead `lm`, for the pair bookkeeping.
+    tracked vec (one packed {mono: Fraction} dict per input generator) is
+    divided by the same unit.  `lead` is the exponent tuple of the packed
+    lead `lm`, for the pair bookkeeping.
     """
 
-    __slots__ = ("lm", "lead", "terms", "lc", "unit", "sugar", "vec")
+    __slots__ = ("lm", "lead", "tail", "lc", "unit", "sugar", "vec")
 
     def __init__(self, coeffs, pk, sugar=0, vec=None):
         unit = 0
@@ -248,14 +269,13 @@ class _Entry:
         if unit != 1:
             terms = tuple((m, c // unit) for m, c in terms)
             if vec is not None:
-                inv = Fraction(1, unit)
-                vec = tuple(p.scale(inv) for p in vec)
+                vec = [{m: c / unit for m, c in v.items()} for v in vec]
         self.lm, self.lc = terms[0]
         self.lead = pk.unpack(self.lm)
-        self.terms = terms      # tuple of (packed mono, int coeff), descending, lead first
+        self.tail = dict(terms[1:])     # {packed mono: int} below the lead, descending
         self.unit = unit
         self.sugar = sugar
-        self.vec = vec          # tuple of Polynomials with prim == sum(vec . gens)
+        self.vec = vec          # packed dicts with prim == sum(vec . gens)
 
 
 def _reduce_int(work, entries, pk, want_quotients=False):
@@ -301,7 +321,7 @@ def _reduce_int(work, entries, pk, want_quotients=False):
                                 q[k] *= mult
                     scale *= mult
                 delta = m - entry.lm    # mono * x^(m - lm) == mono + delta
-                for mono, tc in entry.terms[1:]:
+                for mono, tc in entry.tail.items():
                     mm = mono + delta
                     prev = work.get(mm)
                     if prev is None:
@@ -334,26 +354,14 @@ def _int_spoly(e1, e2, lcm, pk):
     Returns (work dict, denominator, (s1, s2, c1, c2)) with
     work/den == x^s1 * monic(e1) - x^s2 * monic(e2), s1 and s2 packed.
     """
-    guards = pk.guards
-    d1, d2 = lcm - e1.lm, lcm - e2.lm
+    s1, s2 = lcm - e1.lm + pk.base, lcm - e2.lm + pk.base
     g = gcd(e1.lc, e2.lc)
     c1, c2 = e2.lc // g, e1.lc // g
     acc = {}
-    for m, c in e1.terms:
-        mm = m + d1
-        if mm & guards:
-            raise _overflow()
-        acc[mm] = c * c1
-    for m, c in e2.terms:
-        mm = m + d2
-        if mm & guards:
-            raise _overflow()
-        v = acc.get(mm, 0) - c * c2
-        if v:
-            acc[mm] = v
-        else:
-            acc.pop(mm, None)
-    return acc, (e1.lc * e2.lc) // g, (d1 + pk.base, d2 + pk.base, c1, c2)
+    # the leads cancel: c1 * e1.lc == c2 * e2.lc
+    _add_product(acc, {s1: c1}, e1.tail, pk)
+    _add_product(acc, {s2: -c2}, e2.tail, pk)
+    return acc, (e1.lc * e2.lc) // g, (s1, s2, c1, c2)
 
 
 def _reduced_spairs(entries, pk):
@@ -436,13 +444,11 @@ class GroebnerBasis:
         """Exact check that transform . generators == elements."""
         if self.transform is None:
             return False
-        for row, g in zip(self.transform, self.elements):
-            acc = self.ring.zero
-            for coef, gen in zip(row, self.generators):
-                acc = acc + coef * gen
-            if acc != g:
-                return False
-        return True
+        pk, minus_one = _ring_packing(self.ring), self.ring.constant(-1)
+        return not any(
+            _int_combination([*zip(row, self.generators), (minus_one, g)], pk)
+            for row, g in zip(self.transform, self.elements)
+        )
 
 
 def buchberger(gens, order=None, *, transform=True, seed=None):
@@ -477,14 +483,6 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         basis.append(_Entry(int_dict, pk, sugar, vec))
         gm_update(len(basis) - 1)
 
-    def minus_quotients(vec, quots, entries):
-        """vec - sum_k q_k * entries[k].vec, the q_k packed quotient dicts."""
-        for q, entry in zip(quots, entries):
-            if q:
-                qp = _poly(ring, q.items())
-                vec = [a - qp * b for a, b in zip(vec, entry.vec)]
-        return vec
-
     def gm_update(new_idx):
         """Gebauer-Moeller pair update: product and chain criteria."""
         new = basis[new_idx]
@@ -515,9 +513,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         d, den = _int_terms(g, pk)
         vec = None
         if transform:
-            vec = tuple(
-                ring.constant(den) if k == i else ring.zero for k in range(r)
-            )
+            vec = [{pk.base: Fraction(den)} if k == i else {} for k in range(r)]
         add_element(d, g.total_degree(), vec)
 
     while pairs:
@@ -533,10 +529,8 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
         vec = None
         if transform:
             # remainder == scale * spoly - sum_k quot_k * prim_k, all prim-based
-            m1 = _poly(ring, ((s1, c1 * scale),))
-            m2 = _poly(ring, ((s2, c2 * scale),))
-            vec = [m1 * a - m2 * b for a, b in zip(e1.vec, e2.vec)]
-            vec = tuple(minus_quotients(vec, quots, basis))
+            terms = [({s1: c1 * scale}, e1.vec), ({s2: -c2 * scale}, e2.vec)]
+            vec = _combination(terms, quots, [e.vec for e in basis], pk)
         add_element(rem, sugar, vec)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -551,13 +545,14 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     for i in kept:
         others = [basis[k] for k in kept if k != i]
         rem, scale, quots = _reduce_int(
-            dict(basis[i].terms), others, pk, want_quotients=transform
+            {basis[i].lm: basis[i].lc, **basis[i].tail}, others, pk, want_quotients=transform
         )
         lm, lc = next(iter(rem.items()))
         vec = None
         if transform:
-            vec = minus_quotients([p.scale(scale) for p in basis[i].vec], quots, others)
-            vec = tuple(p.scale(Fraction(1, lc)) for p in vec)
+            terms = [({pk.base: scale}, basis[i].vec)]
+            vec = _combination(terms, quots, [e.vec for e in others], pk)
+            vec = tuple(_poly(ring, sorted(v.items(), reverse=True), Fraction(1, lc)) for v in vec)
         final.append((lm, _poly(ring, rem.items(), Fraction(1, lc)), vec))
 
     final.sort(key=itemgetter(0), reverse=True)
@@ -706,28 +701,15 @@ def syzygies(gens):
     den_A = lcm(*(d for row in A for _, d in row))
     A = [[{m: c * (den_A // d) for m, c in t.items()} for t, d in row] for row in A]
 
-    def lift(v):
-        """v . A_int, for v a packed integer combination of the basis."""
-        out = [{} for _ in range(r)]
-        for a, row in zip(v, A):
-            for acc, t in zip(out, row):
-                _add_product(acc, a, t, pk)
-        return out
-
-    def minus_quotients(quots):
-        return [{m: -c * e.lc for m, c in q.items()} for q, e in zip(quots, entries)]
-
+    lcs = [e.lc for e in entries]
     rows = []
     # Schreyer rows tau_ij . A scaled by D * den_A, from
-    # D * (x^s1*monic_i - x^s2*monic_j) == sum_k Q_k*lc_k * monic_k; every
-    # monomial of Q_i lies below s1 (and of Q_j below s2)
+    # D * (x^s1*monic_i - x^s2*monic_j) == sum_k Q_k*lc_k * monic_k
     for i, j, den, (s1, s2, _, _), (rem, scale, quots) in _reduced_spairs(entries, pk):
         if rem:
             raise AssertionError("S-pair of a reduced basis failed to vanish")
-        tau = minus_quotients(quots)
-        tau[i][s1] = scale * den
-        tau[j][s2] = -scale * den
-        rows.append(lift(tau))
+        terms = [({s1: scale * den}, A[i]), ({s2: -scale * den}, A[j])]
+        rows.append(_combination(terms, quots, A, pk, lcs))
     # rows of I - B.A as D * den_A * e_i - (D * B_i) . A_int, from
     # D * f_i == sum_k Q_k*lc_k * monic_k
     for i, g in enumerate(gb.generators):
@@ -735,19 +717,16 @@ def syzygies(gens):
         rem, scale, quots = _reduce_int(work, entries, pk, want_quotients=True)
         if rem:
             raise AssertionError("generator failed to reduce to zero against its own basis")
-        row = lift(minus_quotients(quots))
-        _add_product(row[i], {pk.base: scale * den}, {pk.base: den_A}, pk)
-        rows.append(row)
+        unit_row = [{pk.base: den_A} if k == i else {} for k in range(r)]
+        rows.append(_combination([({pk.base: scale * den}, unit_row)], quots, A, pk, lcs))
 
     def primitive(row):
         content = gcd(*(c for t in row for c in t.values()))
         lead = next(t for t in row if t)
         if lead[max(lead)] < 0:
             content = -content
-        return tuple(
-            _poly(ring, sorted(((m, c // content) for m, c in t.items()), reverse=True))
-            for t in row
-        )
+        inv = Fraction(1, content)
+        return tuple(_poly(ring, sorted(t.items(), reverse=True), inv) for t in row)
 
     target = gb.generators
     cleaned = [primitive(row) for row in rows if any(row)]

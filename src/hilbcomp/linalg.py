@@ -7,8 +7,9 @@ first nonzero entry.  Rows are stored sparse, as {column: int} dicts of their
 nonzeros; the API is dense, with rows in and out as lists, those out as wide
 as the widest row added.  A new row is cleared of the denominators of its
 nonzeros and reduced fraction-free against the basis row whose pivot is its
-current leading column, with its content stripped after every step, until
-it is zero (dependent) or leads at a free column (a new pivot).  Rank, span
+current leading column until it is zero (dependent) or leads at a free
+column (a new pivot), and only then is its content stripped: stripping it
+at every step would rescale the remainder by a positive factor, no more.  Rank, span
 membership, the reduced row echelon form, nullspaces, solving and inversion
 are all read off this core.
 
@@ -62,13 +63,11 @@ class RowSpan:
         den = lcm(*(a.denominator for _, a in nonzeros))
         v = {k: a.numerator * (den // a.denominator) for k, a in nonzeros}
         while v:
-            content = gcd(*v.values())
-            if content > 1:
-                v = {k: a // content for k, a in v.items()}
             start = min(v)
             basis = self._rows.get(start)
             if basis is None:
-                return start, v
+                content = gcd(*v.values())
+                return start, {k: a // content for k, a in v.items()}
             _eliminate(v, basis, start)
         return None
 

@@ -18,9 +18,10 @@ rings that differ only in their order share one index layout.  The tuple
 monomial helpers below are the only ones in the package.  The Groebner
 engine keeps its own packed-int monomials (one int per monomial, its own
 order key) and crosses into this tuple representation in one place each
-way: `groebner._int_terms` packs on the way in, `groebner._poly` unpacks on
-the way out; it uses the tuple helpers only for the pair bookkeeping on the
-leads of its basis elements.
+way: `groebner._int_terms` packs on the way in, `groebner._poly` unpacks
+every result on the way out, Buchberger's transform included; it uses the
+tuple helpers only for the pair bookkeeping on the leads of its basis
+elements.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from hilbcomp.rings import (
     GREVLEX,
     LEX,
     PolyRing,
+    Polynomial,
     _divides,
     _mono_mul,
     elimination_order,
@@ -533,6 +534,43 @@ def test_moved_transforms_are_byte_identical_to_the_golden_files(label, n):
     ideal = loads_ideal((data / f"moved_{label}_n{n}.ideal").read_text())
     gb = buchberger(list(ideal.generators), transform=True)
     assert _transform_text(gb).encode() == (data / f"moved_{label}_n{n}.transform.txt").read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_random_grevlex_transforms_are_byte_identical_to_the_golden_files(k):
+    # rational generators whose bases grow by S-pair reductions (3-4
+    # generators to 6-11 elements, rows up to degree five), so the rows
+    # carry fractions and pass through the content division of each new
+    # element; the .transform.txt beside each was written before the
+    # transform was tracked in packed dicts and is never regenerated
+    data = Path(__file__).parent / "data"
+    ideal = loads_ideal((data / f"random_grevlex_{k}.ideal").read_text())
+    gb = buchberger(list(ideal.generators), transform=True)
+    assert _transform_text(gb).encode() == (data / f"random_grevlex_{k}.transform.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["moved_I_n5", "random_grevlex_2"])
+def test_buchberger_tracks_the_transform_without_polynomial_arithmetic(name, monkeypatch):
+    # the transform stays in packed dicts inside the engine: no Polynomial
+    # product, sum, scaling or from_dict is made during the call
+    data = Path(__file__).parent / "data"
+    gens = list(loads_ideal((data / f"{name}.ideal").read_text()).generators)
+    calls = []
+    for cls, attr in [
+        (Polynomial, "__mul__"),
+        (Polynomial, "__add__"),
+        (Polynomial, "scale"),
+        (PolyRing, "from_dict"),
+    ]:
+        def counted(*args, _orig=getattr(cls, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+    gb = buchberger(gens, transform=True)
+    assert calls == []
+    monkeypatch.undo()
+    assert gb.transform_certificate()
 
 
 def test_lex_transform_through_s_pairs_is_byte_identical_to_the_golden_file():
