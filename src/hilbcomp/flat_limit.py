@@ -1,15 +1,44 @@
 """Flat limits of one-parameter ideal families at t -> 0.
 
-A Family is a homogeneous (in the x grading) ideal in QQ[t][x].  The limit
-of the t-flat closure is computed by saturating out t, specializing t = 0,
-and saturating with respect to the irrelevant ideal; a flatness probe
-compares the Hilbert polynomial of the limit with those of deterministic
-sample fibers.  Both saturations are `ideals.saturate`: by (t) it is one
-elimination of u from (I, 1 - u*t), and by the irrelevant ideal it is read
-off the grevlex basis of the fiber and certified by its Hilbert polynomial,
-with the meet of the principal saturations by x_0..x_n as the fallback.
-Projective pencils are handled on the affine chart where the other pencil
-coordinate equals 1; the report records that chart.
+A Family is a homogeneous (in the x grading) ideal I in QQ[t][x].  Its flat
+limit is the special fiber (I : t^oo)|_(t=0) of the t-flat closure,
+saturated with respect to the irrelevant ideal; a flatness probe compares
+the Hilbert polynomial of the limit with those of deterministic sample
+fibers.  Projective pencils are handled on the affine chart where the other
+pencil coordinate equals 1; the report records that chart.
+
+The special fiber comes from one homogeneous grevlex basis (D. Bayer and
+M. Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+1987; D. Eisenbud, Commutative Algebra, GTM 150, Prop. 15.12):
+
+1. Homogenize each generator g in (t, h): g^h = sum c * h^(top-e) * t^e * x^a
+   over the terms c * t^e * x^a of g, top its largest t-exponent, in
+   QQ[x_0..x_n, h, t] with h = x_(n+1), so that t is the last variable.
+   Each generator is x-homogeneous, so F = (g^h) is bihomogeneous in the
+   x-degree and the (h, t)-degree.
+2. Build the reduced grevlex basis G of F.
+3. For homogeneous f, t divides f exactly when t divides its grevlex lead:
+   with t last, a term of the lead's degree with more t ranks lower.  So
+   dividing each element of G by the power t^k of t in its lead gives a
+   grevlex basis G' of K = F : t^oo.
+4. Setting h = 1 is a localization at h followed by a quotient, and commutes
+   with the colon by t: K|_(h=1) = F|_(h=1) : t^oo = I : t^oo.  So the
+   special fiber is generated by the images of G' at h = 1, t = 0.  Each
+   element of G' is bihomogeneous, so its terms free of t share one power
+   h^a of h: the image is h^a * p, with p the x-homogeneous form that keeps
+   the element's terms of t-exponent k, h and t dropped.
+5. The p form a grevlex basis of the special fiber.  In(K + (t)) =
+   in(K) + (t) when t is last (the same Prop. 15.12), so the images
+   h^a * p form a grevlex basis of the bihomogeneous J = K|_(t=0) in
+   QQ[x, h].  For f x-homogeneous in (p), h^N * f lies in J for N large,
+   and since all its terms carry h^N, lead(h^N * f) = h^N * lead(f); some
+   lead h^a * lead(p) divides it, so lead(p) divides lead(f).
+
+`groebner.interreduce` then turns the p into the reduced grevlex basis of
+the special fiber with no S-pair, and that basis seeds the fiber's Ideal.
+The saturation by the irrelevant ideal, `ideals.saturate`, reads I : x_n^oo
+off that seeded basis and certifies it by its Hilbert polynomial, with the
+meet of the principal saturations by x_0..x_n as the fallback.
 
 The limit is computed once per Family: `limit_ideal` keeps it on the frozen
 Family, so the probe reuses the limit its caller already built.  The probe
@@ -30,9 +59,10 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import HomogeneityError, RingMismatchError
+from .groebner import buchberger, interreduce
 from .hilbert import hilbert_series
-from .ideals import Ideal, irrelevant_ideal, saturate
-from .rings import PolyRing
+from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
+from .rings import GREVLEX, Polynomial, PolyRing
 
 SAMPLE_POINTS = (
     Fraction(1),
@@ -105,18 +135,37 @@ def _specialize(I, t0):
     return Ideal(base, out)
 
 
+def _special_fiber(total):
+    """(I : t^oo)|_(t=0) for the total ideal I of a family, with its reduced
+    grevlex basis seeded: steps 1-5 of the module docstring.  Never zero,
+    since each element of G' keeps its lead term in p."""
+    ring = total.ring
+    if ring.num_aux:
+        raise RingMismatchError("cannot specialize a ring with auxiliary variables")
+    n, k = ring.num_vars, ring.param_index
+    hom = PolyRing(n + 1, has_param=True)  # x_0..x_(n-1), h, then t last
+    homogenized = []
+    for g in total.generators:
+        top = max(m[k] for m, _ in g.terms)
+        homogenized.append(hom.from_dict({m[:n] + (top - m[k], m[k]): c for m, c in g.terms}))
+    base = PolyRing(n)
+    fibers = []
+    for G in buchberger(homogenized, GREVLEX, transform=False).elements:
+        e = G.lead_monomial()[-1]
+        # the kept terms share one power of h, so they stay in grevlex order
+        fibers.append(Polynomial(base, tuple((m[:n], c) for m, c in G.terms if m[-1] == e)))
+    return _with_seeded_gb(base, interreduce(fibers))
+
+
 def limit_ideal(fam):
-    """Special fiber of the t-flat closure: saturate out t, set t = 0,
-    then saturate by the irrelevant ideal.  Canonical reduced basis, built
-    once per Family; a family without a limit raises on every call."""
+    """Special fiber of the t-flat closure, saturated by the irrelevant
+    ideal: `_special_fiber` (the proof is in the module docstring), then
+    `saturate`.  Canonical reduced basis, built once per Family; a family
+    without a limit raises on every call."""
     if fam._limit is None:
         if fam.total_ideal.is_zero():
             raise ValueError("family is identically zero")
-        ring = fam.ring
-        t_param = Ideal(ring, [ring.t])
-        special = _specialize(saturate(fam.total_ideal, t_param), 0)
-        if special.is_zero():
-            raise ValueError("family vanishes identically at t = 0 after saturation")
+        special = _special_fiber(fam.total_ideal)
         limit = saturate(special, irrelevant_ideal(special.ring)).canonical()
         object.__setattr__(fam, "_limit", limit)
     return fam._limit

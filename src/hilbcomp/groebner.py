@@ -24,7 +24,9 @@ reduces against a basis without conversion.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
-equality a tuple comparison downstream.  Pair management uses the
+equality a tuple comparison downstream; `interreduce` runs the same
+minimalization and interreduction on polynomials already known to form a
+Groebner basis, with no S-pair.  Pair management uses the
 Gebauer-Moeller refinement of Buchberger's first and second criteria, on
 the exponent tuples of the leads.  Each pair is stored once, when it is
 created, with the lcm of its leads and its selection key: sugar degree,
@@ -533,6 +535,15 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             vec = _combination(terms, quots, [e.vec for e in basis], pk)
         add_element(rem, sugar, vec)
 
+    elements, matrix = _interreduced(basis, ring, pk, transform)
+    return GroebnerBasis(ring, elements, originals, matrix)
+
+
+def _interreduced(basis, ring, pk, transform):
+    """(elements, transform rows or None) of the reduced basis spanned by the
+    entries `basis`, which must already form a Groebner basis: drop each
+    element whose lead another lead divides, reduce each tail by the others,
+    make the elements monic and sort them descending by lead."""
     # minimalize: drop elements whose lead is divisible by another lead
     order_idx = sorted(range(len(basis)), key=lambda i: basis[i].lm)
     kept = []
@@ -558,7 +569,17 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     final.sort(key=itemgetter(0), reverse=True)
     elements = tuple(p for _, p, _ in final)
     matrix = tuple(v for _, _, v in final) if transform else None
-    return GroebnerBasis(ring, elements, originals, matrix)
+    return elements, matrix
+
+
+def interreduce(polys):
+    """The reduced Groebner basis, in their ring's order, of nonzero
+    polynomials that already form a Groebner basis there: `buchberger`'s
+    minimalization and interreduction, without S-pairs."""
+    ring = polys[0].ring
+    pk = _ring_packing(ring)
+    entries = [_Entry(_int_terms(p, pk)[0], pk) for p in polys]
+    return _interreduced(entries, ring, pk, False)[0]
 
 
 def eliminate_generators(gens, front_vars):

@@ -242,17 +242,25 @@ def hom_degree_zero(I):
     )
 
 
-def explicit_basis_check(I, images):
-    """True iff the assignment generators[i] -> images[i] satisfies every
-    generating syzygy constraint modulo I (degree-zero Hom membership)."""
+def explicit_basis_check(I, *assignments):
+    """True iff each of one or more assignments (one image per generator,
+    generators[i] -> images[i]) satisfies every generating syzygy constraint
+    modulo I (degree-zero Hom membership).  One syzygy module serves them
+    all."""
     _check_ring(I)
     gens = I.generators
-    if len(images) != len(gens):
+    if not assignments:
+        raise ValueError("need at least one assignment")
+    if any(len(images) != len(gens) for images in assignments):
         raise ValueError("need exactly one image per generator")
     module = syzygies(list(gens))
+    return all(_satisfies(module, images) for images in assignments)
+
+
+def _satisfies(module, images):
     gb = module.basis
     reduced_images = []
-    for g, im in zip(gens, images):
+    for g, im in zip(module.target, images):
         im_red = gb.reduce(im)
         if not im_red.is_zero() and im_red.total_degree() != g.total_degree():
             raise ValueError(
@@ -261,9 +269,8 @@ def explicit_basis_check(I, images):
             )
         reduced_images.append(im_red)
     pk = _ring_packing(gb.ring)
-    entries = gb._entries
     for row in module.generators:
-        rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), entries, pk)
+        rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), gb._entries, pk)
         if rem:
             return False
     return True

@@ -8,11 +8,13 @@ from hilbcomp.errors import HomogeneityError, RingMismatchError
 from hilbcomp.flat_limit import (
     SAMPLE_POINTS,
     Family,
+    _special_fiber,
     _specialize,
     fiber,
     flatness_probe,
     limit_ideal,
 )
+from hilbcomp.groebner import buchberger
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
@@ -169,12 +171,13 @@ def test_limit_rejects_empty_family():
 
 def test_limit_is_built_once_per_family(monkeypatch):
     # the probe reuses the limit its caller built and saturates no fiber:
-    # the only saturations are the two of the one limit computation
-    principal, saturations = [], []
-    original_principal, original_saturate = ideals._saturate_principal, flat_limit.saturate
+    # the one limit computation builds one homogenized basis and makes the
+    # one saturation by the irrelevant ideal
+    bases, saturations = [], []
+    original_buchberger, original_saturate = flat_limit.buchberger, flat_limit.saturate
     monkeypatch.setattr(
-        ideals, "_saturate_principal",
-        lambda I, f: principal.append(1) or original_principal(I, f),
+        flat_limit, "buchberger",
+        lambda *a, **k: bases.append(1) or original_buchberger(*a, **k),
     )
     monkeypatch.setattr(
         flat_limit, "saturate", lambda I, J: saturations.append(1) or original_saturate(I, J)
@@ -182,17 +185,55 @@ def test_limit_is_built_once_per_family(monkeypatch):
     fam = fixtures.get("family_double_limit_n4").payload
     assert limit_ideal(fam) is limit_ideal(fam)
     assert flatness_probe(fam).flat
-    assert len(principal) == 1
-    assert len(saturations) == 2
+    assert len(bases) == 1
+    assert len(saturations) == 1
     # an equal family built afresh computes its own limit, equal to the first
     again = fixtures.get("family_double_limit_n4").payload
     assert again == fam and limit_ideal(again) == limit_ideal(fam)
-    assert len(principal) == 2
+    assert len(bases) == 2
     # errors are not kept: the empty family raises on every call
     empty = Family(Ideal(Rt, []))
     for _ in range(2):
         with pytest.raises(ValueError):
             limit_ideal(empty)
+
+
+SPECIAL_FIBER_CASES = (
+    [(name, n, moved) for n in (3, 4, 5, 6) for name in FAMILIES for moved in (False, True)]
+    + [(chart, 3, False) for chart in ("pencil_planar_double", "pencil_planar_double_mirror")]
+    + [("jump", 3, False), ("t_powers", 3, False)]
+)
+
+
+def special_fiber_case(name, n, moved):
+    if name == "jump":  # not flat: the fiber at t = 1 drops x0
+        return Ideal(Rt, tparse("x0 - t*x0", "x1"))
+    if name == "t_powers":  # a t^2 term and a generator divisible by t
+        return Ideal(Rt, tparse("t*x0^2", "t^2*x1*x2 + x0*x1", "x2*x3 - t*x0*x3"))
+    if name in FAMILIES:
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        return random_linear_change(total, seed=300 * n + FAMILIES.index(name)) if moved else total
+    return fixtures.get(f"{name}_n{n}").payload.total_ideal
+
+
+@pytest.mark.parametrize("name,n,moved", SPECIAL_FIBER_CASES)
+def test_special_fiber_matches_the_elimination_oracle(name, n, moved):
+    # Bayer's t-saturation of the homogenized basis against the quotient
+    # loop's t-saturation specialized at t = 0, as reduced grevlex bases
+    total = special_fiber_case(name, n, moved)
+    got = _special_fiber(total)
+    want = _specialize(saturate_by_quotients(total, Ideal(total.ring, [total.ring.t])), 0)
+    assert got.ring == want.ring
+    seeded = [g.terms for g in got.groebner_basis().elements]
+    assert seeded == [g.terms for g in want.groebner_basis().elements]
+    # the seeded basis is the one Buchberger builds from the generators
+    assert seeded == [g.terms for g in buchberger(got.generators, transform=False).elements]
+
+
+def test_limit_rejects_auxiliary_variables():
+    ring = Rt.with_aux(1)
+    with pytest.raises(RingMismatchError):
+        limit_ideal(Family(Ideal(ring, [ring.x(0) + ring.t * ring.x(1)])))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

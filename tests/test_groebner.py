@@ -18,6 +18,7 @@ from hilbcomp.groebner import (
     buchberger,
     eliminate_generators,
     exact_divide,
+    interreduce,
     syzygies,
 )
 from hilbcomp.rings import (
@@ -587,3 +588,29 @@ def test_monomial_index_cache_is_bounded():
     for d in range(bound + 10):
         _monomial_index(1, d)
     assert _monomial_index.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_interreduce_turns_any_groebner_basis_into_the_reduced_one(k):
+    # the reduced basis, rescaled, with a multiple of a lower element added
+    # to each tail and padded with multiples of its elements, is still a
+    # Groebner basis; interreduce drops the redundant leads and reduces the
+    # tails back to the reduced basis itself
+    data = Path(__file__).parent / "data"
+    ideal = loads_ideal((data / f"random_grevlex_{k}.ideal").read_text())
+    elements = buchberger(list(ideal.generators), transform=False).elements
+    key = ideal.ring.sort_key()
+    x = ideal.ring.variables()
+    padded = [elements[0] * x[1], elements[-1] * x[2] * Fraction(5)]
+    perturbed = 0
+    for g in elements:
+        lower = [
+            h * v for h in elements for v in x
+            if h.total_degree() + 1 == g.total_degree()
+            and key((h * v).lead_monomial()) < key(g.lead_monomial())
+        ]
+        padded.append(g * Fraction(-3, 7) + (lower[0] if lower else 0))
+        perturbed += bool(lower)
+    assert perturbed
+    random.Random(k).shuffle(padded)
+    assert interreduce(padded) == elements

@@ -171,12 +171,22 @@ def test_constructed_violation_fails():
     I = Ideal(R, fixtures.lambda_generators(3))
     bad = (R.x(3) ** 2, R.zero, R.zero, R.zero)
     assert not explicit_basis_check(I, bad)
+    # one bad assignment among good ones fails the whole check
+    good = (R.zero,) * 4
+    assert explicit_basis_check(I, good, good)
+    assert not explicit_basis_check(I, good, bad)
 
 
 def test_degree_mismatch_rejected():
     I = Ideal(R, fixtures.lambda_generators(3))
     with pytest.raises(ValueError):
         explicit_basis_check(I, (R.x(3), R.zero, R.zero, R.zero))
+    # every assignment needs one image per generator
+    with pytest.raises(ValueError):
+        explicit_basis_check(I, (R.zero,) * 4, (R.zero,) * 3)
+    # no assignment at all is an error, not a vacuous pass
+    with pytest.raises(ValueError):
+        explicit_basis_check(I)
 
 
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])

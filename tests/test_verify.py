@@ -89,3 +89,15 @@ def test_report_is_byte_identical_to_the_golden_files():
     rendered = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     assert text.encode() == (data / "verify_n3_4_seed7.txt").read_bytes()
     assert rendered.encode() == (data / "verify_n3_4_seed7.json").read_bytes()
+
+
+def test_explicit_elements_share_one_syzygy_module(monkeypatch):
+    # the 8n - 12 explicit elements of one n are checked against one module
+    from hilbcomp import tangent, verify
+
+    calls = []
+    real = tangent.syzygies
+    monkeypatch.setattr(tangent, "syzygies", lambda gens: calls.append(1) or real(gens))
+    expected, computed, ok = verify._check_explicit_elements(4)
+    assert ok and computed == expected == {"satisfy_constraints": True, "count": 20}
+    assert len(calls) == 1
