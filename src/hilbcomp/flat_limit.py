@@ -166,7 +166,7 @@ def limit_ideal(fam):
         if fam.total_ideal.is_zero():
             raise ValueError("family is identically zero")
         special = _special_fiber(fam.total_ideal)
-        limit = saturate(special, irrelevant_ideal(special.ring)).canonical()
+        limit = saturate(special, irrelevant_ideal(special.ring))
         object.__setattr__(fam, "_limit", limit)
     return fam._limit
 
@@ -177,7 +177,7 @@ def fiber(fam, t0):
     if at.is_zero():
         return at
     base = fam.base_ring()
-    return saturate(at, irrelevant_ideal(base)).canonical()
+    return saturate(at, irrelevant_ideal(base))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ Schreyer lift are all summed by `_add_product`.  Rings that differ only in
 their order share one index layout, so a polynomial of any compatible ring
 reduces against a basis without conversion.
 
+One graded pruning routine, `_graded_prune`, trims the rows of `syzygies`
+and, on the one-entry rows (g,) against (1,), `tangent.minimal_generators`.
+
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
 equality a tuple comparison downstream; `interreduce` runs the same
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import random
 import struct
 from dataclasses import dataclass, field
@@ -696,6 +700,18 @@ def _degree_span(ring, target, generators, shift):
     return span
 
 
+def _graded_prune(ring, target, rows):
+    """The rows outside the graded module span of the rows kept before them,
+    after a stable sort by shift (so a repeated row goes too).  A kept row
+    spans only itself in its own degree, so one span per shift serves."""
+    shift_of = functools.partial(_tuple_shift, target=target)
+    kept = []
+    for shift, group in itertools.groupby(sorted(rows, key=shift_of), key=shift_of):
+        span = _degree_span(ring, target, kept, shift)
+        kept.extend(row for row in group if span.add(_row_coordinates(ring, target, row, shift)))
+    return kept
+
+
 def syzygies(gens):
     """Generating syzygies of (f_1, ..., f_r): Schreyer rows on the reduced
     basis, pulled back through the recorded transform A, plus the rows of
@@ -750,23 +766,7 @@ def syzygies(gens):
         return tuple(_poly(ring, sorted(t.items(), reverse=True), inv) for t in row)
 
     target = gb.generators
-    cleaned = [primitive(row) for row in rows if any(row)]
-
-    # graded pruning: keep only rows outside the module span of earlier ones,
-    # which also drops a row equal to an earlier one; a kept row of the
-    # current shift spans only itself in that degree, so one span per shift
-    # takes every candidate of the shift in turn
-    cleaned.sort(key=lambda row: _tuple_shift(row, target))
-    pruned = []
-    span_shift = None
-    for row in cleaned:
-        shift = _tuple_shift(row, target)
-        if shift != span_shift:
-            span = _degree_span(ring, target, pruned, shift)
-            span_shift = shift
-        if span.add(_row_coordinates(ring, target, row, shift)):
-            pruned.append(row)
-
+    pruned = _graded_prune(ring, target, [primitive(row) for row in rows if any(row)])
     module = SyzygyModule(
         ring,
         target,

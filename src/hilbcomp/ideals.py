@@ -86,8 +86,10 @@ class Ideal:
         return tuple(g.convert(self.ring) for g in self.groebner_basis().elements)
 
     def canonical(self):
+        """The same ideal on its reduced grevlex basis, keeping cached data."""
         out = Ideal(self.ring, self.canonical_generators())
         out._gb_cache.update(self._gb_cache)
+        out._set_hilbert(self._hilbert_cache)
         return out
 
     def contains(self, f):
@@ -213,6 +215,7 @@ def saturate(I, J):
     positive-dimensional support and a nonzero Hilbert polynomial, and
     HP(I) - HP(K) == HP(K / I^sat) would not vanish.  In coordinates where
     x_n is not general for I the check fails and the meet below decides.
+    If x_n divides no lead, it is a nonzerodivisor mod I: I : x_n^oo = I = I^sat.
 
     Otherwise I : J^oo is the meet of the principal saturations I : g^oo
     over the generators g of J: if f*g^k lies in I for every g, so does
@@ -223,6 +226,8 @@ def saturate(I, J):
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     if _radical_is_irrelevant(I, J):
+        if not any(g.lead_monomial()[-1] for g in I.groebner_basis().elements):
+            return I.canonical()
         candidate = _saturate_by_last_variable(I)
         if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
             return candidate
@@ -246,11 +251,9 @@ def _saturate_by_last_variable(I):
     """I : x_n^oo from the grevlex basis of homogeneous I: each element
     divided by the power of x_n in its lead, which divides every term."""
     gb = I.groebner_basis()
-    powers = [g.lead_monomial()[-1] for g in gb.elements]
-    if not any(powers):
-        return I.canonical()  # x_n is a nonzerodivisor mod I
     gens = []
-    for g, k in zip(gb.elements, powers):
+    for g in gb.elements:
+        k = g.lead_monomial()[-1]
         terms = tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms)
         gens.append(Polynomial(gb.ring, terms).convert(I.ring))
     return Ideal(I.ring, gens).canonical()

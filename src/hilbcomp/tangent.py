@@ -11,10 +11,14 @@ relations expand to an exact linear system; the dimension is the corank.
 Since I kills S/I, maps from I automatically kill I^2, so this module Hom
 agrees with Hom(I/I^2, S/I).
 
-The f_i are the minimal generators.  Whether a generator is redundant is
-decided in its own degree by the same graded module span that prunes
-syzygies (`groebner._degree_span`), with each generator as a one-entry row,
-so no Groebner basis is built for it.
+The f_i are the minimal generators: `groebner._graded_prune` on the rows
+(g,) against the target (1,), from the last generator down, keeps each g
+outside the span of V_d (the degree-d part of the ideal of the lower-degree
+generators) and of the degree-d ones kept, with no Groebner basis.  That is
+the set left by dropping the first redundant generator and restarting: no
+drop changes V_d, and a generator that cannot be dropped stays so, so that
+loop is reverse-delete in the matroid of the degree-d generators modulo V_d,
+which keeps what the greedy pass from the last index down keeps.
 
 The system is built as integer rows.  The unknown of column (j, k) is the
 coefficient of the standard monomial m_k in the image of f_j, so the block
@@ -28,6 +32,10 @@ integer L, the lcm of the block's den * scale.  That multiplies each row of
 the block by the same nonzero constant L, which leaves each row's zero
 pattern and the row space of the block, hence of the whole system, and its
 rank unchanged.
+
+`explicit_basis_check` reads membership off the same rows: a syzygy's rows
+applied to the coordinates of the NF(g_j) of an assignment f_j -> g_j give
+L * NF(sum_j s_j * NF(g_j)), zero exactly when sum_j s_j * g_j lies in I.
 
 When every minimal generator is a quadric, the system is solved on the
 essential variables by flat base change.  `ideals.essential_form` finds the
@@ -78,12 +86,10 @@ from math import lcm
 from . import linalg
 from .errors import HomogeneityError
 from .groebner import (
-    _degree_span,
-    _int_combination,
+    _graded_prune,
     _int_terms,
     _reduce_int,
     _ring_packing,
-    _row_coordinates,
     _shifted,
     syzygies,
 )
@@ -116,27 +122,13 @@ class TangentReport:
 
 
 def minimal_generators(I):
-    """Drop generators lying in the ideal of the others (honest generators),
-    the first redundant one at a time: g lies in (others) when it lies in
-    the span of the m * h, h in others and deg m = deg g - deg h, which is
-    the degree-(deg g) module span of the rows (h,) against the target (1,)."""
+    """Drop generators lying in the ideal of the others (honest generators)
+    by the graded pruning of the module docstring; survivors in input order."""
     if not I.is_homogeneous():
         raise HomogeneityError("minimal generators need a homogeneous ideal")
-    ring = I.ring
-    one = (ring.one,)
-    gens = list(I.generators)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens)):
-            others = gens[:i] + gens[i + 1 :]
-            d = gens[i].total_degree()
-            span = _degree_span(ring, one, [(h,) for h in others], d)
-            if _row_coordinates(ring, one, (gens[i],), d) in span:
-                gens = others
-                changed = True
-                break
-    return tuple(gens)
+    gens = I.generators
+    kept = set(_graded_prune(I.ring, (I.ring.one,), [(g,) for g in reversed(gens)]))
+    return tuple(g for g in gens if (g,) in kept)
 
 
 def _check_ring(I):
@@ -245,8 +237,9 @@ def hom_degree_zero(I):
 def explicit_basis_check(I, *assignments):
     """True iff each of one or more assignments (one image per generator,
     generators[i] -> images[i]) satisfies every generating syzygy constraint
-    modulo I (degree-zero Hom membership).  One syzygy module serves them
-    all."""
+    modulo I (degree-zero Hom membership), read off the rows of one shift-0
+    system (module docstring).  An image whose normal form has a term of
+    another degree than its generator raises ValueError."""
     _check_ring(I)
     gens = I.generators
     if not assignments:
@@ -254,23 +247,23 @@ def explicit_basis_check(I, *assignments):
     if any(len(images) != len(gens) for images in assignments):
         raise ValueError("need exactly one image per generator")
     module = syzygies(list(gens))
-    return all(_satisfies(module, images) for images in assignments)
+    bases, rows = _system(module, 0)
+    vectors = [_coordinates(module, bases, images) for images in assignments]
+    nonzeros = [[(c, a) for c, a in enumerate(row) if a] for row in rows]
+    return all(not sum(a * v[c] for c, a in row) for row in nonzeros for v in vectors)
 
 
-def _satisfies(module, images):
-    gb = module.basis
-    reduced_images = []
-    for g, im in zip(module.target, images):
-        im_red = gb.reduce(im)
-        if not im_red.is_zero() and im_red.total_degree() != g.total_degree():
-            raise ValueError(
-                f"degree mismatch: generator of degree {g.total_degree()} "
-                f"mapped to degree {im_red.total_degree()}"
-            )
-        reduced_images.append(im_red)
-    pk = _ring_packing(gb.ring)
-    for row in module.generators:
-        rem, _, _ = _reduce_int(_int_combination(zip(row, reduced_images), pk), gb._entries, pk)
-        if rem:
-            return False
-    return True
+def _coordinates(module, bases, images):
+    """The normal form of each image over `bases[j]`: one value per unknown."""
+    vector = []
+    for g, basis, im in zip(module.target, bases, images):
+        coords = dict.fromkeys(basis, 0)   # the degree-d_j standard monomials
+        for m, c in module.basis.reduce(im).terms:
+            if m not in coords:
+                raise ValueError(
+                    f"degree mismatch: generator of degree {g.total_degree()} "
+                    f"mapped to degree {sum(m)}"
+                )
+            coords[m] = c
+        vector.extend(coords.values())
+    return vector

@@ -302,6 +302,31 @@ def minimal_generators_by_bases(I):
     return tuple(gens)
 
 
+def satisfies_by_reduction(I, images):
+    """`tangent.explicit_basis_check` for one assignment (generators[i] ->
+    images[i]): each generating syzygy of the generators is summed against
+    the reduced images through Polynomial arithmetic, and the sum must
+    reduce to zero.  A reduced image of the wrong top degree raises
+    ValueError."""
+    from hilbcomp.groebner import syzygies
+
+    module = syzygies(list(I.generators))
+    gb = module.basis
+    reduced = []
+    for g, im in zip(module.target, images):
+        im = gb.reduce(im).convert(module.ring)
+        if not im.is_zero() and im.total_degree() != g.total_degree():
+            raise ValueError("degree mismatch")
+        reduced.append(im)
+    for row in module.generators:
+        acc = module.ring.zero
+        for s, im in zip(row, reduced):
+            acc = acc + s * im
+        if not gb.reduce(acc).is_zero():
+            return False
+    return True
+
+
 def tangent_rows_by_polynomials(I):
     """The tangent system of `tangent.hom_degree_zero` with Fraction entries,
     one Polynomial product and one `GroebnerBasis.reduce` per (syzygy,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import fixtures, flat_limit, ideals
+from hilbcomp import fixtures, flat_limit, hilbert, ideals
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError, RingMismatchError
 from hilbcomp.flat_limit import (
@@ -310,3 +310,28 @@ def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monk
         assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
     if moved:
         assert not principal_calls
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
+    # the limit keeps the Hilbert data its saturation computed.  When x_n
+    # divides no lead of the special fiber's basis (the fixture), the limit
+    # is that fiber and no series is compared, so the probe computes one
+    # series for the limit and one per sample.  When the special fiber
+    # x0 * m has m-torsion, the saturation certifies the candidate (x0)
+    # against the fiber, and the limit is that candidate with its series
+    if torsion:
+        fam = Family(Ideal(Rt, tparse("x0^2 + t*x0*x1", "x0*x1", "x0*x2", "x0*x3")))
+    else:
+        fam = fixtures.get("family_embedded_limit_n3").payload
+    hilbert_series(irrelevant_ideal(fam.base_ring()))
+    special = _special_fiber(fam.total_ideal)
+    assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
+    computed = []
+    original = hilbert._initial_monomials
+    monkeypatch.setattr(hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I))
+    report = flatness_probe(fam)
+    assert report.flat
+    assert len(computed) == (2 if torsion else 1) + len(report.sample_points)
+    if torsion:
+        assert limit_ideal(fam) == Ideal(R, [R.x(0)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_gene
 
 from oracles import (
     minimal_generators_by_bases,
+    satisfies_by_reduction,
     tangent_counts_by_polynomials,
     tangent_rows_by_polynomials,
 )
@@ -76,13 +78,36 @@ def test_minimal_generators_drops_redundant():
         minimal_generators(Ideal(R, [parse("x0^2 + x1", R), R.x(2)]))
 
 
+def test_independent_generators_build_one_span(monkeypatch):
+    # one span per degree: four independent quadrics share one degree-2 span
+    from hilbcomp import groebner
+
+    calls = []
+    real = groebner._degree_span
+    monkeypatch.setattr(
+        groebner, "_degree_span", lambda *args: calls.append(args[-1]) or real(*args)
+    )
+    quadrics = fixtures.lambda_generators(3)
+    assert minimal_generators(Ideal(R, quadrics)) == quadrics
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_minimal_generators_agree_with_basis_oracle(n):
     # padded moved normal forms: redundant elements of degrees 2 and 3 in
-    # several positions, so the first-redundant-then-restart loop must drop
-    # exactly the generators the basis-membership oracle drops
+    # several positions, so the graded pruning must keep exactly the
+    # generators the basis-membership oracle keeps
     S = PolyRing(n + 1)
     x = [S.x(i) for i in range(n + 1)]
+    # exact tuples: of three quadrics any two of which span the same plane
+    # the first goes, of a and 2a the first goes, and a cubic listed before
+    # the quadrics it lies in goes
+    a, b, c = x[0] * x[1], x[2] ** 2 - x[3] ** 2, x[1] * x[3]
+    exact = [(list(p), p[1:]) for p in itertools.permutations((a, b, a + b))]
+    exact += [([a, 2 * a], (2 * a,)), ([x[0] * a + x[2] * b, a, b, c], (a, b, c))]
+    for gens, want in exact:
+        ideal = Ideal(S, gens)
+        assert minimal_generators(ideal) == minimal_generators_by_bases(ideal) == want, gens
     for k, label in enumerate(("I", "II", "III", "IV")):
         I = random_linear_change(normal_form_ideal(n, label), seed=300 * n + k)
         g = I.generators
@@ -181,12 +206,56 @@ def test_degree_mismatch_rejected():
     I = Ideal(R, fixtures.lambda_generators(3))
     with pytest.raises(ValueError):
         explicit_basis_check(I, (R.x(3), R.zero, R.zero, R.zero))
+    # a term of lower degree is rejected too, not only a wrong top degree
+    with pytest.raises(ValueError, match="degree mismatch"):
+        explicit_basis_check(I, (R.x(3) ** 2 + R.x(2), R.zero, R.zero, R.zero))
     # every assignment needs one image per generator
     with pytest.raises(ValueError):
         explicit_basis_check(I, (R.zero,) * 4, (R.zero,) * 3)
     # no assignment at all is an error, not a vacuous pass
     with pytest.raises(ValueError):
         explicit_basis_check(I)
+
+
+_EXPLICIT_CASES = [
+    (f"lambda-n{n}", lambda n=n: Ideal(PolyRing(n + 1), fixtures.lambda_generators(n)))
+    for n in (3, 4, 5)
+] + [
+    (f"moved-{label}-n{n}", lambda n=n, label=label: random_linear_change(
+        normal_form_ideal(n, label), seed=400 * n + len(label)))
+    for n in (3, 4)
+    for label in ("I", "II", "III", "IV")
+]
+
+
+@pytest.mark.parametrize("name,build", _EXPLICIT_CASES, ids=[c[0] for c in _EXPLICIT_CASES])
+def test_explicit_check_matches_reduction_oracle(name, build):
+    # true cases are integer combinations of nullspace vectors of the
+    # system's rows, mapped back to images; false cases add one random
+    # standard quadric to one image
+    I = build()
+    ring = I.ring
+    bases, rows = tangent._system(syzygies(list(I.generators)), 0)
+    null = linalg.nullspace(rows, sum(map(len, bases)))
+    rng = random.Random(f"explicit-check:{name}")
+
+    def images_of(vector):
+        it = iter(vector)
+        return [ring.from_dict({m: next(it) for m in basis}) for basis in bases]
+
+    outcomes = []
+    for _ in range(3):
+        coeffs = [rng.randint(-3, 3) for _ in null]
+        good = images_of([sum(c * a for c, a in zip(coeffs, col)) for col in zip(*null)])
+        j = rng.randrange(len(bases))
+        bad = list(good)
+        bad[j] += ring.from_dict({rng.choice(bases[j]): rng.choice((-2, -1, 1, 2))})
+        for images in (good, bad):
+            got = explicit_basis_check(I, images)
+            assert got == satisfies_by_reduction(I, images)
+            outcomes.append(got)
+    assert outcomes[::2] == [True] * 3
+    assert False in outcomes[1::2]
 
 
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
