@@ -19,7 +19,9 @@ must be two linear spaces and not a quadric of rank >= 3 in a hyperplane,
 such as a plane conic; see _require_linear_components.  The random
 complete intersection and the random elements of the links are gated by
 exact certificates and can only force a retry, never a wrong label;
-SchemeType.retries counts the rejected complete-intersection draws.
+SchemeType.retries counts the rejected complete-intersection draws.  An
+ideal that holds a linear form (dim (S/I)_1 < n + 1) is refused before any
+draw: no point of the component holds one, as the next paragraph shows.
 
 All four normal forms are generated by quadrics in x_0..x_3, so every point
 of the component in P^n is a cone, with vertex P^(n-4), over a point of
@@ -351,6 +353,15 @@ def classify(I, seed=0):
         raise ClassificationError(
             "Hilbert polynomial mismatch: not a point of the pair component "
             f"(got {data.hilbert_polynomial})"
+        )
+    # every point of the component is generated by quadrics, so it holds no
+    # linear form; refuse one that does before any complete intersection is
+    # drawn, as a fixed answer and not as a run of rejected draws
+    linear = data.series_coefficient(1)
+    if linear < n + 1:
+        raise ClassificationError(
+            "not in the four-type table: the ideal contains a linear form "
+            f"(dim (S/I)_1 = {linear}, want {n + 1})"
         )
     I, dropped = _essential_form(I, data)
     stats = {}

@@ -188,13 +188,6 @@ def _int_terms(p, pk):
     return {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms}, den
 
 
-def _shifted(terms, shift, pk):
-    """x^shift * terms, for a packed {mono: int} dict and a packed monomial."""
-    out = {}
-    _add_product(out, {shift: 1}, terms, pk)
-    return out
-
-
 def _int_combination(pairs, pk):
     """A positive integer multiple of sum(s * g for s, g in pairs) as a packed
     {mono: int} dict, empty exactly when the sum is zero.

@@ -24,12 +24,20 @@ The system is built as integer rows.  The unknown of column (j, k) is the
 coefficient of the standard monomial m_k in the image of f_j, so the block
 of equations of one syzygy (s_1..s_r) has in column (j, k) the coordinates
 of NF(s_j * m_k) over the standard monomials of the syzygy's degree.  The
-engine reduces s_j * m_k fraction-free and returns that normal form as an
-integer remainder over den * scale.  A row mixes columns with different
+normal form is linear, so with s_j = sum_u c_u * u / den (integers c_u)
+
+    NF(s_j * m_k) = sum_u c_u * NF(u * m_k) / den,
+
+and the products of all syzygies and all shifts share their monomials:
+each monomial w = u * m_k is reduced once, the first time a column needs it,
+and the engine returns NF(w) as an integer remainder over its scale.  Only
+monomials that occur in some product are reduced, never a whole degree,
+which keeps a wide full-ring system as cheap as its products.  A column is
+then integral over den * scale, and a row mixes columns with different
 denominators, so each column cannot be cleared on its own without changing
 the row space; instead every entry of the block is multiplied by one
 integer L, the lcm of the block's den * scale.  That multiplies each row of
-the block by the same nonzero constant L, which leaves each row's zero
+the block by the same positive constant L, which leaves each row's zero
 pattern and the row space of the block, hence of the whole system, and its
 rank unchanged.
 
@@ -88,9 +96,9 @@ from .errors import HomogeneityError
 from .groebner import (
     _graded_prune,
     _int_terms,
+    _overflow,
     _reduce_int,
     _ring_packing,
-    _shifted,
     syzygies,
 )
 from .ideals import essential_form
@@ -139,47 +147,86 @@ def _check_ring(I):
         raise HomogeneityError("tangent computations require a homogeneous ideal")
 
 
+class _NormalFormTable:
+    """The tangent systems of one syzygy module for every shift e: its rows
+    packed once, each degree's standard monomials listed once, and each
+    product monomial reduced once (module docstring)."""
+
+    def __init__(self, module):
+        gb = module.basis
+        self._gb = gb
+        self._pk = pk = _ring_packing(gb.ring)
+        self._target_degrees = [f.total_degree() for f in module.target]
+        self._shifts = module.shifts
+        # (terms, den) of each nonzero entry s_j, with s_j == terms / den
+        self._rows = [[_int_terms(s, pk) if s else None for s in row] for row in module.generators]
+        self._degrees = {}   # d -> (standard monomials, {packed: position})
+        self._nf = {}        # packed w -> (scale, [(k, v)]): NF(w) == sum v * m_k / scale
+
+    def _standard(self, d):
+        found = self._degrees.get(d)
+        if found is None:
+            monos = self._gb.standard_monomials(d)
+            index = {self._pk.pack(m): k for k, m in enumerate(monos)}
+            found = self._degrees[d] = (monos, index)
+        return found
+
+    def system(self, e):
+        """(unknown bases, integer rows) of the tangent system of shift e:
+        the images of f_j in (S/I)_(d_j - e), and one equation per syzygy
+        and standard monomial of (S/I)_(shift - e).  Shift 0 is
+        Hom(I, S/I)_0.
+
+        One grevlex basis serves every shift: the one `syzygies` built on
+        the f_j, which is the reduced basis of I.  Column (j, k) of a
+        syzygy's block is sum c_u * NF(u * m_k) / den over the terms
+        c_u * u / den of s_j; the block is scaled by L, the lcm of its
+        den * scale, and only its nonzero rows are kept, in basis order.
+        """
+        pk = self._pk
+        base, guards = pk.base, pk.guards
+        entries = self._gb._entries
+        memo = self._nf
+        standard = [self._standard(d - e) for d in self._target_degrees]
+        bases = tuple(monos for monos, _ in standard)
+        # m_k as an offset: the packed u * m_k is u + offset
+        offsets = [[m - base for m in index] for _, index in standard]
+        total = sum(map(len, bases))
+
+        rows = []
+        for row, shift in zip(self._rows, self._shifts):
+            # the relation lands in (S/I)_(shift - e); one equation per basis monomial
+            _, index = self._standard(shift - e)
+            terms = []   # (column, c_u, den * scale, NF(u * m_k) rows)
+            col = 0
+            for entry, offs in zip(row, offsets):
+                if entry:
+                    s_j, den = entry
+                    for k, off in enumerate(offs):
+                        for u, c in s_j.items():
+                            w = u + off
+                            if w & guards:
+                                raise _overflow()
+                            nf = memo.get(w)
+                            if nf is None:
+                                rem, scale, _ = _reduce_int({w: 1}, entries, pk)
+                                nf = memo[w] = (scale, [(index[m], v) for m, v in rem.items()])
+                            if nf[1]:
+                                terms.append((col + k, c, den * nf[0], nf[1]))
+                col += len(offs)
+            block = lcm(*{f for _, _, f, _ in terms})
+            eqs = [[0] * total for _ in index]
+            for column, c, f, nf in terms:
+                a = c * (block // f)
+                for r, v in nf:
+                    eqs[r][column] += a * v
+            rows.extend(eq for eq in eqs if any(eq))
+        return bases, rows
+
+
 def _system(module, e):
-    """(unknown bases, integer rows) of the tangent system of shift e over
-    the syzygy module of the minimal generators f_j: the images of f_j in
-    (S/I)_(d_j - e), and one equation per syzygy and standard monomial of
-    (S/I)_(shift - e).  Shift 0 is Hom(I, S/I)_0.
-
-    One grevlex basis serves every shift: the one `syzygies` built on the
-    f_j, which is the reduced basis of I.  Each product s_j * m_k is reduced
-    inside the engine as a packed integer term dict, giving remainder /
-    (den * scale) with den clearing s_j.  The block of one syzygy is scaled
-    by L, the lcm of its den * scale (see the module docstring); only its
-    nonzero rows are kept, in basis order.
-    """
-    gb = module.basis
-    pk = _ring_packing(gb.ring)
-    entries = gb._entries
-    bases = tuple(gb.standard_monomials(f.total_degree() - e) for f in module.target)
-    packed = [[pk.pack(m) for m in b] for b in bases]
-    total = sum(map(len, bases))
-
-    rows = []
-    for row, shift in zip(module.generators, module.shifts):
-        # the relation lands in (S/I)_(shift - e); one equation per basis monomial
-        index = {pk.pack(m): k for k, m in enumerate(gb.standard_monomials(shift - e))}
-        reduced = []   # (column, remainder, den * scale)
-        col = 0
-        for s_j, monos in zip(row, packed):
-            if s_j:
-                terms, den = _int_terms(s_j, pk)
-                for k, m in enumerate(monos):
-                    rem, scale, _ = _reduce_int(_shifted(terms, m, pk), entries, pk)
-                    reduced.append((col + k, rem, den * scale))
-            col += len(monos)
-        block = lcm(*(f for _, _, f in reduced))
-        eqs = [[0] * total for _ in index]
-        for c, rem, f in reduced:
-            mult = block // f
-            for m, v in rem.items():
-                eqs[index[m]][c] = v * mult
-        rows.extend(eq for eq in eqs if any(eq))
-    return bases, rows
+    """`_NormalFormTable.system` of shift e, on a table of its own."""
+    return _NormalFormTable(module).system(e)
 
 
 def hom_degree_zero(I):
@@ -196,7 +243,7 @@ def hom_degree_zero(I):
         gens = reduced.generators
     else:
         columns = range(ring.num_vars)
-    module = syzygies(list(gens))
+    table = _NormalFormTable(syzygies(list(gens)))
     dropped = ring.num_vars - gens[0].ring.num_vars
     degrees = tuple(g.total_degree() for g in gens)
     unknowns = [[] for _ in gens]   # exponents in y, per generator
@@ -206,7 +253,7 @@ def hom_degree_zero(I):
         vs = monomials_of_degree(dropped, e)
         if not vs:
             continue
-        bases, eqs = _system(module, e)
+        bases, eqs = table.system(e)
         for found, basis in zip(unknowns, bases):
             found.extend(u + v for u in basis for v in vs)
         total += len(vs) * sum(map(len, bases))
@@ -240,6 +287,12 @@ def explicit_basis_check(I, *assignments):
     modulo I (degree-zero Hom membership), read off the rows of one shift-0
     system (module docstring).  An image whose normal form has a term of
     another degree than its generator raises ValueError."""
+    return _explicit_vectors(I, assignments)[0]
+
+
+def _explicit_vectors(I, assignments):
+    """(`explicit_basis_check`'s answer, the assignments' coordinate vectors
+    over the shift-0 unknowns), from one syzygy module."""
     _check_ring(I)
     gens = I.generators
     if not assignments:
@@ -250,7 +303,8 @@ def explicit_basis_check(I, *assignments):
     bases, rows = _system(module, 0)
     vectors = [_coordinates(module, bases, images) for images in assignments]
     nonzeros = [[(c, a) for c, a in enumerate(row) if a] for row in rows]
-    return all(not sum(a * v[c] for c, a in row) for row in nonzeros for v in vectors)
+    ok = all(not sum(a * v[c] for c, a in row) for row in nonzeros for v in vectors)
+    return ok, vectors
 
 
 def _coordinates(module, bases, images):

@@ -19,7 +19,13 @@ from hilbcomp.classify import (
 from hilbcomp.errors import ClassificationError
 from hilbcomp.flat_limit import limit_ideal
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
-from hilbcomp.ideals import Ideal, intersect, random_invertible_matrix, random_linear_change
+from hilbcomp.ideals import (
+    Ideal,
+    dumps_ideal,
+    intersect,
+    random_invertible_matrix,
+    random_linear_change,
+)
 from hilbcomp.rings import PolyRing, parse
 
 from oracles import essential_form_by_substitution, hull_by_quotients, reducedness_by_components
@@ -253,6 +259,49 @@ def test_moved_plane_conic_with_an_embedded_point_is_refused(monkeypatch):
     with pytest.raises(ClassificationError, match="not in the four-type table: .* rank 3"):
         classify(X, seed=3)
     assert [J.ring for J in seen] == [PolyRing(4)]
+
+
+def _ideal_in_p5_with_a_linear_form():
+    """x5 plus x4^2 times the ideal of a plane, a skew line and a point of
+    the hyperplane x5 = 0: the reference Hilbert polynomial of P^5."""
+    R6 = PolyRing(6)
+    plane = I("x2", "x3", "x5", ring=R6)
+    line = I("x0", "x1", "x4", "x5", ring=R6)
+    point = I("x0 - x4", "x1 - x4", "x2 - x4", "x3 - x4", "x5", ring=R6)
+    K = intersect(intersect(plane, line), point)
+    return Ideal(R6, [parse("x5", R6)] + [parse("x4^2", R6) * g for g in K.generators])
+
+
+def test_ideal_with_a_linear_form_is_refused_before_any_draw(monkeypatch):
+    # no point of the component holds a linear form, so the refusal is
+    # fixed and comes before any complete intersection is drawn
+    fixed_point = I("x3", "x2^3", "x1*x2^2")
+    X = _ideal_in_p5_with_a_linear_form()
+    cases = [
+        (fixed_point, 3),
+        (random_linear_change(fixed_point, seed=5), 3),
+        (X, 5),
+        (random_linear_change(X, seed=5), 5),
+    ]
+    monkeypatch.setattr(
+        classify_module, "_complete_intersection",
+        lambda *a: pytest.fail("a complete intersection was drawn"),
+    )
+    for J, n in cases:
+        data = hilbert_series(J)
+        assert data.hilbert_polynomial == pair_hilbert_polynomial(n)
+        assert data.series_coefficient(1) == n
+        with pytest.raises(ClassificationError, match="not in the four-type table: .* linear form"):
+            classify(J, seed=1)
+
+
+def test_cli_refuses_an_ideal_with_a_linear_form(tmp_path, capsys):
+    from hilbcomp.cli import run_subcommand
+
+    path = tmp_path / "linear.ideal"
+    path.write_text(dumps_ideal(random_linear_change(_ideal_in_p5_with_a_linear_form(), seed=2)))
+    assert run_subcommand(["classify", str(path)]) == 1
+    assert "linear form" in capsys.readouterr().err
 
 
 def _spy_on_hull(monkeypatch):

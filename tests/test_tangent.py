@@ -1,15 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hilbcomp import fixtures, linalg, tangent
+from hilbcomp import fixtures, linalg, loads_ideal, tangent
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
-from hilbcomp.groebner import syzygies
+from hilbcomp.groebner import _ring_packing, syzygies
 from hilbcomp.ideals import Ideal, random_linear_change
-from hilbcomp.rings import PolyRing, monomials_of_degree, parse
+from hilbcomp.rings import PolyRing, _mono_mul, monomials_of_degree, parse
 from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_generators
 
 from oracles import (
@@ -330,6 +331,45 @@ def test_integer_system_matches_polynomial_oracle(name, build):
         assert len(multiples) <= 1
     flat = [row for block in blocks for row in block]
     assert linalg.rank(rows) == linalg.rank(flat)
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_each_product_monomial_is_reduced_once_per_call(label, monkeypatch):
+    # the systems of all shifts share one normal-form table: every reduction
+    # is of one monomial, none is repeated, and exactly the monomials u * m_k
+    # of the products s_j * m_k are reduced (one product per syzygy entry
+    # s_j and standard monomial m_k of each shift's unknown basis)
+    I = loads_ideal((Path(__file__).parent / "data" / f"moved_{label}_n5.ideal").read_text())
+    modules, reduced = [], []
+    real_syzygies, real_reduce = tangent.syzygies, tangent._reduce_int
+
+    def spy_syzygies(gens):
+        modules.append(real_syzygies(gens))
+        return modules[-1]
+
+    def spy_reduce(work, *args, **kwargs):
+        assert len(work) == 1 and set(work.values()) == {1}
+        reduced.extend(work)
+        return real_reduce(work, *args, **kwargs)
+
+    monkeypatch.setattr(tangent, "syzygies", spy_syzygies)
+    monkeypatch.setattr(tangent, "_reduce_int", spy_reduce)
+    report = hom_degree_zero(I)
+    (module,) = modules
+    assert len(reduced) == len(set(reduced))
+
+    gb = module.basis
+    dropped = I.ring.num_vars - module.ring.num_vars
+    assert dropped and report.generator_degrees == (2,) * len(module.target)
+    products = set()
+    for e in range(3):
+        for row in module.generators:
+            for s, f in zip(row, module.target):
+                for m in gb.standard_monomials(f.total_degree() - e):
+                    products.update(_mono_mul(u, m) for u, _ in s.terms)
+    unpack = _ring_packing(module.ring).unpack
+    assert {unpack(w) for w in reduced} == products
+    assert len(reduced) == {"I": 29, "II": 29, "III": 26, "IV": 26}[label]
 
 
 def _counts(report):

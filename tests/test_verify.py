@@ -101,3 +101,25 @@ def test_explicit_elements_share_one_syzygy_module(monkeypatch):
     expected, computed, ok = verify._check_explicit_elements(4)
     assert ok and computed == expected == {"satisfy_constraints": True, "count": 20}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("which", ["trivial", "versal"])
+def test_a_duplicated_explicit_element_fails_the_count(monkeypatch, which):
+    # the lists keep their lengths, 3n - 3 and 5(n - 2) + 1, but one element
+    # repeats another of its list, so their rank drops by one
+    import dataclasses
+
+    from hilbcomp import fixtures, verify
+
+    real = fixtures.get
+
+    def get(fixture_id):
+        row = real(fixture_id)
+        if fixture_id == f"tangent_{which}_elements_n4":
+            row = dataclasses.replace(row, payload=row.payload[:-1] + row.payload[:1])
+        return row
+
+    monkeypatch.setattr(fixtures, "get", get)
+    expected, computed, ok = verify._check_explicit_elements(4)
+    assert computed == {"satisfy_constraints": True, "count": 19}
+    assert expected["count"] == 20 and not ok
