@@ -17,10 +17,12 @@ print("all S-pairs reduce to zero:", gb.spair_certificate())
 print("x0*x2*x3 in the ideal:", gb.reduce(x0 * x2 * x3).is_zero())
 print("x3^2 normal form:", gb.reduce(x3**2))
 
-# Each basis element knows its exact expression in the input generators.
+# Each basis element knows its exact expression in the input generators:
+# summing transform . generators gives the elements back.
 gb2 = buchberger([x0 + x1, x0 - x1])
 print("basis:", [str(g) for g in gb2.elements])
-print("transform verifies:", gb2.transform_certificate())
+combos = [sum((s * g for s, g in zip(row, gb2.generators)), R.zero) for row in gb2.transform]
+print("transform verifies:", combos == list(gb2.elements))
 
 # Elimination: intersect with a subring.  Killing t from (t*x0, (1-t)*x1)
 # leaves exactly the product x0*x1.

@@ -22,8 +22,12 @@ Schreyer lift are all summed by `_add_product`.  Rings that differ only in
 their order share one index layout, so a polynomial of any compatible ring
 reduces against a basis without conversion.
 
-One graded pruning routine, `_graded_prune`, trims the rows of `syzygies`
-and, on the one-entry rows (g,) against (1,), `tangent.minimal_generators`.
+A syzygy row is one packed {mono: int} dict per entry.  `syzygies` lifts,
+makes primitive and prunes its rows in that form and unpacks only the rows
+it publishes (`_row_polys`); a `SyzygyModule` packs those back once, over
+one denominator per row (`_pack_row`), for `verify`, `contains` and the
+tangent table.  `_graded_prune` also trims the one-entry rows (g,) against
+(1,) for `tangent.minimal_generators`; a row's shift is read off its terms.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
@@ -188,19 +192,12 @@ def _int_terms(p, pk):
     return {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms}, den
 
 
-def _int_combination(pairs, pk):
-    """A positive integer multiple of sum(s * g for s, g in pairs) as a packed
-    {mono: int} dict, empty exactly when the sum is zero.
-
-    Each product is scaled by L / (den_s * den_g), L the lcm of those
-    denominators, so every pair contributes L times its exact product.
-    """
-    prods = [(_int_terms(s, pk), _int_terms(g, pk)) for s, g in pairs if s and g]
-    L = lcm(*(ds * dg for (_, ds), (_, dg) in prods))
-    acc = {}
-    for (st, ds), (gt, dg) in prods:
-        _add_product(acc, st, gt, pk, L // (ds * dg))
-    return acc
+def _pack_row(row, pk):
+    """A row of Polynomials as packed {mono: int} dicts over one common
+    denominator, the lcm of the entries' own: a positive multiple of the row."""
+    packed = [_int_terms(s, pk) for s in row]
+    den = lcm(*(d for _, d in packed))
+    return [t if d == den else {m: c * (den // d) for m, c in t.items()} for t, d in packed]
 
 
 def _add_product(acc, st, gt, pk, f=1):
@@ -439,16 +436,6 @@ class GroebnerBasis:
         pairs = _reduced_spairs(self._entries, _ring_packing(self.ring))
         return not any(rem for *_, (rem, _, _) in pairs)
 
-    def transform_certificate(self):
-        """Exact check that transform . generators == elements."""
-        if self.transform is None:
-            return False
-        pk, minus_one = _ring_packing(self.ring), self.ring.constant(-1)
-        return not any(
-            _int_combination([*zip(row, self.generators), (minus_one, g)], pk)
-            for row, g in zip(self.transform, self.elements)
-        )
-
 
 def buchberger(gens, order=None, *, transform=True, seed=None):
     """Reduced Groebner basis of the given nonzero generators.
@@ -609,17 +596,11 @@ def exact_divide(f, g):
     """Exact quotient f/g; raises when g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    pk = _ring_packing(f.ring)
-    gd, gden = _int_terms(g, pk)
-    entry = _Entry(gd, pk)
-    fd, fden = _int_terms(f, pk)
-    rem, scale, quots = _reduce_int(fd, [entry], pk, want_quotients=True)
+    # the one-element basis (g) divides by g made monic
+    rem, (quot,) = GroebnerBasis(f.ring, (g,), (g,)).reduce(f, want_quotients=True)
     if rem:
         raise ValueError("polynomial is not divisible")
-    # scale*fden*f == quot * prim, prim == gden*g/unit  =>  f/g == quot * gden/(unit*scale*fden)
-    return _poly(f.ring, quots[0].items(), Fraction(gden, entry.unit * fden * scale))
+    return quot.scale(1 / g.lead_coeff())
 
 
 @dataclass(frozen=True)
@@ -630,6 +611,7 @@ class SyzygyModule:
     homogeneous with the recorded degree shifts and generate the full
     module (Schreyer construction lifted through the basis transform).
     `basis` is the reduced basis `syzygies` built them on (None if given).
+    `_packed` is the one packed copy of `generators` (module docstring).
     """
 
     ring: object
@@ -638,70 +620,82 @@ class SyzygyModule:
     shifts: tuple
     basis: GroebnerBasis = field(default=None, compare=False, repr=False)
 
-    def verify(self):
-        """True when every row combines the target to exactly zero."""
+    @functools.cached_property
+    def _packed(self):
         pk = _ring_packing(self.ring)
-        return not any(_int_combination(zip(row, self.target), pk) for row in self.generators)
+        return tuple(_pack_row(row, pk) for row in self.generators)
+
+    def verify(self):
+        """True when sum_j s_j * [f_j], the one-entry `_combination` of each
+        packed row with the target packed over one denominator, is zero."""
+        pk = _ring_packing(self.ring)
+        target = [[f] for f in _pack_row(self.target, pk)]
+        return not any(_combination([*zip(row, target)], (), None, pk)[0] for row in self._packed)
 
     def contains(self, candidate):
         """Degreewise module membership for a homogeneous candidate row;
         raises HomogeneityError when an entry is not homogeneous."""
         if not all(s.is_homogeneous() for s in candidate):
             raise HomogeneityError("syzygy row is not homogeneous")
-        shift = _tuple_shift(candidate, self.target)
-        coords = _row_coordinates(self.ring, self.target, candidate, shift)
-        return coords in _degree_span(self.ring, self.target, self.generators, shift)
+        row = _pack_row(candidate, _ring_packing(self.ring))
+        shift = _row_shift(self.ring, self.target, row)
+        coords = _row_coordinates(self.ring, self.target, row, shift)
+        return coords in _degree_span(self.ring, self.target, self._packed, shift)
 
 
-def _tuple_shift(row, target):
-    degs = set()
-    for s, f in zip(row, target):
-        if not s.is_zero():
-            degs.add(s.total_degree() + f.total_degree())
+def _row_shift(ring, target, row):
+    """The degree of a packed module row, read off the first term of each
+    nonzero entry; HomogeneityError unless they all agree."""
+    unpack = _ring_packing(ring).unpack
+    degs = {sum(unpack(next(iter(s)))) + f.total_degree() for s, f in zip(row, target) if s}
     if len(degs) != 1:
         raise HomogeneityError("syzygy row is not homogeneous")
     return degs.pop()
 
 
 @functools.lru_cache(maxsize=128)
-def _monomial_index(width, d):
-    return {m: k for k, m in enumerate(monomials_of_degree(width, d))}
+def _monomial_index(order, width, d):
+    """{packed monomial: position} over monomials_of_degree(width, d)."""
+    pack = _packing(order, width).pack
+    return {pack(m): k for k, m in enumerate(monomials_of_degree(width, d))}
 
 
 def _row_coordinates(ring, target, row, shift, mono=None):
-    """Flatten the degree-`shift` module row mono * row (mono an exponent
-    tuple, None for 1) into a rational coordinate vector over the
+    """Flatten the degree-`shift` module row mono * row (a packed row, mono a
+    packed monomial or None for 1) into a coordinate vector over the
     monomials_of_degree bases of the entries."""
+    delta = 0 if mono is None else mono - _ring_packing(ring).base
     coords = []
     for s, f in zip(row, target):
-        index = _monomial_index(ring.width, shift - f.total_degree())
+        index = _monomial_index(ring.order, ring.width, shift - f.total_degree())
         vec = [0] * len(index)
-        for m, c in s.terms:
-            k = index.get(m if mono is None else _mono_mul(m, mono))
+        for m, c in s.items():
+            k = index.get(m + delta)
             if k is not None:
                 vec[k] = c
         coords.extend(vec)
     return coords
 
 
-def _degree_span(ring, target, generators, shift):
-    """Echelon span of the degree-`shift` piece of the module the rows generate."""
+def _degree_span(ring, target, rows, shift):
+    """Echelon span of the degree-`shift` piece of the packed rows' module."""
     span = linalg.RowSpan()
-    for gen in generators:
-        for m in monomials_of_degree(ring.width, shift - _tuple_shift(gen, target)):
-            span.add(_row_coordinates(ring, target, gen, shift, m))
+    for row in rows:
+        for m in _monomial_index(ring.order, ring.width, shift - _row_shift(ring, target, row)):
+            span.add(_row_coordinates(ring, target, row, shift, m))
     return span
 
 
 def _graded_prune(ring, target, rows):
-    """The rows outside the graded module span of the rows kept before them,
-    after a stable sort by shift (so a repeated row goes too).  A kept row
-    spans only itself in its own degree, so one span per shift serves."""
-    shift_of = functools.partial(_tuple_shift, target=target)
+    """The positions of the packed rows outside the graded module span of the
+    rows kept before them, after a stable sort by shift (so a repeated row
+    goes too).  A kept row spans only itself in its own degree, so one span
+    per shift serves."""
+    shift_of = [_row_shift(ring, target, row) for row in rows].__getitem__
     kept = []
-    for shift, group in itertools.groupby(sorted(rows, key=shift_of), key=shift_of):
-        span = _degree_span(ring, target, kept, shift)
-        kept.extend(row for row in group if span.add(_row_coordinates(ring, target, row, shift)))
+    for shift, group in itertools.groupby(sorted(range(len(rows)), key=shift_of), key=shift_of):
+        span = _degree_span(ring, target, [rows[i] for i in kept], shift)
+        kept.extend(i for i in group if span.add(_row_coordinates(ring, target, rows[i], shift)))
     return kept
 
 
@@ -713,7 +707,9 @@ def syzygies(gens):
     The lift is integral: A is cleared to packed {mono: int} entries over one
     common denominator and v . A summed from v scaled by the D = scale * den
     of its division.  Each row is made primitive (coprime integers, the lead
-    term of its first nonzero entry positive) and becomes Polynomials once.
+    term of its first nonzero entry positive) and pruned while packed; only
+    the rows kept become Polynomials (`_row_polys`), and `verify` certifies
+    those published rows, packed again from them.
     """
     gens = list(gens)
     if not gens:
@@ -755,18 +751,23 @@ def syzygies(gens):
         lead = next(t for t in row if t)
         if lead[max(lead)] < 0:
             content = -content
-        inv = Fraction(1, content)
-        return tuple(_poly(ring, sorted(t.items(), reverse=True), inv) for t in row)
+        return [{m: c // content for m, c in t.items()} for t in row]
 
     target = gb.generators
-    pruned = _graded_prune(ring, target, [primitive(row) for row in rows if any(row)])
+    rows = [primitive(row) for row in rows if any(row)]
+    pruned = [rows[i] for i in _graded_prune(ring, target, rows)]
     module = SyzygyModule(
         ring,
         target,
-        tuple(pruned),
-        tuple(_tuple_shift(row, target) for row in pruned),
+        tuple(_row_polys(ring, row) for row in pruned),
+        tuple(_row_shift(ring, target, row) for row in pruned),
         gb,
     )
     if not module.verify():
         raise AssertionError("syzygy construction produced an inexact relation")
     return module
+
+
+def _row_polys(ring, row):
+    """The Polynomials of a packed integer row: how `syzygies` publishes it."""
+    return tuple(_poly(ring, sorted(t.items(), reverse=True)) for t in row)

@@ -21,7 +21,8 @@ order key) and crosses into this tuple representation in one place each
 way: `groebner._int_terms` packs on the way in, `groebner._poly` unpacks
 every result on the way out, Buchberger's transform included; it uses the
 tuple helpers only for the pair bookkeeping on the leads of its basis
-elements.
+elements.  A syzygy row crosses twice: `syzygies` unpacks the rows it
+publishes, and the module packs them back once for the engine's readers.
 """
 
 from __future__ import annotations
@@ -548,30 +549,27 @@ def _syntax_error(text, pos, wanted):
     return ParseError(f"expected {wanted}, found {found}", at)
 
 
+def format_monomial(ring, m):
+    """The text of exponent tuple m as in `format_polynomial`, '1' if constant."""
+    factors = (ring.var_name(i) + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e)
+    return "*".join(factors) or "1"
+
+
 def format_polynomial(p):
     """Canonical text: descending terms, explicit '*' and '^'."""
     if not p.terms:
         return "0"
-    ring = p.ring
     parts = []
     for k, (m, c) in enumerate(p.terms):
-        factors = []
-        for i, e in enumerate(m):
-            if e == 1:
-                factors.append(ring.var_name(i))
-            elif e > 1:
-                factors.append(f"{ring.var_name(i)}^{e}")
-        mag = abs(c)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([str(mag)] + factors)
-        else:
+        mag, body = abs(c), format_monomial(p.ring, m)
+        if not any(m):
             body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
         if k == 0:
             if c > 0:
                 parts.append(body)
-            elif factors and mag == 1:
+            elif any(m) and mag == 1:
                 # grammar has no unary minus on a bare monomial
                 parts.append(f"-1*{body}")
             else:

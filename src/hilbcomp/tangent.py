@@ -23,20 +23,22 @@ which keeps what the greedy pass from the last index down keeps.
 The system is built as integer rows.  The unknown of column (j, k) is the
 coefficient of the standard monomial m_k in the image of f_j, so the block
 of equations of one syzygy (s_1..s_r) has in column (j, k) the coordinates
-of NF(s_j * m_k) over the standard monomials of the syzygy's degree.  The
-normal form is linear, so with s_j = sum_u c_u * u / den (integers c_u)
+of NF(s_j * m_k) over the standard monomials of the syzygy's degree.  Each
+row is read as the module packed it (`SyzygyModule._packed`, a positive
+multiple of the published row, which changes no row space), with integer
+terms s_j = sum_u c_u * u, and the normal form is linear:
 
-    NF(s_j * m_k) = sum_u c_u * NF(u * m_k) / den,
+    NF(s_j * m_k) = sum_u c_u * NF(u * m_k),
 
 and the products of all syzygies and all shifts share their monomials:
 each monomial w = u * m_k is reduced once, the first time a column needs it,
 and the engine returns NF(w) as an integer remainder over its scale.  Only
 monomials that occur in some product are reduced, never a whole degree,
 which keeps a wide full-ring system as cheap as its products.  A column is
-then integral over den * scale, and a row mixes columns with different
-denominators, so each column cannot be cleared on its own without changing
-the row space; instead every entry of the block is multiplied by one
-integer L, the lcm of the block's den * scale.  That multiplies each row of
+then integral over the scales of its products, and a row mixes columns with
+different scales, so each column cannot be cleared on its own without
+changing the row space; instead every entry of the block is multiplied by
+one integer L, the lcm of the block's scales.  That multiplies each row of
 the block by the same positive constant L, which leaves each row's zero
 pattern and the row space of the block, hence of the whole system, and its
 rank unchanged.
@@ -88,21 +90,20 @@ exponent tuples, as `standard_monomials` lists them; they and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
 from .errors import HomogeneityError
 from .groebner import (
     _graded_prune,
-    _int_terms,
     _overflow,
+    _pack_row,
     _reduce_int,
     _ring_packing,
     syzygies,
 )
 from .ideals import essential_form
-from .rings import monomials_of_degree
+from .rings import format_monomial, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,9 @@ def minimal_generators(I):
     if not I.is_homogeneous():
         raise HomogeneityError("minimal generators need a homogeneous ideal")
     gens = I.generators
-    kept = set(_graded_prune(I.ring, (I.ring.one,), [(g,) for g in reversed(gens)]))
-    return tuple(g for g in gens if (g,) in kept)
+    rows = [_pack_row((g,), _ring_packing(I.ring)) for g in reversed(gens)]
+    kept = {len(gens) - 1 - i for i in _graded_prune(I.ring, (I.ring.one,), rows)}
+    return tuple(g for i, g in enumerate(gens) if i in kept)
 
 
 def _check_ring(I):
@@ -149,17 +151,17 @@ def _check_ring(I):
 
 class _NormalFormTable:
     """The tangent systems of one syzygy module for every shift e: its rows
-    packed once, each degree's standard monomials listed once, and each
-    product monomial reduced once (module docstring)."""
+    as the module packed them, each degree's standard monomials listed once,
+    and each product monomial reduced once (module docstring)."""
 
     def __init__(self, module):
         gb = module.basis
         self._gb = gb
-        self._pk = pk = _ring_packing(gb.ring)
+        self._pk = _ring_packing(gb.ring)
         self._target_degrees = [f.total_degree() for f in module.target]
         self._shifts = module.shifts
-        # (terms, den) of each nonzero entry s_j, with s_j == terms / den
-        self._rows = [[_int_terms(s, pk) if s else None for s in row] for row in module.generators]
+        # integer rows, each a positive multiple of the published one
+        self._rows = module._packed
         self._degrees = {}   # d -> (standard monomials, {packed: position})
         self._nf = {}        # packed w -> (scale, [(k, v)]): NF(w) == sum v * m_k / scale
 
@@ -179,9 +181,9 @@ class _NormalFormTable:
 
         One grevlex basis serves every shift: the one `syzygies` built on
         the f_j, which is the reduced basis of I.  Column (j, k) of a
-        syzygy's block is sum c_u * NF(u * m_k) / den over the terms
-        c_u * u / den of s_j; the block is scaled by L, the lcm of its
-        den * scale, and only its nonzero rows are kept, in basis order.
+        syzygy's block is sum c_u * NF(u * m_k) over the integer terms
+        c_u * u of s_j; the block is scaled by L, the lcm of its NF scales,
+        and only its nonzero rows are kept, in basis order.
         """
         pk = self._pk
         base, guards = pk.base, pk.guards
@@ -197,11 +199,10 @@ class _NormalFormTable:
         for row, shift in zip(self._rows, self._shifts):
             # the relation lands in (S/I)_(shift - e); one equation per basis monomial
             _, index = self._standard(shift - e)
-            terms = []   # (column, c_u, den * scale, NF(u * m_k) rows)
+            terms = []   # (column, c_u, scale, NF(u * m_k) rows)
             col = 0
-            for entry, offs in zip(row, offsets):
-                if entry:
-                    s_j, den = entry
+            for s_j, offs in zip(row, offsets):
+                if s_j:
                     for k, off in enumerate(offs):
                         for u, c in s_j.items():
                             w = u + off
@@ -212,7 +213,7 @@ class _NormalFormTable:
                                 rem, scale, _ = _reduce_int({w: 1}, entries, pk)
                                 nf = memo[w] = (scale, [(index[m], v) for m, v in rem.items()])
                             if nf[1]:
-                                terms.append((col + k, c, den * nf[0], nf[1]))
+                                terms.append((col + k, c, nf[0], nf[1]))
                 col += len(offs)
             block = lcm(*{f for _, _, f, _ in terms})
             eqs = [[0] * total for _ in index]
@@ -267,7 +268,7 @@ def hom_degree_zero(I):
         return tuple(mono)
 
     unknown_names = tuple(
-        tuple(str(ring.from_dict({m: Fraction(1)})) for m in sorted(map(in_x, found)))
+        tuple(format_monomial(ring, m) for m in sorted(map(in_x, found)))
         for found in unknowns
     )
     return TangentReport(

@@ -369,6 +369,20 @@ def tangent_counts_by_polynomials(I):
     return total - rank, total, rank
 
 
+def transform_certificate(gb):
+    """True when gb carries a transform and transform . generators ==
+    elements, summed through Polynomial arithmetic."""
+    if gb.transform is None:
+        return False
+    for row, g in zip(gb.transform, gb.elements):
+        acc = -g
+        for s, f in zip(row, gb.generators):
+            acc = acc + s * f
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def syzygy_verify_by_polynomials(module):
     """True when every row of the module satisfies sum(s_j * f_j) == 0,
     summed through Polynomial arithmetic."""

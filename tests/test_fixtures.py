@@ -51,14 +51,15 @@ def test_mu_columns_generate_the_syzygies():
         assert module.contains(tuple(mu[i][j] for i in range(4)))
     # ... and each computed generator lies in the column span, so the two
     # generating sets present the same module
-    from hilbcomp.groebner import SyzygyModule, _tuple_shift
+    from hilbcomp.groebner import SyzygyModule, _pack_row, _ring_packing, _row_shift
 
+    ring = lam[0].ring
     columns = tuple(tuple(mu[i][j] for i in range(4)) for j in range(4))
     column_module = SyzygyModule(
-        lam[0].ring,
+        ring,
         tuple(lam),
         columns,
-        tuple(_tuple_shift(c, lam) for c in columns),
+        tuple(_row_shift(ring, lam, _pack_row(c, _ring_packing(ring))) for c in columns),
     )
     assert column_module.verify()
     for row in module.generators:

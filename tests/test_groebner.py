@@ -13,6 +13,7 @@ from hilbcomp.groebner import (
     _add_product,
     _int_terms,
     _monomial_index,
+    _pack_row,
     _packing,
     _row_coordinates,
     buchberger,
@@ -37,6 +38,7 @@ from oracles import (
     reduce_by_tuples,
     row_coordinates_by_products,
     syzygy_verify_by_polynomials,
+    transform_certificate,
     validate_canonical,
 )
 
@@ -155,7 +157,7 @@ def test_transform_certificate():
     ):
         for seed in (None, 1, 2, 3, 4, 5):
             gb = buchberger(gens, order, transform=True, seed=seed)
-            assert gb.transform_certificate(), seed
+            assert transform_certificate(gb), seed
             assert gb.spair_certificate(), seed
 
 
@@ -169,13 +171,13 @@ def test_spair_certificate_rejects_a_generating_set_that_is_not_a_basis():
 
 def test_transform_certificate_rejects_a_perturbed_entry():
     gb = buchberger(quads(*CI_QUADRICS), LEX, transform=True)
-    assert gb.transform_certificate()
+    assert transform_certificate(gb)
     for i, j in ((0, 0), (4, 2), (9, 1)):
         rows = [list(row) for row in gb.transform]
         rows[i][j] = rows[i][j] + gb.ring.x(3) ** rows[i][j].total_degree()
         bad = dataclasses.replace(gb, transform=tuple(map(tuple, rows)))
-        assert not bad.transform_certificate(), (i, j)
-    assert not dataclasses.replace(gb, transform=None).transform_certificate()
+        assert not transform_certificate(bad), (i, j)
+    assert not transform_certificate(dataclasses.replace(gb, transform=None))
 
 
 def test_buchberger_rejects_bad_input():
@@ -449,13 +451,16 @@ _SYZYGY_CASES = [
 def test_packed_syzygy_check_agrees_with_polynomial_oracle(name, build):
     module = syzygies(list(build()))
     ring, target = module.ring, module.target
+    pk = _packing(ring.order, ring.width)
     assert module.verify() and syzygy_verify_by_polynomials(module)
     for row, shift in zip(module.generators, module.shifts):
-        assert _row_coordinates(ring, target, row, shift) == row_coordinates_by_products(
+        # the published rows are primitive integer rows, so packing keeps them
+        packed = _pack_row(row, pk)
+        assert _row_coordinates(ring, target, packed, shift) == row_coordinates_by_products(
             ring, target, row, shift
         )
         for m in monomials_of_degree(ring.width, 1):
-            assert _row_coordinates(ring, target, row, shift + 1, m) == (
+            assert _row_coordinates(ring, target, packed, shift + 1, pk.pack(m)) == (
                 row_coordinates_by_products(ring, target, row, shift + 1, m)
             )
 
@@ -471,9 +476,42 @@ def test_packed_syzygy_check_agrees_with_polynomial_oracle(name, build):
         )
         assert not bad.verify()
         assert not syzygy_verify_by_polynomials(bad)
-        assert _row_coordinates(ring, target, bad_row, shift) == row_coordinates_by_products(
-            ring, target, bad_row, shift
-        )
+        assert _row_coordinates(
+            ring, target, _pack_row(bad_row, pk), shift
+        ) == row_coordinates_by_products(ring, target, bad_row, shift)
+
+
+@pytest.mark.parametrize("name", ["moved_IV_n4", "random_grevlex_3"])
+def test_syzygies_certify_the_rows_they_publish(name, monkeypatch):
+    # the lifted rows are pruned while packed and only the kept ones become
+    # Polynomials; verify() reads those published rows, so a coefficient
+    # changed on the way out is caught, not hidden by the packed lift
+    from hilbcomp import groebner
+
+    data = Path(__file__).parent / "data"
+    gens = list(loads_ideal((data / f"{name}.ideal").read_text()).generators)
+    real = groebner._row_polys
+    published = []
+    monkeypatch.setattr(
+        groebner, "_row_polys", lambda ring, row: published.append(row) or real(ring, row)
+    )
+    module = syzygies(gens)
+    assert len(published) == len(module.generators)
+
+    def corrupted(ring, row):
+        # doubles one coefficient of the first published row
+        polys = real(ring, row)
+        published.append(row)
+        if len(published) > 1:
+            return polys
+        j = next(j for j, p in enumerate(polys) if p)
+        (m, c), *rest = polys[j].terms
+        return polys[:j] + (Polynomial(ring, ((m, 2 * c), *rest)),) + polys[j + 1:]
+
+    published.clear()
+    monkeypatch.setattr(groebner, "_row_polys", corrupted)
+    with pytest.raises(AssertionError, match="inexact relation"):
+        syzygies(gens)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -571,7 +609,7 @@ def test_buchberger_tracks_the_transform_without_polynomial_arithmetic(name, mon
     gb = buchberger(gens, transform=True)
     assert calls == []
     monkeypatch.undo()
-    assert gb.transform_certificate()
+    assert transform_certificate(gb)
 
 
 def test_lex_transform_through_s_pairs_is_byte_identical_to_the_golden_file():
@@ -586,7 +624,7 @@ def test_monomial_index_cache_is_bounded():
     bound = _monomial_index.cache_info().maxsize
     assert bound is not None
     for d in range(bound + 10):
-        _monomial_index(1, d)
+        _monomial_index(GREVLEX, 1, d)
     assert _monomial_index.cache_info().currsize <= bound
 
 

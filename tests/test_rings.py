@@ -13,6 +13,7 @@ from hilbcomp.rings import (
     LEX,
     PolyRing,
     elimination_order,
+    format_monomial,
     format_polynomial,
     monomials_of_degree,
     parse,
@@ -405,3 +406,16 @@ def test_convert_between_compatible_rings(ring, tring):
         got = p.convert(dst)
         assert got.ring == dst and got == want
         validate_canonical(got)
+
+
+def test_format_monomial_names_a_monomial_as_its_polynomial_prints():
+    # x, t and u variables, the constant, and exponents 0, 1 and more
+    rng = random.Random("format-monomial")
+    for ring in (PolyRing(1), PolyRing(4), PolyRing(3, has_param=True).with_aux(2)):
+        monos = [(0,) * ring.width] + [
+            tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 40))) for _ in range(ring.width))
+            for _ in range(300)
+        ]
+        monos += [tuple(int(i == j) for j in range(ring.width)) for i in range(ring.width)]
+        for m in monos:
+            assert format_monomial(ring, m) == str(ring.from_dict({m: 1})), m
