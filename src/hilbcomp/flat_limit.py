@@ -41,15 +41,43 @@ off that seeded basis and certifies it by its Hilbert polynomial, with the
 meet of the principal saturations by x_0..x_n as the fallback.
 
 The limit is computed once per Family: `limit_ideal` keeps it on the frozen
-Family, so the probe reuses the limit its caller already built.  The probe
-does not saturate its sample fibers.  For a homogeneous ideal I of S, the
-saturation I^sat = I : m^oo satisfies m^k I^sat in I for some k, so
-I^sat / I is a finitely generated graded module killed by a power of m and
-has finite length; it vanishes in all large degrees, so S/I and S/I^sat
-have the same Hilbert function there and HP(S/I) = HP(S/I^sat).  The
-Hilbert polynomial of a fiber is therefore read off the specialized ideal
-itself.  Specializing t -> t0 = p/q is one integer pass per generator (see
-`_specialize`).
+Family, so the probe reuses the limit its caller already built.
+
+The sample fibers come from one reduced basis G of the total ideal I in the
+block order x >> t, `elimination_order(range(n))`: x-degree first, grevlex
+on x, then t.  Write each g in G as lc(g) * x^a(g) plus terms whose x-part
+is smaller, lc(g) in QQ[t] (M. Kalkbrener, "On the stability of Groebner
+bases under specializations", J. Symb. Comp. 24, 1997; compare
+V. Weispfenning, "Comprehensive Groebner bases", J. Symb. Comp. 14, 1992).
+If no lc(g) vanishes at t0, then G(t0) is a grevlex Groebner basis of the
+fiber I(t0), and its leads are the x^a(g):
+
+1. The order ranks x-parts first, so the lead of F in I has F's x-lead as
+   its x-part; it is divisible by some lead t^e * x^a(g), so the x-lead of
+   F is divisible by some x^a(g).  Let A = QQ[t] localized at
+   c = prod lc(g).  A nonzero F in I*A[x] is an element of I over a power
+   of c, so its x-lead is divisible by some x^a(g) too; and since lc(g) is
+   a unit of A, subtracting a multiple of g cancels that x-lead.  So
+   division by G in A[x] ends at 0: F = sum q_g * g with each
+   x-lead(q_g) * x^a(g) at most x-lead(F).
+2. The S-polynomial of G(t0)'s elements i, j is the image at t0 of the
+   S-polynomial S over A of the monic g_i / lc(g_i), g_j / lc(g_j).  S lies
+   in I*A[x] with x-lead below the lcm x^b of x^a(g_i), x^a(g_j), so by 1
+   its image is sum q_g(t0) * g(t0) with every lead below x^b, a standard
+   representation.  By Buchberger's criterion G(t0) is a Groebner basis of
+   the ideal it generates, which is I(t0) since G generates I.
+
+So every such fiber has the Hilbert series of the monomial ideal of the
+x-leads, computed once per probe.  A vanishing lc(g) only makes t0 a
+candidate: G(t0) may then fail to be a Groebner basis while I(t0) still
+has the generic Hilbert polynomial, as for ((t - 1)*x0 + x1, x2) at t0 = 1.
+A candidate's fiber is computed from the specialized ideal itself; that
+fiber is not saturated.  For a homogeneous ideal I of S, the saturation
+I^sat = I : m^oo satisfies m^k I^sat in I for some k, so I^sat / I is a
+finitely generated graded module killed by a power of m and has finite
+length; it vanishes in all large degrees, so S/I and S/I^sat have the same
+Hilbert function there and HP(S/I) = HP(S/I^sat).  Specializing
+t -> t0 = p/q is one integer pass per generator (see `_specialize`).
 """
 
 from __future__ import annotations
@@ -62,7 +90,7 @@ from .errors import HomogeneityError, RingMismatchError
 from .groebner import buchberger, interreduce
 from .hilbert import hilbert_series
 from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
-from .rings import GREVLEX, Polynomial, PolyRing
+from .rings import GREVLEX, Polynomial, PolyRing, elimination_order
 
 SAMPLE_POINTS = (
     Fraction(1),
@@ -204,19 +232,33 @@ class FlatnessReport:
 
 def flatness_probe(fam, samples=3):
     """Compare fiber Hilbert polynomials at deterministic nonzero sample
-    points against the limit; flat iff all agree.  Each fiber's polynomial
-    is read off the unsaturated specialization, which has the same one
-    (module docstring)."""
+    points against the limit; flat iff all agree.  The fibers come from one
+    block-order basis of the family (module docstring): at a point where no
+    leading coefficient vanishes the polynomial is that of the basis's
+    x-leads, and only at the other points is the fiber specialized."""
     if samples < 2:
         raise ValueError("need at least two sample points")
     if samples > len(SAMPLE_POINTS):
         raise ValueError(f"at most {len(SAMPLE_POINTS)} deterministic samples available")
     points = SAMPLE_POINTS[:samples]
     limit_hp = hilbert_series(limit_ideal(fam)).hilbert_polynomial
+    total = fam.total_ideal
+    n, k = total.ring.num_vars, total.ring.param_index
+    leads, lcs = [], []
+    for g in buchberger(total.generators, elimination_order(range(n)), transform=False).elements:
+        lead = g.lead_monomial()[:n]
+        leads.append(lead)
+        lcs.append([(c, m[k]) for m, c in g.terms if m[:n] == lead])
+    base = fam.base_ring()
+    initial = interreduce([base.from_dict({m: Fraction(1)}) for m in leads])
+    generic_hp = hilbert_series(_with_seeded_gb(base, initial)).hilbert_polynomial
     polys = []
     bad = []
     for t0 in points:
-        hp = hilbert_series(_specialize(fam.total_ideal, t0)).hilbert_polynomial
+        if all(sum(c * t0**e for c, e in lc) for lc in lcs):
+            hp = generic_hp
+        else:
+            hp = hilbert_series(_specialize(total, t0)).hilbert_polynomial
         polys.append(hp)
         if hp != limit_hp:
             bad.append(t0)

@@ -26,8 +26,10 @@ A syzygy row is one packed {mono: int} dict per entry.  `syzygies` lifts,
 makes primitive and prunes its rows in that form and unpacks only the rows
 it publishes (`_row_polys`); a `SyzygyModule` packs those back once, over
 one denominator per row (`_pack_row`), for `verify`, `contains` and the
-tangent table.  `_graded_prune` also trims the one-entry rows (g,) against
-(1,) for `tangent.minimal_generators`; a row's shift is read off its terms.
+tangent table.  The row helpers take the target's degrees, computed once
+per call, in place of the target.  `_graded_prune` also trims the rows (g,)
+against degree 0, the target (1,), for `tangent.minimal_generators`; a
+row's shift is read off its terms.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
@@ -638,16 +640,18 @@ class SyzygyModule:
         if not all(s.is_homogeneous() for s in candidate):
             raise HomogeneityError("syzygy row is not homogeneous")
         row = _pack_row(candidate, _ring_packing(self.ring))
-        shift = _row_shift(self.ring, self.target, row)
-        coords = _row_coordinates(self.ring, self.target, row, shift)
-        return coords in _degree_span(self.ring, self.target, self._packed, shift)
+        degrees = tuple(f.total_degree() for f in self.target)
+        shift = _row_shift(self.ring, degrees, row)
+        coords = _row_coordinates(self.ring, degrees, row, shift)
+        return coords in _degree_span(self.ring, degrees, self._packed, shift)
 
 
-def _row_shift(ring, target, row):
-    """The degree of a packed module row, read off the first term of each
-    nonzero entry; HomogeneityError unless they all agree."""
+def _row_shift(ring, degrees, row):
+    """The degree of a packed module row over a target of the given degrees,
+    read off the first term of each nonzero entry; HomogeneityError unless
+    they all agree."""
     unpack = _ring_packing(ring).unpack
-    degs = {sum(unpack(next(iter(s)))) + f.total_degree() for s, f in zip(row, target) if s}
+    degs = {sum(unpack(next(iter(s)))) + d for s, d in zip(row, degrees) if s}
     if len(degs) != 1:
         raise HomogeneityError("syzygy row is not homogeneous")
     return degs.pop()
@@ -660,14 +664,14 @@ def _monomial_index(order, width, d):
     return {pack(m): k for k, m in enumerate(monomials_of_degree(width, d))}
 
 
-def _row_coordinates(ring, target, row, shift, mono=None):
+def _row_coordinates(ring, degrees, row, shift, mono=None):
     """Flatten the degree-`shift` module row mono * row (a packed row, mono a
     packed monomial or None for 1) into a coordinate vector over the
     monomials_of_degree bases of the entries."""
     delta = 0 if mono is None else mono - _ring_packing(ring).base
     coords = []
-    for s, f in zip(row, target):
-        index = _monomial_index(ring.order, ring.width, shift - f.total_degree())
+    for s, d in zip(row, degrees):
+        index = _monomial_index(ring.order, ring.width, shift - d)
         vec = [0] * len(index)
         for m, c in s.items():
             k = index.get(m + delta)
@@ -677,25 +681,25 @@ def _row_coordinates(ring, target, row, shift, mono=None):
     return coords
 
 
-def _degree_span(ring, target, rows, shift):
+def _degree_span(ring, degrees, rows, shift):
     """Echelon span of the degree-`shift` piece of the packed rows' module."""
     span = linalg.RowSpan()
     for row in rows:
-        for m in _monomial_index(ring.order, ring.width, shift - _row_shift(ring, target, row)):
-            span.add(_row_coordinates(ring, target, row, shift, m))
+        for m in _monomial_index(ring.order, ring.width, shift - _row_shift(ring, degrees, row)):
+            span.add(_row_coordinates(ring, degrees, row, shift, m))
     return span
 
 
-def _graded_prune(ring, target, rows):
+def _graded_prune(ring, degrees, rows):
     """The positions of the packed rows outside the graded module span of the
     rows kept before them, after a stable sort by shift (so a repeated row
     goes too).  A kept row spans only itself in its own degree, so one span
     per shift serves."""
-    shift_of = [_row_shift(ring, target, row) for row in rows].__getitem__
+    shift_of = [_row_shift(ring, degrees, row) for row in rows].__getitem__
     kept = []
     for shift, group in itertools.groupby(sorted(range(len(rows)), key=shift_of), key=shift_of):
-        span = _degree_span(ring, target, [rows[i] for i in kept], shift)
-        kept.extend(i for i in group if span.add(_row_coordinates(ring, target, rows[i], shift)))
+        span = _degree_span(ring, degrees, [rows[i] for i in kept], shift)
+        kept.extend(i for i in group if span.add(_row_coordinates(ring, degrees, rows[i], shift)))
     return kept
 
 
@@ -753,14 +757,14 @@ def syzygies(gens):
             content = -content
         return [{m: c // content for m, c in t.items()} for t in row]
 
-    target = gb.generators
+    degrees = tuple(g.total_degree() for g in gb.generators)
     rows = [primitive(row) for row in rows if any(row)]
-    pruned = [rows[i] for i in _graded_prune(ring, target, rows)]
+    pruned = [rows[i] for i in _graded_prune(ring, degrees, rows)]
     module = SyzygyModule(
         ring,
-        target,
+        gb.generators,
         tuple(_row_polys(ring, row) for row in pruned),
-        tuple(_row_shift(ring, target, row) for row in pruned),
+        tuple(_row_shift(ring, degrees, row) for row in pruned),
         gb,
     )
     if not module.verify():

@@ -12,9 +12,10 @@ Since I kills S/I, maps from I automatically kill I^2, so this module Hom
 agrees with Hom(I/I^2, S/I).
 
 The f_i are the minimal generators: `groebner._graded_prune` on the rows
-(g,) against the target (1,), from the last generator down, keeps each g
-outside the span of V_d (the degree-d part of the ideal of the lower-degree
-generators) and of the degree-d ones kept, with no Groebner basis.  That is
+(g,) against the degree-0 target (1,), from the last generator down, keeps
+each g outside the span of V_d (the degree-d part of the ideal of the
+lower-degree generators) and of the degree-d ones kept, with no Groebner
+basis.  That is
 the set left by dropping the first redundant generator and restarting: no
 drop changes V_d, and a generator that cannot be dropped stays so, so that
 loop is reverse-delete in the matroid of the degree-d generators modulo V_d,
@@ -137,7 +138,7 @@ def minimal_generators(I):
         raise HomogeneityError("minimal generators need a homogeneous ideal")
     gens = I.generators
     rows = [_pack_row((g,), _ring_packing(I.ring)) for g in reversed(gens)]
-    kept = {len(gens) - 1 - i for i in _graded_prune(I.ring, (I.ring.one,), rows)}
+    kept = {len(gens) - 1 - i for i in _graded_prune(I.ring, (0,), rows)}
     return tuple(g for i, g in enumerate(gens) if i in kept)
 
 

@@ -284,6 +284,18 @@ def specialize_by_substitution(I, t0):
     return Ideal(base, out)
 
 
+def fiber_polynomials_by_specialization(fam, points):
+    """The Hilbert polynomial of each fiber of a family at the given points,
+    one grevlex basis of the specialized ideal per point: the route of
+    `flat_limit.flatness_probe` before it read fibers off a block basis."""
+    from hilbcomp.flat_limit import _specialize
+    from hilbcomp.hilbert import hilbert_series
+
+    return tuple(
+        hilbert_series(_specialize(fam.total_ideal, t0)).hilbert_polynomial for t0 in points
+    )
+
+
 def minimal_generators_by_bases(I):
     """`tangent.minimal_generators` deciding each membership with a fresh
     grevlex basis of the other generators."""

@@ -55,11 +55,12 @@ def test_mu_columns_generate_the_syzygies():
 
     ring = lam[0].ring
     columns = tuple(tuple(mu[i][j] for i in range(4)) for j in range(4))
+    degrees = tuple(f.total_degree() for f in lam)
     column_module = SyzygyModule(
         ring,
         tuple(lam),
         columns,
-        tuple(_row_shift(ring, lam, _pack_row(c, _ring_packing(ring))) for c in columns),
+        tuple(_row_shift(ring, degrees, _pack_row(c, _ring_packing(ring))) for c in columns),
     )
     assert column_module.verify()
     for row in module.generators:

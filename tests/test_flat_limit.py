@@ -26,7 +26,11 @@ from hilbcomp.ideals import (
 )
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import saturate_by_quotients, specialize_by_substitution
+from oracles import (
+    fiber_polynomials_by_specialization,
+    saturate_by_quotients,
+    specialize_by_substitution,
+)
 
 FAMILIES = ("embedded", "double", "quadric_union", "substitution")
 
@@ -158,6 +162,40 @@ def test_flatness_probe_detects_constructed_jump():
     )
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("moved", [False, True])
+def test_flatness_probe_matches_the_specialization_oracle(n, moved):
+    # the fibers read off the block basis against one basis per sample point
+    for k, name in enumerate(FAMILIES):
+        fam = fixtures.get(f"family_{name}_limit_n{n}").payload
+        if moved:
+            fam = Family(random_linear_change(fam.total_ideal, seed=400 * n + k))
+        for samples in (3, 8):
+            report = flatness_probe(fam, samples=samples)
+            assert report.flat, (name, samples)
+            assert report.sample_polynomials == fiber_polynomials_by_specialization(
+                fam, SAMPLE_POINTS[:samples]
+            ), (name, samples)
+
+
+def test_flatness_probe_specializes_only_where_a_leading_coefficient_vanishes(monkeypatch):
+    # the block basis is itself: the lead x0 of (t - 1)*x0 + x1 has leading
+    # coefficient t - 1, so t = 1 is a candidate; its fiber (x1, x2) is a
+    # line like every other fiber, so the family is flat
+    fam = Family(Ideal(Rt, tparse("t*x0 - x0 + x1", "x2")))
+    points = []
+    original = flat_limit._specialize
+    monkeypatch.setattr(
+        flat_limit, "_specialize", lambda I, t0: points.append(t0) or original(I, t0)
+    )
+    report = flatness_probe(fam)
+    assert report.flat
+    assert points == [Fraction(1)]
+    assert report.sample_polynomials == fiber_polynomials_by_specialization(
+        fam, report.sample_points
+    )
+
+
 def test_probe_argument_validation():
     fam = fixtures.get("family_embedded_limit_n3").payload
     with pytest.raises(ValueError):
@@ -171,26 +209,30 @@ def test_limit_rejects_empty_family():
 
 def test_limit_is_built_once_per_family(monkeypatch):
     # the probe reuses the limit its caller built and saturates no fiber:
-    # the one limit computation builds one homogenized basis and makes the
-    # one saturation by the irrelevant ideal
-    bases, saturations = [], []
+    # the one limit computation builds one homogenized grevlex basis and
+    # makes the one saturation by the irrelevant ideal, and the probe builds
+    # exactly one block-order basis of the family
+    kinds, saturations = [], []
     original_buchberger, original_saturate = flat_limit.buchberger, flat_limit.saturate
-    monkeypatch.setattr(
-        flat_limit, "buchberger",
-        lambda *a, **k: bases.append(1) or original_buchberger(*a, **k),
-    )
+
+    def counting_buchberger(*a, **k):
+        kinds.append((a[1] if len(a) > 1 else k["order"]).kind)
+        return original_buchberger(*a, **k)
+
+    monkeypatch.setattr(flat_limit, "buchberger", counting_buchberger)
     monkeypatch.setattr(
         flat_limit, "saturate", lambda I, J: saturations.append(1) or original_saturate(I, J)
     )
     fam = fixtures.get("family_double_limit_n4").payload
     assert limit_ideal(fam) is limit_ideal(fam)
+    assert kinds == ["grevlex"]
     assert flatness_probe(fam).flat
-    assert len(bases) == 1
+    assert kinds == ["grevlex", "block"]
     assert len(saturations) == 1
     # an equal family built afresh computes its own limit, equal to the first
     again = fixtures.get("family_double_limit_n4").payload
     assert again == fam and limit_ideal(again) == limit_ideal(fam)
-    assert len(bases) == 2
+    assert kinds == ["grevlex", "block", "grevlex"]
     # errors are not kept: the empty family raises on every call
     empty = Family(Ideal(Rt, []))
     for _ in range(2):
@@ -317,21 +359,29 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
     # the limit keeps the Hilbert data its saturation computed.  When x_n
     # divides no lead of the special fiber's basis (the fixture), the limit
     # is that fiber and no series is compared, so the probe computes one
-    # series for the limit and one per sample.  When the special fiber
-    # x0 * m has m-torsion, the saturation certifies the candidate (x0)
-    # against the fiber, and the limit is that candidate with its series
-    if torsion:
-        fam = Family(Ideal(Rt, tparse("x0^2 + t*x0*x1", "x0*x1", "x0*x2", "x0*x3")))
-    else:
-        fam = fixtures.get("family_embedded_limit_n3").payload
-    hilbert_series(irrelevant_ideal(fam.base_ring()))
-    special = _special_fiber(fam.total_ideal)
-    assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
+    # series for the limit and one for the x-leads of its block basis, which
+    # serves every sample point where no leading coefficient vanishes.  When
+    # the special fiber x0 * m has m-torsion, the saturation certifies the
+    # candidate (x0) against the fiber, and the limit is that candidate with
+    # its series
     computed = []
     original = hilbert._initial_monomials
-    monkeypatch.setattr(hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I))
-    report = flatness_probe(fam)
-    assert report.flat
-    assert len(computed) == (2 if torsion else 1) + len(report.sample_points)
-    if torsion:
-        assert limit_ideal(fam) == Ideal(R, [R.x(0)])
+    for samples in (3, 8):
+        if torsion:
+            fam = Family(Ideal(Rt, tparse("x0^2 + t*x0*x1", "x0*x1", "x0*x2", "x0*x3")))
+        else:
+            fam = fixtures.get("family_embedded_limit_n3").payload
+        hilbert_series(irrelevant_ideal(fam.base_ring()))
+        special = _special_fiber(fam.total_ideal)
+        assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
+        computed.clear()
+        monkeypatch.setattr(
+            hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I)
+        )
+        report = flatness_probe(fam, samples=samples)
+        monkeypatch.undo()
+        assert report.flat
+        assert len(report.sample_points) == samples
+        assert len(computed) == (2 if torsion else 1) + 1
+        if torsion:
+            assert limit_ideal(fam) == Ideal(R, [R.x(0)])
