@@ -4,10 +4,17 @@ The decision procedure is linkage plus the Jacobian criterion:
 
   * equidimensional hull by double linkage through a complete intersection
     F of two quadrics inside I, certified by its Hilbert series; each link
-    F : J is F : h for one random element h of J, one principal
-    elimination, accepted only when F : h has the linked degree
-    e(F) - e(J), and otherwise computed generator by generator;
-  * the hull either equals I (no embedded part) or strictly contains it;
+    F : J is F : h for one random element h of J, accepted only when F : h
+    has the linked degree e(F) - e(J), and otherwise computed generator by
+    generator.  The gate reads the Hilbert series of S/(F : h) off the
+    exact sequence 0 -> S/(F : h)(-d) -> S/F -> S/(F + (h)) -> 0 of
+    multiplication by h, of degree d, so the one principal elimination of
+    F : h runs only for an accepted h, and its generators are read off that
+    elimination's basis (ideals.quotient_by_element);
+  * the hull either equals I (no embedded part) or strictly contains it.
+    I lies inside its hull, so when the accepted second link has the series
+    of I, the hull is I and its elimination is skipped: types I and II run
+    one elimination, types III and IV two;
   * the hull is generically reduced exactly when the 2x2 minors of its
     Jacobian matrix cut out a set of dimension below n - 2 inside it; see
     generic_slice_reduced.  This step is exact and draws nothing.
@@ -46,6 +53,12 @@ Then:
 A linear change of coordinates keeps the evidence too, so the label and
 the evidence of I' are those of I.  When the numerators differ, I is not
 generated by its quadrics and the procedure runs on I itself.
+
+When every given generator of I is a quadric, essential_form is applied to
+them directly and I'S == gI holds by construction, with no comparison:
+then S/I has the series numerator of S'/I', and the Hilbert data of S/I,
+which the gates of classify read, is derived from I' (_quadric_form).  No
+Groebner basis in the n + 1 variables is built for such an input.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ from math import lcm
 
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
-from .hilbert import hilbert_series, pair_hilbert_polynomial
+from .hilbert import UniPoly, hilbert_data, hilbert_series, pair_hilbert_polynomial
 from .ideals import Ideal, _symmetric_matrix, essential_form, quotient, quotient_by_element
 from .rings import PolyRing, _mono_mul, monomials_of_degree
 
@@ -139,6 +152,23 @@ def _essential_form(I, data):
     return reduced, dropped
 
 
+def _quadric_form(I):
+    """(I', dropped, data) for an I whose given generators are all quadrics,
+    None for any other I: I' is them in their essential variables, and data
+    the Hilbert data of S/I.  When a variable drops, I'S == gI holds by
+    construction, so S/I has the series numerator of S'/I', and data is
+    derived from I' with no basis of I built."""
+    ring = I.ring
+    gens = I.generators
+    if not gens or not all(g.total_degree() == 2 and g.is_homogeneous() for g in gens):
+        return None
+    reduced, _ = essential_form(ring, list(gens))
+    dropped = ring.num_vars - reduced.ring.num_vars
+    if not dropped:
+        return I, 0, hilbert_series(I)
+    return reduced, dropped, hilbert_data(ring.width, hilbert_series(reduced).series_numerator)
+
+
 def _random_combination(polys, rng):
     """Sum of the polys, each times an integer in [-5, 5] drawn in order."""
     acc = {}
@@ -178,6 +208,48 @@ def _generic_element(J, rng):
     return _random_combination([g * form ** (top - g.total_degree()) for g in gens], rng)
 
 
+def _colon_data(ci, h):
+    """HilbertData of S/(ci : h) for a homogeneous h of degree d, read off
+    the exact sequence 0 -> S/(ci : h)(-d) -> S/ci -> S/(ci + (h)) -> 0,
+    whose first map is multiplication by h: the series numerator is
+    (Q(ci) - Q(ci + (h))) / T^d, an exact division."""
+    d = h.total_degree()
+    q = UniPoly(hilbert_series(ci).series_numerator)
+    r = UniPoly(hilbert_series(Ideal(ci.ring, ci.generators + (h,))).series_numerator)
+    diff = (q - r).coeffs
+    assert not any(diff[:d]), "colon series not divisible by T^d"
+    return hilbert_data(ci.ring.width, diff[d:])
+
+
+def _linking_element(ci, J, rng):
+    """(h, data) for the first of two random homogeneous h in J whose colon
+    ci : h passes `_link`'s gate, with data the Hilbert data of S/(ci : h);
+    None when both draws are rejected.  The gate reads only `_colon_data`,
+    so no elimination runs here."""
+    n = ci.ring.num_vars - 1
+    linked_degree = hilbert_series(ci).degree - hilbert_series(J).degree
+    for _ in range(2):
+        h = _generic_element(J, rng)
+        if h.is_zero():
+            continue
+        data = _colon_data(ci, h)
+        if data.dimension == n - 2 and data.degree == linked_degree:
+            return h, data
+    return None
+
+
+def _colon(ci, J, drawn):
+    """ci : J from `_linking_element`'s result: ci : h, one principal
+    elimination, carrying its derived Hilbert data; or, after two rejected
+    draws, the colon generator by generator."""
+    if drawn is None:
+        return quotient(ci, J)
+    h, data = drawn
+    colon = quotient_by_element(ci, h)
+    colon._set_hilbert(data)
+    return colon
+
+
 def _link(ci, J, rng):
     """ci : J for a complete intersection ci inside J, through one element.
 
@@ -196,24 +268,24 @@ def _link(ci, J, rng):
       * a nonzero (ci : h)/(ci : J) has only codimension-two associated
         primes, so it would make e(ci : h) smaller than e(ci : J).
 
-    After two rejected draws the colon is computed generator by generator.
+    The gate needs only the Hilbert series of S/(ci : h), and the exact
+    sequence 0 -> S/(ci : h)(-d) -> S/ci -> S/(ci + (h)) -> 0 of
+    multiplication by h (d = deg h) gives it from the series of ci + (h)
+    (`_colon_data`): the elimination runs only for an accepted h.  After two
+    rejected draws the colon is computed generator by generator.
     """
-    n = ci.ring.num_vars - 1
-    linked_degree = hilbert_series(ci).degree - hilbert_series(J).degree
-    for _ in range(2):
-        h = _generic_element(J, rng)
-        if h.is_zero():
-            continue
-        colon = quotient_by_element(ci, h).canonical()
-        data = hilbert_series(colon)
-        if data.dimension == n - 2 and data.degree == linked_degree:
-            return colon
-    return quotient(ci, J)
+    return _colon(ci, J, _linking_element(ci, J, rng))
 
 
 def equidimensional_hull(I, seed=0, stats=None):
     """Top-dimensional part of I, (ci : (ci : I)), by double linkage through
-    a random complete intersection ci of two quadrics inside I."""
+    a random complete intersection ci of two quadrics inside I.
+
+    I lies inside its hull.  When the accepted second link has the series
+    numerator of I, the two have the same Hilbert function, so the hull is
+    I itself: I.canonical() is returned and the second elimination is
+    skipped.
+    """
     data = hilbert_series(I)
     n = I.ring.num_vars - 1
     if data.dimension != n - 2:
@@ -224,7 +296,11 @@ def equidimensional_hull(I, seed=0, stats=None):
     ci, retries = _complete_intersection(I, rng)
     if stats is not None:
         stats["hull_retries"] = retries
-    return _link(ci, _link(ci, I, rng), rng)
+    linked = _link(ci, I, rng)
+    drawn = _linking_element(ci, linked, rng)
+    if drawn is not None and drawn[1].series_numerator == data.series_numerator:
+        return I.canonical()
+    return _colon(ci, linked, drawn)
 
 
 def _integer_partials(g):
@@ -348,7 +424,8 @@ def classify(I, seed=0):
     n = ring.num_vars - 1
     if n < 3:
         raise ClassificationError("classification requires n >= 3")
-    data = hilbert_series(I)
+    form = _quadric_form(I)
+    data = hilbert_series(I) if form is None else form[2]
     if data.hilbert_polynomial != pair_hilbert_polynomial(n):
         raise ClassificationError(
             "Hilbert polynomial mismatch: not a point of the pair component "
@@ -363,7 +440,7 @@ def classify(I, seed=0):
             "not in the four-type table: the ideal contains a linear form "
             f"(dim (S/I)_1 = {linear}, want {n + 1})"
         )
-    I, dropped = _essential_form(I, data)
+    I, dropped = _essential_form(I, data) if form is None else form[:2]
     stats = {}
     hull = equidimensional_hull(I, seed=seed, stats=stats)
     hull_data = hilbert_series(hull)

@@ -537,10 +537,12 @@ def _interreduced(basis, ring, pk, transform):
         if not any(pk.divides(basis[k].lm, basis[i].lm) for k in kept):
             kept.append(i)
 
-    # interreduce tails (leads are untouched: the basis is minimal)
+    # interreduce tails (leads are untouched: the basis is minimal); kept
+    # ascends by lead, and only a smaller lead divides a term below i's lead,
+    # so the elements before i, in the same order, are its reducers
     final = []
-    for i in kept:
-        others = [basis[k] for k in kept if k != i]
+    for pos, i in enumerate(kept):
+        others = [basis[k] for k in kept[:pos]]
         rem, scale, quots = _reduce_int(
             {basis[i].lm: basis[i].lc, **basis[i].tail}, others, pk, want_quotients=transform
         )
@@ -594,15 +596,46 @@ def eliminate_generators(gens, front_vars):
     return out
 
 
-def exact_divide(f, g):
-    """Exact quotient f/g; raises when g does not divide f."""
+def _divided(polys, g, pk):
+    """[(q, factor)] with p / g == factor * q for each p of polys: q the
+    packed {mono: int} quotient, descending, of one fraction-free division by
+    g, whose terms must be in pk's order.  ZeroDivisionError when g is zero,
+    ValueError when g does not divide some p."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    # the one-element basis (g) divides by g made monic
-    rem, (quot,) = GroebnerBasis(f.ring, (g,), (g,)).reduce(f, want_quotients=True)
-    if rem:
-        raise ValueError("polynomial is not divisible")
-    return quot.scale(1 / g.lead_coeff())
+    gt, gden = _int_terms(g, pk)
+    entry = _Entry(gt, pk)
+    out = []
+    for p in polys:
+        work, den = _int_terms(p, pk)
+        # scale * den * p == q * prim(g), and prim(g) == gden * g / unit
+        rem, scale, (q,) = _reduce_int(work, (entry,), pk, want_quotients=True)
+        if rem:
+            raise ValueError("polynomial is not divisible")
+        out.append((q, Fraction(gden, entry.unit * scale * den)))
+    return out
+
+
+def exact_divide(f, g):
+    """Exact quotient f/g; raises when g does not divide f."""
+    pk = _ring_packing(f.ring)
+    ((q, factor),) = _divided((f,), g.convert(f.ring), pk)
+    return _poly(f.ring, q.items(), factor)
+
+
+def divided_basis(polys, g):
+    """The reduced Groebner basis of the quotients p / g, for a Groebner
+    basis `polys` of an ideal K inside (g), all in one ring and its order:
+    the reduced basis of K : g.
+
+    lm(p / g) == lm(p) / lm(g), so for f in K : g the lead of f * g, a
+    multiple of some lm(p), is lm(f) * lm(g), and lm(p / g) divides lm(f):
+    the quotients form a Groebner basis, which `_interreduced` reduces.
+    """
+    ring = g.ring
+    pk = _ring_packing(ring)
+    entries = [_Entry(q, pk) for q, _ in _divided(polys, g, pk)]
+    return _interreduced(entries, ring, pk, False)[0]
 
 
 @dataclass(frozen=True)

@@ -251,9 +251,15 @@ def hilbert_series(I):
         raise ValueError("Hilbert data requires a plain x-variable ring")
     if not I.is_homogeneous():
         raise HomogeneityError("Hilbert series requires a homogeneous ideal")
-    width = ring.width
-    q = _numerator(_initial_monomials(I)).coeffs or (0,)
+    data = hilbert_data(ring.width, _numerator(_initial_monomials(I)).coeffs)
+    I._set_hilbert(data)
+    return data
 
+
+def hilbert_data(width, numerator):
+    """HilbertData of the series Q/(1-T)^width, for the integer numerator
+    coefficients Q (trailing zeros allowed): every field derived from Q."""
+    q = UniPoly(numerator).coeffs or (0,)
     reduced = list(q)
     dpow = width
     while reduced and any(reduced) and sum(reduced) == 0:
@@ -266,9 +272,7 @@ def hilbert_series(I):
         reduced = out
         dpow -= 1
     if not any(reduced):
-        data = HilbertData(width, q, (0,), 0, UNIPOLY_ZERO, -1, 0, 0)
-        I._set_hilbert(data)
-        return data
+        return HilbertData(width, q, (0,), 0, UNIPOLY_ZERO, -1, 0, 0)
 
     reduced = tuple(reduced)
     if dpow == 0:
@@ -285,9 +289,7 @@ def hilbert_series(I):
         # the degree of the scheme is the reduced numerator at T=1
         degree = sum(reduced)
         bound = max(0, len(reduced) - 1 - dpow + 1)
-    data = HilbertData(width, q, reduced, dpow, hp, dimension, degree, bound)
-    I._set_hilbert(data)
-    return data
+    return HilbertData(width, q, reduced, dpow, hp, dimension, degree, bound)
 
 
 def hilbert_function(I, d):

@@ -5,7 +5,10 @@ An Ideal is a generator list in a fixed ring with a cached reduced Groebner
 basis.  Equality means equality of grevlex reduced bases, which is the
 canonical representative throughout the package.  Intersections go through
 one auxiliary variable u and block elimination; quotients reduce to
-intersections with principal ideals.  Saturation has two routes: by an
+intersections with principal ideals, and I : g is read off the elimination
+basis of I meet (g): the quotients of its reduced basis by g form a
+Groebner basis of I : g, interreduced into a canonical result with no
+further Buchberger run.  Saturation has two routes: by an
 ideal with the irrelevant radical, it reads I : x_n^oo off the grevlex
 basis of I and keeps it when the Hilbert polynomial certifies it;
 otherwise, or when the certificate fails, it is the meet of principal
@@ -25,8 +28,8 @@ from .errors import HomogeneityError, RingMismatchError
 from .groebner import (
     GroebnerBasis,
     buchberger,
+    divided_basis,
     eliminate_generators,
-    exact_divide,
 )
 from .hilbert import hilbert_series
 from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
@@ -179,23 +182,25 @@ def intersect(I, J):
 
 
 def quotient_by_element(I, g):
-    """(I : g) as (I meet (g)) / g, not canonicalized."""
-    K = intersect(I, Ideal(I.ring, [g]))
-    return Ideal(I.ring, [exact_divide(p, g) for p in K.generators])
+    """(I : g) as (I meet (g)) / g, canonical, for a nonzero g.
+
+    `intersect` seeds the reduced grevlex basis of K = I meet (g).  The
+    quotients p / g of its elements form a Groebner basis of I : g
+    (`divided_basis`), and their interreduction seeds the grevlex basis of
+    the result, with no Buchberger run.
+    """
+    gb = intersect(I, Ideal(I.ring, [g])).groebner_basis()
+    quotients = divided_basis(gb.elements, g.convert(gb.ring))
+    return _with_seeded_gb(I.ring, [q.convert(I.ring) for q in quotients])
 
 
 def quotient(I, J):
-    """(I : J) = {f : f*J inside I}, the meet of I : g over the generators g of J."""
+    """(I : J) = {f : f*J inside I}, the meet of I : g over the generators g
+    of J, canonical: each I : g and each meet comes on its reduced basis."""
     _require_same_ring(I, J)
     if J.is_zero():
         raise ValueError("quotient by the zero ideal")
-    if I.is_zero():
-        return I
-    result = None
-    for g in J.generators:
-        part = quotient_by_element(I, g)
-        result = part if result is None else intersect(result, part)
-    return result.canonical()
+    return functools.reduce(intersect, (quotient_by_element(I, g) for g in J.generators))
 
 
 def saturate(I, J):

@@ -174,6 +174,22 @@ def hull_by_quotients(ci, I):
     return quotient(ci, quotient(ci, I)).canonical()
 
 
+def quotient_by_division(I, g):
+    """I : g as (I meet (g)) / g with each quotient p / g taken by the tuple
+    division `reduce_by_tuples` and the result put on its reduced basis by a
+    fresh Buchberger run: the route of `ideals.quotient_by_element` before
+    it read the colon off the elimination basis."""
+    from hilbcomp.ideals import Ideal, intersect
+
+    K = intersect(I, Ideal(I.ring, [g]))
+    quotients = []
+    for p in K.generators:
+        rem, (q,) = reduce_by_tuples(p, [g])
+        assert rem.is_zero(), "g does not divide a generator of I meet (g)"
+        quotients.append(q)
+    return Ideal(I.ring, quotients).canonical()
+
+
 def reducedness_by_components(hull, primes):
     """Generic reducedness of an unmixed hull from its known prime
     components, by two certificates that do not use the Jacobian.

@@ -1,16 +1,20 @@
+import dataclasses
 import importlib
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from hilbcomp import fixtures
+from hilbcomp import fixtures, groebner, ideals
 from hilbcomp.classify import (
+    _colon_data,
     _complete_intersection,
     _generic_element,
     _link,
+    _quadric_form,
     classify,
     equidimensional_hull,
     generic_slice_reduced,
@@ -18,24 +22,31 @@ from hilbcomp.classify import (
 )
 from hilbcomp.errors import ClassificationError
 from hilbcomp.flat_limit import limit_ideal
-from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
+from hilbcomp.hilbert import HilbertData, hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
     dumps_ideal,
     intersect,
+    load_ideal,
     random_invertible_matrix,
     random_linear_change,
 )
 from hilbcomp.rings import PolyRing, parse
 
-from oracles import essential_form_by_substitution, hull_by_quotients, reducedness_by_components
+from oracles import (
+    essential_form_by_substitution,
+    hull_by_quotients,
+    quotient_by_division,
+    reducedness_by_components,
+)
 
 # the package exports the classify function under the module's name
 classify_module = importlib.import_module("hilbcomp.classify")
 
 R = PolyRing(4)
 
-CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify_moved.json"
+DATA = Path(__file__).parent / "data"
+CLASSIFY_GOLDEN = DATA / "classify_moved.json"
 
 
 def I(*texts, ring=R):
@@ -116,6 +127,106 @@ def test_link_rejects_a_colon_of_the_wrong_degree(monkeypatch):
     J = I("x0*x2", "x0*x3", "x1*x2", "x1*x3")
     assert _link(ci, J, random.Random(0)) == intersect(I("x0", "x3"), I("x1", "x2"))
     assert len(fallbacks) == 1
+
+
+def _assert_same_data(got, want):
+    for f in dataclasses.fields(HilbertData):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_colon_data_equals_the_series_of_the_computed_colon(n, label):
+    # both links of the hull, each h against a colon built afresh
+    moved = random_linear_change(normal_form_ideal(n, label), seed=n + 80)
+    rng = random.Random(f"colon-data:{n}:{label}")
+    ci, _ = _complete_intersection(moved, rng)
+    J = moved
+    for _ in range(2):
+        h = _generic_element(J, rng)
+        colon = quotient_by_division(ci, h)
+        _assert_same_data(_colon_data(ci, h), hilbert_series(Ideal(ci.ring, colon.generators)))
+        J = colon
+
+
+def test_colon_data_of_a_unit_colon_and_of_zero_divisors():
+    ci = I("x0*x2", "x1*x3")
+    cases = [
+        "3*x0*x2 - x1*x3",              # inside ci: the unit colon, series 0
+        "x0*x3",                        # a zero-divisor: ci : h == (x1, x2)
+        "x0*x2*x1 + x0^2*x3",           # a cubic zero-divisor
+        "x0^2 + x1^2 + x2^2 + x3^2",    # a nonzerodivisor: ci : h == ci
+    ]
+    for text in cases:
+        h = parse(text, R)
+        _assert_same_data(_colon_data(ci, h), hilbert_series(quotient_by_division(ci, h)))
+    assert _colon_data(ci, parse(cases[0], R)).dimension == -1
+    assert _colon_data(ci, parse(cases[3], R)) == hilbert_series(ci)
+
+
+def test_an_accepted_colon_carries_its_derived_data():
+    moved = random_linear_change(normal_form_ideal(4, "III"), seed=3)
+    rng = random.Random("carried")
+    ci, _ = _complete_intersection(moved, rng)
+    linked = _link(ci, moved, rng)
+    assert linked._hilbert_cache is not None
+    _assert_same_data(linked._hilbert_cache, hilbert_series(Ideal(ci.ring, linked.generators)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_quadric_input_data_equals_its_hilbert_series(n, label):
+    for seed in (1, 2):
+        moved = random_linear_change(normal_form_ideal(n, label), seed=seed + 90)
+        reduced, dropped, data = _quadric_form(moved)
+        assert (reduced.ring, dropped) == (PolyRing(4), n - 3)
+        _assert_same_data(data, hilbert_series(Ideal(moved.ring, moved.generators)))
+
+
+# the messages as the full-ring route gave them, with the data read off a
+# basis in all n + 1 variables
+WRONG_POLYNOMIAL_QUADRICS = [
+    (6, ("x0*x1", "x2*x3"), 3, "2/3*m^3 + 2*m^2 + 7/3*m + 1"),
+    (7, ("x0^2", "x0*x1", "x1^2"), 4, "1/8*m^4 + 11/12*m^3 + 19/8*m^2 + 31/12*m + 1"),
+    (5, ("x0*x2", "x0*x3", "x1*x2"), 5, "3/2*m^2 + 5/2*m + 1"),
+]
+
+
+@pytest.mark.parametrize("nv, gens, seed, got", WRONG_POLYNOMIAL_QUADRICS)
+def test_quadric_input_with_the_wrong_polynomial_keeps_its_message(nv, gens, seed, got):
+    X = random_linear_change(I(*gens, ring=PolyRing(nv)), seed=seed)
+    assert _quadric_form(X)[1] > 0
+    message = f"Hilbert polynomial mismatch: not a point of the pair component (got {got})"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        classify(X, seed=1)
+
+
+def _spy_on_bases(monkeypatch):
+    """Record (order kind, number of x variables) of every buchberger run."""
+    runs = []
+    real = groebner.buchberger
+
+    def spy(gens, order=None, **kwargs):
+        gens = list(gens)
+        kind = (order or gens[0].ring.order).kind
+        runs.append((kind, gens[0].ring.num_vars))
+        return real(gens, order, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    return runs
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_unmixed_inputs_run_one_elimination_and_no_full_ring_basis(monkeypatch, n, label):
+    moved = random_linear_change(normal_form_ideal(n, label), seed=n + 30)
+    runs = _spy_on_bases(monkeypatch)
+    assert classify(moved, seed=n).label == label
+    blocks = [r for r in runs if r[0] == "block"]
+    assert len(blocks) == (1 if label in ("I", "II") else 2)
+    # every basis lives on the four essential variables
+    assert all(nv == 4 for _, nv in runs)
 
 
 def test_moved_normal_forms_never_fall_back(monkeypatch):
@@ -455,6 +566,20 @@ def test_random_draws_keep_their_order():
     ]
     J = Ideal(PolyRing(5), ["x0", "x1*x2"])
     assert str(_generic_element(J, rng)) == "12*x0^2 + 4*x0*x1 - x1*x2 + 20*x0*x3 + 16*x0*x4"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_hull_matches_golden(n, label):
+    # moved_<label>_n<n>.hull.txt holds str() of the hull's generators at
+    # seeds 0..2, written before the colons were decided by Hilbert series
+    moved = load_ideal(DATA / f"moved_{label}_n{n}.ideal")
+    lines = []
+    for seed in range(3):
+        lines.append(f"# seed {seed}")
+        lines.extend(str(g) for g in equidimensional_hull(moved, seed=seed).generators)
+    text = "\n".join(lines) + "\n"
+    assert text.encode() == (DATA / f"moved_{label}_n{n}.hull.txt").read_bytes()
 
 
 def classify_payloads():

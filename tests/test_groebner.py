@@ -216,6 +216,9 @@ def test_exact_divide():
     assert exact_divide(X[0] * X[1], -X[0]) == -X[1]
     with pytest.raises(ValueError):
         exact_divide(X[0] ** 2 + X[1], X[0])
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(X[0], X[0] - X[0])
+    assert exact_divide(X[0] - X[0], X[1]).is_zero()
 
 
 def brute_force_syzygies(gens, shift):

@@ -5,7 +5,7 @@ import pytest
 from hilbcomp import ideals
 from hilbcomp.errors import RingMismatchError
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
-from hilbcomp.classify import normal_form_ideal
+from hilbcomp.classify import _complete_intersection, _generic_element, _link, normal_form_ideal
 from hilbcomp.ideals import (
     Ideal,
     dumps_ideal,
@@ -16,14 +16,15 @@ from hilbcomp.ideals import (
     irrelevant_ideal,
     loads_ideal,
     quotient,
+    quotient_by_element,
     random_invertible_matrix,
     random_linear_change,
     saturate,
 )
 from hilbcomp.groebner import eliminate_generators
-from hilbcomp.rings import LEX, PolyRing, parse
+from hilbcomp.rings import LEX, PolyRing, monomials_of_degree, parse
 
-from oracles import graded_piece_quotient, saturate_by_quotients
+from oracles import graded_piece_quotient, quotient_by_division, saturate_by_quotients
 
 R = PolyRing(4)
 X = [R.x(i) for i in range(4)]
@@ -79,6 +80,65 @@ def test_quotient_matches_graded_brute_force():
         # ... and the graded dimensions agree, so the pieces coincide
         dim_quotient_piece = len(monos) - hilbert_function(Q, d)
         assert len(basis) == dim_quotient_piece
+
+
+def _assert_matches_division_oracle(A, g):
+    """quotient_by_element(A, g) has the oracle's reduced generators, and its
+    seeded basis is the one a fresh Buchberger run builds."""
+    got = quotient_by_element(A, g)
+    want = quotient_by_division(A, g)
+    assert got.generators == want.generators
+    assert got.groebner_basis().elements == Ideal(A.ring, got.generators).groebner_basis().elements
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_quotient_by_element_matches_the_division_oracle_on_moved_forms(n, label):
+    # the colons ci : h of both links of the equidimensional hull
+    moved = random_linear_change(normal_form_ideal(n, label), seed=n + 70)
+    rng = random.Random(f"colon-oracle:{n}:{label}")
+    ci, _ = _complete_intersection(moved, rng)
+    _assert_matches_division_oracle(ci, _generic_element(moved, rng))
+    linked = _link(ci, moved, rng)
+    _assert_matches_division_oracle(ci, _generic_element(linked, rng))
+
+
+def _random_polys(ring, rng, count, degrees=(1, 2)):
+    monos = [m for d in degrees for m in monomials_of_degree(ring.width, d)]
+    out = []
+    while len(out) < count:
+        p = ring.from_dict({rng.choice(monos): rng.randint(-4, 4) for _ in range(3)})
+        if not p.is_zero():
+            out.append(p)
+    return out
+
+
+def test_quotient_by_element_matches_the_division_oracle_on_random_ideals():
+    rng = random.Random("colon-oracle:random")
+    for _ in range(12):
+        A = Ideal(R, _random_polys(R, rng, 2))
+        (g,) = _random_polys(R, rng, 1)
+        _assert_matches_division_oracle(A, g)
+        # a g inside A gives the unit ideal
+        unit = _assert_matches_division_oracle(A, A.generators[0] * g)
+        assert unit.generators == (R.one,)
+
+
+def test_quotient_by_element_in_a_lex_ring():
+    lex = R.with_order(LEX)
+    A = Ideal(lex, [parse(t, lex) for t in ("x0*x2", "x0*x3", "x1*x2", "x1*x3", "x1^2 - x0*x3")])
+    for text in ("x0 + x1", "x2*x3 - x0^2", "x1"):
+        got = _assert_matches_division_oracle(A, parse(text, lex))
+        assert all(q.ring == lex for q in got.generators)
+
+
+def test_quotient_by_element_of_the_zero_ideal():
+    # K = 0 meet (g) = 0, so 0 : g == 0
+    got = quotient_by_element(Ideal(R, []), parse("x0 + x1", R))
+    assert got.is_zero() and got == quotient_by_division(Ideal(R, []), parse("x0 + x1", R))
+    with pytest.raises(ZeroDivisionError):
+        quotient_by_element(I("x0"), parse("x0 - x0", R))
 
 
 def test_quotient_by_unit_ideal_is_identity():
