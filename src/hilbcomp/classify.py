@@ -71,7 +71,14 @@ from math import lcm
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import UniPoly, hilbert_data, hilbert_series, pair_hilbert_polynomial
-from .ideals import Ideal, _symmetric_matrix, essential_form, quotient, quotient_by_element
+from .ideals import (
+    Ideal,
+    _symmetric_matrix,
+    _with_element,
+    essential_form,
+    quotient,
+    quotient_by_element,
+)
 from .rings import PolyRing, _mono_mul, monomials_of_degree
 
 LABELS = {
@@ -212,10 +219,13 @@ def _colon_data(ci, h):
     """HilbertData of S/(ci : h) for a homogeneous h of degree d, read off
     the exact sequence 0 -> S/(ci : h)(-d) -> S/ci -> S/(ci + (h)) -> 0,
     whose first map is multiplication by h: the series numerator is
-    (Q(ci) - Q(ci + (h))) / T^d, an exact division."""
+    (Q(ci) - Q(ci + (h))) / T^d, an exact division.  Both series are read
+    off leads alone, so neither basis is interreduced, and the basis of
+    ci + (h) extends ci's minimal one (`ideals._with_element`): no S-pair
+    of two of ci's elements is formed again."""
     d = h.total_degree()
     q = UniPoly(hilbert_series(ci).series_numerator)
-    r = UniPoly(hilbert_series(Ideal(ci.ring, ci.generators + (h,))).series_numerator)
+    r = UniPoly(hilbert_series(_with_element(ci, h)).series_numerator)
     diff = (q - r).coeffs
     assert not any(diff[:d]), "colon series not divisible by T^d"
     return hilbert_data(ci.ring.width, diff[d:])

@@ -16,26 +16,31 @@ M. Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
    QQ[x_0..x_n, h, t] with h = x_(n+1), so that t is the last variable.
    Each generator is x-homogeneous, so F = (g^h) is bihomogeneous in the
    x-degree and the (h, t)-degree.
-2. Build the reduced grevlex basis G of F.
+2. Build a grevlex Groebner basis G of F: the minimal entries of
+   Buchberger's S-pair loop, unreduced.  Each is bihomogeneous: every
+   monomial x^a * h^b * t^c has the one bidegree (|a|, b + c), so an
+   S-polynomial of two bihomogeneous elements, and each reduction step by
+   one, stays in a single bidegree, and the generators are bihomogeneous.
 3. For homogeneous f, t divides f exactly when t divides its grevlex lead:
    with t last, a term of the lead's degree with more t ranks lower.  So
-   dividing each element of G by the power t^k of t in its lead gives a
-   grevlex basis G' of K = F : t^oo.
+   dividing each element of G, a homogeneous Groebner basis, by the power
+   t^k of t in its lead gives a grevlex Groebner basis G' of K = F : t^oo.
 4. Setting h = 1 is a localization at h followed by a quotient, and commutes
    with the colon by t: K|_(h=1) = F|_(h=1) : t^oo = I : t^oo.  So the
    special fiber is generated by the images of G' at h = 1, t = 0.  Each
    element of G' is bihomogeneous, so its terms free of t share one power
    h^a of h: the image is h^a * p, with p the x-homogeneous form that keeps
    the element's terms of t-exponent k, h and t dropped.
-5. The p form a grevlex basis of the special fiber.  In(K + (t)) =
-   in(K) + (t) when t is last (the same Prop. 15.12), so the images
-   h^a * p form a grevlex basis of the bihomogeneous J = K|_(t=0) in
+5. The p form a grevlex Groebner basis of the special fiber.  In(K + (t))
+   = in(K) + (t) when t is last (the same Prop. 15.12), so the images
+   h^a * p form a grevlex Groebner basis of the bihomogeneous J = K|_(t=0) in
    QQ[x, h].  For f x-homogeneous in (p), h^N * f lies in J for N large,
    and since all its terms carry h^N, lead(h^N * f) = h^N * lead(f); some
    lead h^a * lead(p) divides it, so lead(p) divides lead(f).
 
-`groebner.interreduce` then turns the p into the reduced grevlex basis of
-the special fiber with no S-pair, and that basis seeds the fiber's Ideal.
+The p are cut out of the packed entries, with no Polynomial built from G,
+and one interreduction turns them into the reduced grevlex basis of the
+special fiber with no S-pair; that basis seeds the fiber's Ideal.
 The saturation by the irrelevant ideal, `ideals.saturate`, reads I : x_n^oo
 off that seeded basis and certifies it by its Hilbert polynomial, with the
 meet of the principal saturations by x_0..x_n as the fallback.
@@ -43,11 +48,13 @@ meet of the principal saturations by x_0..x_n as the fallback.
 The limit is computed once per Family: `limit_ideal` keeps it on the frozen
 Family, so the probe reuses the limit its caller already built.
 
-The sample fibers come from one reduced basis G of the total ideal I in the
-block order x >> t, `elimination_order(range(n))`: x-degree first, grevlex
-on x, then t.  Write each g in G as lc(g) * x^a(g) plus terms whose x-part
-is smaller, lc(g) in QQ[t] (M. Kalkbrener, "On the stability of Groebner
-bases under specializations", J. Symb. Comp. 24, 1997; compare
+The sample fibers come from one Groebner basis G of the total ideal I in
+the block order x >> t, `elimination_order(range(n))`: x-degree first,
+grevlex on x, then t.  G is the minimal entries of Buchberger's loop,
+unreduced, read packed: the argument below uses only that G is a Groebner
+basis that generates I.  Write each g in G as lc(g) * x^a(g) plus terms
+whose x-part is smaller, lc(g) in QQ[t] (M. Kalkbrener, "On the stability
+of Groebner bases under specializations", J. Symb. Comp. 24, 1997; compare
 V. Weispfenning, "Comprehensive Groebner bases", J. Symb. Comp. 14, 1992).
 If no lc(g) vanishes at t0, then G(t0) is a grevlex Groebner basis of the
 fiber I(t0), and its leads are the x^a(g):
@@ -87,10 +94,10 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import HomogeneityError, RingMismatchError
-from .groebner import buchberger, interreduce
+from .groebner import _Entry, _interreduced, _minimal, _ring_packing, buchberger, interreduce
 from .hilbert import hilbert_series
 from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
-from .rings import GREVLEX, Polynomial, PolyRing, elimination_order
+from .rings import GREVLEX, PolyRing, elimination_order
 
 SAMPLE_POINTS = (
     Fraction(1),
@@ -177,12 +184,20 @@ def _special_fiber(total):
         top = max(m[k] for m, _ in g.terms)
         homogenized.append(hom.from_dict({m[:n] + (top - m[k], m[k]): c for m, c in g.terms}))
     base = PolyRing(n)
+    pk = _ring_packing(base)
+    gb = buchberger(homogenized, GREVLEX, transform=False)
+    unpack = _ring_packing(gb.ring).unpack
     fibers = []
-    for G in buchberger(homogenized, GREVLEX, transform=False).elements:
-        e = G.lead_monomial()[-1]
-        # the kept terms share one power of h, so they stay in grevlex order
-        fibers.append(Polynomial(base, tuple((m[:n], c) for m, c in G.terms if m[-1] == e)))
-    return _with_seeded_gb(base, interreduce(fibers))
+    for entry in gb._minimal:
+        e = entry.lead[-1]
+        p = {}
+        for m, c in entry.terms():
+            m = unpack(m)
+            # the kept terms share one power of h, so they stay in grevlex order
+            if m[-1] == e:
+                p[pk.pack(m[:n])] = c
+        fibers.append(_Entry(p, pk))
+    return _with_seeded_gb(base, _interreduced(_minimal(fibers, pk), base, pk, False)[0])
 
 
 def limit_ideal(fam):
@@ -244,11 +259,20 @@ def flatness_probe(fam, samples=3):
     limit_hp = hilbert_series(limit_ideal(fam)).hilbert_polynomial
     total = fam.total_ideal
     n, k = total.ring.num_vars, total.ring.param_index
+    gb = buchberger(total.generators, elimination_order(range(n)), transform=False)
+    unpack = _ring_packing(gb.ring).unpack
     leads, lcs = [], []
-    for g in buchberger(total.generators, elimination_order(range(n)), transform=False).elements:
-        lead = g.lead_monomial()[:n]
+    for entry in gb._minimal:
+        lead = entry.lead[:n]
         leads.append(lead)
-        lcs.append([(c, m[k]) for m, c in g.terms if m[:n] == lead])
+        # x-parts rank first, so the terms with the lead's x-part come first
+        lc = []
+        for m, c in entry.terms():
+            m = unpack(m)
+            if m[:n] != lead:
+                break
+            lc.append((c, m[k]))
+        lcs.append(lc)
     base = fam.base_ring()
     initial = interreduce([base.from_dict({m: Fraction(1)}) for m in leads])
     generic_hp = hilbert_series(_with_seeded_gb(base, initial)).hilbert_polynomial

@@ -35,7 +35,19 @@ Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
 equality a tuple comparison downstream; `interreduce` runs the same
 minimalization and interreduction on polynomials already known to form a
-Groebner basis, with no S-pair.  Pair management uses the
+Groebner basis, with no S-pair.
+
+`buchberger` stops at the minimal basis of its S-pair loop: the packed
+entries whose lead no other lead divides, unreduced.  They are a Groebner
+basis, and their leads are the minimal generators of the initial ideal, so
+they serve every reader that needs only leads or some Groebner basis:
+Hilbert data (`GroebnerBasis.lead_monomials`), elimination and exact
+division (`_eliminating_entries`, `divided_basis`), the flat limit's
+t-division and its leading coefficients, and a larger basis that starts
+from them (`buchberger(..., basis=)`).  The reduced basis, `elements` and
+`transform`, is built from them once, on its first read.
+
+Pair management uses the
 Gebauer-Moeller refinement of Buchberger's first and second criteria, on
 the exponent tuples of the leads.  Each pair is stored once, when it is
 created, with the lcm of its leads and its selection key: sugar degree,
@@ -54,7 +66,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from . import linalg
 from .errors import HomogeneityError, MonomialOverflowError, RingMismatchError
@@ -275,6 +287,11 @@ class _Entry:
         self.sugar = sugar
         self.vec = vec          # packed dicts with prim == sum(vec . gens)
 
+    def terms(self):
+        """(packed mono, int) over all terms, descending from the lead."""
+        yield self.lm, self.lc
+        yield from self.tail.items()
+
 
 def _reduce_int(work, entries, pk, want_quotients=False):
     """Fraction-free full division of a packed integer term dict by the entries.
@@ -374,7 +391,7 @@ def _reduced_spairs(entries, pk):
             yield i, j, den, shifts, _reduce_int(s, entries, pk, want_quotients=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroebnerBasis:
     """Reduced Groebner basis with the generators it came from.
 
@@ -382,19 +399,58 @@ class GroebnerBasis:
     (which carries the order the basis was computed under).  When tracking
     was requested, transform[i] expresses elements[i] as an exact
     combination of generators: elements = transform . generators.
+
+    A basis that `buchberger` returns holds the minimal entries of its
+    S-pair loop (`_minimal`) and reduces them into `elements` and
+    `transform` once, on the first read of either (`__getattr__`).  A basis
+    built from given elements is reduced already.
     """
 
     ring: object
     elements: tuple
     generators: tuple
-    transform: tuple = None
+    transform: tuple
+
+    def __init__(self, ring, elements, generators, transform=None):
+        vars(self).update(ring=ring, elements=elements, generators=generators, transform=transform)
+
+    @classmethod
+    def _unreduced(cls, ring, generators, minimal, tracked):
+        """The basis of the minimal entries `minimal`, ascending by lead,
+        whose vecs hold the transform when `tracked`."""
+        gb = cls.__new__(cls)
+        vars(gb).update(ring=ring, generators=generators, _minimal=minimal, _tracked=tracked)
+        if not tracked:
+            vars(gb)["transform"] = None
+        return gb
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: the reduced basis is built
+        # here on the first read of elements or transform
+        if name not in ("elements", "transform") or "_minimal" not in vars(self):
+            raise AttributeError(name)
+        pk = _ring_packing(self.ring)
+        elements, transform = _interreduced(self._minimal, self.ring, pk, self._tracked)
+        vars(self).update(elements=elements, transform=transform)
+        return vars(self)[name]
+
+    @functools.cached_property
+    def _minimal(self):
+        """Minimal entries, ascending by lead; for a basis built from given
+        elements, the reduced ones."""
+        return self._entries[::-1]
 
     @property
     def order(self):
         return self.ring.order
 
     def lead_monomials(self):
-        return tuple(g.lead_monomial() for g in self.elements)
+        """The leads of the elements, descending.  A minimal basis has the
+        leads of the reduced one, the minimal generators of the initial
+        ideal, so an unreduced basis answers without reducing."""
+        if "elements" in vars(self):
+            return tuple(g.lead_monomial() for g in self.elements)
+        return tuple(e.lead for e in reversed(self._minimal))
 
     def standard_monomials(self, d):
         """Degree-d monomials outside the initial ideal, in enumeration order."""
@@ -439,13 +495,17 @@ class GroebnerBasis:
         return not any(rem for *_, (rem, _, _) in pairs)
 
 
-def buchberger(gens, order=None, *, transform=True, seed=None):
-    """Reduced Groebner basis of the given nonzero generators.
+def buchberger(gens, order=None, *, transform=True, seed=None, basis=None):
+    """Reduced Groebner basis of the given nonzero generators, reduced on
+    first read (`GroebnerBasis`).
 
     The result is independent of the S-pair processing schedule; `seed`
     permutes that schedule for exactly that reason (testing).  With
     `transform=True` each basis element carries its exact expression in the
-    original generators.
+    original generators.  `basis`, a basis in `order` of the first
+    generators without transform, starts the loop from its minimal entries:
+    their S-pairs already reduce to zero, so only pairs with a later
+    generator or a new element are formed.
     """
     gens = list(gens)
     if not gens:
@@ -462,9 +522,16 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
     key = ring.sort_key()
     pk = _ring_packing(ring)
     originals = tuple(g.convert(ring) for g in gens)
+    start = 0
+    if basis is not None:
+        start = len(basis.generators)
+        if transform or basis.ring != ring or basis.generators != originals[:start]:
+            raise ValueError("basis must be of the first generators, in order, without transform")
+        basis = list(basis._minimal)
+    else:
+        basis = []
 
     rng = random.Random(seed) if seed is not None else None
-    basis = []
     pairs = {}  # (i, j) -> (selection key, lcm of the two leads), set at creation
 
     def add_element(int_dict, sugar, vec):
@@ -497,7 +564,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
                 pairs[(i, new_idx)] = ((sugar,) + key(L) + (i, new_idx), L)
 
     r = len(originals)
-    for i, g in enumerate(originals):
+    for i, g in enumerate(originals[start:], start):
         d, den = _int_terms(g, pk)
         vec = None
         if transform:
@@ -521,35 +588,36 @@ def buchberger(gens, order=None, *, transform=True, seed=None):
             vec = _combination(terms, quots, [e.vec for e in basis], pk)
         add_element(rem, sugar, vec)
 
-    elements, matrix = _interreduced(basis, ring, pk, transform)
-    return GroebnerBasis(ring, elements, originals, matrix)
+    return GroebnerBasis._unreduced(ring, originals, _minimal(basis, pk), transform)
 
 
-def _interreduced(basis, ring, pk, transform):
-    """(elements, transform rows or None) of the reduced basis spanned by the
-    entries `basis`, which must already form a Groebner basis: drop each
-    element whose lead another lead divides, reduce each tail by the others,
-    make the elements monic and sort them descending by lead."""
-    # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i].lm)
+def _minimal(entries, pk):
+    """The entries whose lead no other lead divides, ascending by lead; of
+    two equal leads the first entry stays."""
     kept = []
-    for i in order_idx:
-        if not any(pk.divides(basis[k].lm, basis[i].lm) for k in kept):
-            kept.append(i)
+    for e in sorted(entries, key=attrgetter("lm")):
+        if not any(pk.divides(k.lm, e.lm) for k in kept):
+            kept.append(e)
+    return tuple(kept)
 
-    # interreduce tails (leads are untouched: the basis is minimal); kept
-    # ascends by lead, and only a smaller lead divides a term below i's lead,
-    # so the elements before i, in the same order, are its reducers
+
+def _interreduced(kept, ring, pk, transform):
+    """(elements, transform rows or None) of the reduced basis of the
+    entries `kept`, a minimal Groebner basis ascending by lead (`_minimal`):
+    reduce each tail by the others, make the elements monic and sort them
+    descending by lead."""
+    # leads are untouched: the basis is minimal; only a smaller lead divides
+    # a term below an entry's lead, so the entries before it are its reducers
     final = []
-    for pos, i in enumerate(kept):
-        others = [basis[k] for k in kept[:pos]]
+    for pos, entry in enumerate(kept):
+        others = kept[:pos]
         rem, scale, quots = _reduce_int(
-            {basis[i].lm: basis[i].lc, **basis[i].tail}, others, pk, want_quotients=transform
+            {entry.lm: entry.lc, **entry.tail}, others, pk, want_quotients=transform
         )
         lm, lc = next(iter(rem.items()))
         vec = None
         if transform:
-            terms = [({pk.base: scale}, basis[i].vec)]
+            terms = [({pk.base: scale}, entry.vec)]
             vec = _combination(terms, quots, [e.vec for e in others], pk)
             vec = tuple(_poly(ring, sorted(v.items(), reverse=True), Fraction(1, lc)) for v in vec)
         final.append((lm, _poly(ring, rem.items(), Fraction(1, lc)), vec))
@@ -567,15 +635,26 @@ def interreduce(polys):
     ring = polys[0].ring
     pk = _ring_packing(ring)
     entries = [_Entry(_int_terms(p, pk)[0], pk) for p in polys]
-    return _interreduced(entries, ring, pk, False)[0]
+    return _interreduced(_minimal(entries, pk), ring, pk, False)[0]
+
+
+def _eliminating_entries(gens, front):
+    """(block ring, entries): of the minimal entries of gens' basis in the
+    block order that eliminates the front variables, those with a
+    front-free lead.  The order puts any front-variable monomial above every
+    front-free one, so such an entry is front-free throughout, and these
+    entries are a minimal Groebner basis of the elimination ideal in the
+    order's restriction to front-free monomials, which is grevlex."""
+    gb = buchberger(gens, elimination_order(front), transform=False)
+    return gb.ring, [e for e in gb._minimal if not any(e.lead[v] for v in front)]
 
 
 def eliminate_generators(gens, front_vars):
     """Generators of <gens> intersected with the subring avoiding front_vars.
 
-    Returns polynomials in the ring of the input generators.  For a block
-    elimination order the front-free elements of the reduced basis are
-    themselves the reduced grevlex basis of the elimination ideal.
+    Returns polynomials in the ring of the input generators: the reduced
+    grevlex basis of the elimination ideal, interreduced from the front-free
+    entries alone (`_eliminating_entries`).
     """
     gens = list(gens)
     if not gens:
@@ -584,20 +663,14 @@ def eliminate_generators(gens, front_vars):
     front = tuple(sorted(set(front_vars)))
     if not front:
         return list(gens)
-    gb = buchberger(gens, elimination_order(front), transform=False)
-    out = []
-    for g in gb.elements:
-        lm = g.lead_monomial()
-        if all(lm[v] == 0 for v in front):
-            # an elimination order puts any front-variable monomial above
-            # every front-free one, so the whole tail is front-free too
-            assert all(m[v] == 0 for v in front for m, _ in g.terms)
-            out.append(g.convert(ring))
-    return out
+    block, entries = _eliminating_entries(gens, front)
+    elements, _ = _interreduced(entries, block, _ring_packing(block), False)
+    return [g.convert(ring) for g in elements]
 
 
-def _divided(polys, g, pk):
-    """[(q, factor)] with p / g == factor * q for each p of polys: q the
+def _divided(items, g, pk):
+    """[(q, factor)] with p / g == factor * q for each (terms, den) of
+    items, p the packed integer (mono, coefficient) terms over den: q the
     packed {mono: int} quotient, descending, of one fraction-free division by
     g, whose terms must be in pk's order.  ZeroDivisionError when g is zero,
     ValueError when g does not divide some p."""
@@ -606,8 +679,7 @@ def _divided(polys, g, pk):
     gt, gden = _int_terms(g, pk)
     entry = _Entry(gt, pk)
     out = []
-    for p in polys:
-        work, den = _int_terms(p, pk)
+    for work, den in items:
         # scale * den * p == q * prim(g), and prim(g) == gden * g / unit
         rem, scale, (q,) = _reduce_int(work, (entry,), pk, want_quotients=True)
         if rem:
@@ -619,23 +691,24 @@ def _divided(polys, g, pk):
 def exact_divide(f, g):
     """Exact quotient f/g; raises when g does not divide f."""
     pk = _ring_packing(f.ring)
-    ((q, factor),) = _divided((f,), g.convert(f.ring), pk)
+    ((q, factor),) = _divided((_int_terms(f, pk),), g.convert(f.ring), pk)
     return _poly(f.ring, q.items(), factor)
 
 
-def divided_basis(polys, g):
-    """The reduced Groebner basis of the quotients p / g, for a Groebner
-    basis `polys` of an ideal K inside (g), all in one ring and its order:
-    the reduced basis of K : g.
+def divided_basis(entries, g):
+    """The reduced Groebner basis of the quotients p / g, for the entries
+    p of a Groebner basis of an ideal K inside (g), packed in g's ring and
+    its order: the reduced basis of K : g.
 
     lm(p / g) == lm(p) / lm(g), so for f in K : g the lead of f * g, a
     multiple of some lm(p), is lm(f) * lm(g), and lm(p / g) divides lm(f):
-    the quotients form a Groebner basis, which `_interreduced` reduces.
+    the quotients form a Groebner basis, which is interreduced once.
     """
     ring = g.ring
     pk = _ring_packing(ring)
-    entries = [_Entry(q, pk) for q, _ in _divided(polys, g, pk)]
-    return _interreduced(entries, ring, pk, False)[0]
+    items = [({e.lm: e.lc, **e.tail}, 1) for e in entries]
+    quotients = [_Entry(q, pk) for q, _ in _divided(items, g, pk)]
+    return _interreduced(_minimal(quotients, pk), ring, pk, False)[0]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Hilbert series, Hilbert functions, Hilbert polynomials.
 
-The series of S/I is computed from the initial monomial ideal (grevlex
-leading terms of the reduced basis) by the variable-pivot recursion
+The series of S/I depends only on the initial monomial ideal (Macaulay), so
+it is computed from the grevlex leads of Buchberger's minimal basis, with no
+interreduction, by the variable-pivot recursion
 
     HS(M) = HS(M + (x)) + T * HS(M : x)
 
@@ -236,10 +237,11 @@ class HilbertData:
 
 
 def _initial_monomials(I):
+    """The minimal generators of in(I), read off the leads of I's grevlex
+    basis, which `buchberger` gives before any interreduction."""
     if I.is_zero():
         return ()
-    gb = I.groebner_basis()
-    return _minimalize([g.lead_monomial() for g in gb.elements])
+    return _minimalize(I.groebner_basis().lead_monomials())
 
 
 def hilbert_series(I):

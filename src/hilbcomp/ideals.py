@@ -1,20 +1,22 @@
 """Ideal-level algebra: sums, products, intersections, quotients,
 saturations, equality, and random coordinate changes.
 
-An Ideal is a generator list in a fixed ring with a cached reduced Groebner
-basis.  Equality means equality of grevlex reduced bases, which is the
-canonical representative throughout the package.  Intersections go through
-one auxiliary variable u and block elimination; quotients reduce to
-intersections with principal ideals, and I : g is read off the elimination
-basis of I meet (g): the quotients of its reduced basis by g form a
-Groebner basis of I : g, interreduced into a canonical result with no
-further Buchberger run.  Saturation has two routes: by an
-ideal with the irrelevant radical, it reads I : x_n^oo off the grevlex
-basis of I and keeps it when the Hilbert polynomial certifies it;
-otherwise, or when the certificate fails, it is the meet of principal
-saturations I : g^oo over the generators g, each one elimination of u from
-(I, 1 - u*g).  `essential_form` writes quadrics in their essential
-variables, for classification and tangent spaces alike.
+An Ideal is a generator list in a fixed ring with a cached Groebner basis,
+reduced on its first read (`groebner.GroebnerBasis`): an ideal whose Hilbert
+series is all that is asked of it is never interreduced.  Equality means
+equality of grevlex reduced bases, which is the canonical representative
+throughout the package.  Intersections go through one auxiliary variable u
+and block elimination; quotients reduce to intersections with principal
+ideals, and I : g is read off the block basis of u*I + (1-u)*(g): the
+quotients by g of its u-free minimal entries form a Groebner basis of
+I : g, interreduced once into a canonical result with no further Buchberger
+run.  The basis of I + (h) starts from I's (`_with_element`).  Saturation
+has two routes: by an ideal with the irrelevant radical, it reads
+I : x_n^oo off the grevlex basis of I and keeps it when the Hilbert
+polynomial certifies it; otherwise, or when the certificate fails, it is
+the meet of principal saturations I : g^oo over the generators g, each one
+elimination of u from (I, 1 - u*g).  `essential_form` writes quadrics in
+their essential variables, for classification and tangent spaces alike.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from . import linalg
 from .errors import HomogeneityError, RingMismatchError
 from .groebner import (
     GroebnerBasis,
+    _eliminating_entries,
     buchberger,
     divided_basis,
     eliminate_generators,
+    interreduce,
 )
 from .hilbert import hilbert_series
 from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
@@ -149,6 +153,17 @@ def _u_ring(ring):
     return ext.with_order(elimination_order([u_idx])), u_idx
 
 
+def _with_element(I, h):
+    """I + (h), for a nonzero I, with its grevlex basis built from I's: the
+    S-pairs of I's minimal basis already reduce to zero, so `buchberger`
+    forms only the pairs with h or a new element."""
+    out = Ideal(I.ring, I.generators + (h,))
+    out._gb_cache[GREVLEX] = buchberger(
+        out.generators, GREVLEX, transform=False, basis=I.groebner_basis()
+    )
+    return out
+
+
 def _eliminated(ring, gens, front):
     """<gens> meet the subring free of the `front` variables, as an ideal of
     `ring`."""
@@ -159,15 +174,9 @@ def _eliminated(ring, gens, front):
     return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
 
 
-def intersect(I, J):
-    """the intersection of I and J via u*I + (1-u)*J and elimination of the auxiliary u."""
-    _require_same_ring(I, J)
-    if I.is_zero():
-        return I
-    if J.is_zero():
-        return J
-    ring = I.ring
-    ext, u_idx = _u_ring(ring)
+def _meet_generators(I, J):
+    """(u's index, the generators u*I + (1-u)*J in the ring with u)."""
+    ext, u_idx = _u_ring(I.ring)
     # the block order ranks u-degree first, so u*f keeps f's term order and
     # every term of u*g precedes every term of g
 
@@ -178,19 +187,34 @@ def intersect(I, J):
     for g in J.generators:
         g = g.convert(ext)
         gens.append(Polynomial(ext, times_u(g, -1) + g.terms))
-    return _eliminated(ring, gens, [u_idx])
+    return u_idx, gens
+
+
+def intersect(I, J):
+    """the intersection of I and J via u*I + (1-u)*J and elimination of the auxiliary u."""
+    _require_same_ring(I, J)
+    if I.is_zero():
+        return I
+    if J.is_zero():
+        return J
+    u_idx, gens = _meet_generators(I, J)
+    return _eliminated(I.ring, gens, [u_idx])
 
 
 def quotient_by_element(I, g):
     """(I : g) as (I meet (g)) / g, canonical, for a nonzero g.
 
-    `intersect` seeds the reduced grevlex basis of K = I meet (g).  The
-    quotients p / g of its elements form a Groebner basis of I : g
-    (`divided_basis`), and their interreduction seeds the grevlex basis of
-    the result, with no Buchberger run.
+    The u-free minimal entries of the block basis of u*I + (1-u)*(g) are a
+    Groebner basis of K = I meet (g) (`groebner._eliminating_entries`).
+    Their quotients p / g form a Groebner basis of I : g (`divided_basis`),
+    interreduced once into the seeded grevlex basis of the result: neither
+    the u-containing entries nor K's own basis are ever reduced.
     """
-    gb = intersect(I, Ideal(I.ring, [g])).groebner_basis()
-    quotients = divided_basis(gb.elements, g.convert(gb.ring))
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    u_idx, gens = _meet_generators(I, Ideal(I.ring, [g]))
+    block, entries = _eliminating_entries(gens, [u_idx])
+    quotients = divided_basis(entries, g.convert(block))
     return _with_seeded_gb(I.ring, [q.convert(I.ring) for q in quotients])
 
 
@@ -231,7 +255,7 @@ def saturate(I, J):
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     if _radical_is_irrelevant(I, J):
-        if not any(g.lead_monomial()[-1] for g in I.groebner_basis().elements):
+        if not any(m[-1] for m in I.groebner_basis().lead_monomials()):
             return I.canonical()
         candidate = _saturate_by_last_variable(I)
         if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
@@ -254,14 +278,16 @@ def _radical_is_irrelevant(I, J):
 
 def _saturate_by_last_variable(I):
     """I : x_n^oo from the grevlex basis of homogeneous I: each element
-    divided by the power of x_n in its lead, which divides every term."""
+    divided by the power of x_n in its lead, which divides every term.  By
+    Bayer's lemma the quotients are a Groebner basis, so they are only
+    interreduced, with no Buchberger run."""
     gb = I.groebner_basis()
     gens = []
     for g in gb.elements:
         k = g.lead_monomial()[-1]
         terms = tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms)
-        gens.append(Polynomial(gb.ring, terms).convert(I.ring))
-    return Ideal(I.ring, gens).canonical()
+        gens.append(Polynomial(gb.ring, terms))
+    return _with_seeded_gb(I.ring, [q.convert(I.ring) for q in interreduce(gens)])
 
 
 def _saturate_principal(I, f):

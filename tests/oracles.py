@@ -124,6 +124,24 @@ def reduce_by_tuples(f, divisors):
     )
 
 
+def reduced_basis_by_tuples(polys):
+    """The reduced Groebner basis of polynomials that already form a
+    Groebner basis in their ring's order, by tuple division: keep each whose
+    lead no kept lead divides (ascending), reduce its tail by the other kept
+    ones with `reduce_by_tuples`, make it monic, sort descending by lead."""
+    key = polys[0].ring.sort_key()
+    kept = []
+    for p in sorted(polys, key=lambda p: key(p.lead_monomial())):
+        if not any(_divides(q.lead_monomial(), p.lead_monomial()) for q in kept):
+            kept.append(p)
+    out = []
+    for p in kept:
+        lead = p.ring.from_dict({p.lead_monomial(): p.lead_coeff()})
+        rem, _ = reduce_by_tuples(p - lead, [q for q in kept if q is not p])
+        out.append((lead + rem).scale(1 / p.lead_coeff()))
+    return tuple(sorted(out, key=lambda g: key(g.lead_monomial()), reverse=True))
+
+
 def hilbert_function_by_count(I, d):
     """dim (S/I)_d by counting degree-d monomials outside the initial ideal."""
     return len(I.groebner_basis().standard_monomials(d))

@@ -196,6 +196,37 @@ def test_flatness_probe_specializes_only_where_a_leading_coefficient_vanishes(mo
     )
 
 
+def test_constructed_jump_is_specialized_at_one_and_not_flat(monkeypatch):
+    # the minimal block basis of (x0 - t*x0, x1) leads with x0, of leading
+    # coefficient 1 - t: t = 1 is the one candidate, and its fiber (x1)
+    # has a larger Hilbert polynomial than the limit (x0, x1)
+    bad = Family(Ideal(Rt, tparse("x0 - t*x0", "x1")))
+    points = []
+    original = flat_limit._specialize
+    monkeypatch.setattr(
+        flat_limit, "_specialize", lambda I, t0: points.append(t0) or original(I, t0)
+    )
+    report = flatness_probe(bad)
+    assert points == [Fraction(1)]
+    assert not report.flat and report.mismatched_points == (Fraction(1),)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_limit_and_probe_read_their_bases_unreduced(name, monkeypatch):
+    # the special fiber and the sample fibers read the packed minimal
+    # entries of their Buchberger runs; neither basis is ever reduced
+    total = fixtures.get(f"family_{name}_limit_n5").payload.total_ideal
+    fam = Family(random_linear_change(total, seed=7))
+    bases = []
+    original = flat_limit.buchberger
+    monkeypatch.setattr(
+        flat_limit, "buchberger", lambda *a, **k: bases.append(original(*a, **k)) or bases[-1]
+    )
+    assert flatness_probe(fam).flat
+    assert [gb.order.kind for gb in bases] == ["grevlex", "block"]
+    assert not any("elements" in vars(gb) for gb in bases)
+
+
 def test_probe_argument_validation():
     fam = fixtures.get("family_embedded_limit_n3").payload
     with pytest.raises(ValueError):

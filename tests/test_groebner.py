@@ -15,6 +15,7 @@ from hilbcomp.groebner import (
     _monomial_index,
     _pack_row,
     _packing,
+    _poly,
     _row_coordinates,
     buchberger,
     eliminate_generators,
@@ -36,6 +37,7 @@ from hilbcomp.rings import (
 
 from oracles import (
     reduce_by_tuples,
+    reduced_basis_by_tuples,
     row_coordinates_by_products,
     syzygy_verify_by_polynomials,
     transform_certificate,
@@ -159,6 +161,52 @@ def test_transform_certificate():
             gb = buchberger(gens, order, transform=True, seed=seed)
             assert transform_certificate(gb), seed
             assert gb.spair_certificate(), seed
+
+
+LAZY_CASES = (
+    ("x0^2", "x0*x1", "x1^2", "x0*x3 - x1*x2"),
+    CI_QUADRICS,
+    ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"),
+)
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, elimination_order((0,))], ids=["grevlex", "lex", "block"]
+)
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("texts", LAZY_CASES)
+def test_lazily_reduced_basis_equals_an_eager_reading(order, seed, texts):
+    # buchberger returns its minimal entries unreduced; the elements and
+    # transform built on first read, after the leads were read and the
+    # basis was extended, equal those of a run read at once, and the
+    # elements equal the tuple-division reduction of the minimal entries
+    gens = quads(*texts)
+    eager = buchberger(gens, order, transform=True, seed=seed)
+    elements, transform = eager.elements, eager.transform
+    lazy = buchberger(gens, order, transform=True, seed=seed)
+    untracked = buchberger(gens, order, transform=False, seed=seed)
+    assert lazy.lead_monomials() == tuple(g.lead_monomial() for g in elements)
+    buchberger(gens + [X[3] ** 2], order, transform=False, basis=untracked)
+    assert "elements" not in vars(lazy) and "elements" not in vars(untracked)
+    minimal = [_poly(lazy.ring, e.terms()) for e in lazy._minimal]
+    assert reduced_basis_by_tuples(minimal) == elements
+    assert lazy.elements == elements and lazy.transform == transform
+    assert untracked.elements == elements and untracked.transform is None
+    assert transform_certificate(lazy)
+
+
+def test_a_given_basis_must_be_of_the_first_generators():
+    gens = quads(*CI_QUADRICS)
+    gb = buchberger(gens[:2], transform=False)
+    extended = buchberger(gens, transform=False, basis=gb)
+    assert extended.elements == buchberger(gens, transform=False).elements
+    for bad in (
+        lambda: buchberger(gens[1:], transform=False, basis=gb),
+        lambda: buchberger(gens, LEX, transform=False, basis=gb),
+        lambda: buchberger(gens, transform=True, basis=gb),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_spair_certificate_rejects_a_generating_set_that_is_not_a_basis():

@@ -1,12 +1,15 @@
+import dataclasses
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from hilbcomp import linalg
+from hilbcomp import groebner, linalg
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
 from hilbcomp.hilbert import (
+    HilbertData,
     UniPoly,
     _numerator,
     binomial_polynomial,
@@ -16,7 +19,13 @@ from hilbcomp.hilbert import (
     pair_hilbert_polynomial,
 )
 from hilbcomp.groebner import buchberger
-from hilbcomp.ideals import Ideal, intersect, irrelevant_ideal
+from hilbcomp.ideals import (
+    Ideal,
+    _with_seeded_gb,
+    intersect,
+    irrelevant_ideal,
+    random_linear_change,
+)
 from hilbcomp.rings import LEX, PolyRing, monomials_of_degree, parse
 
 from oracles import hilbert_function_by_count
@@ -186,3 +195,42 @@ def test_numerator_cache_is_bounded():
     for d in range(1, bound + 10):
         assert _numerator(((d,),)).coeffs == (1,) + (0,) * (d - 1) + (-1,)
     assert _numerator.cache_info().currsize <= bound
+
+
+def _random_homogeneous_ideal(rng):
+    """Two to four random homogeneous forms of degree 2 or 3 in x0..x3."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        monos = monomials_of_degree(4, rng.choice((2, 3)))
+        p = R.from_dict({m: rng.randint(-3, 3) for m in rng.sample(monos, 3)})
+        if not p.is_zero():
+            gens.append(p)
+    return Ideal(R, gens)
+
+
+def _hilbert_cases():
+    rng = random.Random("minimal-leads")
+    yield from (_random_homogeneous_ideal(rng) for _ in range(12))
+    for n in (3, 4, 5, 6):
+        for k, label in enumerate(("I", "II", "III", "IV")):
+            yield random_linear_change(normal_form_ideal(n, label), seed=10 * n + k)
+
+
+def test_series_from_minimal_leads_equals_the_reduced_basis_series(monkeypatch):
+    # the Hilbert data of a fresh ideal comes from the leads of Buchberger's
+    # minimal basis, with no interreduction; every field equals the data of
+    # the same ideal seeded with its reduced basis
+    reductions = []
+    real = groebner._interreduced
+    monkeypatch.setattr(
+        groebner, "_interreduced", lambda *a: reductions.append(a) or real(*a)
+    )
+    for ideal in _hilbert_cases():
+        got = hilbert_series(ideal)
+        assert reductions == [] and "elements" not in vars(ideal.groebner_basis())
+        reduced = ideal.groebner_basis().elements
+        seeded = _with_seeded_gb(ideal.ring, [g.convert(ideal.ring) for g in reduced])
+        want = hilbert_series(seeded)
+        for f in dataclasses.fields(HilbertData):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        reductions.clear()

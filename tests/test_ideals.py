@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from hilbcomp import ideals
+from hilbcomp import groebner, ideals
 from hilbcomp.errors import RingMismatchError
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
-from hilbcomp.classify import _complete_intersection, _generic_element, _link, normal_form_ideal
+from hilbcomp.classify import (
+    _colon_data,
+    _complete_intersection,
+    _generic_element,
+    _link,
+    normal_form_ideal,
+)
 from hilbcomp.ideals import (
     Ideal,
     dumps_ideal,
@@ -21,8 +27,8 @@ from hilbcomp.ideals import (
     random_linear_change,
     saturate,
 )
-from hilbcomp.groebner import eliminate_generators
-from hilbcomp.rings import LEX, PolyRing, monomials_of_degree, parse
+from hilbcomp.groebner import buchberger, eliminate_generators
+from hilbcomp.rings import LEX, Polynomial, PolyRing, monomials_of_degree, parse
 
 from oracles import graded_piece_quotient, quotient_by_division, saturate_by_quotients
 
@@ -402,3 +408,90 @@ def test_irrelevant_ideal_is_shared_and_its_basis_built_once(monkeypatch):
         irrelevant_ideal(ring).groebner_basis()
     assert len(builds) == 1
     assert irrelevant_ideal(PolyRing(5)) is not first
+
+
+def _ci_and_element(n, label):
+    moved = random_linear_change(normal_form_ideal(n, label), seed=n + 90)
+    rng = random.Random(f"extend:{n}:{label}")
+    ci, _ = _complete_intersection(moved, rng)
+    return ci, _generic_element(moved, rng)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_extended_basis_equals_a_fresh_run(n, label):
+    # ci + (h) on ci's minimal basis against buchberger of ci's generators
+    # plus h; also for h inside ci, as a multiple and as a generator
+    ci, h = _ci_and_element(n, label)
+    f1, f2 = ci.generators
+    x = ci.ring.variables()
+    for extra in (h, f1 * x[0] + f2 * x[1], f2):
+        got = ideals._with_element(ci, extra).groebner_basis()
+        fresh = buchberger([f1, f2] + ([] if extra == f2 else [extra]), transform=False)
+        assert got.lead_monomials() == fresh.lead_monomials()
+        assert got.elements == fresh.elements
+
+
+def test_colon_data_pairs_nothing_inside_ci(monkeypatch):
+    # the S-pairs of ci's own basis reduce to zero already: the basis of
+    # ci + (h) forms only pairs that involve h or an element added after it
+    ci, h = _ci_and_element(5, "III")
+    old = {id(e) for e in ci.groebner_basis()._minimal}
+    pairs = []
+    real = groebner._int_spoly
+    monkeypatch.setattr(
+        groebner, "_int_spoly", lambda e1, e2, *a: pairs.append((e1, e2)) or real(e1, e2, *a)
+    )
+    _colon_data(ci, h)
+    assert pairs
+    assert not any(id(e1) in old and id(e2) in old for e1, e2 in pairs)
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_quotient_by_element_interreduces_only_u_free_entries(label, monkeypatch):
+    # one interreduction, of the quotients of the u-free minimal entries;
+    # the block basis itself is never reduced
+    ci, h = _ci_and_element(5, label)
+    calls = []
+    real = groebner._interreduced
+    monkeypatch.setattr(
+        groebner,
+        "_interreduced",
+        lambda kept, ring, *a: calls.append((kept, ring)) or real(kept, ring, *a),
+    )
+    got = quotient_by_element(ci, h)
+    ((kept, ring),) = calls
+    # u leads the block order, so a u-free lead makes the whole entry u-free
+    u = ring.aux_index(ring.num_aux - 1)
+    assert ring.num_aux == 1 and kept and all(e.lead[u] == 0 for e in kept)
+    monkeypatch.undo()
+    assert got.generators == quotient_by_division(ci, h).generators
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_saturating_by_the_last_variable_runs_no_buchberger(n, monkeypatch):
+    # Bayer's lemma makes the divided basis a Groebner basis: it is only
+    # interreduced, and equals the candidate a fresh Buchberger run gives
+    ring = PolyRing(n + 1)
+    xn = f"x{n}"
+    for texts in (
+        (f"x0*{xn}", f"x1*{xn}^2"),
+        ("x0^2", "x0*x1", f"x0*{xn}"),
+        (f"x0*{xn} - x1*{xn}", f"x1*{xn}^2 + x2^2*{xn}", "x0^3 + x1*x2^2"),
+    ):
+        A = Ideal(ring, [parse(t, ring) for t in texts])
+        assert any(m[-1] for m in A.groebner_basis().lead_monomials())
+        runs = []
+        for module in (groebner, ideals):
+            monkeypatch.setattr(module, "buchberger", lambda *a, **kw: runs.append(a))
+        got = ideals._saturate_by_last_variable(A)
+        monkeypatch.undo()
+        assert runs == []
+        gb = A.groebner_basis()
+        divided = []
+        for g in gb.elements:
+            k = g.lead_monomial()[-1]
+            divided.append(Polynomial(gb.ring, tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms)))
+        want = Ideal(ring, [p.convert(ring) for p in divided]).canonical()
+        assert got.generators == want.generators
+        assert got.groebner_basis().elements == want.groebner_basis().elements
