@@ -14,7 +14,7 @@ The decision procedure is linkage plus the Jacobian criterion:
   * the hull either equals I (no embedded part) or strictly contains it.
     I lies inside its hull, so when the accepted second link has the series
     of I, the hull is I and its elimination is skipped: types I and II run
-    one elimination, types III and IV two;
+    one elimination, types III and IV two, and III's gate one more;
   * the hull is generically reduced exactly when the 2x2 minors of its
     Jacobian matrix cut out a set of dimension below n - 2 inside it; see
     generic_slice_reduced.  This step is exact and draws nothing.
@@ -23,26 +23,33 @@ Evidence (embedded part present, generically reduced) determines the label:
 (False, True) -> I, (False, False) -> II, (True, True) -> III,
 (True, False) -> IV.  A generically reduced hull that holds a linear form
 must be two linear spaces and not a quadric of rank >= 3 in a hyperplane,
-such as a plane conic; see _require_linear_components.  The random
-complete intersection and the random elements of the links are gated by
-exact certificates and can only force a retry, never a wrong label;
-SchemeType.retries counts the rejected complete-intersection draws.  An
-ideal that holds a linear form (dim (S/I)_1 < n + 1) is refused before any
-draw: no point of the component holds one, as the next paragraph shows.
+such as a plane conic (_require_linear_components), and a type-III point is
+its hull meet the square of the ideal where they meet
+(_require_embedded_meet).  The random complete intersection and the random
+elements of the links are gated by exact certificates and can only force a
+retry, never a wrong label; SchemeType.retries counts the rejected
+complete-intersection draws.  An ideal that holds a linear form
+(dim (S/I)_1 < n + 1) is refused before any draw: no point of the
+component holds one, as the next paragraph shows.
 
 All four normal forms are generated by quadrics in x_0..x_3, so every point
 of the component in P^n is a cone, with vertex P^(n-4), over a point of
-P^3.  Before the procedure runs, the quadrics of I are written in their
-essential variables by ideals.essential_form, which holds the proof: a
-linear change of coordinates g, found as a restriction, takes them into
+P^3 generated by quadrics.  So the quadrics of I (its given generators when
+all are quadrics, else a basis of its degree-two piece) are written in
+their essential variables by ideals.essential_form, which holds the proof:
+a linear change of coordinates g, found as a restriction, takes them into
 S' = QQ[y_0..y_(m-1)] with m = max(4, k), where they generate an ideal I'.
-Then:
+An input with k > 4, or whose quadrics do not generate I, is refused, so
+the procedure always runs in the four variables of P^3.  Then:
 
-  * when m < n + 1, I'S lies in the substituted ideal gI.  Adjoining a
-    variable divides a Hilbert series by 1 - T, so S'/I' and S/I'S have the
-    same series numerator (the numerator over (1 - T)^(number of
-    variables)), and S/gI has that of S/I.  When the two numerators agree,
-    I'S and gI have the same dimension in every degree, so I'S == gI;
+  * I'S lies in the substituted ideal gI, with equality by construction
+    when every given generator is a quadric: the Hilbert data of S/I is
+    then derived from I', and no basis in the n + 1 variables is built.
+    Otherwise, adjoining a variable divides a Hilbert series by 1 - T, so
+    S'/I' and S/I'S have the same series numerator (the numerator over
+    (1 - T)^(number of variables)), and S/gI has that of S/I.  When the two
+    numerators agree, I'S and gI have the same dimension in every degree,
+    so I'S == gI;
   * S' -> S is a polynomial extension: faithfully flat, and PS is prime of
     the same codimension for every prime P of S'.  So primary
     decompositions extend, with every projective dimension raised by
@@ -51,21 +58,14 @@ Then:
     lies in I'S, and I'S is generically reduced exactly when I' is.
 
 A linear change of coordinates keeps the evidence too, so the label and
-the evidence of I' are those of I.  When the numerators differ, I is not
-generated by its quadrics and the procedure runs on I itself.
-
-When every given generator of I is a quadric, essential_form is applied to
-them directly and I'S == gI holds by construction, with no comparison:
-then S/I has the series numerator of S'/I', and the Hilbert data of S/I,
-which the gates of classify read, is derived from I' (_quadric_form).  No
-Groebner basis in the n + 1 variables is built for such an input.
+the evidence of I' are those of I.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from . import linalg
@@ -76,6 +76,8 @@ from .ideals import (
     _symmetric_matrix,
     _with_element,
     essential_form,
+    ideal_product,
+    intersect,
     quotient,
     quotient_by_element,
 )
@@ -144,36 +146,16 @@ def _quadric_basis(I):
     return out
 
 
-def _essential_form(I, data):
-    """(I', dropped): the quadrics of I written in their essential
-    variables, in m = max(4, dim W) of them, with dropped = n + 1 - m; or
-    (I, 0) when no variable drops or the quadrics do not generate I.
-
-    `data` is the Hilbert data of I; the gate is the module docstring's
-    series-numerator comparison.
-    """
-    reduced, _ = essential_form(I.ring, _quadric_basis(I))
-    dropped = I.ring.num_vars - reduced.ring.num_vars
-    if not dropped or hilbert_series(reduced).series_numerator != data.series_numerator:
-        return I, 0
-    return reduced, dropped
-
-
-def _quadric_form(I):
-    """(I', dropped, data) for an I whose given generators are all quadrics,
-    None for any other I: I' is them in their essential variables, and data
-    the Hilbert data of S/I.  When a variable drops, I'S == gI holds by
-    construction, so S/I has the series numerator of S'/I', and data is
-    derived from I' with no basis of I built."""
-    ring = I.ring
-    gens = I.generators
-    if not gens or not all(g.total_degree() == 2 and g.is_homogeneous() for g in gens):
-        return None
-    reduced, _ = essential_form(ring, list(gens))
-    dropped = ring.num_vars - reduced.ring.num_vars
-    if not dropped:
-        return I, 0, hilbert_series(I)
-    return reduced, dropped, hilbert_data(ring.width, hilbert_series(reduced).series_numerator)
+def _essential_quadrics(I):
+    """(I', data): I's quadrics in their m = max(4, k) essential variables
+    (ideals.essential_form) and the Hilbert data of S/I.  When every given
+    generator is a quadric, they are the quadrics and data is derived from
+    I', with no basis of I built; else _quadric_basis(I) is used."""
+    gens = list(I.generators)
+    if gens and all(g.total_degree() == 2 and g.is_homogeneous() for g in gens):
+        reduced, _ = essential_form(I.ring, gens)
+        return reduced, hilbert_data(I.ring.width, hilbert_series(reduced).series_numerator)
+    return essential_form(I.ring, _quadric_basis(I))[0], hilbert_series(I)
 
 
 def _random_combination(polys, rng):
@@ -399,30 +381,42 @@ def _require_linear_components(hull):
     variety that spans P^N has degree at least its codimension in P^N plus
     one, so the latter is a quadric inside a hyperplane.  When the hull
     holds a linear form l, its variety is a quadric Q inside V(l) either
-    way, and the hull is (l, q) with q | (l = 0) an equation of Q.  Every
-    quadric of the hull restricts to a multiple of that equation, and some
-    quadric generator restricts to a nonzero one.  Q is two linear spaces
-    (over an algebraic closure) exactly when its equation factors, that is
-    when it has rank <= 2.
+    way.  On the reduced basis every quadric generator is free of the lead
+    variable of l, so it is its own restriction to V(l), a multiple of the
+    equation of Q, and some quadric generator is a nonzero one.  Q is two
+    linear spaces (over an algebraic closure) exactly when its equation
+    factors, that is when it has rank <= 2.
     """
-    ring = hull.ring
     gens = hull.canonical_generators()
-    linear = [g for g in gens if g.total_degree() == 1]
-    if not linear:
+    if all(g.total_degree() != 1 for g in gens):
         return
-    form = linear[0]
-    j = next(i for i, e in enumerate(form.lead_monomial()) if e)
-    # x_j -> x_j - form / a_j, with a_j the lead coefficient, sends form to 0
-    image = ring.x(j) - form.scale(1 / form.lead_coeff())
-    for g in gens:
-        if g.total_degree() != 2:
-            continue
-        rank = linalg.rank(_symmetric_matrix(g.substitute({j: image}), ring.num_vars))
+    for q in (g for g in gens if g.total_degree() == 2):
+        rank = linalg.rank(_symmetric_matrix(q, hull.ring.num_vars))
         if rank > 2:
             raise ClassificationError(
                 "not in the four-type table: the top-dimensional part is a "
                 f"quadric of rank {rank} in a hyperplane, not two linear spaces"
             )
+
+
+def _require_embedded_meet(I, hull):
+    """Refuse a type-III candidate unless I == hull meet P^2, with P the
+    hull plus the first partials of its quadric generators.  The hull is two
+    lines of a plane V(l), on its reduced basis (l, q) with q free of the
+    lead variable of l, so P is the ideal of the singular point of V(q) in
+    V(l), where the lines meet.  The type-III normal form satisfies the
+    equation, both of its sides are PGL-equivariant, and any two pairs of
+    meeting lines are PGL-equivalent: it holds exactly at type-III points.
+    """
+    ring = hull.ring
+    gens = hull.canonical_generators()
+    partials = (_integer_partials(g) for g in gens if g.total_degree() == 2)
+    P = Ideal(ring, list(gens) + [ring.from_dict(p) for ps in partials for p in ps if p])
+    if I != intersect(hull, ideal_product(P, P)):
+        raise ClassificationError(
+            "not in the four-type table: the embedded structure does not sit "
+            "where the two components meet"
+        )
 
 
 def classify(I, seed=0):
@@ -434,8 +428,7 @@ def classify(I, seed=0):
     n = ring.num_vars - 1
     if n < 3:
         raise ClassificationError("classification requires n >= 3")
-    form = _quadric_form(I)
-    data = hilbert_series(I) if form is None else form[2]
+    I, data = _essential_quadrics(I)
     if data.hilbert_polynomial != pair_hilbert_polynomial(n):
         raise ClassificationError(
             "Hilbert polynomial mismatch: not a point of the pair component "
@@ -450,17 +443,24 @@ def classify(I, seed=0):
             "not in the four-type table: the ideal contains a linear form "
             f"(dim (S/I)_1 = {linear}, want {n + 1})"
         )
-    I, dropped = _essential_form(I, data) if form is None else form[:2]
+    # a point is a cone over one of P^3 generated by quadrics (module docstring)
+    if I.ring.num_vars > 4:
+        raise ClassificationError(
+            "not in the four-type table: the quadrics need "
+            f"{I.ring.num_vars} essential variables, more than 4"
+        )
+    if hilbert_series(I).series_numerator != data.series_numerator:
+        raise ClassificationError(
+            "not in the four-type table: the ideal is not generated by its quadrics"
+        )
     stats = {}
     hull = equidimensional_hull(I, seed=seed, stats=stats)
     hull_data = hilbert_series(hull)
-    # the hull of a positive-dimensional I is a proper ideal, so its cone in
-    # P^n gains one dimension per dropped variable
-    dimension = hull_data.dimension + dropped
-    if dimension != n - 2 or hull_data.degree != 2:
+    # the hull lives in P^3, and its cone in P^n has n - 3 more dimensions
+    if hull_data.dimension != 1 or hull_data.degree != 2:
         raise ClassificationError(
             "not in the four-type table: top-dimensional part has "
-            f"dimension {dimension} and degree {hull_data.degree}"
+            f"dimension {hull_data.dimension + n - 3} and degree {hull_data.degree}"
         )
     has_embedded = hull != I
     if has_embedded:
@@ -468,16 +468,16 @@ def classify(I, seed=0):
         # square of a codimension-three linear ideal, so hull^2 inside I; a
         # residual component off the hull (the other Hilbert component)
         # fails this and must surface as an error, not a guess
-        hgens = hull.generators
-        for a in range(len(hgens)):
-            for b in range(a, len(hgens)):
-                if not I.contains(hgens[a] * hgens[b]):
-                    raise ClassificationError(
-                        "not in the four-type table: residual structure is "
-                        "not embedded in the top-dimensional part"
-                    )
+        squares = combinations_with_replacement(hull.generators, 2)
+        if not all(I.contains(f * g) for f, g in squares):
+            raise ClassificationError(
+                "not in the four-type table: residual structure is "
+                "not embedded in the top-dimensional part"
+            )
     reduced = generic_slice_reduced(hull)
     if reduced:
         _require_linear_components(hull)
+        if has_embedded:
+            _require_embedded_meet(I, hull)
     evidence = (has_embedded, reduced)
     return SchemeType(LABELS[evidence], evidence, stats["hull_retries"])

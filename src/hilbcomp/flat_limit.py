@@ -94,8 +94,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import HomogeneityError, RingMismatchError
-from .groebner import _Entry, _interreduced, _minimal, _ring_packing, buchberger, interreduce
-from .hilbert import hilbert_series
+from .groebner import _Entry, _interreduced, _minimal, _ring_packing, buchberger
+from .hilbert import _minimalize, _numerator, hilbert_data, hilbert_series
 from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
 from .rings import GREVLEX, PolyRing, elimination_order
 
@@ -274,8 +274,7 @@ def flatness_probe(fam, samples=3):
             lc.append((c, m[k]))
         lcs.append(lc)
     base = fam.base_ring()
-    initial = interreduce([base.from_dict({m: Fraction(1)}) for m in leads])
-    generic_hp = hilbert_series(_with_seeded_gb(base, initial)).hilbert_polynomial
+    generic_hp = hilbert_data(base.width, _numerator(_minimalize(leads)).coeffs).hilbert_polynomial
     polys = []
     bad = []
     for t0 in points:

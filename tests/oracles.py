@@ -267,19 +267,22 @@ def compose_linear_by_products(p, matrix):
     return out
 
 
-def essential_form_by_substitution(I, data):
-    """`classify._essential_form` through the full change of coordinates:
-    complete the rref basis w_0..w_(k-1) of the quadrics' partials by unit
-    rows at the free columns to an invertible A, substitute x -> A^-1 y, and
-    read the images in the first m = max(4, k) variables."""
+def essential_form_by_substitution(I):
+    """The ideal of `classify._essential_quadrics` through the full change
+    of coordinates: take I's quadrics (its given generators when all are
+    quadrics, else its degree-two basis elements), complete the rref basis
+    w_0..w_(k-1) of their partials by unit rows at the free columns to an
+    invertible A, substitute x -> A^-1 y, and read the images in the first
+    m = max(4, k) variables."""
     from hilbcomp.classify import _quadric_basis
-    from hilbcomp.hilbert import hilbert_series
     from hilbcomp.ideals import Ideal, random_linear_change
     from hilbcomp.rings import PolyRing
 
     ring = I.ring
     nv = ring.num_vars
-    quadrics = _quadric_basis(I)
+    quadrics = list(I.generators)
+    if not all(g.total_degree() == 2 and g.is_homogeneous() for g in quadrics):
+        quadrics = _quadric_basis(I)
     rows = []
     for q in quadrics:
         gradient = [[0] * nv for _ in range(nv)]  # row i: d q / d x_i
@@ -291,15 +294,56 @@ def essential_form_by_substitution(I, data):
     basis, pivots = linalg.rref(rows)
     m = max(4, len(basis))
     if m >= nv:
-        return I, 0
+        return Ideal(ring, quadrics)
     free = [j for j in range(nv) if j not in pivots]
     A = basis + [[int(i == j) for i in range(nv)] for j in free]
     moved = random_linear_change(Ideal(ring, quadrics), None, matrix=linalg.invert(A))
     small = PolyRing(m)
-    reduced = Ideal(small, [g.convert(small) for g in moved.generators])
-    if hilbert_series(reduced).series_numerator != data.series_numerator:
-        return I, 0
-    return reduced, nv - m
+    return Ideal(small, [g.convert(small) for g in moved.generators])
+
+
+def torus_fixed_points():
+    """The saturated monomial ideals of QQ[x_0..x_3] with Hilbert polynomial
+    2m + 2, the torus-fixed points of that Hilbert scheme, each as the sorted
+    tuple of its minimal generators' exponents.
+
+    The Gotzmann number of 2m + 2 is 3 (G. Gotzmann, Math. Z. 158, 1978), so
+    such an ideal is determined by its 12 cubics, and a set of 12 of the 20
+    cubic monomials is the degree-3 piece of one exactly when its products
+    with the variables span 35 - 10 = 25 quartics (Gotzmann persistence).
+    The saturation agrees with the ideal from degree 3 on, so a monomial u
+    of degree 1 or 2 lies in it exactly when u times every monomial of
+    degree 3 - deg u is one of the cubics.
+    """
+    cubics = monomials_of_degree(4, 3)
+    quartic_bit = {q: 1 << k for k, q in enumerate(monomials_of_degree(4, 4))}
+    unit = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    spans = [sum(quartic_bit[_mono_mul(c, x)] for x in unit) for c in cubics]
+    found = []
+
+    def extend(start, chosen, span):
+        if len(chosen) == 12:
+            if bin(span).count("1") == 25:
+                found.append(chosen)
+            return
+        for k in range(start, len(cubics) - (11 - len(chosen))):
+            wider = span | spans[k]
+            if bin(wider).count("1") <= 25:
+                extend(k + 1, chosen + (cubics[k],), wider)
+
+    extend(0, (), 0)
+    out = []
+    for chosen in found:
+        cubic_set = set(chosen)
+        gens = list(chosen)
+        for d in (1, 2):
+            gens.extend(
+                u for u in monomials_of_degree(4, d)
+                if all(_mono_mul(u, v) in cubic_set for v in monomials_of_degree(4, 3 - d))
+            )
+        minimal = [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
+        out.append(tuple(sorted(minimal, key=lambda m: (sum(m), m))))
+    return out
 
 
 def specialize_by_substitution(I, t0):

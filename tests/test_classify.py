@@ -12,9 +12,9 @@ from hilbcomp import fixtures, groebner, ideals
 from hilbcomp.classify import (
     _colon_data,
     _complete_intersection,
+    _essential_quadrics,
     _generic_element,
     _link,
-    _quadric_form,
     classify,
     equidimensional_hull,
     generic_slice_reduced,
@@ -27,11 +27,14 @@ from hilbcomp.ideals import (
     Ideal,
     dumps_ideal,
     intersect,
+    irrelevant_ideal,
     load_ideal,
     random_invertible_matrix,
     random_linear_change,
+    saturate,
 )
 from hilbcomp.rings import PolyRing, parse
+from hilbcomp.tangent import hom_degree_zero
 
 from oracles import (
     essential_form_by_substitution,
@@ -178,8 +181,8 @@ def test_an_accepted_colon_carries_its_derived_data():
 def test_quadric_input_data_equals_its_hilbert_series(n, label):
     for seed in (1, 2):
         moved = random_linear_change(normal_form_ideal(n, label), seed=seed + 90)
-        reduced, dropped, data = _quadric_form(moved)
-        assert (reduced.ring, dropped) == (PolyRing(4), n - 3)
+        reduced, data = _essential_quadrics(moved)
+        assert reduced.ring == PolyRing(4)
         _assert_same_data(data, hilbert_series(Ideal(moved.ring, moved.generators)))
 
 
@@ -195,7 +198,7 @@ WRONG_POLYNOMIAL_QUADRICS = [
 @pytest.mark.parametrize("nv, gens, seed, got", WRONG_POLYNOMIAL_QUADRICS)
 def test_quadric_input_with_the_wrong_polynomial_keeps_its_message(nv, gens, seed, got):
     X = random_linear_change(I(*gens, ring=PolyRing(nv)), seed=seed)
-    assert _quadric_form(X)[1] > 0
+    assert _essential_quadrics(X)[0].ring.num_vars < nv
     message = f"Hilbert polynomial mismatch: not a point of the pair component (got {got})"
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         classify(X, seed=1)
@@ -224,7 +227,8 @@ def test_unmixed_inputs_run_one_elimination_and_no_full_ring_basis(monkeypatch, 
     runs = _spy_on_bases(monkeypatch)
     assert classify(moved, seed=n).label == label
     blocks = [r for r in runs if r[0] == "block"]
-    assert len(blocks) == (1 if label in ("I", "II") else 2)
+    # the hull's links, and for III the intersection of its gate
+    assert len(blocks) == {"I": 1, "II": 1, "III": 3, "IV": 2}[label]
     # every basis lives on the four essential variables
     assert all(nv == 4 for _, nv in runs)
 
@@ -372,6 +376,23 @@ def test_moved_plane_conic_with_an_embedded_point_is_refused(monkeypatch):
     assert [J.ring for J in seen] == [PolyRing(4)]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_embedded_point_off_the_meeting_point_is_refused(n):
+    # two lines of the plane x3 = 0 meeting at [1:0:0:0], and an embedded
+    # point at [0:1:0:0] on one of them, pointing out of the plane: a point
+    # of the other component only, with its tangent dimension 7n - 10 where
+    # every type-III point has 8n - 12.  Its hull squared lies in I, and the
+    # hull is two reduced lines, so only the meeting point tells it from III
+    X = random_linear_change(I("x3^2", "x2*x3", "x1*x2", "x0*x3", ring=PolyRing(n + 1)), seed=n)
+    assert hom_degree_zero(X).dimension == 7 * n - 10
+    message = (
+        "not in the four-type table: the embedded structure does not sit "
+        "where the two components meet"
+    )
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        classify(X, seed=1)
+
+
 def _ideal_in_p5_with_a_linear_form():
     """x5 plus x4^2 times the ideal of a plane, a skew line and a point of
     the hyperplane x5 = 0: the reference Hilbert polynomial of P^5."""
@@ -406,13 +427,34 @@ def test_ideal_with_a_linear_form_is_refused_before_any_draw(monkeypatch):
             classify(J, seed=1)
 
 
-def test_cli_refuses_an_ideal_with_a_linear_form(tmp_path, capsys):
+def _quadric_surface_union_line():
+    """A smooth quadric surface in the hyperplane x0 = 0 of P^4 union a line
+    that meets it in one reduced point: the reference Hilbert polynomial,
+    and quadrics in all five variables."""
+    R5 = PolyRing(5)
+    q = Ideal(R5, [parse("x0", R5), parse("x1*x2 - x3*x4", R5)])
+    line = Ideal(R5, [parse(t, R5) for t in ("x1 - x0", "x2 - x0", "x4")])
+    return intersect(q, line)
+
+
+FIVE_VARIABLES = "not in the four-type table: the quadrics need 5 essential variables, more than 4"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_ideal_in_p5_with_a_linear_form, "linear form"),
+        (_quadric_surface_union_line, FIVE_VARIABLES),
+    ],
+    ids=["linear-form", "five-essential-variables"],
+)
+def test_cli_refuses_an_ideal_with_a_linear_form(tmp_path, capsys, make, message):
     from hilbcomp.cli import run_subcommand
 
-    path = tmp_path / "linear.ideal"
-    path.write_text(dumps_ideal(random_linear_change(_ideal_in_p5_with_a_linear_form(), seed=2)))
+    path = tmp_path / "refused.ideal"
+    path.write_text(dumps_ideal(random_linear_change(make(), seed=2)))
     assert run_subcommand(["classify", str(path)]) == 1
-    assert "linear form" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _spy_on_hull(monkeypatch):
@@ -429,13 +471,13 @@ def _spy_on_hull(monkeypatch):
 
 
 def _count_gates(monkeypatch):
-    """Record the ideal of every Hilbert series gate classify reaches: the
-    hilbert_series calls made from _essential_form."""
+    """Record the ideal of every Hilbert series classify itself reads: the
+    gate that the quadrics generate I, then the series of the hull."""
     calls = []
     real = classify_module.hilbert_series
 
     def spy(J):
-        if sys._getframe(1).f_code is classify_module._essential_form.__code__:
+        if sys._getframe(1).f_code is classify_module.classify.__code__:
             calls.append(J)
         return real(J)
 
@@ -446,26 +488,19 @@ def _count_gates(monkeypatch):
 def test_smooth_quadric_union_plane_also_refused(monkeypatch):
     # same component, smooth quadric this time; the line meets the quadric
     # surface in a single reduced point, so the Hilbert polynomial matches
-    R5 = PolyRing(5)
-    q = Ideal(R5, [parse("x0", R5), parse("x1*x2 - x3*x4", R5)])
-    line = Ideal(R5, [parse(t, R5) for t in ("x1 - x0", "x2 - x0", "x4")])
-    X = intersect(q, line)
-    from hilbcomp.hilbert import pair_hilbert_polynomial
-
+    X = _quadric_surface_union_line()
     assert hilbert_series(X).hilbert_polynomial == pair_hilbert_polynomial(4)
-    # its quadrics involve all five variables, so no variable drops; as a
-    # cone in P^5 it is generated by them (its cubic basis elements lie in
-    # their ideal), so the five-variable ideal is used, with the same error
+    # its quadrics involve all five variables, in P^4 and as a cone in P^5:
+    # no point of the component needs more than four, so both are refused
+    # before any hull or gate is computed
     R6 = PolyRing(6)
     cone = Ideal(R6, [g.convert(R6) for g in X.generators])
     seen = _spy_on_hull(monkeypatch)
     gates = _count_gates(monkeypatch)
-    with pytest.raises(ClassificationError, match="residual structure is not embedded"):
-        classify(X, seed=3)
-    assert gates == [] and seen[0] is X
-    with pytest.raises(ClassificationError, match="residual structure is not embedded"):
-        classify(cone, seed=3)
-    assert len(gates) == 1 and seen[1].ring == R5
+    for J in (X, cone, random_linear_change(cone, seed=3)):
+        with pytest.raises(ClassificationError, match=f"^{re.escape(FIVE_VARIABLES)}$"):
+            classify(J, seed=3)
+    assert seen == [] and gates == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -477,10 +512,10 @@ def test_moved_forms_are_classified_on_four_variables(monkeypatch, n):
     }
     for label, ideal in moved.items():
         assert classify(ideal, seed=n).label == label
+    assert [J.ring for J in seen] == [PolyRing(4)] * 4
     if n == 3:
-        assert len(seen) == 4 and all(got is want for got, want in zip(seen, moved.values()))
-    else:
-        assert [J.ring for J in seen] == [PolyRing(4)] * 4
+        # P^3 itself: the hull gets the input's ideal, on its own generators
+        assert all(got == want for got, want in zip(seen, moved.values()))
 
 
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
@@ -492,38 +527,44 @@ def test_cone_evidence_matches_the_full_ring(label):
         assert classify(moved, seed=seed).evidence == evidence
 
 
-def test_ideal_not_generated_by_its_quadrics_keeps_the_full_ring(monkeypatch):
+def test_ideal_not_generated_by_its_quadrics_is_refused(monkeypatch):
     # the pair of planes (x0, x1) and (x2, x3) in P^4 with x1*x3 cut back to
     # its cubic multiples: the same Hilbert polynomial, and three quadrics
-    # in four variables that do not generate it, so the Hilbert series gate
-    # refuses the four-variable ideal and the procedure runs on the input
+    # in four variables that do not generate it.  It is not saturated, so
+    # it is no point of the component: its saturation is the pair of planes
     R5 = PolyRing(5)
     cubics = [f"x1*x3*x{i}" for i in range(5)]
     X = random_linear_change(I("x0*x2", "x0*x3", "x1*x2", *cubics, ring=R5), seed=4)
+    pair = random_linear_change(I("x0*x2", "x0*x3", "x1*x2", "x1*x3", ring=R5), seed=4)
+    assert saturate(X, irrelevant_ideal(R5)) == pair != X
     data = hilbert_series(X)
-    assert classify_module._essential_form(X, data) == (X, 0)
-    assert essential_form_by_substitution(X, data) == (X, 0)
-    hull = equidimensional_hull(X, seed=2)
-    planes = [random_linear_change(I(*gens, ring=R5), seed=4) for gens in COMPONENTS["I"]]
-    assert reducedness_by_components(hull, planes) and generic_slice_reduced(hull)
-    evidence = (hull != X, generic_slice_reduced(hull))
+    assert data.hilbert_polynomial == pair_hilbert_polynomial(4)
+    reduced = essential_form_by_substitution(X)
+    assert reduced.ring == PolyRing(4)
+    assert hilbert_series(reduced).series_numerator != data.series_numerator
     seen = _spy_on_hull(monkeypatch)
     gates = _count_gates(monkeypatch)
-    assert classify(X, seed=2).evidence == evidence
-    assert len(gates) == 1
-    assert len(seen) == 1 and seen[0] is X
+    message = "not in the four-type table: the ideal is not generated by its quadrics"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        classify(X, seed=2)
+    # the one gate ran on the four-variable ideal, and no hull was computed
+    assert [J.ring for J in gates] == [PolyRing(4)] and seen == []
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
 def test_essential_form_equals_the_change_of_coordinates(n, label):
+    # the given quadrics, and the degree-two basis of the same ideal given
+    # with a cubic generator
     for seed in (1, 2):
         moved = random_linear_change(normal_form_ideal(n, label), seed=seed + 60)
-        data = hilbert_series(moved)
-        got, dropped = classify_module._essential_form(moved, data)
-        want, want_dropped = essential_form_by_substitution(moved, data)
-        assert (got.ring, dropped) == (want.ring, want_dropped) == (PolyRing(4), n - 3)
-        assert got.generators == want.generators
+        cubic = moved.generators[0] * moved.ring.x(n)
+        for J in (moved, Ideal(moved.ring, moved.generators + (cubic,))):
+            got, data = _essential_quadrics(J)
+            want = essential_form_by_substitution(J)
+            assert got.ring == want.ring == PolyRing(4)
+            assert got.generators == want.generators
+            _assert_same_data(data, hilbert_series(Ideal(J.ring, J.generators)))
 
 
 @pytest.mark.parametrize(

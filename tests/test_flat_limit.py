@@ -391,12 +391,15 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
     # divides no lead of the special fiber's basis (the fixture), the limit
     # is that fiber and no series is compared, so the probe computes one
     # series for the limit and one for the x-leads of its block basis, which
-    # serves every sample point where no leading coefficient vanishes.  When
+    # serves every sample point where no leading coefficient vanishes; the
+    # x-leads are read as a monomial ideal, with no basis of their own.  When
     # the special fiber x0 * m has m-torsion, the saturation certifies the
     # candidate (x0) against the fiber, and the limit is that candidate with
     # its series
     computed = []
+    leads = []
     original = hilbert._initial_monomials
+    original_data = flat_limit.hilbert_data
     for samples in (3, 8):
         if torsion:
             fam = Family(Ideal(Rt, tparse("x0^2 + t*x0*x1", "x0*x1", "x0*x2", "x0*x3")))
@@ -406,13 +409,18 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
         special = _special_fiber(fam.total_ideal)
         assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
         computed.clear()
+        leads.clear()
         monkeypatch.setattr(
             hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I)
+        )
+        monkeypatch.setattr(
+            flat_limit, "hilbert_data", lambda *a: leads.append(a) or original_data(*a)
         )
         report = flatness_probe(fam, samples=samples)
         monkeypatch.undo()
         assert report.flat
         assert len(report.sample_points) == samples
-        assert len(computed) == (2 if torsion else 1) + 1
+        assert len(computed) == (2 if torsion else 1)
+        assert len(leads) == 1
         if torsion:
             assert limit_ideal(fam) == Ideal(R, [R.x(0)])
