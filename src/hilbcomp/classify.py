@@ -66,14 +66,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from math import lcm
 
 from . import linalg
 from .errors import ClassificationError, RetriesExhaustedError
 from .hilbert import UniPoly, hilbert_data, hilbert_series, pair_hilbert_polynomial
 from .ideals import (
     Ideal,
-    _symmetric_matrix,
+    _integer_partials,
     _with_element,
     essential_form,
     ideal_product,
@@ -295,19 +294,6 @@ def equidimensional_hull(I, seed=0, stats=None):
     return _colon(ci, linked, drawn)
 
 
-def _integer_partials(g):
-    """The partial derivatives of a multiple of g with integer coefficients,
-    one {monomial: int} per variable."""
-    den = lcm(*(c.denominator for _, c in g.terms))
-    partials = [{} for _ in range(g.ring.width)]
-    for mono, c in g.terms:
-        c = c.numerator * (den // c.denominator)
-        for i, e in enumerate(mono):
-            if e:
-                partials[i][mono[:i] + (e - 1,) + mono[i + 1:]] = e * c
-    return partials
-
-
 def _minor(a, b, i, j):
     """a_i * b_j - a_j * b_i for integer polynomials keyed by monomial."""
     acc = {}
@@ -340,8 +326,9 @@ def generic_slice_reduced(I):
         V(K) has dimension n - 2 exactly when it contains a component V(P),
         that is when I is not reduced at some minimal prime P.
 
-    The minors are integer coordinate rows, one RowSpan per degree d, and
-    V(K) is empty as soon as one of them fills S_d.
+    The minors are sparse integer rows, one RowSpan per degree d: V(K) is
+    empty as soon as one of them fills S_d, and else K is I plus the rows
+    of each span's echelon basis.
     """
     ring = I.ring
     n = ring.num_vars - 1
@@ -349,23 +336,21 @@ def generic_slice_reduced(I):
     if data.dimension != n - 2 or data.degree != 2:
         raise ClassificationError("the Jacobian test requires an unmixed degree-two ideal")
     gens = I.canonical_generators()
-    spans = {}  # degree d -> (RowSpan of the degree-d minors, column of each monomial)
+    spans = {}  # degree d -> (RowSpan of the degree-d minors, its monomials, their columns)
     for (ga, pa), (gb, pb) in combinations(zip(gens, map(_integer_partials, gens)), 2):
         d = ga.total_degree() + gb.total_degree() - 2
         if d not in spans:
             monos = monomials_of_degree(ring.num_vars, d)
-            spans[d] = (linalg.RowSpan(), {m: k for k, m in enumerate(monos)})
-        span, column = spans[d]
+            spans[d] = (linalg.RowSpan(len(monos)), monos, {m: k for k, m in enumerate(monos)})
+        span, _, column = spans[d]
         for i, j in combinations(range(n + 1), 2):
-            row = [0] * len(column)
-            for m, c in _minor(pa, pb, i, j).items():
-                row[column[m]] = c
-            if span.add(row) and len(span) == len(column):
+            row = {column[m]: c for m, c in _minor(pa, pb, i, j).items() if c}
+            if span.add(row) and len(span) == span.width:
                 return True
     minors = [
-        ring.from_dict(dict(zip(column, row)))
-        for span, column in spans.values()
-        for row in span.rref()[0]
+        ring.from_dict({monos[k]: c for k, c in row.items()})
+        for span, monos, _ in spans.values()
+        for row in span
     ]
     return hilbert_series(Ideal(ring, list(gens) + minors)).dimension < n - 2
 
@@ -391,7 +376,8 @@ def _require_linear_components(hull):
     if all(g.total_degree() != 1 for g in gens):
         return
     for q in (g for g in gens if g.total_degree() == 2):
-        rank = linalg.rank(_symmetric_matrix(q, hull.ring.num_vars))
+        rows = ({mono.index(1): c for mono, c in p.items()} for p in _integer_partials(q))
+        rank = len(linalg.RowSpan(hull.ring.num_vars, rows))
         if rank > 2:
             raise ClassificationError(
                 "not in the four-type table: the top-dimensional part is a "

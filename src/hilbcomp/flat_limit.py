@@ -94,7 +94,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import HomogeneityError, RingMismatchError
-from .groebner import _Entry, _interreduced, _minimal, _ring_packing, buchberger
+from .groebner import _Entry, _interreduced, _minimal, _monic, _ring_packing, buchberger
 from .hilbert import _minimalize, _numerator, hilbert_data, hilbert_series
 from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
 from .rings import GREVLEX, PolyRing, elimination_order
@@ -197,7 +197,7 @@ def _special_fiber(total):
             if m[-1] == e:
                 p[pk.pack(m[:n])] = c
         fibers.append(_Entry(p, pk))
-    return _with_seeded_gb(base, _interreduced(_minimal(fibers, pk), base, pk, False)[0])
+    return _with_seeded_gb(base, _monic(base, _interreduced(_minimal(fibers, pk), base, False)))
 
 
 def limit_ideal(fam):

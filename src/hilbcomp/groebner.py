@@ -16,19 +16,22 @@ basis elements, normal forms, quotients, the transform).
 The boundary with `Polynomial` is crossed in one place each way: polynomials
 enter through `_int_terms` (which packs) and the `_Entry` normalizer, and
 every result leaves through `_poly` (which unpacks).  Buchberger's transform
-is tracked packed too, one {mono: Fraction} dict per generator, until the
-basis is interreduced; shifts, the S-polynomial, the transform and the
-Schreyer lift are all summed by `_add_product`.  Rings that differ only in
-their order share one index layout, so a polynomial of any compatible ring
-reduces against a basis without conversion.
+is tracked packed too, one {mono: Fraction} dict per generator, on the
+entries of the reduced basis as well, where `syzygies` reads it; shifts,
+the S-polynomial, the transform and the Schreyer lift are all summed by
+`_add_product`.  Rings that differ only in their order share one index
+layout, so a polynomial of any compatible ring reduces against a basis
+without conversion.
 
 A syzygy row is one packed {mono: int} dict per entry.  `syzygies` lifts,
 makes primitive and prunes its rows in that form and unpacks only the rows
 it publishes (`_row_polys`); a `SyzygyModule` packs those back once, over
 one denominator per row (`_pack_row`), for `verify`, `contains` and the
 tangent table.  The row helpers take the target's degrees, computed once
-per call, in place of the target.  `_graded_prune` also trims the rows (g,)
-against degree 0, the target (1,), for `tangent.minimal_generators`; a
+per call, in place of the target, and flatten a row's graded piece into a
+sparse integer row, {column: nonzero int}, the one row format of
+`linalg.RowSpan` (`_row_coordinates`).  `_graded_prune` also trims the rows
+(g,) against degree 0, the target (1,), for `tangent.minimal_generators`; a
 row's shift is read off its terms.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
@@ -44,8 +47,9 @@ they serve every reader that needs only leads or some Groebner basis:
 Hilbert data (`GroebnerBasis.lead_monomials`), elimination and exact
 division (`_eliminating_entries`, `divided_basis`), the flat limit's
 t-division and its leading coefficients, and a larger basis that starts
-from them (`buchberger(..., basis=)`).  The reduced basis, `elements` and
-`transform`, is built from them once, on its first read.
+from them (`buchberger(..., basis=)`).  The reduced basis is built from
+them once, on its first read, as packed entries (`_entries`); `elements`
+and `transform` are unpacked from those.
 
 Pair management uses the
 Gebauer-Moeller refinement of Buchberger's first and second criteria, on
@@ -401,9 +405,10 @@ class GroebnerBasis:
     combination of generators: elements = transform . generators.
 
     A basis that `buchberger` returns holds the minimal entries of its
-    S-pair loop (`_minimal`) and reduces them into `elements` and
-    `transform` once, on the first read of either (`__getattr__`).  A basis
-    built from given elements is reduced already.
+    S-pair loop (`_minimal`) and reduces them into `_entries` once, on the
+    first read of any of the three (`__getattr__`); `elements` and
+    `transform` are unpacked from those.  A basis built from given elements
+    is reduced already.
     """
 
     ring: object
@@ -425,14 +430,29 @@ class GroebnerBasis:
         return gb
 
     def __getattr__(self, name):
-        # called only for a missing attribute: the reduced basis is built
-        # here on the first read of elements or transform
-        if name not in ("elements", "transform") or "_minimal" not in vars(self):
+        # called only for a missing attribute: the elements and transform of
+        # a basis that `buchberger` returned ("_tracked") on their first read
+        if name not in ("elements", "transform") or "_tracked" not in vars(self):
             raise AttributeError(name)
+        if name == "elements":
+            value = _monic(self.ring, self._entries)
+        else:
+            # the vec of an entry over its lc expresses the monic element
+            value = tuple(
+                tuple(_poly(self.ring, sorted(v.items(), reverse=True), Fraction(1, e.lc))
+                      for v in e.vec)
+                for e in self._entries
+            )
+        vars(self)[name] = value
+        return value
+
+    @functools.cached_property
+    def _entries(self):
+        """The packed entries of the reduced basis, descending by lead."""
+        if "_tracked" in vars(self):
+            return _interreduced(self._minimal, self.ring, self._tracked)
         pk = _ring_packing(self.ring)
-        elements, transform = _interreduced(self._minimal, self.ring, pk, self._tracked)
-        vars(self).update(elements=elements, transform=transform)
-        return vars(self)[name]
+        return tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
 
     @functools.cached_property
     def _minimal(self):
@@ -459,11 +479,6 @@ class GroebnerBasis:
             m for m in monomials_of_degree(self.ring.width, d)
             if not any(_divides(g, m) for g in leads)
         ]
-
-    @functools.cached_property
-    def _entries(self):
-        pk = _ring_packing(self.ring)
-        return tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
 
     def reduce(self, f, want_quotients=False):
         """Full normal form of f against this basis, returned in f's ring.
@@ -601,11 +616,12 @@ def _minimal(entries, pk):
     return tuple(kept)
 
 
-def _interreduced(kept, ring, pk, transform):
-    """(elements, transform rows or None) of the reduced basis of the
-    entries `kept`, a minimal Groebner basis ascending by lead (`_minimal`):
-    reduce each tail by the others, make the elements monic and sort them
-    descending by lead."""
+def _interreduced(kept, ring, transform):
+    """The entries of the reduced basis of the entries `kept`, a minimal
+    Groebner basis of `ring` ascending by lead (`_minimal`), descending by
+    lead: each tail reduced by the others, and with `transform` each vec
+    tracked through that reduction."""
+    pk = _ring_packing(ring)
     # leads are untouched: the basis is minimal; only a smaller lead divides
     # a term below an entry's lead, so the entries before it are its reducers
     final = []
@@ -614,18 +630,18 @@ def _interreduced(kept, ring, pk, transform):
         rem, scale, quots = _reduce_int(
             {entry.lm: entry.lc, **entry.tail}, others, pk, want_quotients=transform
         )
-        lm, lc = next(iter(rem.items()))
         vec = None
         if transform:
             terms = [({pk.base: scale}, entry.vec)]
             vec = _combination(terms, quots, [e.vec for e in others], pk)
-            vec = tuple(_poly(ring, sorted(v.items(), reverse=True), Fraction(1, lc)) for v in vec)
-        final.append((lm, _poly(ring, rem.items(), Fraction(1, lc)), vec))
+        final.append(_Entry(rem, pk, vec=vec))
+    final.sort(key=attrgetter("lm"), reverse=True)
+    return tuple(final)
 
-    final.sort(key=itemgetter(0), reverse=True)
-    elements = tuple(p for _, p, _ in final)
-    matrix = tuple(v for _, _, v in final) if transform else None
-    return elements, matrix
+
+def _monic(ring, entries):
+    """The monic Polynomials of the entries."""
+    return tuple(_poly(ring, e.terms(), Fraction(1, e.lc)) for e in entries)
 
 
 def interreduce(polys):
@@ -635,7 +651,7 @@ def interreduce(polys):
     ring = polys[0].ring
     pk = _ring_packing(ring)
     entries = [_Entry(_int_terms(p, pk)[0], pk) for p in polys]
-    return _interreduced(_minimal(entries, pk), ring, pk, False)[0]
+    return _monic(ring, _interreduced(_minimal(entries, pk), ring, False))
 
 
 def _eliminating_entries(gens, front):
@@ -664,7 +680,7 @@ def eliminate_generators(gens, front_vars):
     if not front:
         return list(gens)
     block, entries = _eliminating_entries(gens, front)
-    elements, _ = _interreduced(entries, block, _ring_packing(block), False)
+    elements = _monic(block, _interreduced(entries, block, False))
     return [g.convert(ring) for g in elements]
 
 
@@ -708,7 +724,7 @@ def divided_basis(entries, g):
     pk = _ring_packing(ring)
     items = [({e.lm: e.lc, **e.tail}, 1) for e in entries]
     quotients = [_Entry(q, pk) for q, _ in _divided(items, g, pk)]
-    return _interreduced(_minimal(quotients, pk), ring, pk, False)[0]
+    return _monic(ring, _interreduced(_minimal(quotients, pk), ring, False))
 
 
 @dataclass(frozen=True)
@@ -772,24 +788,25 @@ def _monomial_index(order, width, d):
 
 def _row_coordinates(ring, degrees, row, shift, mono=None):
     """Flatten the degree-`shift` module row mono * row (a packed row, mono a
-    packed monomial or None for 1) into a coordinate vector over the
-    monomials_of_degree bases of the entries."""
+    packed monomial or None for 1) into a sparse integer row over the
+    concatenated monomials_of_degree bases of the entries."""
     delta = 0 if mono is None else mono - _ring_packing(ring).base
-    coords = []
+    coords = {}
+    offset = 0
     for s, d in zip(row, degrees):
         index = _monomial_index(ring.order, ring.width, shift - d)
-        vec = [0] * len(index)
         for m, c in s.items():
             k = index.get(m + delta)
             if k is not None:
-                vec[k] = c
-        coords.extend(vec)
+                coords[offset + k] = c
+        offset += len(index)
     return coords
 
 
 def _degree_span(ring, degrees, rows, shift):
     """Echelon span of the degree-`shift` piece of the packed rows' module."""
-    span = linalg.RowSpan()
+    width = sum(len(_monomial_index(ring.order, ring.width, shift - d)) for d in degrees)
+    span = linalg.RowSpan(width)
     for row in rows:
         for m in _monomial_index(ring.order, ring.width, shift - _row_shift(ring, degrees, row)):
             span.add(_row_coordinates(ring, degrees, row, shift, m))
@@ -832,10 +849,12 @@ def syzygies(gens):
     pk = _ring_packing(ring)
     entries = gb._entries
     r = len(gens)
-    # A == A_int / den_A, s x r
-    A = [[_int_terms(p, pk) for p in row] for row in gb.transform]
-    den_A = lcm(*(d for row in A for _, d in row))
-    A = [[{m: c * (den_A // d) for m, c in t.items()} for t, d in row] for row in A]
+    # A == A_int / den_A, s x r, from the packed transform: row k is the vec
+    # of entry k over its lc, the transform of the monic element k
+    A = [[{m: c / e.lc for m, c in v.items()} for v in e.vec] for e in entries]
+    den_A = lcm(*(c.denominator for row in A for t in row for c in t.values()))
+    A = [[{m: c.numerator * (den_A // c.denominator) for m, c in t.items()} for t in row]
+         for row in A]
 
     lcs = [e.lc for e in entries]
     rows = []

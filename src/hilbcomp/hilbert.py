@@ -258,9 +258,12 @@ def hilbert_series(I):
     return data
 
 
+@functools.lru_cache(maxsize=128)
 def hilbert_data(width, numerator):
     """HilbertData of the series Q/(1-T)^width, for the integer numerator
-    coefficients Q (trailing zeros allowed): every field derived from Q."""
+    coefficients Q as a tuple (trailing zeros allowed): every field derived
+    from Q.  The data is immutable, so one object serves every call with
+    the same (width, Q) among the 128 most recently used."""
     q = UniPoly(numerator).coeffs or (0,)
     reduced = list(q)
     dpow = width

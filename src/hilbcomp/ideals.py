@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import HomogeneityError, RingMismatchError
@@ -350,15 +351,17 @@ def random_linear_change(I, seed, matrix=None):
     return Ideal(ring, [g.substitute(images) for g in I.generators])
 
 
-def _symmetric_matrix(q, nv):
-    """2Q for the quadric q = x^T Q x: row i holds the coefficients of the
-    partial derivative d q / d x_i."""
-    rows = [[0] * nv for _ in range(nv)]
-    for mono, c in q.terms:
-        a, b = (i for i, e in enumerate(mono) for _ in range(e))
-        rows[a][b] += c
-        rows[b][a] += c
-    return rows
+def _integer_partials(g):
+    """The partial derivatives of a multiple of g with integer coefficients,
+    one {monomial: nonzero int} per variable."""
+    den = lcm(*(c.denominator for _, c in g.terms))
+    partials = [{} for _ in range(g.ring.width)]
+    for mono, c in g.terms:
+        c = c.numerator * (den // c.denominator)
+        for i, e in enumerate(mono):
+            if e:
+                partials[i][mono[:i] + (e - 1,) + mono[i + 1:]] = e * c
+    return partials
 
 
 def essential_form(ring, quadrics):
@@ -398,12 +401,13 @@ def essential_form(ring, quadrics):
     So the substituted ideal gI of the quadrics is I'S.
     """
     nv = ring.num_vars
-    partials = linalg.RowSpan()
+    # a partial of a quadric is a linear form: one sparse row over the x_j
+    partials = linalg.RowSpan(nv)
     for q in quadrics:
-        for row in _symmetric_matrix(q, nv):
-            partials.add(row)
-    basis, pivots = partials.rref()
-    m = max(4, len(basis))
+        for p in _integer_partials(q):
+            partials.add({mono.index(1): c for mono, c in p.items()})
+    pivots = partials.pivots
+    m = max(4, len(pivots))
     if m >= nv:
         return Ideal(ring, quadrics), tuple(range(nv))
     # restrict to the free variables = 0 and rename x_(p_i) to y_i

@@ -1,24 +1,24 @@
 """Exact rational linear algebra on one incremental echelon core.
 
-Matrices are lists of rows; entries are ints or Fractions.  `RowSpan` is the
-only elimination routine: it keeps the row space of the rows added so far as
-primitive integer rows (content 1) keyed by pivot column, the column of their
-first nonzero entry.  Rows are stored sparse, as {column: int} dicts of their
-nonzeros; the API is dense, with rows in and out as lists, those out as wide
-as the widest row added.  A new row is cleared of the denominators of its
-nonzeros and reduced fraction-free against the basis row whose pivot is its
-current leading column until it is zero (dependent) or leads at a free
-column (a new pivot), and only then is its content stripped: stripping it
-at every step would rescale the remainder by a positive factor, no more.  Rank, span
-membership, the reduced row echelon form, nullspaces, solving and inversion
-are all read off this core.
+`RowSpan` is the only elimination routine.  It takes one row format, sparse
+integer rows {column: nonzero int}, in a span whose width is given when it
+is built, and keeps the row space of the rows added so far as primitive
+integer rows (content 1) keyed by pivot column, the column of their first
+nonzero entry.  A new row is reduced fraction-free against the basis row
+whose pivot is its current leading column until it is zero (dependent) or
+leads at a free column (a new pivot), and only then is its content
+stripped: stripping it at every step would rescale the remainder by a
+positive factor, no more.  Rank, span membership, the reduced row echelon
+form, nullspaces, solving and inversion are all read off this core.
 
-The batch functions (`rank`, `rref`, `nullspace`, `solve_unique`,
-`invert`) add their rows sparsest first, a stable sort by nonzero count:
-every answer they give depends only on the row space, and sparse rows
-reduce against few pivots and keep later rows sparse.
-`RowSpan.add` takes rows in the caller's order.  `nullspace` and `invert`
-have no caller inside the package: the test oracles use them, and
+The engine builds its sparse integer rows directly.  The batch functions
+(`rank`, `rref`, `nullspace`, `solve_unique`, `invert`) take dense rows of
+ints or Fractions, and `_span` is the one place that clears their
+denominators.  A span built from a set of rows adds them sparsest first, a
+stable sort by nonzero count: every answer it gives depends only on the
+row space, and sparse rows reduce against few pivots and keep later rows
+sparse.  `RowSpan.add` takes rows in the caller's order.  `nullspace` and
+`invert` have no caller inside the package: the test oracles use them, and
 `perfbench/spans.py` times them by name.
 """
 
@@ -45,35 +45,45 @@ def _eliminate(v, basis, col):
 
 
 class RowSpan:
-    """Row space over QQ of the rows added so far, in echelon form."""
+    """Row space over QQ of the sparse integer rows added so far, in echelon
+    form; `rows`, when given, are added sparsest first."""
 
-    def __init__(self):
+    def __init__(self, width, rows=()):
+        self.width = width
         # pivot column -> primitive integer row as {column: nonzero int},
         # whose smallest column is the pivot
         self._rows = {}
-        self._width = 0
+        for row in sorted(rows, key=len):
+            self.add(row)
 
     def __len__(self):
         return len(self._rows)
 
+    def __iter__(self):
+        """The stored primitive rows, a basis of the span."""
+        return iter(self._rows.values())
+
+    @property
+    def pivots(self):
+        """The pivot columns, ascending."""
+        return sorted(self._rows)
+
     def _reduce(self, row):
-        """Remainder of a dense row modulo the span: (pivot, primitive sparse
-        row) or None."""
-        nonzeros = [(k, a) for k, a in enumerate(row) if a]
-        den = lcm(*(a.denominator for _, a in nonzeros))
-        v = {k: a.numerator * (den // a.denominator) for k, a in nonzeros}
+        """Remainder of a row modulo the span: (pivot, primitive row) or None."""
+        v = dict(row)
         while v:
             start = min(v)
             basis = self._rows.get(start)
             if basis is None:
                 content = gcd(*v.values())
-                return start, {k: a // content for k, a in v.items()}
+                if content != 1:
+                    v = {k: a // content for k, a in v.items()}
+                return start, v
             _eliminate(v, basis, start)
         return None
 
     def add(self, row):
         """Add row to the span; True when it was independent of it."""
-        self._width = max(self._width, len(row))
         reduced = self._reduce(row)
         if reduced is None:
             return False
@@ -84,9 +94,9 @@ class RowSpan:
         return self._reduce(row) is None
 
     def rref(self):
-        """The unique reduced row echelon basis: (Fraction rows as wide as the
-        widest row added, pivot columns)."""
-        pivots = sorted(self._rows)
+        """The unique reduced row echelon basis: (Fraction rows `width`
+        wide, pivot columns)."""
+        pivots = self.pivots
         done = {}
         for p in reversed(pivots):
             v = dict(self._rows[p])
@@ -94,15 +104,19 @@ class RowSpan:
             for q in [k for k in v if k in done]:
                 _eliminate(v, done[q], q)
             done[p] = v
-        columns = range(self._width)
+        columns = range(self.width)
         return [[Fraction(done[p].get(k, 0), done[p][p]) for k in columns] for p in pivots], pivots
 
 
 def _span(rows):
-    span = RowSpan()
-    for row in sorted(rows, key=lambda row: len(row) - row.count(0)):
-        span.add(row)
-    return span
+    """The span of a dense matrix, as wide as its widest row: each row's
+    nonzeros cleared of their denominators into a sparse integer row."""
+    sparse = []
+    for row in rows:
+        nonzeros = [(k, a) for k, a in enumerate(row) if a]
+        den = lcm(*(a.denominator for _, a in nonzeros))
+        sparse.append({k: a.numerator * (den // a.denominator) for k, a in nonzeros})
+    return RowSpan(max(map(len, rows), default=0), sparse)
 
 
 def rank(rows):

@@ -19,10 +19,13 @@ monomial helpers below are the only ones in the package.  The Groebner
 engine keeps its own packed-int monomials (one int per monomial, its own
 order key) and crosses into this tuple representation in one place each
 way: `groebner._int_terms` packs on the way in, `groebner._poly` unpacks
-every result on the way out, Buchberger's transform included; it uses the
-tuple helpers only for the pair bookkeeping on the leads of its basis
-elements.  A syzygy row crosses twice: `syzygies` unpacks the rows it
-publishes, and the module packs them back once for the engine's readers.
+every result on the way out, Buchberger's transform included (`syzygies`
+reads the transform packed, so it is unpacked only when a caller reads
+it); it uses the tuple helpers only for the pair bookkeeping on the leads
+of its basis elements.  A syzygy row crosses twice: `syzygies` unpacks the
+rows it publishes, and the module packs them back once for the engine's
+readers.  A row of linear algebra is a sparse integer dict, and
+`linalg._span` is the one place that clears a dense row's denominators.
 """
 
 from __future__ import annotations

@@ -21,13 +21,15 @@ drop changes V_d, and a generator that cannot be dropped stays so, so that
 loop is reverse-delete in the matroid of the degree-d generators modulo V_d,
 which keeps what the greedy pass from the last index down keeps.
 
-The system is built as integer rows.  The unknown of column (j, k) is the
-coefficient of the standard monomial m_k in the image of f_j, so the block
-of equations of one syzygy (s_1..s_r) has in column (j, k) the coordinates
-of NF(s_j * m_k) over the standard monomials of the syzygy's degree.  Each
-row is read as the module packed it (`SyzygyModule._packed`, a positive
-multiple of the published row, which changes no row space), with integer
-terms s_j = sum_u c_u * u, and the normal form is linear:
+The system is built as sparse integer rows, {column: nonzero int}, the
+one row format of `linalg.RowSpan`, which reads its rank.  The unknown of
+column (j, k) is the coefficient of the standard monomial m_k in the image
+of f_j, so the block of equations of one syzygy (s_1..s_r) has in column
+(j, k) the coordinates of NF(s_j * m_k) over the standard monomials of the
+syzygy's degree.  Each row is read as the module packed it
+(`SyzygyModule._packed`, a positive multiple of the published row, which
+changes no row space), with integer terms s_j = sum_u c_u * u, and the
+normal form is linear:
 
     NF(s_j * m_k) = sum_u c_u * NF(u * m_k),
 
@@ -175,9 +177,9 @@ class _NormalFormTable:
         return found
 
     def system(self, e):
-        """(unknown bases, integer rows) of the tangent system of shift e:
-        the images of f_j in (S/I)_(d_j - e), and one equation per syzygy
-        and standard monomial of (S/I)_(shift - e).  Shift 0 is
+        """(unknown bases, sparse integer rows) of the tangent system of
+        shift e: the images of f_j in (S/I)_(d_j - e), and one equation per
+        syzygy and standard monomial of (S/I)_(shift - e).  Shift 0 is
         Hom(I, S/I)_0.
 
         One grevlex basis serves every shift: the one `syzygies` built on
@@ -194,7 +196,6 @@ class _NormalFormTable:
         bases = tuple(monos for monos, _ in standard)
         # m_k as an offset: the packed u * m_k is u + offset
         offsets = [[m - base for m in index] for _, index in standard]
-        total = sum(map(len, bases))
 
         rows = []
         for row, shift in zip(self._rows, self._shifts):
@@ -217,12 +218,17 @@ class _NormalFormTable:
                                 terms.append((col + k, c, nf[0], nf[1]))
                 col += len(offs)
             block = lcm(*{f for _, _, f, _ in terms})
-            eqs = [[0] * total for _ in index]
+            eqs = [{} for _ in index]
             for column, c, f, nf in terms:
                 a = c * (block // f)
                 for r, v in nf:
-                    eqs[r][column] += a * v
-            rows.extend(eq for eq in eqs if any(eq))
+                    eq = eqs[r]
+                    b = eq.get(column, 0) + a * v
+                    if b:
+                        eq[column] = b
+                    else:
+                        del eq[column]
+            rows.extend(eq for eq in eqs if eq)
         return bases, rows
 
 
@@ -258,8 +264,9 @@ def hom_degree_zero(I):
         bases, eqs = table.system(e)
         for found, basis in zip(unknowns, bases):
             found.extend(u + v for u in basis for v in vs)
-        total += len(vs) * sum(map(len, bases))
-        rank += len(vs) * linalg.rank(eqs)
+        cols = sum(map(len, bases))
+        total += len(vs) * cols
+        rank += len(vs) * len(linalg.RowSpan(cols, eqs))
         rows += len(vs) * len(eqs)
 
     def in_x(y):
@@ -304,8 +311,7 @@ def _explicit_vectors(I, assignments):
     module = syzygies(list(gens))
     bases, rows = _system(module, 0)
     vectors = [_coordinates(module, bases, images) for images in assignments]
-    nonzeros = [[(c, a) for c, a in enumerate(row) if a] for row in rows]
-    ok = all(not sum(a * v[c] for c, a in row) for row in nonzeros for v in vectors)
+    ok = all(not sum(a * v[c] for c, a in row.items()) for row in rows for v in vectors)
     return ok, vectors
 
 

@@ -3,7 +3,7 @@
 import heapq
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hilbcomp import linalg
 from hilbcomp.errors import ParseError, RingMismatchError
@@ -267,6 +267,44 @@ def compose_linear_by_products(p, matrix):
     return out
 
 
+def _gradient(q, nv):
+    """2Q for the quadric q = x^T Q x, Fraction rows: row i holds the
+    coefficients of d q / d x_i."""
+    rows = [[0] * nv for _ in range(nv)]
+    for mono, c in q.terms:
+        a, b = (i for i, e in enumerate(mono) for _ in range(e))
+        rows[a][b] += c
+        rows[b][a] += c
+    return rows
+
+
+def essential_form_by_rref(ring, quadrics):
+    """(I', columns) of `ideals.essential_form` by the dense route: the
+    Fraction rows 2Q of the quadrics, their rref's pivot columns, and each
+    quadric restricted to the pivot variables, x_(p_i) renamed y_i."""
+    from hilbcomp.ideals import Ideal
+    from hilbcomp.rings import PolyRing
+
+    nv = ring.num_vars
+    basis, pivots = linalg.rref([row for q in quadrics for row in _gradient(q, nv)])
+    m = max(4, len(basis))
+    if m >= nv:
+        return Ideal(ring, quadrics), tuple(range(nv))
+    small = PolyRing(m)
+    restricted = []
+    for q in quadrics:
+        acc = {}
+        for mono, c in q.terms:
+            if all(mono[j] == 0 for j in range(nv) if j not in pivots):
+                image = [0] * m
+                for i, p in enumerate(pivots):
+                    image[i] = mono[p]
+                acc[tuple(image)] = c
+        restricted.append(small.from_dict(acc))
+    free = tuple(j for j in range(nv) if j not in pivots)
+    return Ideal(small, restricted), tuple(pivots) + free
+
+
 def essential_form_by_substitution(I):
     """The ideal of `classify._essential_quadrics` through the full change
     of coordinates: take I's quadrics (its given generators when all are
@@ -283,15 +321,7 @@ def essential_form_by_substitution(I):
     quadrics = list(I.generators)
     if not all(g.total_degree() == 2 and g.is_homogeneous() for g in quadrics):
         quadrics = _quadric_basis(I)
-    rows = []
-    for q in quadrics:
-        gradient = [[0] * nv for _ in range(nv)]  # row i: d q / d x_i
-        for mono, c in q.terms:
-            a, b = (i for i, e in enumerate(mono) for _ in range(e))
-            gradient[a][b] += c
-            gradient[b][a] += c
-        rows.extend(gradient)
-    basis, pivots = linalg.rref(rows)
+    basis, pivots = linalg.rref([row for q in quadrics for row in _gradient(q, nv)])
     m = max(4, len(basis))
     if m >= nv:
         return Ideal(ring, quadrics)
@@ -498,6 +528,22 @@ def row_coordinates_by_products(ring, target, row, shift, mono=None):
             Fraction(lookup.get(m, 0)) for m in monomials_of_degree(ring.width, shift - f.total_degree())
         )
     return coords
+
+
+def densify(row, width):
+    """A sparse {column: value} row as a dense list of `width` values."""
+    dense = [0] * width
+    for k, a in row.items():
+        dense[k] = a
+    return dense
+
+
+def integer_row(row):
+    """A dense row of ints or Fractions as the sparse integer row that
+    `linalg.RowSpan` takes: its nonzeros times the lcm of their
+    denominators, which spans the same line."""
+    den = lcm(*(Fraction(a).denominator for a in row))
+    return {k: int(a * den) for k, a in enumerate(row) if a}
 
 
 # A recursive-descent parser of the grammar in `rings` over a token list.  The

@@ -234,3 +234,21 @@ def test_series_from_minimal_leads_equals_the_reduced_basis_series(monkeypatch):
         for f in dataclasses.fields(HilbertData):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
         reductions.clear()
+
+
+def test_hilbert_data_is_shared_per_width_and_numerator():
+    # every field is derived from (width, numerator), so equal numerators
+    # share one object, among the 128 most recently used
+    from hilbcomp.hilbert import hilbert_data
+
+    first = hilbert_data(4, (1, 0, -2, 1))
+    assert hilbert_data(4, (1, 0, -2, 1)) is first
+    other = hilbert_data(5, (1, 0, -2, 1))
+    assert other.num_vars == 5 and other.dimension == first.dimension + 1
+    assert hilbert_data.cache_info().maxsize == 128
+    for k in range(300):
+        hilbert_data(4, (1, -k))
+    assert hilbert_data.cache_info().currsize == 128
+    # a numerator pushed out of the cache is derived again, to an equal object
+    again = hilbert_data(4, (1, 0, -2, 1))
+    assert again is not first and again == first

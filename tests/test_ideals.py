@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,12 @@ from hilbcomp.ideals import (
 from hilbcomp.groebner import buchberger, eliminate_generators
 from hilbcomp.rings import LEX, Polynomial, PolyRing, monomials_of_degree, parse
 
-from oracles import graded_piece_quotient, quotient_by_division, saturate_by_quotients
+from oracles import (
+    essential_form_by_rref,
+    graded_piece_quotient,
+    quotient_by_division,
+    saturate_by_quotients,
+)
 
 R = PolyRing(4)
 X = [R.x(i) for i in range(4)]
@@ -495,3 +501,25 @@ def test_saturating_by_the_last_variable_runs_no_buchberger(n, monkeypatch):
         want = Ideal(ring, [p.convert(ring) for p in divided]).canonical()
         assert got.generators == want.generators
         assert got.groebner_basis().elements == want.groebner_basis().elements
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_essential_form_matches_the_rref_route(label, n):
+    # integer partials and the pivots of their span give the essential
+    # variables, the restricted quadrics and the columns that the Fraction
+    # rows 2Q and their rref give: on a moved normal form, and on its
+    # quadrics with denominators (scaled by 1/2 and 3/4 in turn, and a term
+    # 1/2*x0*x1 - 3/4*x2^2 added to the first)
+    moved = random_linear_change(normal_form_ideal(n, label), seed=f"essential:{n}:{label}")
+    ring = moved.ring
+    gens = list(moved.generators)
+    scaled = [g.scale(Fraction(1, 2) if i % 2 else Fraction(3, 4)) for i, g in enumerate(gens)]
+    scaled[0] = scaled[0] + parse("1/2*x0*x1 - 3/4*x2^2", ring)
+    for quadrics in (gens, scaled):
+        got, columns = ideals.essential_form(ring, quadrics)
+        want, want_columns = essential_form_by_rref(ring, quadrics)
+        assert columns == want_columns
+        assert got.ring == want.ring
+        assert got.generators == want.generators
+    assert ideals.essential_form(ring, gens)[0].ring == PolyRing(4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbcomp import linalg
+from oracles import integer_row
 
 
 def test_rank_hand_values():
@@ -67,11 +68,11 @@ def test_invert_roundtrip():
 
 
 def test_in_row_span():
-    span = linalg.RowSpan()
-    span.add([1, 0, 1])
-    span.add([0, 1, 1])
-    assert [2, 3, 5] in span
-    assert [0, 0, 1] not in span
+    span = linalg.RowSpan(3)
+    span.add(integer_row([1, 0, 1]))
+    span.add(integer_row([0, 1, 1]))
+    assert integer_row([2, 3, 5]) in span
+    assert integer_row([0, 0, 1]) not in span
 
 
 def _random_matrix(rng, rows, cols):
@@ -162,14 +163,14 @@ def test_rowspan_add_matches_batch_rank_on_prefixes():
     rng = random.Random(31)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
-        span = linalg.RowSpan()
+        span = linalg.RowSpan(len(m[0]))
         for k, row in enumerate(m, start=1):
-            was_new = span.add(row)
+            was_new = span.add(integer_row(row))
             assert len(span) == linalg.rank(m[:k])
             assert was_new == (linalg.rank(m[:k]) > linalg.rank(m[: k - 1]))
-            assert row in span
-    assert [0, 0, 0] in linalg.RowSpan()
-    assert [1, 0, 0] not in linalg.RowSpan()
+            assert integer_row(row) in span
+    assert integer_row([0, 0, 0]) in linalg.RowSpan(3)
+    assert integer_row([1, 0, 0]) not in linalg.RowSpan(3)
 
 
 def _sympy(m, cols):
@@ -215,15 +216,32 @@ def test_rank_and_rref_agree_with_sympy_on_sparse_matrices(case):
 @_PROPERTY
 @given(_sparse_matrices())
 def test_stored_rows_are_sparse_primitive_and_keyed_by_pivot(case):
-    m, _ = case
-    span = linalg.RowSpan()
+    m, cols = case
+    span = linalg.RowSpan(cols)
     for row in m:
-        span.add(row)
+        span.add(integer_row(row))
         for pivot, stored in span._rows.items():
             assert all(stored.values())
             assert min(stored) == pivot
             assert gcd(*stored.values()) == 1
     assert len(span) == linalg.rank(m)
+
+
+@_PROPERTY
+@given(_sparse_matrices(), st.lists(st.sampled_from([-3, -1, 1, 2, 5]), min_size=6, max_size=6))
+def test_sparse_integer_rows_span_what_the_dense_fraction_rows_span(case, scales):
+    # the engine's row format: each row cleared of its denominators, times a
+    # nonzero integer, as {column: nonzero int}; the span built from them
+    # has the rank and the rref of the dense Fraction matrix
+    m, cols = case
+    dense = [[Fraction(a) for a in row] for row in m]
+    rows = [{c: k * a for c, a in integer_row(row).items()} for row, k in zip(m, scales)]
+    assert all(type(a) is int and a for row in rows for a in row.values())
+    span = linalg.RowSpan(cols, rows)
+    assert len(span) == linalg.rank(dense)
+    assert span.rref() == linalg.rref(dense)
+    assert span.pivots == linalg.rref(dense)[1]
+    assert sorted(min(row) for row in span) == span.pivots
 
 
 def test_rref_keeps_the_input_width_past_zero_columns():
@@ -238,11 +256,11 @@ def test_nullspace_of_one_row_with_zero_columns():
 
 
 def test_membership_leaves_the_span_unchanged():
-    assert [0, 0, 0] in linalg.RowSpan()
-    span = linalg.RowSpan()
-    span.add([1, 2])
-    assert [2, 4, 0, 0, 0] in span
-    assert [0, 0, 0, 0, 1] not in span
+    assert integer_row([0, 0, 0]) in linalg.RowSpan(3)
+    span = linalg.RowSpan(2)
+    span.add(integer_row([1, 2]))
+    assert integer_row([2, 4, 0, 0, 0]) in span
+    assert integer_row([0, 0, 0, 0, 1]) not in span
     assert span.rref() == ([[1, 2]], [0])
     assert len(span) == 1
 
@@ -251,3 +269,40 @@ def test_solve_unique_with_a_zero_right_hand_side():
     assert linalg.solve_unique([[1, 2], [3, 4]], [0, 0]) == ((0, 0), True)
     assert linalg.solve_unique([[1, 2], [2, 4]], [0, 0]) == ((0, 0), False)
     assert linalg.solve_unique([[0, 0, 0]], [0]) == ((0, 0, 0), False)
+
+
+def test_engine_callers_build_sparse_nonzero_int_rows(monkeypatch):
+    # over the moved goldens, every row that reaches the echelon core from
+    # the tangent system, the graded syzygy spans, the essential form and
+    # the Jacobian test is {column: nonzero int} inside the span's width,
+    # and no dense batch function runs on the way
+    from pathlib import Path
+
+    from hilbcomp import classify, hom_degree_zero, loads_ideal
+    from hilbcomp.groebner import syzygies
+
+    seen = []
+    real_reduce = linalg.RowSpan._reduce
+
+    def spy_reduce(self, row):
+        seen.append((self.width, dict(row)))
+        return real_reduce(self, row)
+
+    def no_dense(rows):
+        raise AssertionError("a dense batch function ran inside the engine")
+
+    monkeypatch.setattr(linalg.RowSpan, "_reduce", spy_reduce)
+    monkeypatch.setattr(linalg, "_span", no_dense)
+    data = Path(__file__).parent / "data"
+    for label in ("I", "II", "III", "IV"):
+        for n in (3, 4, 5):
+            I = loads_ideal((data / f"moved_{label}_n{n}.ideal").read_text())
+            hom_degree_zero(I)
+            assert classify(I, seed=0).label == label
+            module = syzygies(list(I.generators))
+            assert module.contains(module.generators[0])
+    assert len(seen) > 1000
+    for width, row in seen:
+        for k, a in row.items():
+            assert type(k) is int and 0 <= k < width, (width, row)
+            assert type(a) is int and a != 0, (width, row)
