@@ -222,13 +222,11 @@ class _NormalFormTable:
             for column, c, f, nf in terms:
                 a = c * (block // f)
                 for r, v in nf:
-                    eq = eqs[r]
-                    b = eq.get(column, 0) + a * v
-                    if b:
-                        eq[column] = b
-                    else:
-                        del eq[column]
-            rows.extend(eq for eq in eqs if eq)
+                    eqs[r][column] = eqs[r].get(column, 0) + a * v
+            for eq in eqs:
+                eq = {k: b for k, b in eq.items() if b}
+                if eq:
+                    rows.append(eq)
         return bases, rows
 
 
