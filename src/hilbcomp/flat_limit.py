@@ -38,9 +38,10 @@ M. Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
    and since all its terms carry h^N, lead(h^N * f) = h^N * lead(f); some
    lead h^a * lead(p) divides it, so lead(p) divides lead(f).
 
-The p are cut out of the packed entries, with no Polynomial built from G,
-and one interreduction turns them into the reduced grevlex basis of the
-special fiber with no S-pair; that basis seeds the fiber's Ideal.
+The p are cut out of the packed entries as packed term dicts, with no
+Polynomial built from G, and seed the fiber's grevlex basis
+(`groebner.seeded_basis`): one interreduction, with no S-pair, turns them
+into the reduced basis whose elements generate the fiber's Ideal.
 The saturation by the irrelevant ideal, `ideals.saturate`, reads I : x_n^oo
 off that seeded basis and certifies it by its Hilbert polynomial, with the
 meet of the principal saturations by x_0..x_n as the fallback.
@@ -94,7 +95,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import HomogeneityError, RingMismatchError
-from .groebner import _Entry, _interreduced, _minimal, _monic, _ring_packing, buchberger
+from .groebner import _ring_packing, buchberger, seeded_basis
 from .hilbert import _minimalize, _numerator, hilbert_data, hilbert_series
 from .ideals import Ideal, _with_seeded_gb, irrelevant_ideal, saturate
 from .rings import GREVLEX, PolyRing, elimination_order
@@ -184,7 +185,7 @@ def _special_fiber(total):
         top = max(m[k] for m, _ in g.terms)
         homogenized.append(hom.from_dict({m[:n] + (top - m[k], m[k]): c for m, c in g.terms}))
     base = PolyRing(n)
-    pk = _ring_packing(base)
+    pack = _ring_packing(base).pack
     gb = buchberger(homogenized, GREVLEX, transform=False)
     unpack = _ring_packing(gb.ring).unpack
     fibers = []
@@ -195,9 +196,9 @@ def _special_fiber(total):
             m = unpack(m)
             # the kept terms share one power of h, so they stay in grevlex order
             if m[-1] == e:
-                p[pk.pack(m[:n])] = c
-        fibers.append(_Entry(p, pk))
-    return _with_seeded_gb(base, _monic(base, _interreduced(_minimal(fibers, pk), base, False)))
+                p[pack(m[:n])] = c
+        fibers.append(p)
+    return _with_seeded_gb(base, seeded_basis(base, fibers))
 
 
 def limit_ideal(fam):

@@ -36,20 +36,18 @@ row's shift is read off its terms.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
-equality a tuple comparison downstream; `interreduce` runs the same
-minimalization and interreduction on polynomials already known to form a
-Groebner basis, with no S-pair.
+equality a tuple comparison downstream.
 
-`buchberger` stops at the minimal basis of its S-pair loop: the packed
-entries whose lead no other lead divides, unreduced.  They are a Groebner
-basis, and their leads are the minimal generators of the initial ideal, so
-they serve every reader that needs only leads or some Groebner basis:
-Hilbert data (`GroebnerBasis.lead_monomials`), elimination and exact
-division (`_eliminating_entries`, `divided_basis`), the flat limit's
-t-division and its leading coefficients, and a larger basis that starts
-from them (`buchberger(..., basis=)`).  The reduced basis is built from
-them once, on its first read, as packed entries (`_entries`); `elements`
-and `transform` are unpacked from those.
+A `GroebnerBasis` holds the packed minimal entries of some Groebner basis,
+unreduced: `buchberger` stops at the minimal basis of its S-pair loop, and
+`seeded_basis` takes term dicts known to form a Groebner basis, as the
+derived bases of the ideal layer do (`eliminated_basis`, `divided_basis`,
+`saturated_basis`).  Their leads are the minimal generators of the initial
+ideal, so the entries serve every reader that needs only leads or some
+Groebner basis: Hilbert data, elimination, exact division, the flat limit,
+and a larger basis that starts from them (`buchberger(..., basis=)`).  The
+reduced basis is built from them once, on first read, as packed entries
+(`_entries`); `elements` and `transform` are unpacked from those.
 
 Pair management uses the
 Gebauer-Moeller refinement of Buchberger's first and second criteria, on
@@ -75,6 +73,7 @@ from operator import attrgetter, itemgetter, mul
 from . import linalg
 from .errors import HomogeneityError, MonomialOverflowError, RingMismatchError
 from .rings import (
+    GREVLEX,
     Polynomial,
     _divides,
     _mono_lcm,
@@ -397,18 +396,15 @@ def _reduced_spairs(entries, pk):
 
 @dataclass(frozen=True, init=False)
 class GroebnerBasis:
-    """Reduced Groebner basis with the generators it came from.
+    """Groebner basis: packed minimal entries, reduced on first read.
 
-    elements are monic and sorted descending by leading monomial in `ring`
-    (which carries the order the basis was computed under).  When tracking
-    was requested, transform[i] expresses elements[i] as an exact
-    combination of generators: elements = transform . generators.
-
-    A basis that `buchberger` returns holds the minimal entries of its
-    S-pair loop (`_minimal`) and reduces them into `_entries` once, on the
-    first read of any of the three (`__getattr__`); `elements` and
-    `transform` are unpacked from those.  A basis built from given elements
-    is reduced already.
+    `_minimal` holds the entries of some Groebner basis whose leads no other
+    lead divides, ascending by lead; `_entries`, `elements` and `transform`
+    are built from them once, on first read, and the reduced entries then
+    stand in `_minimal` for the unreduced ones.  elements are monic and sorted
+    descending by leading monomial in `ring` (which carries the order).  When
+    tracked, elements = transform . generators, else transform is None; a
+    seeded basis (`seeded_basis`) has its elements as its generators.
     """
 
     ring: object
@@ -416,49 +412,38 @@ class GroebnerBasis:
     generators: tuple
     transform: tuple
 
-    def __init__(self, ring, elements, generators, transform=None):
-        vars(self).update(ring=ring, elements=elements, generators=generators, transform=transform)
-
-    @classmethod
-    def _unreduced(cls, ring, generators, minimal, tracked):
-        """The basis of the minimal entries `minimal`, ascending by lead,
-        whose vecs hold the transform when `tracked`."""
-        gb = cls.__new__(cls)
-        vars(gb).update(ring=ring, generators=generators, _minimal=minimal, _tracked=tracked)
+    def __init__(self, ring, minimal, generators=None, tracked=False):
+        vars(self).update(ring=ring, _minimal=minimal, _tracked=tracked)
+        if generators is not None:
+            vars(self)["generators"] = generators
         if not tracked:
-            vars(gb)["transform"] = None
-        return gb
+            vars(self)["transform"] = None
 
     def __getattr__(self, name):
-        # called only for a missing attribute: the elements and transform of
-        # a basis that `buchberger` returned ("_tracked") on their first read
-        if name not in ("elements", "transform") or "_tracked" not in vars(self):
-            raise AttributeError(name)
+        # called only for a missing attribute: the elements, the transform
+        # and a seeded basis's generators, on their first read
         if name == "elements":
             value = _monic(self.ring, self._entries)
-        else:
+        elif name == "transform":
             # the vec of an entry over its lc expresses the monic element
             value = tuple(
                 tuple(_poly(self.ring, sorted(v.items(), reverse=True), Fraction(1, e.lc))
                       for v in e.vec)
                 for e in self._entries
             )
+        elif name == "generators":
+            value = self.elements
+        else:
+            raise AttributeError(name)
         vars(self)[name] = value
         return value
 
     @functools.cached_property
     def _entries(self):
         """The packed entries of the reduced basis, descending by lead."""
-        if "_tracked" in vars(self):
-            return _interreduced(self._minimal, self.ring, self._tracked)
-        pk = _ring_packing(self.ring)
-        return tuple(_Entry(_int_terms(g, pk)[0], pk) for g in self.elements)
-
-    @functools.cached_property
-    def _minimal(self):
-        """Minimal entries, ascending by lead; for a basis built from given
-        elements, the reduced ones."""
-        return self._entries[::-1]
+        entries = _interreduced(self._minimal, self.ring, self._tracked)
+        vars(self)["_minimal"] = entries[::-1]
+        return entries
 
     @property
     def order(self):
@@ -467,9 +452,7 @@ class GroebnerBasis:
     def lead_monomials(self):
         """The leads of the elements, descending.  A minimal basis has the
         leads of the reduced one, the minimal generators of the initial
-        ideal, so an unreduced basis answers without reducing."""
-        if "elements" in vars(self):
-            return tuple(g.lead_monomial() for g in self.elements)
+        ideal, so they are read off the minimal entries without reducing."""
         return tuple(e.lead for e in reversed(self._minimal))
 
     def standard_monomials(self, d):
@@ -603,7 +586,7 @@ def buchberger(gens, order=None, *, transform=True, seed=None, basis=None):
             vec = _combination(terms, quots, [e.vec for e in basis], pk)
         add_element(rem, sugar, vec)
 
-    return GroebnerBasis._unreduced(ring, originals, _minimal(basis, pk), transform)
+    return GroebnerBasis(ring, _minimal(basis, pk), originals, transform)
 
 
 def _minimal(entries, pk):
@@ -644,33 +627,39 @@ def _monic(ring, entries):
     return tuple(_poly(ring, e.terms(), Fraction(1, e.lc)) for e in entries)
 
 
-def interreduce(polys):
-    """The reduced Groebner basis, in their ring's order, of nonzero
-    polynomials that already form a Groebner basis there: `buchberger`'s
-    minimalization and interreduction, without S-pairs."""
-    ring = polys[0].ring
+def seeded_basis(ring, items):
+    """The basis of nonzero packed {mono: int} term dicts, each descending
+    in `ring`'s order, that form a Groebner basis there: minimalized now,
+    interreduced on first read, with no S-pair.  Its generators are its
+    elements."""
     pk = _ring_packing(ring)
-    entries = [_Entry(_int_terms(p, pk)[0], pk) for p in polys]
-    return _monic(ring, _interreduced(_minimal(entries, pk), ring, False))
+    return GroebnerBasis(ring, _minimal([_Entry(t, pk) for t in items], pk))
 
 
-def _eliminating_entries(gens, front):
-    """(block ring, entries): of the minimal entries of gens' basis in the
-    block order that eliminates the front variables, those with a
-    front-free lead.  The order puts any front-variable monomial above every
-    front-free one, so such an entry is front-free throughout, and these
-    entries are a minimal Groebner basis of the elimination ideal in the
-    order's restriction to front-free monomials, which is grevlex."""
+def eliminated_basis(gens, front, ring):
+    """The seeded grevlex basis of <gens> meet the subring free of the front
+    variables, in `ring`: gens' ring, or that ring without trailing front
+    variables.  Of the minimal entries of gens' basis in the block order
+    that eliminates the front, it keeps those with a front-free lead.  The
+    order puts any front-variable monomial above every front-free one, so
+    such an entry is front-free throughout, and they are a minimal Groebner
+    basis of the elimination ideal in the order's restriction to front-free
+    monomials, which is grevlex: restricted into ring's grevlex packing,
+    their terms stay descending."""
     gb = buchberger(gens, elimination_order(front), transform=False)
-    return gb.ring, [e for e in gb._minimal if not any(e.lead[v] for v in front)]
+    ring = ring.with_order(GREVLEX)
+    block, pk = _ring_packing(gb.ring), _ring_packing(ring)
+    return seeded_basis(ring, [
+        {pk.pack(block.unpack(m)[:ring.width]): c for m, c in e.terms()}
+        for e in gb._minimal if not any(e.lead[v] for v in front)
+    ])
 
 
 def eliminate_generators(gens, front_vars):
     """Generators of <gens> intersected with the subring avoiding front_vars.
 
     Returns polynomials in the ring of the input generators: the reduced
-    grevlex basis of the elimination ideal, interreduced from the front-free
-    entries alone (`_eliminating_entries`).
+    grevlex basis of the elimination ideal (`eliminated_basis`).
     """
     gens = list(gens)
     if not gens:
@@ -679,9 +668,7 @@ def eliminate_generators(gens, front_vars):
     front = tuple(sorted(set(front_vars)))
     if not front:
         return list(gens)
-    block, entries = _eliminating_entries(gens, front)
-    elements = _monic(block, _interreduced(entries, block, False))
-    return [g.convert(ring) for g in elements]
+    return [g.convert(ring) for g in eliminated_basis(gens, front, ring).elements]
 
 
 def _divided(items, g, pk):
@@ -711,20 +698,34 @@ def exact_divide(f, g):
     return _poly(f.ring, q.items(), factor)
 
 
-def divided_basis(entries, g):
-    """The reduced Groebner basis of the quotients p / g, for the entries
-    p of a Groebner basis of an ideal K inside (g), packed in g's ring and
-    its order: the reduced basis of K : g.
+def divided_basis(gb, g):
+    """The seeded basis (`seeded_basis`) of K : g in gb's ring, from a basis
+    gb of an ideal K inside (g): the quotients p / g of its minimal entries.
 
     lm(p / g) == lm(p) / lm(g), so for f in K : g the lead of f * g, a
     multiple of some lm(p), is lm(f) * lm(g), and lm(p / g) divides lm(f):
-    the quotients form a Groebner basis, which is interreduced once.
+    the quotients form a Groebner basis.
     """
-    ring = g.ring
-    pk = _ring_packing(ring)
-    items = [({e.lm: e.lc, **e.tail}, 1) for e in entries]
-    quotients = [_Entry(q, pk) for q, _ in _divided(items, g, pk)]
-    return _monic(ring, _interreduced(_minimal(quotients, pk), ring, False))
+    pk = _ring_packing(gb.ring)
+    items = [(e.terms(), 1) for e in gb._minimal]
+    return seeded_basis(gb.ring, [q for q, _ in _divided(items, g.convert(gb.ring), pk)])
+
+
+def saturated_basis(gb):
+    """The seeded basis (`seeded_basis`) of I : x_n^oo, x_n the last
+    variable, from a grevlex basis gb of a homogeneous ideal I: each entry
+    divided by the power of x_n in its lead.  By Bayer's lemma that power
+    divides every term of a homogeneous entry, and the quotients form a
+    Groebner basis; the minimal entries serve when all are homogeneous (the
+    degree field of the last term is the lead's), else the reduced ones."""
+    last = _ring_packing(gb.ring).weights[-1]    # pack(m / x_n) == pack(m) - last
+    degree = _FIELD_BITS * gb.ring.width         # the grevlex degree field
+    entries = gb._minimal
+    if any(e.tail and next(reversed(e.tail)) >> degree != e.lm >> degree for e in entries):
+        entries = gb._entries
+    return seeded_basis(gb.ring, [
+        {m - e.lead[-1] * last: c for m, c in e.terms()} for e in entries
+    ])
 
 
 @dataclass(frozen=True)

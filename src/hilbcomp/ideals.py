@@ -15,8 +15,13 @@ has two routes: by an ideal with the irrelevant radical, it reads
 I : x_n^oo off the grevlex basis of I and keeps it when the Hilbert
 polynomial certifies it; otherwise, or when the certificate fails, it is
 the meet of principal saturations I : g^oo over the generators g, each one
-elimination of u from (I, 1 - u*g).  `essential_form` writes quadrics in
-their essential variables, for classification and tangent spaces alike.
+elimination of u from (I, 1 - u*g).  Every ideal derived from a known
+basis (an elimination, I : g, I : x_n^oo) is seeded: its grevlex basis
+comes from packed entries through a `groebner` function
+(`eliminated_basis`, `divided_basis`, `saturated_basis`) and its
+generators are that basis's reduced elements (`_with_seeded_gb`), with no
+Polynomial built in between.  `essential_form` writes quadrics in their
+essential variables, for classification and tangent spaces alike.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ from math import lcm
 from . import linalg
 from .errors import HomogeneityError, RingMismatchError
 from .groebner import (
-    GroebnerBasis,
-    _eliminating_entries,
     buchberger,
     divided_basis,
-    eliminate_generators,
-    interreduce,
+    eliminated_basis,
+    saturated_basis,
+    seeded_basis,
 )
 from .hilbert import hilbert_series
 from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
@@ -83,7 +87,7 @@ class Ideal:
         gb = self._gb_cache.get(order)
         if gb is None:
             if not self.generators:
-                gb = GroebnerBasis(self.ring.with_order(order), (), ())
+                gb = seeded_basis(self.ring.with_order(order), ())
             else:
                 gb = buchberger(self.generators, order, transform=False)
             self._gb_cache[order] = gb
@@ -136,12 +140,11 @@ def _require_same_ring(I, J):
         raise RingMismatchError("ideals live in different rings")
 
 
-def _with_seeded_gb(ring, reduced_gens):
-    """Ideal whose generators are known to be its reduced grevlex basis."""
-    out = Ideal(ring, reduced_gens)
-    gb_ring = ring.with_order(GREVLEX)
-    elements = tuple(g.convert(gb_ring) for g in out.generators)
-    out._gb_cache[GREVLEX] = GroebnerBasis(gb_ring, elements, elements)
+def _with_seeded_gb(ring, gb):
+    """The ideal of `ring` generated by the reduced elements of a seeded
+    grevlex basis (`groebner.seeded_basis`), which it keeps as its basis."""
+    out = Ideal(ring, [g.convert(ring) for g in gb.elements])
+    out._gb_cache[GREVLEX] = gb
     return out
 
 
@@ -163,16 +166,6 @@ def _with_element(I, h):
         out.generators, GREVLEX, transform=False, basis=I.groebner_basis()
     )
     return out
-
-
-def _eliminated(ring, gens, front):
-    """<gens> meet the subring free of the `front` variables, as an ideal of
-    `ring`."""
-    elim = eliminate_generators(gens, front)
-    # the front-free part of the reduced block basis is itself the reduced
-    # grevlex basis of the elimination ideal: the block order restricted to
-    # front-free monomials is grevlex, and autoreduction is inherited
-    return _with_seeded_gb(ring, [p.convert(ring) for p in elim])
 
 
 def _meet_generators(I, J):
@@ -199,24 +192,24 @@ def intersect(I, J):
     if J.is_zero():
         return J
     u_idx, gens = _meet_generators(I, J)
-    return _eliminated(I.ring, gens, [u_idx])
+    return _with_seeded_gb(I.ring, eliminated_basis(gens, [u_idx], I.ring))
 
 
 def quotient_by_element(I, g):
     """(I : g) as (I meet (g)) / g, canonical, for a nonzero g.
 
-    The u-free minimal entries of the block basis of u*I + (1-u)*(g) are a
-    Groebner basis of K = I meet (g) (`groebner._eliminating_entries`).
-    Their quotients p / g form a Groebner basis of I : g (`divided_basis`),
-    interreduced once into the seeded grevlex basis of the result: neither
-    the u-containing entries nor K's own basis are ever reduced.
+    The u-free minimal entries of the block basis of u*I + (1-u)*(g),
+    restricted into I's ring, are a Groebner basis of K = I meet (g)
+    (`groebner.eliminated_basis`).  Their quotients p / g form a Groebner
+    basis of I : g (`divided_basis`), interreduced once into the seeded
+    grevlex basis of the result: neither the block basis nor K's own basis
+    is ever reduced.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     u_idx, gens = _meet_generators(I, Ideal(I.ring, [g]))
-    block, entries = _eliminating_entries(gens, [u_idx])
-    quotients = divided_basis(entries, g.convert(block))
-    return _with_seeded_gb(I.ring, [q.convert(I.ring) for q in quotients])
+    K = eliminated_basis(gens, [u_idx], I.ring)
+    return _with_seeded_gb(I.ring, divided_basis(K, g))
 
 
 def quotient(I, J):
@@ -278,17 +271,12 @@ def _radical_is_irrelevant(I, J):
 
 
 def _saturate_by_last_variable(I):
-    """I : x_n^oo from the grevlex basis of homogeneous I: each element
-    divided by the power of x_n in its lead, which divides every term.  By
-    Bayer's lemma the quotients are a Groebner basis, so they are only
-    interreduced, with no Buchberger run."""
-    gb = I.groebner_basis()
-    gens = []
-    for g in gb.elements:
-        k = g.lead_monomial()[-1]
-        terms = tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms)
-        gens.append(Polynomial(gb.ring, terms))
-    return _with_seeded_gb(I.ring, [q.convert(I.ring) for q in interreduce(gens)])
+    """I : x_n^oo from the grevlex basis of homogeneous I: each minimal
+    entry (reduced, where a minimal one is not homogeneous) divided by the
+    power of x_n in its lead, which divides every term.
+    By Bayer's lemma the quotients are a Groebner basis, so they seed the
+    result (`groebner.saturated_basis`), with no Buchberger run."""
+    return _with_seeded_gb(I.ring, saturated_basis(I.groebner_basis()))
 
 
 def _saturate_principal(I, f):
@@ -297,7 +285,7 @@ def _saturate_principal(I, f):
     ext, u_idx = _u_ring(ring)
     gens = [g.convert(ext) for g in I.generators]
     gens.append(ext.one - ext.variable(u_idx) * f.convert(ext))
-    return _eliminated(ring, gens, [u_idx])
+    return _with_seeded_gb(ring, eliminated_basis(gens, [u_idx], ring))
 
 
 def ideal_sum(I, J):
@@ -315,7 +303,7 @@ def eliminate(I, front_vars):
     front = tuple(sorted(set(front_vars)))
     if not front or I.is_zero():
         return I
-    return _eliminated(I.ring, I.generators, front)
+    return _with_seeded_gb(I.ring, eliminated_basis(I.generators, front, I.ring))
 
 
 def random_invertible_matrix(ring, seed):

@@ -9,7 +9,7 @@ import pytest
 
 from hilbcomp.groebner import buchberger
 from hilbcomp.hilbert import hilbert_series
-from hilbcomp.ideals import Ideal
+from hilbcomp.ideals import Ideal, eliminate, intersect
 from hilbcomp.rings import GREVLEX, LEX, PolyRing, monomials_of_degree
 
 sympy = pytest.importorskip("sympy")
@@ -91,3 +91,54 @@ def test_series_coefficients_match_direct_count_on_random_monomial_ideals():
                 if not any(all(a <= b for a, b in zip(g, m)) for g in lead)
             )
             assert data.series_coefficient(d) == count, (gens, d)
+
+
+def _sympy_grevlex(exprs, syms, ring):
+    """sympy's reduced grevlex basis of exprs, polynomials in syms (ring's
+    variables in order), as monic polynomials of ring, descending."""
+    if not exprs:
+        return []
+    basis = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    polys = [_from_sympy_poly(sympy.Poly(g, *syms), ring).monic() for g in basis.exprs]
+    return sorted(polys, key=lambda q: ring.sort_key()(q.lead_monomial()), reverse=True)
+
+
+def _sympy_eliminate(exprs, front, syms):
+    """The members free of the front symbols of sympy's lex basis with the
+    front symbols first: generators of the elimination ideal."""
+    rest = [s for s in syms if s not in front]
+    basis = sympy.groebner(exprs, *front, *rest, order="lex", domain="QQ")
+    return [g for g in basis.exprs if not g.free_symbols & set(front)]
+
+
+@pytest.mark.parametrize("front", [[1], [1, 3], [3], [2, 3]])
+def test_eliminate_matches_sympy_elimination(front):
+    # a lex basis with the front variables first eliminates them; its
+    # front-free members generate the elimination ideal, whose reduced
+    # grevlex basis must be the basis `eliminate` seeds
+    rng = random.Random(f"eliminate:{front}")
+    ring = PolyRing(4)
+    syms = sympy.symbols("x0 x1 x2 x3")
+    for trial in range(6):
+        polys = _random_polys(ring, rng, 3, max_terms=3, max_deg=2)
+        got = eliminate(Ideal(ring, polys), front)
+        elim = _sympy_eliminate([_to_sympy(p, syms) for p in polys], [syms[i] for i in front], syms)
+        want = _sympy_grevlex(elim, syms, ring)
+        assert [g.terms for g in got.generators] == [g.terms for g in want], (front, trial)
+        assert got.groebner_basis().elements == got.generators
+
+
+def test_intersect_matches_sympy_elimination():
+    # I meet J is the t-free part of t*I + (1 - t)*J, t eliminated by lex
+    rng = random.Random("intersect")
+    ring = PolyRing(4)
+    syms = sympy.symbols("x0 x1 x2 x3")
+    t = sympy.Symbol("t")
+    for trial in range(8):
+        I = _random_polys(ring, rng, rng.randint(1, 2), max_terms=3, max_deg=2)
+        J = _random_polys(ring, rng, rng.randint(1, 2), max_terms=3, max_deg=2)
+        got = intersect(Ideal(ring, I), Ideal(ring, J))
+        exprs = [t * _to_sympy(p, syms) for p in I] + [(1 - t) * _to_sympy(p, syms) for p in J]
+        want = _sympy_grevlex(_sympy_eliminate(exprs, [t], (t, *syms)), syms, ring)
+        assert [g.terms for g in got.generators] == [g.terms for g in want], trial
+        assert got.groebner_basis().elements == got.generators

@@ -18,7 +18,7 @@ from hilbcomp.hilbert import (
     hilbert_series,
     pair_hilbert_polynomial,
 )
-from hilbcomp.groebner import buchberger
+from hilbcomp.groebner import buchberger, seeded_basis
 from hilbcomp.ideals import (
     Ideal,
     _with_seeded_gb,
@@ -228,8 +228,9 @@ def test_series_from_minimal_leads_equals_the_reduced_basis_series(monkeypatch):
     for ideal in _hilbert_cases():
         got = hilbert_series(ideal)
         assert reductions == [] and "elements" not in vars(ideal.groebner_basis())
-        reduced = ideal.groebner_basis().elements
-        seeded = _with_seeded_gb(ideal.ring, [g.convert(ideal.ring) for g in reduced])
+        gb = ideal.groebner_basis()
+        reduced = seeded_basis(gb.ring, [dict(e.terms()) for e in gb._entries])
+        seeded = _with_seeded_gb(ideal.ring, reduced)
         want = hilbert_series(seeded)
         for f in dataclasses.fields(HilbertData):
             assert getattr(got, f.name) == getattr(want, f.name), f.name

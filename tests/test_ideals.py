@@ -29,7 +29,7 @@ from hilbcomp.ideals import (
     saturate,
 )
 from hilbcomp.groebner import buchberger, eliminate_generators
-from hilbcomp.rings import LEX, Polynomial, PolyRing, monomials_of_degree, parse
+from hilbcomp.rings import GREVLEX, LEX, Polynomial, PolyRing, monomials_of_degree, parse
 
 from oracles import (
     essential_form_by_rref,
@@ -455,21 +455,28 @@ def test_colon_data_pairs_nothing_inside_ci(monkeypatch):
 
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
 def test_quotient_by_element_interreduces_only_u_free_entries(label, monkeypatch):
-    # one interreduction, of the quotients of the u-free minimal entries;
-    # the block basis itself is never reduced
+    # one interreduction, in I's ring, of the quotients of the u-free
+    # minimal entries restricted there; the block basis is never reduced
     ci, h = _ci_and_element(5, label)
-    calls = []
-    real = groebner._interreduced
+    calls, blocks = [], []
+    real, real_buchberger = groebner._interreduced, groebner.buchberger
     monkeypatch.setattr(
         groebner,
         "_interreduced",
         lambda kept, ring, *a: calls.append((kept, ring)) or real(kept, ring, *a),
     )
+    monkeypatch.setattr(
+        groebner, "buchberger", lambda *a, **k: blocks.append(real_buchberger(*a, **k)) or blocks[-1]
+    )
     got = quotient_by_element(ci, h)
     ((kept, ring),) = calls
+    (block,) = blocks
+    assert ring == ci.ring.with_order(GREVLEX) and kept
+    assert all(len(e.lead) == ring.width for e in kept)
     # u leads the block order, so a u-free lead makes the whole entry u-free
-    u = ring.aux_index(ring.num_aux - 1)
-    assert ring.num_aux == 1 and kept and all(e.lead[u] == 0 for e in kept)
+    u = block.ring.aux_index(block.ring.num_aux - 1)
+    assert block.ring.num_aux == 1 and len(kept) == sum(e.lead[u] == 0 for e in block._minimal)
+    assert "_entries" not in vars(block)
     monkeypatch.undo()
     assert got.generators == quotient_by_division(ci, h).generators
 
