@@ -20,8 +20,8 @@ basis (an elimination, I : g, I : x_n^oo) is seeded: its grevlex basis
 comes from packed entries through a `groebner` function
 (`eliminated_basis`, `divided_basis`, `saturated_basis`) and its
 generators are that basis's reduced elements (`_with_seeded_gb`), with no
-Polynomial built in between.  `essential_form` writes quadrics in their
-essential variables, for classification and tangent spaces alike.
+Polynomial built in between.  `essential_form` writes forms of any degree
+in their essential variables, for classification and tangent spaces alike.
 """
 
 from __future__ import annotations
@@ -352,59 +352,63 @@ def _integer_partials(g):
     return partials
 
 
-def essential_form(ring, quadrics):
-    """(I', columns): the ideal of the quadrics, polynomials of
+def essential_form(ring, forms):
+    """(I', columns): the ideal of the forms, homogeneous polynomials of
     ring = QQ[x_0..x_n], written in their m = max(4, k) essential variables
-    y_0..y_(m-1), with k the dimension of the span W of their first
-    partials.  y_i stands for x_(columns[i]): columns lists the pivot
-    columns of W's rref basis, then the free columns in ascending order,
-    n + 1 entries in all, and the y_j with j >= m are the dropped variables.
-    When m >= n + 1 nothing is restricted: I' is the ideal of the quadrics in
-    ring itself and columns is the identity.
+    y_0..y_(m-1), with k the dimension of the span W below.  y_i stands for
+    x_(columns[i]): columns lists the pivot columns of W's rref basis, then
+    the free columns in ascending order, n + 1 entries in all, and the y_j
+    with j >= m are the dropped variables.  When m >= n + 1 nothing is
+    restricted: I' is the ideal of the forms in ring itself and columns is
+    the identity.
 
     The proof (E. Carlini, "Reducing the number of variables of a
     polynomial", Algebraic Geometry and Geometric Modeling, Springer 2006):
 
-      * let W be the span of the first partial derivatives of the quadrics.
-        Over QQ a quadric q = x^T Q x has gradient 2Qx, so the partials of
-        all the quadrics span the column spaces of their symmetric
-        matrices, and every kernel of a Q contains the orthogonal complement
-        of W;
+      * let W be the span of the rows r_mu = (coefficient of x^mu in
+        d f / d x_i)_i over the forms f and the monomials x^mu of their
+        first partials.  The coefficient of x^mu in d_v f is <v, r_mu>, so
+        v is orthogonal to W exactly when every d_v f is 0.  For a quadric
+        f = x^T Q x, r_(x_j) = 2Q e_j holds the coefficients of d f / d x_j,
+        as Q is symmetric: W is the span of the quadrics' partials;
       * let w_0..w_(k-1) be the reduced row echelon basis of W (as
         coefficient rows), w_i with pivot column p_i, and complete it by the
         unit rows at the free columns to an invertible matrix A.  Substitute
         x -> A^-1 y.  For j >= k column j of A^-1 is orthogonal to
-        w_0..w_(k-1), so it lies in every kernel and the substituted
-        quadrics do not involve y_j: they lie in S' = QQ[y_0..y_(m-1)] with
-        m = max(4, k);
+        w_0..w_(k-1), so the derivative of every form along it is zero and
+        the substituted forms do not involve y_j: they lie in
+        S' = QQ[y_0..y_(m-1)] with m = max(4, k);
       * for i < k column i of A^-1 is the unit vector e_(p_i), because
         A e_(p_i) = (w_0[p_i], ..., w_(k-1)[p_i], 0, ..., 0) = e_i: an rref
         row is 1 at its own pivot and 0 at the others, and e_(p_i) has no
         free entry.  Setting the absent y_j (j >= k) to 0 thus sends x to
-        y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted quadric
-        is the quadric with every free variable set to 0 and x_(p_i) renamed
+        y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted form
+        is the form with every free variable set to 0 and x_(p_i) renamed
         y_i.  The change of coordinates is a restriction, and A is never
         built.
 
-    So the substituted ideal gI of the quadrics is I'S.
+    So the substituted ideal gI of the forms is I'S.
     """
     nv = ring.num_vars
-    # a partial of a quadric is a linear form: one sparse row over the x_j
-    partials = linalg.RowSpan(nv)
-    for q in quadrics:
-        for p in _integer_partials(q):
-            partials.add({mono.index(1): c for mono, c in p.items()})
-    pivots = partials.pivots
+    span = linalg.RowSpan(nv)
+    for f in forms:
+        rows = {}   # x^mu -> r_mu, sparse over the partials d / d x_i
+        for i, partial in enumerate(_integer_partials(f)):
+            for mono, c in partial.items():
+                rows.setdefault(mono, {})[i] = c
+        for row in rows.values():
+            span.add(row)
+    pivots = span.pivots
     m = max(4, len(pivots))
     if m >= nv:
-        return Ideal(ring, quadrics), tuple(range(nv))
+        return Ideal(ring, forms), tuple(range(nv))
     # restrict to the free variables = 0 and rename x_(p_i) to y_i
     position = {p: i for i, p in enumerate(pivots)}
     small = PolyRing(m)
     restricted = []
-    for q in quadrics:
+    for f in forms:
         acc = {}
-        for mono, c in q.terms:
+        for mono, c in f.terms:
             if all(j in position for j, e in enumerate(mono) if e):
                 image = [0] * m
                 for j, e in enumerate(mono):

@@ -37,7 +37,7 @@ and the products of all syzygies and all shifts share their monomials:
 each monomial w = u * m_k is reduced once, the first time a column needs it,
 and the engine returns NF(w) as an integer remainder over its scale.  Only
 monomials that occur in some product are reduced, never a whole degree,
-which keeps a wide full-ring system as cheap as its products.  A column is
+which keeps a wide system as cheap as its products.  A column is
 then integral over the scales of its products, and a row mixes columns with
 different scales, so each column cannot be cleared on its own without
 changing the row space; instead every entry of the block is multiplied by
@@ -50,13 +50,13 @@ rank unchanged.
 applied to the coordinates of the NF(g_j) of an assignment f_j -> g_j give
 L * NF(sum_j s_j * NF(g_j)), zero exactly when sum_j s_j * g_j lies in I.
 
-When every minimal generator is a quadric, the system is solved on the
-essential variables by flat base change.  `ideals.essential_form` finds the
-coordinates y = A x, A the rref of the generators' first partials completed
-by unit rows, in which the generators lie in S' = QQ[y_0..y_(m-1)] and
-generate I' there; so I = I'S with S = S'[z], z = y_m..y_n the
-d = n + 1 - m dropped variables (d = 0 and y = x when m >= n + 1).  S is a
-free S'-module, so I = I' (x)_S' S and
+The system is solved on the essential variables of the minimal generators,
+whatever their degrees, by flat base change.  `ideals.essential_form` finds
+the coordinates y = A x, A the rref of the coefficient rows of the
+generators' first partials completed by unit rows, in which the generators
+lie in S' = QQ[y_0..y_(m-1)] and generate I' there; so I = I'S with
+S = S'[z], z = y_m..y_n the d = n + 1 - m dropped variables (d = 0 and
+y = x when m >= n + 1).  S is a free S'-module, so I = I' (x)_S' S and
 
     Hom_S(I, S/I) = Hom_S'(I', S/I) = (+)_v Hom_S'(I', S'/I') * v
 
@@ -64,12 +64,11 @@ over the monomials v of QQ[z], since S/I = (+)_v (S'/I') * v and the
 finitely presented I' commutes Hom with the sum.  In degree zero the
 summand of a v of degree e is Hom_S'(I', S'/I')_(-e), and there are
 mult_e = C(d + e - 1, e) such v.  So dim Hom_S(I, S/I)_0 is the sum of
-mult_e * (cols_e - rank_e) over the shifts e = 0, 1, 2, where the system of
-shift e has the images of f_j in (S'/I')_(d_j - e) as unknowns and one
-equation per syzygy and standard monomial of (S'/I')_(shift - e); a shift
-e > 2 leaves no image for a quadric.  At d = 0 only e = 0 counts, and its
-system is the one above on I itself, which is also the path of an ideal with
-a generator of another degree.
+mult_e * (cols_e - rank_e) over the shifts e = 0..max d_j, where the system
+of shift e has the images of f_j in (S'/I')_(d_j - e) as unknowns and one
+equation per syzygy and standard monomial of (S'/I')_(shift - e); a larger
+shift leaves no image.  At d = 0 only e = 0 counts, and its system is the
+one above on I itself.
 
 The report describes the full system in the y coordinates, and that system
 is block diagonal: the reduced basis of I'S is the one of I' (no lead term
@@ -236,21 +235,17 @@ def _system(module, e):
 
 
 def hom_degree_zero(I):
-    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate, on
-    the essential variables when every minimal generator is a quadric (see
-    the module docstring)."""
+    """Compute dim Hom(I/I^2, S/I)_0 and return the system certificate,
+    solved on the essential variables of the minimal generators (see the
+    module docstring)."""
     _check_ring(I)
     if I.is_zero():
         raise ValueError("the zero ideal has no generators to deform")
     ring = I.ring
-    gens = minimal_generators(I)
-    if all(g.total_degree() == 2 for g in gens):
-        reduced, columns = essential_form(ring, gens)
-        gens = reduced.generators
-    else:
-        columns = range(ring.num_vars)
+    reduced, columns = essential_form(ring, minimal_generators(I))
+    gens = reduced.generators
     table = _NormalFormTable(syzygies(list(gens)))
-    dropped = ring.num_vars - gens[0].ring.num_vars
+    dropped = ring.num_vars - reduced.ring.num_vars
     degrees = tuple(g.total_degree() for g in gens)
     unknowns = [[] for _ in gens]   # exponents in y, per generator
     total = rank = rows = 0

@@ -687,3 +687,47 @@ def parse_by_tokens(text, ring):
     """`rings.parse` by tokens and recursive descent: the same strings are
     accepted and give the same polynomials; error positions may differ."""
     return _Parser(text, ring).parse()
+
+
+def to_sympy(p, gens):
+    """p as a sympy expression in the symbols gens, one per variable."""
+    import sympy
+
+    expr = 0
+    for mono, c in p.terms:
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, e in zip(gens, mono):
+            term *= g**e
+        expr += term
+    return expr
+
+
+def from_sympy_poly(poly, ring):
+    """A sympy Poly over QQ, its generators ring's variables in order, as a
+    polynomial of ring."""
+    terms = {}
+    for mono, c in zip(poly.monoms(), poly.coeffs()):
+        terms[tuple(int(e) for e in mono)] = Fraction(c.p, c.q)
+    return ring.from_dict(terms)
+
+
+def sympy_grevlex(exprs, syms, ring):
+    """sympy's reduced grevlex basis of exprs, polynomials in syms (ring's
+    variables in order), as monic polynomials of ring, descending."""
+    import sympy
+
+    if not exprs:
+        return []
+    basis = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    polys = [from_sympy_poly(sympy.Poly(g, *syms), ring).monic() for g in basis.exprs]
+    return sorted(polys, key=lambda q: ring.sort_key()(q.lead_monomial()), reverse=True)
+
+
+def sympy_eliminate(exprs, front, syms):
+    """The members free of the front symbols of sympy's lex basis with the
+    front symbols first: generators of the elimination ideal."""
+    import sympy
+
+    rest = [s for s in syms if s not in front]
+    basis = sympy.groebner(exprs, *front, *rest, order="lex", domain="QQ")
+    return [g for g in basis.exprs if not g.free_symbols & set(front)]

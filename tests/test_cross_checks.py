@@ -12,6 +12,8 @@ from hilbcomp.hilbert import hilbert_series
 from hilbcomp.ideals import Ideal, eliminate, intersect
 from hilbcomp.rings import GREVLEX, LEX, PolyRing, monomials_of_degree
 
+from oracles import from_sympy_poly, sympy_eliminate, sympy_grevlex, to_sympy
+
 sympy = pytest.importorskip("sympy")
 
 
@@ -29,23 +31,6 @@ def _random_polys(ring, rng, count, max_terms=4, max_deg=3):
     return out
 
 
-def _to_sympy(p, gens):
-    expr = 0
-    for mono, c in p.terms:
-        term = sympy.Rational(c.numerator, c.denominator)
-        for g, e in zip(gens, mono):
-            term *= g**e
-        expr += term
-    return expr
-
-
-def _from_sympy_poly(poly, ring):
-    terms = {}
-    for mono, c in zip(poly.monoms(), poly.coeffs()):
-        terms[tuple(int(e) for e in mono)] = Fraction(c.p, c.q)
-    return ring.from_dict(terms)
-
-
 @pytest.mark.parametrize("order_name", ["grevlex", "lex"])
 def test_reduced_bases_match_reference_implementation(order_name):
     rng = random.Random(2024)
@@ -56,13 +41,13 @@ def test_reduced_bases_match_reference_implementation(order_name):
         polys = _random_polys(ring, rng, rng.randint(2, 4))
         mine = buchberger(polys, order, transform=False)
         theirs = sympy.groebner(
-            [_to_sympy(p, gens_syms) for p in polys],
+            [to_sympy(p, gens_syms) for p in polys],
             *gens_syms,
             order=order_name,
             domain="QQ",
         )
         converted = sorted(
-            (_from_sympy_poly(p, ring.with_order(order)) for p in theirs.polys),
+            (from_sympy_poly(p, ring.with_order(order)) for p in theirs.polys),
             key=lambda q: ring.with_order(order).sort_key()(q.lead_monomial()),
             reverse=True,
         )
@@ -93,24 +78,6 @@ def test_series_coefficients_match_direct_count_on_random_monomial_ideals():
             assert data.series_coefficient(d) == count, (gens, d)
 
 
-def _sympy_grevlex(exprs, syms, ring):
-    """sympy's reduced grevlex basis of exprs, polynomials in syms (ring's
-    variables in order), as monic polynomials of ring, descending."""
-    if not exprs:
-        return []
-    basis = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
-    polys = [_from_sympy_poly(sympy.Poly(g, *syms), ring).monic() for g in basis.exprs]
-    return sorted(polys, key=lambda q: ring.sort_key()(q.lead_monomial()), reverse=True)
-
-
-def _sympy_eliminate(exprs, front, syms):
-    """The members free of the front symbols of sympy's lex basis with the
-    front symbols first: generators of the elimination ideal."""
-    rest = [s for s in syms if s not in front]
-    basis = sympy.groebner(exprs, *front, *rest, order="lex", domain="QQ")
-    return [g for g in basis.exprs if not g.free_symbols & set(front)]
-
-
 @pytest.mark.parametrize("front", [[1], [1, 3], [3], [2, 3]])
 def test_eliminate_matches_sympy_elimination(front):
     # a lex basis with the front variables first eliminates them; its
@@ -122,8 +89,8 @@ def test_eliminate_matches_sympy_elimination(front):
     for trial in range(6):
         polys = _random_polys(ring, rng, 3, max_terms=3, max_deg=2)
         got = eliminate(Ideal(ring, polys), front)
-        elim = _sympy_eliminate([_to_sympy(p, syms) for p in polys], [syms[i] for i in front], syms)
-        want = _sympy_grevlex(elim, syms, ring)
+        elim = sympy_eliminate([to_sympy(p, syms) for p in polys], [syms[i] for i in front], syms)
+        want = sympy_grevlex(elim, syms, ring)
         assert [g.terms for g in got.generators] == [g.terms for g in want], (front, trial)
         assert got.groebner_basis().elements == got.generators
 
@@ -138,7 +105,7 @@ def test_intersect_matches_sympy_elimination():
         I = _random_polys(ring, rng, rng.randint(1, 2), max_terms=3, max_deg=2)
         J = _random_polys(ring, rng, rng.randint(1, 2), max_terms=3, max_deg=2)
         got = intersect(Ideal(ring, I), Ideal(ring, J))
-        exprs = [t * _to_sympy(p, syms) for p in I] + [(1 - t) * _to_sympy(p, syms) for p in J]
-        want = _sympy_grevlex(_sympy_eliminate(exprs, [t], (t, *syms)), syms, ring)
+        exprs = [t * to_sympy(p, syms) for p in I] + [(1 - t) * to_sympy(p, syms) for p in J]
+        want = sympy_grevlex(sympy_eliminate(exprs, [t], (t, *syms)), syms, ring)
         assert [g.terms for g in got.generators] == [g.terms for g in want], trial
         assert got.groebner_basis().elements == got.generators

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hilbcomp import fixtures, linalg, loads_ideal, tangent
 from hilbcomp.classify import normal_form_ideal
 from hilbcomp.errors import HomogeneityError
 from hilbcomp.groebner import _ring_packing, syzygies
+from hilbcomp.hilbert import hilbert_function
 from hilbcomp.ideals import Ideal, random_linear_change
 from hilbcomp.rings import PolyRing, _mono_mul, monomials_of_degree, parse
 from hilbcomp.tangent import explicit_basis_check, hom_degree_zero, minimal_generators
@@ -415,6 +417,17 @@ _FULL_RING_CASES = [
     ("conic_plane", lambda: fixtures.get("ideal_conic_plane").payload),
     ("conic_space", lambda: fixtures.get("ideal_conic_space").payload),
     ("cubic_generator", _cubic_generator_ideal),
+] + [
+    # generators of other degrees than two in fewer variables than the ring's
+    (f"moved-{name}-P{nv - 1}", lambda nv=nv, gens=gens, seed=seed: random_linear_change(
+        Ideal(PolyRing(nv), gens), seed=seed))
+    for seed, (name, nv, gens) in enumerate([
+        ("x3,x2^3,x1x2^2", 5, ["x3", "x2^3", "x1*x2^2"]),
+        ("x3,x2^3,x1x2^2", 6, ["x3", "x2^3", "x1*x2^2"]),
+        ("x0,x1^2,x2^3", 6, ["x0", "x1^2", "x2^3"]),
+        ("x0x1x2,x3^4", 6, ["x0*x1*x2", "x3^4"]),
+        ("x0^2,x1^3,x0x1x2", 5, ["x0^2", "x1^3", "x0*x1*x2"]),
+    ])
 ]
 
 
@@ -426,22 +439,42 @@ def test_essential_variables_match_the_full_ring_oracle(name, build):
     assert _counts(hom_degree_zero(I)) == tangent_counts_by_polynomials(I)
 
 
-def test_only_quadric_generators_take_the_essential_variables(monkeypatch):
-    # a linear or cubic minimal generator keeps the full-ring system, and a
-    # redundant cubic does not stop the quadrics from dropping variables
+def test_every_ideal_takes_its_essential_variables(monkeypatch):
+    # minimal generators of any degree drop the variables they do not need,
+    # none are dropped when the ring has no more variables than the essential
+    # ones, and a redundant cubic does not stop the quadrics from dropping
     seen = []
     real = tangent.essential_form
 
-    def spy(ring, quadrics):
-        reduced, columns = real(ring, quadrics)
+    def spy(ring, forms):
+        reduced, columns = real(ring, forms)
         seen.append(ring.num_vars - reduced.ring.num_vars)
         return reduced, columns
 
     monkeypatch.setattr(tangent, "essential_form", spy)
-    for fallback in (fixtures.get("ideal_conic_plane").payload, _cubic_generator_ideal()):
-        hom_degree_zero(fallback)
-    assert seen == []
+    hom_degree_zero(random_linear_change(Ideal(PolyRing(7), ["x3", "x2^3", "x1*x2^2"]), seed=5))
+    assert seen == [3]
+    for full in (
+        fixtures.get("ideal_conic_plane").payload,
+        fixtures.get("ideal_conic_space").payload,
+        _cubic_generator_ideal(),
+    ):
+        hom_degree_zero(full)
+    assert seen == [3, 0, 0, 0]
     S = PolyRing(6)
     padded = Ideal(S, ["x0*x1", "x2*x3", "x0*x1*x5"])
     assert hom_degree_zero(padded).dimension == hom_degree_zero(Ideal(S, ["x0*x1", "x2*x3"])).dimension
-    assert seen == [2, 2]
+    assert seen == [3, 0, 0, 0, 2, 2]
+
+
+def test_a_non_quadric_ideal_in_p30_is_solved_on_its_essential_variables():
+    # three essential variables of thirty-one: the system is that of P^3 and
+    # its copies, so it is fast, and its counts need no tangent code to check
+    S = PolyRing(31)
+    base = Ideal(S, ["x3", "x2^3", "x1*x2^2"])
+    I = random_linear_change(base, seed=5)
+    start = time.process_time()
+    report = hom_degree_zero(I)
+    assert time.process_time() - start < 10
+    assert report.total_unknowns == sum(hilbert_function(I, d) for d in report.generator_degrees) == 9946
+    assert report.dimension == hom_degree_zero(base).dimension == 550
