@@ -24,15 +24,15 @@ layout, so a polynomial of any compatible ring reduces against a basis
 without conversion.
 
 A syzygy row is one packed {mono: int} dict per entry.  `syzygies` lifts,
-makes primitive and prunes its rows in that form and unpacks only the rows
-it publishes (`_row_polys`); a `SyzygyModule` packs those back once, over
-one denominator per row (`_pack_row`), for `verify`, `contains` and the
-tangent table.  The row helpers take the target's degrees, computed once
-per call, in place of the target, and flatten a row's graded piece into a
-sparse integer row, {column: nonzero int}, the one row format of
-`linalg.RowSpan` (`_row_coordinates`).  `_graded_prune` also trims the rows
-(g,) against degree 0, the target (1,), for `tangent.minimal_generators`; a
-row's shift is read off its terms.
+makes primitive and prunes its rows in that form, and a `SyzygyModule` is
+those packed rows: `verify`, `contains` and the tangent table read them,
+and only a read of `generators` unpacks them (`_row_polys`).  The row
+helpers take the target's degrees, computed once per module, in place of
+the target, and flatten a row's graded piece into a sparse integer row,
+{column: nonzero int}, the one row format of `linalg.RowSpan`
+(`_row_coordinates`).  `_graded_prune` also trims the rows (g,) against
+degree 0, the target (1,), for `tangent.minimal_generators`; a row's shift
+is read off its terms.
 
 Reduced Groebner bases are canonical for (ideal, order): monic, fully
 autoreduced, sorted descending by leading monomial, which makes ideal
@@ -65,7 +65,6 @@ import heapq
 import itertools
 import random
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul
@@ -394,7 +393,6 @@ def _reduced_spairs(entries, pk):
             yield i, j, den, shifts, _reduce_int(s, entries, pk, want_quotients=True)
 
 
-@dataclass(frozen=True, init=False)
 class GroebnerBasis:
     """Groebner basis: packed minimal entries, reduced on first read.
 
@@ -404,45 +402,39 @@ class GroebnerBasis:
     stand in `_minimal` for the unreduced ones.  elements are monic and sorted
     descending by leading monomial in `ring` (which carries the order).  When
     tracked, elements = transform . generators, else transform is None; a
-    seeded basis (`seeded_basis`) has its elements as its generators.
+    seeded basis (`seeded_basis`) has its elements as its generators.  A
+    basis compares and hashes by identity; `Ideal.__eq__` compares ideals.
     """
 
-    ring: object
-    elements: tuple
-    generators: tuple
-    transform: tuple
-
     def __init__(self, ring, minimal, generators=None, tracked=False):
-        vars(self).update(ring=ring, _minimal=minimal, _tracked=tracked)
+        self.ring, self._minimal, self._tracked = ring, minimal, tracked
         if generators is not None:
-            vars(self)["generators"] = generators
-        if not tracked:
-            vars(self)["transform"] = None
+            self.generators = generators    # stands in for the cached view
 
-    def __getattr__(self, name):
-        # called only for a missing attribute: the elements, the transform
-        # and a seeded basis's generators, on their first read
-        if name == "elements":
-            value = _monic(self.ring, self._entries)
-        elif name == "transform":
-            # the vec of an entry over its lc expresses the monic element
-            value = tuple(
-                tuple(_poly(self.ring, sorted(v.items(), reverse=True), Fraction(1, e.lc))
-                      for v in e.vec)
-                for e in self._entries
-            )
-        elif name == "generators":
-            value = self.elements
-        else:
-            raise AttributeError(name)
-        vars(self)[name] = value
-        return value
+    @functools.cached_property
+    def generators(self):
+        return self.elements
+
+    @functools.cached_property
+    def elements(self):
+        return _monic(self.ring, self._entries)
+
+    @functools.cached_property
+    def transform(self):
+        if not self._tracked:
+            return None
+        # the vec of an entry over its lc expresses the monic element
+        return tuple(
+            tuple(_poly(self.ring, sorted(v.items(), reverse=True), Fraction(1, e.lc))
+                  for v in e.vec)
+            for e in self._entries
+        )
 
     @functools.cached_property
     def _entries(self):
         """The packed entries of the reduced basis, descending by lead."""
         entries = _interreduced(self._minimal, self.ring, self._tracked)
-        vars(self)["_minimal"] = entries[::-1]
+        self._minimal = entries[::-1]
         return entries
 
     @property
@@ -485,7 +477,10 @@ class GroebnerBasis:
         ]
 
     def contains(self, f):
-        return self.reduce(f).is_zero()
+        if not f.ring.compatible(self.ring):
+            raise RingMismatchError("polynomial is not in the basis ring")
+        pk = _ring_packing(self.ring)
+        return not _reduce_int(_int_terms(f, pk)[0], self._entries, pk)[0]
 
     def spair_certificate(self):
         """True when every S-pair of the basis reduces to zero."""
@@ -728,34 +723,43 @@ def saturated_basis(gb):
     ])
 
 
-@dataclass(frozen=True)
 class SyzygyModule:
     """Generating set of the first syzygies of a fixed generator tuple.
 
-    Every row satisfies sum(row[j] * target[j]) == 0 exactly; rows are
-    homogeneous with the recorded degree shifts and generate the full
-    module (Schreyer construction lifted through the basis transform).
-    `basis` is the reduced basis `syzygies` built them on (None if given).
-    `_packed` is the one packed copy of `generators` (module docstring).
+    `rows` are packed, one {mono: int} dict per target entry; each
+    satisfies sum(row[j] * target[j]) == 0 exactly, is homogeneous of the
+    shift read off its terms, and together they generate the full module
+    (Schreyer construction lifted through the basis transform).  `basis` is
+    the reduced basis `syzygies` built them on (None if given).  Reading
+    `generators` unpacks the rows and packs them back, so each published
+    row is one that `verify` certifies.  Compared and hashed by identity.
     """
 
-    ring: object
-    target: tuple
-    generators: tuple
-    shifts: tuple
-    basis: GroebnerBasis = field(default=None, compare=False, repr=False)
+    def __init__(self, ring, target, rows, basis=None):
+        self.ring, self.target, self.rows, self.basis = ring, target, rows, basis
 
     @functools.cached_property
-    def _packed(self):
+    def degrees(self):
+        return tuple(f.total_degree() for f in self.target)
+
+    @functools.cached_property
+    def shifts(self):
+        return tuple(_row_shift(self.ring, self.degrees, row) for row in self.rows)
+
+    @functools.cached_property
+    def generators(self):
         pk = _ring_packing(self.ring)
-        return tuple(_pack_row(row, pk) for row in self.generators)
+        polys = tuple(_row_polys(self.ring, row) for row in self.rows)
+        if any(_pack_row(p, pk) != list(row) for p, row in zip(polys, self.rows)):
+            raise AssertionError("syzygy construction produced an inexact relation")
+        return polys
 
     def verify(self):
         """True when sum_j s_j * [f_j], the one-entry `_combination` of each
         packed row with the target packed over one denominator, is zero."""
         pk = _ring_packing(self.ring)
         target = [[f] for f in _pack_row(self.target, pk)]
-        return not any(_combination([*zip(row, target)], (), None, pk)[0] for row in self._packed)
+        return not any(_combination([*zip(row, target)], (), None, pk)[0] for row in self.rows)
 
     def contains(self, candidate):
         """Degreewise module membership for a homogeneous candidate row;
@@ -763,10 +767,9 @@ class SyzygyModule:
         if not all(s.is_homogeneous() for s in candidate):
             raise HomogeneityError("syzygy row is not homogeneous")
         row = _pack_row(candidate, _ring_packing(self.ring))
-        degrees = tuple(f.total_degree() for f in self.target)
-        shift = _row_shift(self.ring, degrees, row)
-        coords = _row_coordinates(self.ring, degrees, row, shift)
-        return coords in _degree_span(self.ring, degrees, self._packed, shift)
+        shift = _row_shift(self.ring, self.degrees, row)
+        coords = _row_coordinates(self.ring, self.degrees, row, shift)
+        return coords in _degree_span(self.ring, self.degrees, self.rows, shift)
 
 
 def _row_shift(ring, degrees, row):
@@ -835,9 +838,8 @@ def syzygies(gens):
     The lift is integral: A is cleared to packed {mono: int} entries over one
     common denominator and v . A summed from v scaled by the D = scale * den
     of its division.  Each row is made primitive (coprime integers, the lead
-    term of its first nonzero entry positive) and pruned while packed; only
-    the rows kept become Polynomials (`_row_polys`), and `verify` certifies
-    those published rows, packed again from them.
+    term of its first nonzero entry positive) and pruned while packed; the
+    module holds the rows kept, packed, and `verify` certifies them.
     """
     gens = list(gens)
     if not gens:
@@ -885,19 +887,13 @@ def syzygies(gens):
 
     degrees = tuple(g.total_degree() for g in gb.generators)
     rows = [primitive(row) for row in rows if any(row)]
-    pruned = [rows[i] for i in _graded_prune(ring, degrees, rows)]
-    module = SyzygyModule(
-        ring,
-        gb.generators,
-        tuple(_row_polys(ring, row) for row in pruned),
-        tuple(_row_shift(ring, degrees, row) for row in pruned),
-        gb,
-    )
+    pruned = tuple(rows[i] for i in _graded_prune(ring, degrees, rows))
+    module = SyzygyModule(ring, gb.generators, pruned, gb)
     if not module.verify():
         raise AssertionError("syzygy construction produced an inexact relation")
     return module
 
 
 def _row_polys(ring, row):
-    """The Polynomials of a packed integer row: how `syzygies` publishes it."""
+    """The Polynomials of a packed integer row: how a module publishes it."""
     return tuple(_poly(ring, sorted(t.items(), reverse=True)) for t in row)

@@ -25,10 +25,10 @@ it); it uses the tuple helpers only for the pair bookkeeping on the leads
 of its basis elements.  A derived ideal is seeded from packed entries
 (`groebner.seeded_basis`), so only its reduced elements cross.  Outside
 `groebner`, only `flat_limit` and `tangent` touch packed monomials.  A
-syzygy row crosses twice: `syzygies` unpacks the rows it publishes, and the
-module packs them back once for the engine's readers.  A row of linear
-algebra is a sparse integer dict, and `linalg._span` is the one place that
-clears a dense row's denominators.
+syzygy row stays packed in its module, and crosses only when a caller
+reads the module's `generators`.  A row of linear algebra is a sparse
+integer dict, and `linalg._span` is the one place that clears a dense
+row's denominators.
 """
 
 from __future__ import annotations

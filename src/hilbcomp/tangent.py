@@ -26,10 +26,9 @@ one row format of `linalg.RowSpan`, which reads its rank.  The unknown of
 column (j, k) is the coefficient of the standard monomial m_k in the image
 of f_j, so the block of equations of one syzygy (s_1..s_r) has in column
 (j, k) the coordinates of NF(s_j * m_k) over the standard monomials of the
-syzygy's degree.  Each row is read as the module packed it
-(`SyzygyModule._packed`, a positive multiple of the published row, which
-changes no row space), with integer terms s_j = sum_u c_u * u, and the
-normal form is linear:
+syzygy's degree.  Each row is read as the module holds it
+(`SyzygyModule.rows`, primitive integer rows), with integer terms
+s_j = sum_u c_u * u, and the normal form is linear:
 
     NF(s_j * m_k) = sum_u c_u * NF(u * m_k),
 
@@ -152,18 +151,17 @@ def _check_ring(I):
 
 
 class _NormalFormTable:
-    """The tangent systems of one syzygy module for every shift e: its rows
-    as the module packed them, each degree's standard monomials listed once,
-    and each product monomial reduced once (module docstring)."""
+    """The tangent systems of one syzygy module for every shift e: its
+    packed rows, each degree's standard monomials listed once, and each
+    product monomial reduced once (module docstring)."""
 
     def __init__(self, module):
         gb = module.basis
         self._gb = gb
         self._pk = _ring_packing(gb.ring)
-        self._target_degrees = [f.total_degree() for f in module.target]
+        self._target_degrees = module.degrees
         self._shifts = module.shifts
-        # integer rows, each a positive multiple of the published one
-        self._rows = module._packed
+        self._rows = module.rows
         self._degrees = {}   # d -> (standard monomials, {packed: position})
         self._nf = {}        # packed w -> (scale, [(k, v)]): NF(w) == sum v * m_k / scale
 
@@ -227,11 +225,6 @@ class _NormalFormTable:
                 if eq:
                     rows.append(eq)
         return bases, rows
-
-
-def _system(module, e):
-    """`_NormalFormTable.system` of shift e, on a table of its own."""
-    return _NormalFormTable(module).system(e)
 
 
 def hom_degree_zero(I):
@@ -302,7 +295,7 @@ def _explicit_vectors(I, assignments):
     if any(len(images) != len(gens) for images in assignments):
         raise ValueError("need exactly one image per generator")
     module = syzygies(list(gens))
-    bases, rows = _system(module, 0)
+    bases, rows = _NormalFormTable(module).system(0)
     vectors = [_coordinates(module, bases, images) for images in assignments]
     ok = all(not sum(a * v[c] for c, a in row.items()) for row in rows for v in vectors)
     return ok, vectors

@@ -204,18 +204,14 @@ def _check_double_structure(n, k):
     data = hilbert_series(ideal)
     expected = {}
     computed = {}
-    ok = True
     for m in range(k + 1, k + 6):
-        want = double_structure_hilbert_count(n, k, m)
-        got = hilbert_function(ideal, m)
-        expected[f"m={m}"] = want
-        computed[f"m={m}"] = got
-        ok = ok and want == got
-    matches_reference = data.hilbert_polynomial == pair_hilbert_polynomial(n)
+        expected[f"m={m}"] = double_structure_hilbert_count(n, k, m)
+        computed[f"m={m}"] = hilbert_function(ideal, m)
     expected["matches_reference_polynomial"] = (k == 1)
-    computed["matches_reference_polynomial"] = matches_reference
-    ok = ok and (matches_reference == (k == 1))
-    return expected, computed, ok
+    computed["matches_reference_polynomial"] = (
+        data.hilbert_polynomial == pair_hilbert_polynomial(n)
+    )
+    return expected, computed, expected == computed
 
 
 def _check_limit(name, expected_label, n, seed):
@@ -278,21 +274,16 @@ def _check_explicit_elements(n):
 def _check_classify(n, seed):
     expected = {}
     computed = {}
-    ok = True
     for label in TYPE_LABELS:
         base = normal_form_ideal(n, label)
-        got = classify(base, seed=seed).label
         expected[f"{label}:base"] = label
-        computed[f"{label}:base"] = got
-        ok = ok and got == label
+        computed[f"{label}:base"] = classify(base, seed=seed).label
         for trial in range(CLASSIFY_SEEDS):
             s = seed * 1000 + trial * 17 + n
             moved = random_linear_change(base, seed=s)
-            got = classify(moved, seed=s + 1).label
             expected[f"{label}:{trial}"] = label
-            computed[f"{label}:{trial}"] = got
-            ok = ok and got == label
-    return expected, computed, ok
+            computed[f"{label}:{trial}"] = classify(moved, seed=s + 1).label
+    return expected, computed, expected == computed
 
 
 def _check_relations(space, n, corrupt):
@@ -330,7 +321,6 @@ def _check_chambers(space, n):
     lattice, probes = (hn_lattice(n), _HN_PROBES) if space == HN else (wn_lattice(n), _WN_PROBES)
     expected = {}
     computed = {}
-    ok = True
     for coords, chamber, locus, *models in probes:
         rep = chamber_of(lattice.divisor(coords), n)
         key = str(list(coords))
@@ -344,8 +334,7 @@ def _check_chambers(space, n):
             "base_locus": list(rep.base_locus),
             "model": rep.model,
         }
-        ok = ok and expected[key] == computed[key]
-    return expected, computed, ok
+    return expected, computed, expected == computed
 
 
 def _check_fano(space, n):

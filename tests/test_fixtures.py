@@ -51,17 +51,12 @@ def test_mu_columns_generate_the_syzygies():
         assert module.contains(tuple(mu[i][j] for i in range(4)))
     # ... and each computed generator lies in the column span, so the two
     # generating sets present the same module
-    from hilbcomp.groebner import SyzygyModule, _pack_row, _ring_packing, _row_shift
+    from hilbcomp.groebner import SyzygyModule, _pack_row, _ring_packing
 
     ring = lam[0].ring
-    columns = tuple(tuple(mu[i][j] for i in range(4)) for j in range(4))
-    degrees = tuple(f.total_degree() for f in lam)
-    column_module = SyzygyModule(
-        ring,
-        tuple(lam),
-        columns,
-        tuple(_row_shift(ring, degrees, _pack_row(c, _ring_packing(ring))) for c in columns),
-    )
+    pk = _ring_packing(ring)
+    columns = tuple(_pack_row([mu[i][j] for i in range(4)], pk) for j in range(4))
+    column_module = SyzygyModule(ring, tuple(lam), columns)
     assert column_module.verify()
     for row in module.generators:
         assert column_module.contains(row)

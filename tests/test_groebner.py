@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import types
 from fractions import Fraction
@@ -10,6 +9,7 @@ from hilbcomp import fixtures, linalg, loads_ideal, normal_form_ideal, random_li
 from hilbcomp.errors import HomogeneityError, KernelError, MonomialOverflowError
 from hilbcomp.groebner import (
     _MASK,
+    SyzygyModule,
     _add_product,
     _int_terms,
     _monomial_index,
@@ -548,9 +548,8 @@ def test_packed_syzygy_check_agrees_with_polynomial_oracle(name, build):
     mono = rng.choice(monomials_of_degree(ring.width, shift - target[j].total_degree()))
     for entry in (row[j].scale(2), row[j] + ring.from_dict({mono: 1})):
         bad_row = row[:j] + (entry,) + row[j + 1:]
-        bad = dataclasses.replace(
-            module, generators=module.generators[:i] + (bad_row,) + module.generators[i + 1:]
-        )
+        bad_rows = module.rows[:i] + (_pack_row(bad_row, pk),) + module.rows[i + 1:]
+        bad = SyzygyModule(ring, target, bad_rows, module.basis)
         assert not bad.verify()
         assert not syzygy_verify_by_polynomials(bad)
         want = row_coordinates_by_products(ring, target, bad_row, shift)
@@ -560,9 +559,10 @@ def test_packed_syzygy_check_agrees_with_polynomial_oracle(name, build):
 
 @pytest.mark.parametrize("name", ["moved_IV_n4", "random_grevlex_3"])
 def test_syzygies_certify_the_rows_they_publish(name, monkeypatch):
-    # the lifted rows are pruned while packed and only the kept ones become
-    # Polynomials; verify() reads those published rows, so a coefficient
-    # changed on the way out is caught, not hidden by the packed lift
+    # the lifted rows are pruned and kept packed, and verify() certifies
+    # those; only a read of generators makes them Polynomials, and each one
+    # must pack back to its certified row, so a coefficient changed on the
+    # way out is caught, not hidden by the packed rows
     from hilbcomp import groebner
 
     data = Path(__file__).parent / "data"
@@ -573,7 +573,8 @@ def test_syzygies_certify_the_rows_they_publish(name, monkeypatch):
         groebner, "_row_polys", lambda ring, row: published.append(row) or real(ring, row)
     )
     module = syzygies(gens)
-    assert len(published) == len(module.generators)
+    assert not published
+    assert len(module.generators) == len(published) == len(module.rows)
 
     def corrupted(ring, row):
         # doubles one coefficient of the first published row
@@ -587,8 +588,39 @@ def test_syzygies_certify_the_rows_they_publish(name, monkeypatch):
 
     published.clear()
     monkeypatch.setattr(groebner, "_row_polys", corrupted)
+    module = syzygies(gens)
     with pytest.raises(AssertionError, match="inexact relation"):
-        syzygies(gens)
+        module.generators
+
+
+_MOVED = [(label, n) for n in (3, 4, 5) for label in ("I", "II", "III", "IV")]
+
+
+@pytest.mark.parametrize("label,n", _MOVED, ids=[f"{label}-n{n}" for label, n in _MOVED])
+def test_syzygy_shifts_and_generators_are_views_of_the_packed_rows(label, n):
+    # a module is its packed rows: the shifts are read off them, so a module
+    # built from the rows alone has the same ones, and the published rows
+    # pack back to them and have those degrees
+    data = Path(__file__).parent / "data"
+    ideal = loads_ideal((data / f"moved_{label}_n{n}.ideal").read_text())
+    module = syzygies(list(ideal.generators))
+    ring, target = module.ring, module.target
+    assert SyzygyModule(ring, target, module.rows).shifts == module.shifts
+    pk = _ring_packing(ring)
+    for row, packed, shift in zip(module.generators, module.rows, module.shifts):
+        assert _pack_row(row, pk) == packed
+        assert {s.total_degree() + f.total_degree() for s, f in zip(row, target) if s} == {shift}
+
+
+def test_basis_identity_reads_no_reduced_basis():
+    # a basis compares and hashes by identity, and its repr reads nothing
+    # lazy: none of them interreduces or unpacks the elements
+    gens = quads("x0^2 - x1*x2", "x0*x1 + x3^2", "x1^2 - x2*x3")
+    for transform in (False, True):
+        gb = buchberger(gens, transform=transform)
+        hash(gb), repr(gb)
+        assert gb == gb and gb != buchberger(gens, transform=transform)
+        assert "_entries" not in vars(gb) and "elements" not in vars(gb)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -149,6 +150,25 @@ def test_hom_degree_zero_builds_one_basis(monkeypatch):
     assert calls == [True]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_hom_degree_zero_builds_no_polynomial_syzygy_row(label, n, monkeypatch):
+    # the tangent table reads the module's packed rows; the reports are the
+    # golden `hilbcomp --format json tangent` output
+    from hilbcomp import groebner
+
+    unpacked = []
+    real = groebner._row_polys
+    monkeypatch.setattr(
+        groebner, "_row_polys", lambda ring, row: unpacked.append(row) or real(ring, row)
+    )
+    data = Path(__file__).parent / "data"
+    report = hom_degree_zero(loads_ideal((data / f"moved_{label}_n{n}.ideal").read_text()))
+    assert not unpacked
+    golden = json.loads((data / f"moved_{label}_n{n}.tangent.json").read_text())
+    assert report.to_json() == golden
+
+
 def test_report_json_shape():
     report = hom_degree_zero(normal_form_ideal(3, "IV"))
     payload = report.to_json()
@@ -239,7 +259,7 @@ def test_explicit_check_matches_reduction_oracle(name, build):
     # standard quadric to one image
     I = build()
     ring = I.ring
-    bases, rows = tangent._system(syzygies(list(I.generators)), 0)
+    bases, rows = tangent._NormalFormTable(syzygies(list(I.generators))).system(0)
     width = sum(map(len, bases))
     null = linalg.nullspace([densify(row, width) for row in rows], width)
     rng = random.Random(f"explicit-check:{name}")
@@ -314,7 +334,7 @@ _ORACLE_CASES = [
 def test_integer_system_matches_polynomial_oracle(name, build):
     I = build()
     module = syzygies(list(minimal_generators(I)))
-    bases, rows = tangent._system(module, 0)
+    bases, rows = tangent._NormalFormTable(module).system(0)
     rows = [densify(row, sum(map(len, bases))) for row in rows]
     degrees = [f.total_degree() for f in module.target]
     if name == "mixed_degree":
