@@ -17,7 +17,7 @@ print("(x0+x1)(x0-x1) =", p)
 
 # Text round-trips through the canonical format.
 q = parse("2/3*x0^2 - x1*x3 + 5", R)
-print("parsed:", q, "| leading coefficient:", q.lead_coeff())
+print("parsed:", q, "| leading monomial:", q.lead_monomial())
 
 # Orders are pluggable; the same polynomial sorts differently under lex.
 f = x0 * x3**2 + x1**2 * x2
@@ -28,7 +28,7 @@ print("lex leading monomial:    ", f.convert(R.with_order(LEX)).terms[0][0])
 Rt = PolyRing(4, has_param=True)
 pencil = parse("t*x0*x3 - x1*x2", Rt)
 print("pencil member:", pencil)
-print("total degree:", pencil.total_degree(), "| degree in x:", pencil.x_degree())
+print("total degree:", pencil.total_degree(), "| homogeneous in x:", pencil.is_x_homogeneous())
 
 # Substitution is an exact ring map:  x2 -> x1 + t*x2 shears a coordinate.
 sheared = parse("x1*x2", Rt).substitute({2: Rt.x(1) + Rt.t * Rt.x(2)})

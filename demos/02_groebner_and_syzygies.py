@@ -11,7 +11,7 @@ x0, x1, x2, x3 = (R.x(i) for i in range(4))
 gens = [x0 * x2, x0 * x3, x1 * x2, x1 * x3]
 gb = buchberger(gens)
 print("reduced basis:", [str(g) for g in gb.elements])
-print("all S-pairs reduce to zero:", gb.spair_certificate())
+print("leading monomials:", gb.lead_monomials())
 
 # Membership is a zero normal form.
 print("x0*x2*x3 in the ideal:", gb.reduce(x0 * x2 * x3).is_zero())

@@ -36,7 +36,6 @@ from .groebner import (
     SyzygyModule,
     buchberger,
     eliminate_generators,
-    exact_divide,
     syzygies,
 )
 from .ideals import (
@@ -44,7 +43,6 @@ from .ideals import (
     dumps_ideal,
     eliminate,
     ideal_product,
-    ideal_sum,
     intersect,
     irrelevant_ideal,
     load_ideal,
@@ -52,7 +50,6 @@ from .ideals import (
     quotient,
     random_linear_change,
     saturate,
-    save_ideal,
 )
 from .hilbert import (
     HilbertData,
@@ -63,7 +60,7 @@ from .hilbert import (
     hilbert_series,
     pair_hilbert_polynomial,
 )
-from .flat_limit import Family, FlatnessReport, family, fiber, flatness_probe, limit_ideal
+from .flat_limit import Family, FlatnessReport, fiber, flatness_probe, limit_ideal
 from .tangent import TangentReport, explicit_basis_check, hom_degree_zero, minimal_generators
 from .classify import (
     SchemeType,
@@ -87,7 +84,6 @@ from .picard import (
     is_fano,
     pairing,
     solve_relations,
-    validate_base_locus_data,
     wn_lattice,
 )
 from . import fixtures

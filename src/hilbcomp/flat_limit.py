@@ -135,11 +135,6 @@ class Family:
         return PolyRing(self.ring.num_vars)
 
 
-def family(ring, generators):
-    """Convenience constructor accepting polynomial text."""
-    return Family(Ideal(ring, generators))
-
-
 def _specialize(I, t0):
     """Image of an ideal of QQ[t][x] under t -> t0, as an ideal of QQ[x].
 

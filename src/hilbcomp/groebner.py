@@ -44,8 +44,8 @@ unreduced: `buchberger` stops at the minimal basis of its S-pair loop, and
 derived bases of the ideal layer do (`eliminated_basis`, `divided_basis`,
 `saturated_basis`).  Their leads are the minimal generators of the initial
 ideal, so the entries serve every reader that needs only leads or some
-Groebner basis: Hilbert data, elimination, exact division, the flat limit,
-and a larger basis that starts from them (`buchberger(..., basis=)`).  The
+Groebner basis: Hilbert data, elimination, colons, the flat limit, and a
+larger basis that starts from them (`buchberger(..., basis=)`).  The
 reduced basis is built from them once, on first read, as packed entries
 (`_entries`); `elements` and `transform` are unpacked from those.
 
@@ -381,18 +381,6 @@ def _int_spoly(e1, e2, lcm, pk):
     return acc, (e1.lc * e2.lc) // g, (s1, s2, c1, c2)
 
 
-def _reduced_spairs(entries, pk):
-    """(i, j, den, (s1, s2, c1, c2), (rem, scale, quots)) for every i < j in
-    that order: the S-pair of entries i and j as `_int_spoly` gives it, and
-    its division by all the entries with quotients."""
-    for i, e1 in enumerate(entries):
-        for j in range(i + 1, len(entries)):
-            e2 = entries[j]
-            lcm = pk.pack(_mono_lcm(e1.lead, e2.lead))
-            s, den, shifts = _int_spoly(e1, e2, lcm, pk)
-            yield i, j, den, shifts, _reduce_int(s, entries, pk, want_quotients=True)
-
-
 class GroebnerBasis:
     """Groebner basis: packed minimal entries, reduced on first read.
 
@@ -481,11 +469,6 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial is not in the basis ring")
         pk = _ring_packing(self.ring)
         return not _reduce_int(_int_terms(f, pk)[0], self._entries, pk)[0]
-
-    def spair_certificate(self):
-        """True when every S-pair of the basis reduces to zero."""
-        pairs = _reduced_spairs(self._entries, _ring_packing(self.ring))
-        return not any(rem for *_, (rem, _, _) in pairs)
 
 
 def buchberger(gens, order=None, *, transform=True, seed=None, basis=None):
@@ -666,33 +649,6 @@ def eliminate_generators(gens, front_vars):
     return [g.convert(ring) for g in eliminated_basis(gens, front, ring).elements]
 
 
-def _divided(items, g, pk):
-    """[(q, factor)] with p / g == factor * q for each (terms, den) of
-    items, p the packed integer (mono, coefficient) terms over den: q the
-    packed {mono: int} quotient, descending, of one fraction-free division by
-    g, whose terms must be in pk's order.  ZeroDivisionError when g is zero,
-    ValueError when g does not divide some p."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    gt, gden = _int_terms(g, pk)
-    entry = _Entry(gt, pk)
-    out = []
-    for work, den in items:
-        # scale * den * p == q * prim(g), and prim(g) == gden * g / unit
-        rem, scale, (q,) = _reduce_int(work, (entry,), pk, want_quotients=True)
-        if rem:
-            raise ValueError("polynomial is not divisible")
-        out.append((q, Fraction(gden, entry.unit * scale * den)))
-    return out
-
-
-def exact_divide(f, g):
-    """Exact quotient f/g; raises when g does not divide f."""
-    pk = _ring_packing(f.ring)
-    ((q, factor),) = _divided((_int_terms(f, pk),), g.convert(f.ring), pk)
-    return _poly(f.ring, q.items(), factor)
-
-
 def divided_basis(gb, g):
     """The seeded basis (`seeded_basis`) of K : g in gb's ring, from a basis
     gb of an ideal K inside (g): the quotients p / g of its minimal entries.
@@ -702,8 +658,14 @@ def divided_basis(gb, g):
     the quotients form a Groebner basis.
     """
     pk = _ring_packing(gb.ring)
-    items = [(e.terms(), 1) for e in gb._minimal]
-    return seeded_basis(gb.ring, [q for q, _ in _divided(items, g.convert(gb.ring), pk)])
+    divisor = (_Entry(_int_terms(g.convert(gb.ring), pk)[0], pk),)
+    quotients = []
+    for e in gb._minimal:
+        rem, _, (q,) = _reduce_int(e.terms(), divisor, pk, want_quotients=True)
+        if rem:
+            raise ValueError("polynomial is not divisible")
+        quotients.append(q)
+    return seeded_basis(gb.ring, quotients)
 
 
 def saturated_basis(gb):
@@ -863,7 +825,9 @@ def syzygies(gens):
     rows = []
     # Schreyer rows tau_ij . A scaled by D * den_A, from
     # D * (x^s1*monic_i - x^s2*monic_j) == sum_k Q_k*lc_k * monic_k
-    for i, j, den, (s1, s2, _, _), (rem, scale, quots) in _reduced_spairs(entries, pk):
+    for (i, e1), (j, e2) in itertools.combinations(enumerate(entries), 2):
+        work, den, (s1, s2, _, _) = _int_spoly(e1, e2, pk.pack(_mono_lcm(e1.lead, e2.lead)), pk)
+        rem, scale, quots = _reduce_int(work, entries, pk, want_quotients=True)
         if rem:
             raise AssertionError("S-pair of a reduced basis failed to vanish")
         terms = [({s1: scale * den}, A[i]), ({s2: -scale * den}, A[j])]

@@ -301,9 +301,4 @@ def hilbert_function(I, d):
     """dim (S/I)_d, read off the Hilbert series."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    ring = I.ring
-    if ring.has_param or ring.num_aux:
-        raise ValueError("Hilbert data requires a plain x-variable ring")
-    if not I.is_homogeneous():
-        raise HomogeneityError("Hilbert function requires a homogeneous ideal")
     return hilbert_series(I).series_coefficient(d)

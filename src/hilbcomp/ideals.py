@@ -1,5 +1,5 @@
-"""Ideal-level algebra: sums, products, intersections, quotients,
-saturations, equality, and random coordinate changes.
+"""Ideal-level algebra: products, intersections, quotients, saturations,
+equality, and random coordinate changes.
 
 An Ideal is a generator list in a fixed ring with a cached Groebner basis,
 reduced on its first read (`groebner.GroebnerBasis`): an ideal whose Hilbert
@@ -108,9 +108,6 @@ class Ideal:
         if self.is_zero():
             return f.is_zero()
         return self.groebner_basis().contains(f)
-
-    def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.generators)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -251,7 +248,7 @@ def saturate(I, J):
     if _radical_is_irrelevant(I, J):
         if not any(m[-1] for m in I.groebner_basis().lead_monomials()):
             return I.canonical()
-        candidate = _saturate_by_last_variable(I)
+        candidate = _with_seeded_gb(I.ring, saturated_basis(I.groebner_basis()))
         if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
             return candidate
     return functools.reduce(intersect, (_saturate_principal(I, g) for g in J.generators))
@@ -270,15 +267,6 @@ def _radical_is_irrelevant(I, J):
     )
 
 
-def _saturate_by_last_variable(I):
-    """I : x_n^oo from the grevlex basis of homogeneous I: each minimal
-    entry (reduced, where a minimal one is not homogeneous) divided by the
-    power of x_n in its lead, which divides every term.
-    By Bayer's lemma the quotients are a Groebner basis, so they seed the
-    result (`groebner.saturated_basis`), with no Buchberger run."""
-    return _with_seeded_gb(I.ring, saturated_basis(I.groebner_basis()))
-
-
 def _saturate_principal(I, f):
     """I : f^oo as the u-free part of (I, 1 - u*f)."""
     ring = I.ring
@@ -286,11 +274,6 @@ def _saturate_principal(I, f):
     gens = [g.convert(ext) for g in I.generators]
     gens.append(ext.one - ext.variable(u_idx) * f.convert(ext))
     return _with_seeded_gb(ring, eliminated_basis(gens, [u_idx], ring))
-
-
-def ideal_sum(I, J):
-    _require_same_ring(I, J)
-    return Ideal(I.ring, I.generators + J.generators)
 
 
 def ideal_product(I, J):
@@ -460,8 +443,3 @@ def loads_ideal(text):
 def load_ideal(path):
     with open(path, "r", encoding="utf-8") as fh:
         return loads_ideal(fh.read())
-
-
-def save_ideal(I, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_ideal(I))

@@ -9,7 +9,7 @@ are exact integers; the table distinguishes entries stored as input data
 is computed geometrically: the table is the ground truth and every derived
 relation is solved from it by exact linear algebra, then cross-checked
 against all stored entries.  Each space is described by tables (lattice
-spec, rays, chamber list, sweeping curves) that one code path per job reads.
+spec, rays, chamber list) that one code path per job reads.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class PicLattice:
 
     def divisor(self, coords, name=None):
         if len(coords) != len(self.basis):
-            raise LatticeDataError(f"expected {len(self.basis)} coordinates")
+            raise ValueError(f"expected {len(self.basis)} coordinates")
         return DivisorClass(self.space, tuple(int(c) for c in coords), name)
 
     def basis_divisor(self, name):
@@ -361,56 +361,6 @@ def chamber_of(divisor, n):
 # ---------------------------------------------------------------------------
 # canonical classes, Fano ranges, dimension identities
 # ---------------------------------------------------------------------------
-
-# curves sweeping each base-locus entry: negativity against one of them
-# certifies the entry's presence in the stable base locus.  A locus keyed
-# whole (rank 2) is certified at once; otherwise each divisor in it is.
-_SWEEPING_CURVES = {
-    HN: {("II", "IV"): ("B4",), ("III", "IV"): ("B2",)},
-    WN: {"E'": ("B2", "B6"), "N'": ("B4",)},
-}
-
-# positive ray weights sampling the interior of a cone on 2 or 3 rays
-_INTERIOR_SAMPLES = {2: ((1, 1), (2, 1), (1, 3)), 3: ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2))}
-
-
-def validate_base_locus_data(space, n):
-    """Cross-check the chamber lookup against the curve pairings.
-
-    Samples each chamber with positive combinations of its rays; every
-    entry claimed in the stable base locus there must pair negatively with
-    one of its sweeping curves (with the other claimed divisors peeled off
-    first, mirroring how base loci accumulate).  Raises on any violation.
-    """
-    report = solve_relations(_lattice(space, n, None))
-    classes = report.classes
-    curves = report.lattice.curves
-    sweeping = _SWEEPING_CURVES[space]
-
-    for chamber in _CHAMBERS[space][1:]:
-        entries = (chamber.locus,) if chamber.locus in sweeping else chamber.locus
-        for rays in chamber.cones:
-            for weights in _INTERIOR_SAMPLES[len(rays)]:
-                coords = [
-                    sum(w * classes[r].coords[i] for w, r in zip(weights, rays))
-                    for i in range(len(report.lattice.basis))
-                ]
-                remaining = list(coords)
-                for entry in entries:
-                    if not any(
-                        sum(a * b for a, b in zip(curves[c].row, remaining)) < 0
-                        for c in sweeping[entry]
-                    ):
-                        raise LatticeDataError(
-                            f"{entry} not certified by a sweeping curve at {coords}"
-                        )
-                    if entry in rays:
-                        # peel the certified divisor before checking the next one
-                        weight = weights[rays.index(entry)]
-                        for i, c in enumerate(classes[entry].coords):
-                            remaining[i] -= weight * c
-    return True
-
 
 def canonical_class(space, n):
     """K in lattice coordinates: -(n+1)M + (n-2)N on the rank-2 side,

@@ -231,23 +231,11 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def lead_coeff(self):
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[0][1]
-
     def total_degree(self):
         """Largest total degree over all variables (including t); -1 for 0."""
         if not self.terms:
             return -1
         return max(sum(m) for m, _ in self.terms)
-
-    def x_degree(self):
-        """Largest degree in the x variables only; -1 for 0."""
-        if not self.terms:
-            return -1
-        nv = self.ring.num_vars
-        return max(sum(m[:nv]) for m, _ in self.terms)
 
     def is_homogeneous(self):
         if not self.terms:
@@ -261,12 +249,6 @@ class Polynomial:
         nv = self.ring.num_vars
         degs = {sum(m[:nv]) for m, _ in self.terms}
         return len(degs) == 1
-
-    def coefficient(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
 
     # ----- arithmetic -------------------------------------------------
     def _require_same_ring(self, other):
@@ -347,14 +329,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        if lc == 1:
-            return self
-        return self.scale(Fraction(1) / lc)
 
     # ----- structural operations --------------------------------------
     def substitute(self, images):

@@ -1,13 +1,15 @@
 """Brute-force oracles and invariant checks that the test suites compare against."""
 
 import heapq
+import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from hilbcomp import linalg
-from hilbcomp.errors import ParseError, RingMismatchError
-from hilbcomp.rings import MAX_EXPONENT, _divides, _mono_mul, monomials_of_degree
+from hilbcomp.errors import LatticeDataError, ParseError, RingMismatchError
+from hilbcomp.picard import _CHAMBERS, HN, WN, hn_lattice, solve_relations, wn_lattice
+from hilbcomp.rings import MAX_EXPONENT, _divides, _mono_lcm, _mono_mul, monomials_of_degree
 
 
 def validate_canonical(p):
@@ -74,7 +76,7 @@ def reduce_by_tuples(f, divisors):
         unit = 0
         for c in d.values():
             unit = gcd(unit, c)
-        if g.lead_coeff() < 0:
+        if g.terms[0][1] < 0:
             unit = -unit
         terms = [(m, d[m] // unit) for m, _ in g.terms]
         # g == factor * prim with prim the primitive integer form
@@ -136,10 +138,35 @@ def reduced_basis_by_tuples(polys):
             kept.append(p)
     out = []
     for p in kept:
-        lead = p.ring.from_dict({p.lead_monomial(): p.lead_coeff()})
+        lead = p.ring.from_dict(dict(p.terms[:1]))
         rem, _ = reduce_by_tuples(p - lead, [q for q in kept if q is not p])
-        out.append((lead + rem).scale(1 / p.lead_coeff()))
+        out.append(monic(lead + rem))
     return tuple(sorted(out, key=lambda g: key(g.lead_monomial()), reverse=True))
+
+
+def monic(p):
+    """A nonzero polynomial over its leading coefficient."""
+    return p.scale(1 / p.terms[0][1])
+
+
+def spair_certificate(basis):
+    """Buchberger's criterion in Polynomial arithmetic: True when the
+    S-polynomial of every pair of the nonzero polynomials reduces to zero by
+    all of them (`reduce_by_tuples`), that is when they form a Groebner basis
+    in their ring's order."""
+    for f, g in itertools.combinations(basis, 2):
+        (mf, cf), (mg, cg) = f.terms[0], g.terms[0]
+        top = _mono_lcm(mf, mg)
+        shift_f = f.ring.from_dict({tuple(a - b for a, b in zip(top, mf)): 1 / cf})
+        shift_g = f.ring.from_dict({tuple(a - b for a, b in zip(top, mg)): 1 / cg})
+        if not reduce_by_tuples(shift_f * f - shift_g * g, basis)[0].is_zero():
+            return False
+    return True
+
+
+def contains_ideal(I, J):
+    """True when every generator of J lies in I."""
+    return all(I.contains(g) for g in J.generators)
 
 
 def hilbert_function_by_count(I, d):
@@ -226,7 +253,7 @@ def reducedness_by_components(hull, primes):
         return True
     assert len(primes) == 1, "the hull is not the intersection of its components"
     (P,) = primes
-    assert P.contains_ideal(hull)
+    assert contains_ideal(P, hull)
     assert all(hull.contains(a * b) for a in P.generators for b in P.generators)
     return False
 
@@ -719,7 +746,7 @@ def sympy_grevlex(exprs, syms, ring):
     if not exprs:
         return []
     basis = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
-    polys = [from_sympy_poly(sympy.Poly(g, *syms), ring).monic() for g in basis.exprs]
+    polys = [monic(from_sympy_poly(sympy.Poly(g, *syms), ring)) for g in basis.exprs]
     return sorted(polys, key=lambda q: ring.sort_key()(q.lead_monomial()), reverse=True)
 
 
@@ -731,3 +758,53 @@ def sympy_eliminate(exprs, front, syms):
     rest = [s for s in syms if s not in front]
     basis = sympy.groebner(exprs, *front, *rest, order="lex", domain="QQ")
     return [g for g in basis.exprs if not g.free_symbols & set(front)]
+
+
+# curves sweeping each base-locus entry: negativity against one of them
+# certifies the entry's presence in the stable base locus.  A locus keyed
+# whole (rank 2) is certified at once; otherwise each divisor in it is.
+_SWEEPING_CURVES = {
+    HN: {("II", "IV"): ("B4",), ("III", "IV"): ("B2",)},
+    WN: {"E'": ("B2", "B6"), "N'": ("B4",)},
+}
+
+# positive ray weights sampling the interior of a cone on 2 or 3 rays
+_INTERIOR_SAMPLES = {2: ((1, 1), (2, 1), (1, 3)), 3: ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2))}
+
+
+def validate_base_locus_data(space, n):
+    """Cross-check the chamber lookup against the curve pairings.
+
+    Samples each chamber with positive combinations of its rays; every
+    entry claimed in the stable base locus there must pair negatively with
+    one of its sweeping curves (with the other claimed divisors peeled off
+    first, mirroring how base loci accumulate).  Raises on any violation.
+    """
+    report = solve_relations({HN: hn_lattice, WN: wn_lattice}[space](n))
+    classes = report.classes
+    curves = report.lattice.curves
+    sweeping = _SWEEPING_CURVES[space]
+
+    for chamber in _CHAMBERS[space][1:]:
+        entries = (chamber.locus,) if chamber.locus in sweeping else chamber.locus
+        for rays in chamber.cones:
+            for weights in _INTERIOR_SAMPLES[len(rays)]:
+                coords = [
+                    sum(w * classes[r].coords[i] for w, r in zip(weights, rays))
+                    for i in range(len(report.lattice.basis))
+                ]
+                remaining = list(coords)
+                for entry in entries:
+                    if not any(
+                        sum(a * b for a, b in zip(curves[c].row, remaining)) < 0
+                        for c in sweeping[entry]
+                    ):
+                        raise LatticeDataError(
+                            f"{entry} not certified by a sweeping curve at {coords}"
+                        )
+                    if entry in rays:
+                        # peel the certified divisor before checking the next one
+                        weight = weights[rays.index(entry)]
+                        for i, c in enumerate(classes[entry].coords):
+                            remaining[i] -= weight * c
+    return True

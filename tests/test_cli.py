@@ -236,6 +236,12 @@ def test_cone_non_effective_is_math_failure(capsys):
 
 def test_cone_bad_divisor_is_usage_error(capsys):
     assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor", "a,b"]) == 2
+    # a wrong coordinate count is a usage error too, on either lattice
+    assert run_subcommand(["cone", "--space", "hn", "--n", "4", "--divisor", "1,2,3"]) == 2
+    assert run_subcommand(["cone", "--space", "wn", "--n", "4", "--divisor", "1,1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: expected 2 coordinates", "error: expected 3 coordinates",
+    ]
 
 
 def test_gb_at_the_largest_file_exponent(tmp_path, capsys):

@@ -18,7 +18,6 @@ from hilbcomp.ideals import (
     dumps_ideal,
     eliminate,
     ideal_product,
-    ideal_sum,
     intersect,
     irrelevant_ideal,
     loads_ideal,
@@ -32,6 +31,7 @@ from hilbcomp.groebner import buchberger
 from hilbcomp.rings import GREVLEX, LEX, Polynomial, PolyRing, monomials_of_degree, parse
 
 from oracles import (
+    contains_ideal,
     essential_form_by_rref,
     graded_piece_quotient,
     quotient_by_division,
@@ -194,7 +194,7 @@ def test_saturation_rejects_a_candidate_with_the_wrong_hilbert_polynomial(monkey
     # saturations by x0, x1, x2 decides
     R3 = PolyRing(3)
     A = Ideal(R3, [parse("x0*x2", R3)])
-    candidate = ideals._saturate_by_last_variable(A)
+    candidate = ideals._with_seeded_gb(R3, groebner.saturated_basis(A.groebner_basis()))
     assert candidate == Ideal(R3, [R3.x(0)])
     assert str(hilbert_series(candidate).hilbert_polynomial) == "m + 1"
     assert str(hilbert_series(A).hilbert_polynomial) == "2*m + 1"
@@ -260,7 +260,7 @@ def test_saturation_idempotent_and_chain():
     q = quotient(A, J)
     s = saturate(A, J)
     assert saturate(s, J) == s
-    assert s.contains_ideal(q) and q.contains_ideal(A)
+    assert contains_ideal(s, q) and contains_ideal(q, A)
 
 
 def test_quotient_membership_sampling():
@@ -277,7 +277,6 @@ def test_quotient_membership_sampling():
 
 def test_sum_and_product():
     assert ideal_product(I("x0"), I("x1")) == I("x0*x1")
-    assert ideal_sum(I("x0", "x1"), I("x2", "x3")) == I("x0", "x1", "x2", "x3")
     quadric = Ideal(Rt, [parse("x0", Rt), parse("x1*x2", Rt)])
     moving = Ideal(
         Rt, [parse("x1", Rt), parse("x2", Rt), parse("t*x3 + x0 - t*x0", Rt)]
@@ -506,7 +505,7 @@ def test_saturating_by_the_last_variable_runs_no_buchberger(n, monkeypatch):
         runs = []
         for module in (groebner, ideals):
             monkeypatch.setattr(module, "buchberger", lambda *a, **kw: runs.append(a))
-        got = ideals._saturate_by_last_variable(A)
+        got = ideals._with_seeded_gb(ring, groebner.saturated_basis(A.groebner_basis()))
         monkeypatch.undo()
         assert runs == []
         gb = A.groebner_basis()

@@ -1,13 +1,17 @@
 """The boundary of the packed engine: outside groebner.py, a module reaches
 the packed representation only through the names on an explicit
-allow-list, and builds a Groebner basis only through groebner's functions."""
+allow-list, and builds a Groebner basis only through groebner's functions.
+And the package ships only what the product calls."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hilbcomp
+from test_bench_contract import _functions
 
 PACKAGE = Path(hilbcomp.__file__).parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # the private groebner names each module may use; every other module, none
 ALLOWED = {
@@ -71,3 +75,48 @@ def test_no_module_calls_the_groebner_basis_constructor():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert name != "GroebnerBasis", stem
+
+
+def _referenced(node):
+    """How often each name is read in a tree, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _defined(tree):
+    """The top-level functions of a module and the non-dunder methods of its
+    classes, as (qualified name, def node)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_src_function_has_a_product_caller():
+    # called by the product: named in the package outside its own def and
+    # outside __init__'s exports, in a demo, or by a benchmark span; code
+    # that only tests call belongs in tests/
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    product = sum((_referenced(tree) for tree in trees.values()), Counter())
+    outside = {attr.split(".")[-1] for _, attr in _functions()}
+    for path in DEMOS.glob("*.py"):
+        outside |= set(_referenced(ast.parse(path.read_text(encoding="utf-8"))))
+    uncalled = [
+        f"{stem}.{qualname}"
+        for stem, tree in trees.items()
+        for qualname, node in _defined(tree)
+        if product[node.name] == _referenced(node)[node.name] and node.name not in outside
+    ]
+    assert uncalled == []

@@ -22,6 +22,7 @@ from hilbcomp.picard import (
     wn_lattice,
 )
 
+import oracles
 
 CHAMBERS_GOLDEN = Path(__file__).parent / "data" / "chambers.txt"
 
@@ -275,12 +276,10 @@ def test_dimension_table_small_case_values():
 
 
 def test_base_locus_lookup_validated_by_sweeping_curves():
-    from hilbcomp.picard import validate_base_locus_data
-
     for n in (3, 4, 6):
-        assert validate_base_locus_data(HN, n)
+        assert oracles.validate_base_locus_data(HN, n)
     for n in (4, 5):
-        assert validate_base_locus_data(WN, n)
+        assert oracles.validate_base_locus_data(WN, n)
 
 
 def test_chamber_lookup_matches_golden():
@@ -297,7 +296,7 @@ def test_base_locus_validator_rejects_a_curve_that_does_not_sweep(
 ):
     # B1 is a moving curve: it meets every effective class non-negatively,
     # so it certifies no base locus
-    monkeypatch.setitem(picard._SWEEPING_CURVES[space], entry, ("B1",))
+    monkeypatch.setitem(oracles._SWEEPING_CURVES[space], entry, ("B1",))
     with pytest.raises(LatticeDataError) as err:
-        picard.validate_base_locus_data(space, n)
+        oracles.validate_base_locus_data(space, n)
     assert str(err.value) == message
