@@ -6,7 +6,7 @@ polynomial is a canonical term list under the ring's monomial order.
 
 from fractions import Fraction
 
-from hilbcomp import GREVLEX, LEX, PolyRing, parse
+from hilbcomp import LEX, PolyRing, parse
 
 # The coordinate ring of P^3: variables x0..x3, grevlex order by default.
 R = PolyRing(4)

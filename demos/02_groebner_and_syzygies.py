@@ -1,6 +1,6 @@
 """Groebner bases, normal forms, elimination, and syzygies."""
 
-from hilbcomp import PolyRing, buchberger, parse, syzygies
+from hilbcomp import PolyRing, buchberger, syzygies
 from hilbcomp.ideals import Ideal, eliminate
 
 R = PolyRing(4)

@@ -1,17 +1,19 @@
-"""Embedded reference data: normal-form ideals, degeneration families, the
-presentation matrices of the planar-double ideal, its explicit tangent
-elements, the test-curve pairing tables, and the two conic-with-embedded-
-point ideals.
+"""Embedded reference data, built in code (no IO) so the verification
+battery is self-contained.  Each builder is a plain function:
 
-Fixtures are constructed in code (no IO) so the verification battery is
-self-contained; each carries a note describing the mathematical fact it
-encodes.  Parameterized ids follow the patterns
+    family_embedded_limit(n), family_double_limit(n),
+    family_quadric_union_limit(n), family_substitution_limit(n)
+                                  degenerations with limits of types III, II, III, IV
+    quadric_union_factors(n)      the two factors of the quadric-union family
+    lambda_generators(n), mu_matrix(n), nu_column(n)
+                                  presentation of the planar-double quotient
+    tangent_trivial_elements(n), tangent_versal_elements(n)
+                                  its explicit 8n-12 tangent elements
+    conic_plane_ideal(), conic_space_ideal()
+                                  the two conic-with-embedded-point ideals
 
-    ideal_type_<L>_n<k>          normal form of type L in P^k
-    family_<name>_n<k>           one-parameter degeneration family
-    pencil_planar_double[_mirror]_n<k>
-    tangent_<trivial|versal>_elements_n<k>
-    lambda_generators_n<k>
+`get` resolves one id form, `family_<name>_limit_n<k>`, for the benchmark's
+workloads, which name their families that way.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .classify import normal_form_ideal
 from .flat_limit import Family
 from .ideals import Ideal, intersect
-from .picard import DIMENSION_FORMULAS, HN_STATED, WN_STATED
 from .rings import PolyRing
 
 
@@ -30,7 +30,6 @@ from .rings import PolyRing
 class Fixture:
     id: str
     payload: object
-    note: str
 
 
 class UnknownFixtureError(KeyError):
@@ -100,18 +99,6 @@ def family_substitution_limit(n):
     x, t = [ring.x(i) for i in range(4)], ring.t
     base = [x[0] ** 2, x[0] * x[1], x[0] * x[2], x[1] * x[2]]
     return Family(Ideal(ring, [g.substitute({2: x[1] + t * x[2]}) for g in base]))
-
-
-def pencil_planar_double(n, mirror=False):
-    """The planar-double pencil on the affine chart where the other pencil
-    coordinate is 1; `mirror` swaps the roles of the two coordinates."""
-    ring = _param_ring(n)
-    x, t = [ring.x(i) for i in range(4)], ring.t
-    if mirror:
-        tie = x[0] * x[3] - t * x[1] * x[2]
-    else:
-        tie = t * x[0] * x[3] - x[1] * x[2]
-    return Family(Ideal(ring, [x[0] ** 2, x[0] * x[1], x[1] ** 2, tie]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,115 +185,18 @@ def conic_space_ideal():
     return Ideal(ring, [zv, x * y**2, y**3])
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-_STATIC = {
-    "dimension_formulas": (
-        lambda: dict(DIMENSION_FORMULAS),
-        "locus and component dimensions as linear polynomials in n",
-    ),
-    "pairing_hn": (
-        lambda: dict(HN_STATED),
-        "stated test-curve pairings on the rank-2 lattice",
-    ),
-    "pairing_wn": (
-        lambda: dict(WN_STATED),
-        "stated test-curve pairings on the rank-3 lattice",
-    ),
-    "mu_matrix": (
-        lambda: mu_matrix(3),
-        "first-syzygy matrix of the planar-double presentation (P^3 model)",
-    ),
-    "nu_column": (
-        lambda: nu_column(3),
-        "second-syzygy column of the planar-double presentation (P^3 model)",
-    ),
-    "ideal_conic_plane": (
-        conic_plane_ideal,
-        "double line with embedded point inside its plane, tangent dim 7",
-    ),
-    "ideal_conic_space": (
-        conic_space_ideal,
-        "double line with coplanar embedded point in 3-space; the module Hom "
-        "is reported against the sheaf-theoretic count 11",
-    ),
-}
-
-_FAMILY_BUILDERS = {
-    "embedded": (
-        family_embedded_limit,
-        "pair degenerating to the embedded-point type (III) normal form",
-    ),
-    "double": (
-        family_double_limit,
-        "pair degenerating to the pure-double type (II) normal form",
-    ),
-    "quadric_union": (
-        family_quadric_union_limit,
-        "quadric-union-plane family with type (III) limit",
-    ),
-    "substitution": (
-        family_substitution_limit,
-        "coordinate-substitution family with type (IV) limit",
-    ),
-}
-
-_PATTERNS = (
-    (
-        re.compile(r"ideal_type_(I|II|III|IV)_n(\d+)$"),
-        lambda m: Fixture(
-            m.string,
-            normal_form_ideal(int(m.group(2)), m.group(1)),
-            f"type ({m.group(1)}) normal form in P^{m.group(2)}",
-        ),
-    ),
-    (
-        re.compile(r"family_(embedded|double|quadric_union|substitution)_limit_n(\d+)$"),
-        lambda m: Fixture(
-            m.string,
-            _FAMILY_BUILDERS[m.group(1)][0](int(m.group(2))),
-            _FAMILY_BUILDERS[m.group(1)][1],
-        ),
-    ),
-    (
-        re.compile(r"pencil_planar_double(_mirror)?_n(\d+)$"),
-        lambda m: Fixture(
-            m.string,
-            pencil_planar_double(int(m.group(2)), mirror=bool(m.group(1))),
-            "planar-double pencil on an affine chart of the parameter line",
-        ),
-    ),
-    (
-        re.compile(r"tangent_(trivial|versal)_elements_n(\d+)$"),
-        lambda m: Fixture(
-            m.string,
-            tangent_trivial_elements(int(m.group(2)))
-            if m.group(1) == "trivial"
-            else tangent_versal_elements(int(m.group(2))),
-            f"explicit {m.group(1)} tangent assignments for the planar-double ideal",
-        ),
-    ),
-    (
-        re.compile(r"lambda_generators_n(\d+)$"),
-        lambda m: Fixture(
-            m.string,
-            lambda_generators(int(m.group(1))),
-            "presentation generator row of the planar-double ideal",
-        ),
-    ),
-)
+_FAMILY_ID = re.compile(r"family_(embedded|double|quadric_union|substitution)_limit_n(\d+)$")
 
 
 def get(fixture_id):
-    """Return the immutable fixture for a known id."""
-    entry = _STATIC.get(fixture_id)
-    if entry is not None:
-        builder, note = entry
-        return Fixture(fixture_id, builder(), note)
-    for pattern, make in _PATTERNS:
-        m = pattern.match(fixture_id)
-        if m:
-            return make(m)
-    raise UnknownFixtureError(fixture_id)
+    """The degeneration family `family_<name>_limit_n<k>`, as a Fixture."""
+    m = _FAMILY_ID.match(fixture_id)
+    if m is None:
+        raise UnknownFixtureError(fixture_id)
+    build = {
+        "embedded": family_embedded_limit,
+        "double": family_double_limit,
+        "quadric_union": family_quadric_union_limit,
+        "substitution": family_substitution_limit,
+    }[m.group(1)]
+    return Fixture(fixture_id, build(int(m.group(2))))

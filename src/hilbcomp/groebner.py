@@ -425,10 +425,6 @@ class GroebnerBasis:
         self._minimal = entries[::-1]
         return entries
 
-    @property
-    def order(self):
-        return self.ring.order
-
     def lead_monomials(self):
         """The leads of the elements, descending.  A minimal basis has the
         leads of the reduced one, the minimal generators of the initial

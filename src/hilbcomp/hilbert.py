@@ -43,12 +43,6 @@ class UniPoly:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("UniPoly is immutable")
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
     def __call__(self, m):
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -14,7 +14,7 @@ spec, rays, chamber list) that one code path per job reads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -409,9 +409,6 @@ class DimensionTable:
     conic_component: int
     components_intersection: int
     transverse_identity: bool
-
-    def to_json(self):
-        return asdict(self)
 
 
 def dimension_table(n):

@@ -147,10 +147,10 @@ _EXPECTED_TANGENT = {
 }
 
 _LIMIT_FAMILIES = (
-    ("embedded", "III"),
-    ("double", "II"),
-    ("quadric_union", "III"),
-    ("substitution", "IV"),
+    ("embedded", fixtures.family_embedded_limit, "III"),
+    ("double", fixtures.family_double_limit, "II"),
+    ("quadric_union", fixtures.family_quadric_union_limit, "III"),
+    ("substitution", fixtures.family_substitution_limit, "IV"),
 )
 
 # probe divisors for the rank-2 chamber table: (coords, chamber, base locus,
@@ -214,10 +214,10 @@ def _check_double_structure(n, k):
     return expected, computed, expected == computed
 
 
-def _check_limit(name, expected_label, n, seed):
-    fam = fixtures.get(f"family_{name}_limit_n{n}").payload
+def _check_limit(family, expected_label, n, seed):
+    fam = family(n)
     limit = limit_ideal(fam)
-    if name == "substitution":
+    if family is fixtures.family_substitution_limit:
         # the substitution family lands on the presentation representative
         # of the planar-double type, not the normal form itself
         want = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
@@ -246,22 +246,21 @@ def _check_tangent(n, label):
 
 
 def _check_conic_plane():
-    got = hom_degree_zero(fixtures.get("ideal_conic_plane").payload).dimension
+    got = hom_degree_zero(fixtures.conic_plane_ideal()).dimension
     return 7, got, got == 7
 
 
 def _check_conic_space():
-    got = hom_degree_zero(fixtures.get("ideal_conic_space").payload).dimension
+    got = hom_degree_zero(fixtures.conic_space_ideal()).dimension
     # reported against the sheaf-theoretic count without asserting either
     computed = {"module_hom_dimension": got, "agrees_with_sheaf_count": got == 11}
     return {"sheaf_count_reference": 11}, computed, True
 
 
 def _check_explicit_elements(n):
-    row = fixtures.get(f"lambda_generators_n{n}")
-    I = Ideal(PolyRing(n + 1), row.payload)
-    trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
-    versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
+    I = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
+    trivial = fixtures.tangent_trivial_elements(n)
+    versal = fixtures.tangent_versal_elements(n)
     all_ok, vectors = _explicit_vectors(I, [images for _, images in trivial + versal])
     # a repeated or dependent element lowers the rank, not the lists' lengths
     count = linalg.rank(vectors)
@@ -418,16 +417,16 @@ def _check_syzygy_exactness():
             gens = list(normal_form_ideal(n, label).generators)
             if not syzygies(gens).verify():
                 bad.append(f"{label}:n{n}")
-    lam = fixtures.get("lambda_generators_n3").payload
+    lam = fixtures.lambda_generators(3)
     if not syzygies(list(lam)).verify():
         bad.append("presentation_row")
     return {"failures": []}, {"failures": bad}, not bad
 
 
 def _check_presentation_fixtures():
-    lam = fixtures.get("lambda_generators_n3").payload
-    mu = fixtures.get("mu_matrix").payload
-    nu = fixtures.get("nu_column").payload
+    lam = fixtures.lambda_generators(3)
+    mu = fixtures.mu_matrix(3)
+    nu = fixtures.nu_column(3)
     ring = lam[0].ring
     lam_mu_zero = all(
         sum((lam[i] * mu[i][j] for i in range(4)), ring.zero).is_zero()
@@ -471,12 +470,12 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
                 f"(tie degree {k}, P^{n})",
                 _check_double_structure, n, k,
             )
-        for name, expected_label in _LIMIT_FAMILIES:
+        for name, family, expected_label in _LIMIT_FAMILIES:
             b.run(
                 f"limit.{name}.n{n}",
                 f"flat limit of the {name} family in P^{n} is the type "
                 f"({expected_label}) normal form",
-                _check_limit, name, expected_label, n, seed,
+                _check_limit, family, expected_label, n, seed,
             )
         b.run(
             f"tangent.explicit_elements.n{n}",

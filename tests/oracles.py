@@ -431,6 +431,22 @@ def fiber_polynomials_by_specialization(fam, points):
     )
 
 
+def pencil_planar_double(n, mirror=False):
+    """The planar-double pencil in P^n on the affine chart where the other
+    pencil coordinate is 1; `mirror` swaps the roles of the two coordinates."""
+    from hilbcomp.flat_limit import Family
+    from hilbcomp.ideals import Ideal
+    from hilbcomp.rings import PolyRing
+
+    ring = PolyRing(n + 1, has_param=True)
+    x, t = [ring.x(i) for i in range(4)], ring.t
+    if mirror:
+        tie = x[0] * x[3] - t * x[1] * x[2]
+    else:
+        tie = t * x[0] * x[3] - x[1] * x[2]
+    return Family(Ideal(ring, [x[0] ** 2, x[0] * x[1], x[1] ** 2, tie]))
+
+
 def minimal_generators_by_bases(I):
     """`tangent.minimal_generators` deciding each membership with a fresh
     grevlex basis of the other generators."""

@@ -4,8 +4,6 @@ Each test prints a single pass line on success (visible with pytest -s);
 a failure carries the offending values in the assertion message.
 """
 
-import pytest
-
 from hilbcomp import fixtures, picard
 from hilbcomp.classify import classify, normal_form_ideal
 from hilbcomp.flat_limit import flatness_probe, limit_ideal
@@ -103,10 +101,10 @@ def test_criterion_4_tangent_dimensions():
         ):
             got = hom_degree_zero(normal_form_ideal(n, label)).dimension
             assert got == want, (n, label, got, want)
-    assert hom_degree_zero(fixtures.get("ideal_conic_plane").payload).dimension == 7
+    assert hom_degree_zero(fixtures.conic_plane_ideal()).dimension == 7
     # the space conic is reported against the sheaf-theoretic count 11; the
     # module Hom computes 10 (the comparison hypothesis fails in degree one)
-    space = hom_degree_zero(fixtures.get("ideal_conic_space").payload)
+    space = hom_degree_zero(fixtures.conic_space_ideal())
     reported = {"computed": space.dimension, "agrees_with_11": space.dimension == 11}
     assert reported["computed"] == 10 and reported["agrees_with_11"] is False
     _ok(4, "tangent dimensions 8n-12 / 4n-4 (n=3..6), conic 7, space conic flagged")
@@ -115,8 +113,8 @@ def test_criterion_4_tangent_dimensions():
 def test_criterion_5_explicit_basis_elements():
     for n in (3, 4, 5):
         ideal = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
-        trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
-        versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
+        trivial = fixtures.tangent_trivial_elements(n)
+        versal = fixtures.tangent_versal_elements(n)
         for name, images in trivial + versal:
             assert explicit_basis_check(ideal, images), (n, name)
         assert len(trivial) == 3 * n - 3
@@ -209,8 +207,8 @@ def test_criterion_9_engine_property_suites():
 
     # (b) Hilbert data is independent of the monomial order used
     fixture_ideals = [normal_form_ideal(n, label) for n in (3, 4) for label in TYPES]
-    fixture_ideals.append(fixtures.get("ideal_conic_plane").payload)
-    fixture_ideals.append(fixtures.get("ideal_conic_space").payload)
+    fixture_ideals.append(fixtures.conic_plane_ideal())
+    fixture_ideals.append(fixtures.conic_space_ideal())
     fixture_ideals.append(Ideal(PolyRing(4), fixtures.lambda_generators(3)))
     for ideal in fixture_ideals:
         grev = hilbert_series(ideal)
@@ -229,9 +227,9 @@ def test_criterion_9_engine_property_suites():
         assert module.verify()
 
     # (d) presentation matrices: all products vanish, columns generate
-    lam = fixtures.get("lambda_generators_n3").payload
-    mu = fixtures.get("mu_matrix").payload
-    nu = fixtures.get("nu_column").payload
+    lam = fixtures.lambda_generators(3)
+    mu = fixtures.mu_matrix(3)
+    nu = fixtures.nu_column(3)
     ring = lam[0].ring
     for j in range(4):
         assert sum((lam[i] * mu[i][j] for i in range(4)), ring.zero).is_zero()

@@ -1,21 +1,33 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from hilbcomp import fixtures
-from hilbcomp.classify import normal_form_ideal
 from hilbcomp.flat_limit import Family
 from hilbcomp.groebner import syzygies
 
+from oracles import pencil_planar_double
 
-def test_normal_form_fixture_ids():
-    fx = fixtures.get("ideal_type_I_n3")
-    assert fx.payload == normal_form_ideal(3, "I")
-    assert fx.note
-    assert fixtures.get("ideal_type_IV_n6").payload == normal_form_ideal(6, "IV")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def test_unknown_id_raises():
     with pytest.raises(fixtures.UnknownFixtureError):
         fixtures.get("no_such_fixture")
+
+
+def test_get_serves_the_benchmark_families():
+    # the benchmark's workloads name their families by id; every other
+    # fixture is a plain function and has no id
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for n, kind in workloads.PLANS["limit_probe_moved"][1]:
+        assert isinstance(fixtures.get(f"family_{kind}_limit_n{n}").payload, Family)
+    for removed in ("ideal_type_I_n3", "mu_matrix", "pairing_hn", "lambda_generators_n3"):
+        with pytest.raises(fixtures.UnknownFixtureError):
+            fixtures.get(removed)
 
 
 def test_family_fixtures_are_families():
@@ -24,17 +36,10 @@ def test_family_fixtures_are_families():
         assert isinstance(fx.payload, Family)
 
 
-def test_pairing_fixture_matches_module_table():
-    from hilbcomp import picard
-
-    assert fixtures.get("pairing_hn").payload == picard.HN_STATED
-    assert fixtures.get("pairing_wn").payload == picard.WN_STATED
-
-
 def test_presentation_products_vanish():
-    lam = fixtures.get("lambda_generators_n3").payload
-    mu = fixtures.get("mu_matrix").payload
-    nu = fixtures.get("nu_column").payload
+    lam = fixtures.lambda_generators(3)
+    mu = fixtures.mu_matrix(3)
+    nu = fixtures.nu_column(3)
     ring = lam[0].ring
     for j in range(4):
         assert sum((lam[i] * mu[i][j] for i in range(4)), ring.zero).is_zero()
@@ -43,8 +48,8 @@ def test_presentation_products_vanish():
 
 
 def test_mu_columns_generate_the_syzygies():
-    lam = fixtures.get("lambda_generators_n3").payload
-    mu = fixtures.get("mu_matrix").payload
+    lam = fixtures.lambda_generators(3)
+    mu = fixtures.mu_matrix(3)
     module = syzygies(list(lam))
     # each matrix column lies in the computed module ...
     for j in range(4):
@@ -72,39 +77,32 @@ def test_presentation_scales_with_n():
 
 def test_tangent_element_counts():
     for n in (3, 5, 7):
-        trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
-        versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
+        trivial = fixtures.tangent_trivial_elements(n)
+        versal = fixtures.tangent_versal_elements(n)
         assert len(trivial) == 3 * n - 3
         assert len(versal) == 5 * (n - 2) + 1
         assert len(trivial) + len(versal) == 8 * n - 12
 
 
 def test_conic_fixtures_parse_and_have_expected_shape():
-    plane = fixtures.get("ideal_conic_plane").payload
+    plane = fixtures.conic_plane_ideal()
     assert plane.ring.num_vars == 3
     assert len(plane.generators) == 2
-    space = fixtures.get("ideal_conic_space").payload
+    space = fixtures.conic_space_ideal()
     assert space.ring.num_vars == 4
     assert len(space.generators) == 3
 
 
 def test_pencil_fixture_mirrors():
-    plain = fixtures.get("pencil_planar_double_n3").payload
-    mirror = fixtures.get("pencil_planar_double_mirror_n3").payload
+    plain = pencil_planar_double(3)
+    mirror = pencil_planar_double(3, mirror=True)
     assert isinstance(plain, Family) and isinstance(mirror, Family)
     assert plain.total_ideal != mirror.total_ideal
 
 
-def test_static_ids_enumerate():
-    ids = sorted(fixtures._STATIC)
-    assert "mu_matrix" in ids and "pairing_hn" in ids
-    assert all(fixtures.get(i).id == i for i in ids)
-
-
 def test_dimension_formulas_agree_with_the_table():
-    from hilbcomp.picard import dimension_table
+    from hilbcomp.picard import DIMENSION_FORMULAS as formulas, dimension_table
 
-    formulas = fixtures.get("dimension_formulas").payload
     for n in (3, 5, 8):
         dt = dimension_table(n)
         for label in ("I", "II", "III", "IV"):

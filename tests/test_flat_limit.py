@@ -29,6 +29,7 @@ from hilbcomp.rings import PolyRing, parse
 from oracles import (
     contains_ideal,
     fiber_polynomials_by_specialization,
+    pencil_planar_double,
     saturate_by_quotients,
     specialize_by_substitution,
 )
@@ -121,14 +122,14 @@ def test_fiber_at_one_is_the_unshifted_pair():
 
 
 def test_pencil_fibers():
-    pencil = fixtures.get("pencil_planar_double_n3").payload
+    pencil = pencil_planar_double(3)
     at1 = fiber(pencil, 1)
     assert at1 == normal_form_ideal(3, "II")
     at0 = fiber(pencil, 0)
     assert at0 == Ideal(R, [parse(t, R) for t in ("x0^2", "x0*x1", "x1^2", "x1*x2")])
     assert hilbert_series(at0).hilbert_polynomial == pair_hilbert_polynomial(3)
     # mirrored chart covers the other end of the pencil
-    mirror = fixtures.get("pencil_planar_double_mirror_n3").payload
+    mirror = pencil_planar_double(3, mirror=True)
     other_end = limit_ideal(mirror)
     assert hilbert_series(other_end).hilbert_polynomial == pair_hilbert_polynomial(3)
 
@@ -146,7 +147,7 @@ def test_flatness_probe_passes_for_the_degeneration_families():
 
 
 def test_flatness_probe_pencil_and_chart_note():
-    pencil = fixtures.get("pencil_planar_double_n3").payload
+    pencil = pencil_planar_double(3)
     report = flatness_probe(pencil, samples=4)
     assert report.flat
     assert "chart" in report.to_json()
@@ -224,7 +225,7 @@ def test_limit_and_probe_read_their_bases_unreduced(name, monkeypatch):
         flat_limit, "buchberger", lambda *a, **k: bases.append(original(*a, **k)) or bases[-1]
     )
     assert flatness_probe(fam).flat
-    assert [gb.order.kind for gb in bases] == ["grevlex", "block"]
+    assert [gb.ring.order.kind for gb in bases] == ["grevlex", "block"]
     assert not any("elements" in vars(gb) for gb in bases)
 
 
@@ -287,7 +288,7 @@ def special_fiber_case(name, n, moved):
     if name in FAMILIES:
         total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
         return random_linear_change(total, seed=300 * n + FAMILIES.index(name)) if moved else total
-    return fixtures.get(f"{name}_n{n}").payload.total_ideal
+    return pencil_planar_double(n, mirror=name.endswith("mirror")).total_ideal
 
 
 @pytest.mark.parametrize("name,n,moved", SPECIAL_FIBER_CASES)
@@ -353,7 +354,7 @@ def test_naive_fiber_is_contained_in_the_limit():
         naive = fiber(fam, 0)
         limit = limit_ideal(fam)
         assert contains_ideal(limit, naive), name
-    pencil = fixtures.get("pencil_planar_double_n3").payload
+    pencil = pencil_planar_double(3)
     assert contains_ideal(limit_ideal(pencil), fiber(pencil, 0))
 
 

@@ -120,3 +120,27 @@ def test_every_src_function_has_a_product_caller():
         if product[node.name] == _referenced(node)[node.name] and node.name not in outside
     ]
     assert uncalled == []
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
+def test_no_unused_imports():
+    # __init__'s imports are the package's exports
+    paths = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    paths += list(DEMOS.glob("*.py")) + list(Path(__file__).resolve().parent.glob("*.py"))
+    unused = {
+        f"{path.parent.name}/{path.name}": sorted(names)
+        for path in sorted(paths)
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}

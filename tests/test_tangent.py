@@ -53,7 +53,7 @@ def test_other_type_dimensions(n, label, expected):
 
 
 def test_plane_conic_with_embedded_point():
-    report = hom_degree_zero(fixtures.get("ideal_conic_plane").payload)
+    report = hom_degree_zero(fixtures.conic_plane_ideal())
     assert report.dimension == 7
 
 
@@ -62,7 +62,7 @@ def test_space_conic_reported_value():
     # quotient has dimension 3 against 4 sections), so the module Hom is 10
     # while the sheaf-theoretic count is 11; hand derivation: 19 unknowns,
     # 9 independent relations from the single essential syzygy
-    report = hom_degree_zero(fixtures.get("ideal_conic_space").payload)
+    report = hom_degree_zero(fixtures.conic_space_ideal())
     assert report.dimension == 10
     assert report.total_unknowns == 19
     assert report.constraint_rank == 9
@@ -180,8 +180,8 @@ def test_report_json_shape():
 @pytest.mark.parametrize("n", [3, 4])
 def test_explicit_elements_satisfy_constraints(n):
     I = Ideal(PolyRing(n + 1), fixtures.lambda_generators(n))
-    trivial = fixtures.get(f"tangent_trivial_elements_n{n}").payload
-    versal = fixtures.get(f"tangent_versal_elements_n{n}").payload
+    trivial = fixtures.tangent_trivial_elements(n)
+    versal = fixtures.tangent_versal_elements(n)
     assert len(trivial) == 3 * n - 3
     assert len(versal) == 5 * (n - 2) + 1
     for name, images in trivial + versal:
@@ -201,8 +201,8 @@ def test_explicit_elements_form_a_basis(n):
     ]
     index = {m: k for k, m in enumerate(std)}
     elements = (
-        fixtures.get(f"tangent_trivial_elements_n{n}").payload
-        + fixtures.get(f"tangent_versal_elements_n{n}").payload
+        fixtures.tangent_trivial_elements(n)
+        + fixtures.tangent_versal_elements(n)
     )
     rows = []
     for _, images in elements:
@@ -324,8 +324,8 @@ _ORACLE_CASES = [
     for n in (3, 4, 5)
     for label in ("I", "II", "III", "IV")
 ] + [
-    ("conic_plane", lambda: fixtures.get("ideal_conic_plane").payload),
-    ("conic_space", lambda: fixtures.get("ideal_conic_space").payload),
+    ("conic_plane", fixtures.conic_plane_ideal),
+    ("conic_space", fixtures.conic_space_ideal),
     ("mixed_degree", _mixed_degree_ideal),
 ]
 
@@ -434,8 +434,8 @@ _FULL_RING_CASES = [
 ] + [
     (f"sheared-{seed}", lambda seed=seed: _sheared_quadrics(seed)) for seed in range(50)
 ] + [
-    ("conic_plane", lambda: fixtures.get("ideal_conic_plane").payload),
-    ("conic_space", lambda: fixtures.get("ideal_conic_space").payload),
+    ("conic_plane", fixtures.conic_plane_ideal),
+    ("conic_space", fixtures.conic_space_ideal),
     ("cubic_generator", _cubic_generator_ideal),
 ] + [
     # generators of other degrees than two in fewer variables than the ring's
@@ -475,8 +475,8 @@ def test_every_ideal_takes_its_essential_variables(monkeypatch):
     hom_degree_zero(random_linear_change(Ideal(PolyRing(7), ["x3", "x2^3", "x1*x2^2"]), seed=5))
     assert seen == [3]
     for full in (
-        fixtures.get("ideal_conic_plane").payload,
-        fixtures.get("ideal_conic_space").payload,
+        fixtures.conic_plane_ideal(),
+        fixtures.conic_space_ideal(),
         _cubic_generator_ideal(),
     ):
         hom_degree_zero(full)
