@@ -11,6 +11,7 @@ chamber decomposition of the two components involved.
 """
 
 from .errors import (
+    BudgetExceededError,
     ClassificationError,
     HomogeneityError,
     KernelError,

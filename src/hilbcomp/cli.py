@@ -119,7 +119,6 @@ def _build_parser():
     )
     vf.add_argument("--out", default=None)
     vf.add_argument("--timings", action="store_true")
-    vf.add_argument("--inject-fault", action="append", default=[], help=argparse.SUPPRESS)
     return p
 
 
@@ -232,13 +231,7 @@ def _cmd_cone(args):
 
 def _cmd_verify(args):
     n_max = MAX_N if args.deep else args.n_max
-    report = run_battery(
-        n_min=args.n_min,
-        n_max=n_max,
-        seed=args.seed,
-        deep=args.deep,
-        faults=args.inject_fault,
-    )
+    report = run_battery(n_min=args.n_min, n_max=n_max, seed=args.seed, deep=args.deep)
     if args.format == "json":
         rendered = json.dumps(report.to_json(timings=args.timings), indent=2, sort_keys=True)
     else:

@@ -37,3 +37,8 @@ class LatticeDataError(KernelError):
 class MonomialOverflowError(KernelError):
     """An exponent or degree outgrew the packed monomial fields of the
     Groebner engine (each holds values below 2**31)."""
+
+
+class BudgetExceededError(KernelError):
+    """A request would build a table too large to hold in memory; raised
+    before any of it is built."""

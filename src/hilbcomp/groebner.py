@@ -41,8 +41,8 @@ equality a tuple comparison downstream.
 A `GroebnerBasis` holds the packed minimal entries of some Groebner basis,
 unreduced: `buchberger` stops at the minimal basis of its S-pair loop, and
 `seeded_basis` takes term dicts known to form a Groebner basis, as the
-derived bases of the ideal layer do (`eliminated_basis`, `divided_basis`,
-`saturated_basis`).  Their leads are the minimal generators of the initial
+derived bases of the ideal layer do (`eliminated_basis`,
+`divided_basis`).  Their leads are the minimal generators of the initial
 ideal, so the entries serve every reader that needs only leads or some
 Groebner basis: Hilbert data, elimination, colons, the flat limit, and a
 larger basis that starts from them (`buchberger(..., basis=)`).  The
@@ -662,23 +662,6 @@ def divided_basis(gb, g):
             raise ValueError("polynomial is not divisible")
         quotients.append(q)
     return seeded_basis(gb.ring, quotients)
-
-
-def saturated_basis(gb):
-    """The seeded basis (`seeded_basis`) of I : x_n^oo, x_n the last
-    variable, from a grevlex basis gb of a homogeneous ideal I: each entry
-    divided by the power of x_n in its lead.  By Bayer's lemma that power
-    divides every term of a homogeneous entry, and the quotients form a
-    Groebner basis; the minimal entries serve when all are homogeneous (the
-    degree field of the last term is the lead's), else the reduced ones."""
-    last = _ring_packing(gb.ring).weights[-1]    # pack(m / x_n) == pack(m) - last
-    degree = _FIELD_BITS * gb.ring.width         # the grevlex degree field
-    entries = gb._minimal
-    if any(e.tail and next(reversed(e.tail)) >> degree != e.lm >> degree for e in entries):
-        entries = gb._entries
-    return seeded_basis(gb.ring, [
-        {m - e.lead[-1] * last: c for m, c in e.terms()} for e in entries
-    ])
 
 
 class SyzygyModule:

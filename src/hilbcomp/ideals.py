@@ -11,17 +11,16 @@ ideals, and I : g is read off the block basis of u*I + (1-u)*(g): the
 quotients by g of its u-free minimal entries form a Groebner basis of
 I : g, interreduced once into a canonical result with no further Buchberger
 run.  The basis of I + (h) starts from I's (`_with_element`).  Saturation
-has two routes: by an ideal with the irrelevant radical, it reads
-I : x_n^oo off the grevlex basis of I and keeps it when the Hilbert
-polynomial certifies it; otherwise, or when the certificate fails, it is
-the meet of principal saturations I : g^oo over the generators g, each one
-elimination of u from (I, 1 - u*g).  Every ideal derived from a known
-basis (an elimination, I : g, I : x_n^oo) is seeded: its grevlex basis
-comes from packed entries through a `groebner` function
-(`eliminated_basis`, `divided_basis`, `saturated_basis`) and its
-generators are that basis's reduced elements (`_with_seeded_gb`), with no
-Polynomial built in between.  `essential_form` writes forms of any degree
-in their essential variables, for classification and tangent spaces alike.
+has two routes: by an ideal with the irrelevant radical, when the last
+variable x_n divides no lead of the grevlex basis of I, it returns I;
+otherwise it is the meet of principal saturations I : g^oo over the
+generators g, each one elimination of u from (I, 1 - u*g).  Every ideal
+derived from a known basis (an elimination, I : g) is seeded: its grevlex
+basis comes from packed entries through a `groebner` function
+(`eliminated_basis`, `divided_basis`) and its generators are that basis's
+reduced elements (`_with_seeded_gb`), with no Polynomial built in between.
+`essential_form` writes forms of any degree in their essential variables,
+for classification and tangent spaces alike.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .groebner import (
     buchberger,
     divided_basis,
     eliminated_basis,
-    saturated_basis,
     seeded_basis,
 )
 from .hilbert import hilbert_series
@@ -223,19 +221,11 @@ def saturate(I, J):
 
     When I is homogeneous in a plain x-ring and J is a proper homogeneous
     ideal whose radical is the irrelevant ideal m = (x_0..x_n), then
-    I : J^oo = I : m^oo =: I^sat, and the grevlex basis of I gives a
-    candidate in one step: dividing each element by the largest power of
-    the last variable x_n that divides it yields generators of
-    K = I : x_n^oo (Bayer's lemma: for a homogeneous grevlex basis, x_n
-    divides an element exactly when it divides its lead).  Since x_n lies
-    in m, I^sat is inside K.  K is accepted only when its Hilbert
-    polynomial equals that of I, which proves K == I^sat: I^sat / I has
-    finite length, so HP(I^sat) == HP(I), and K / I^sat sits inside
-    S / I^sat, which has no m-torsion; so a nonzero K / I^sat has
-    positive-dimensional support and a nonzero Hilbert polynomial, and
-    HP(I) - HP(K) == HP(K / I^sat) would not vanish.  In coordinates where
-    x_n is not general for I the check fails and the meet below decides.
-    If x_n divides no lead, it is a nonzerodivisor mod I: I : x_n^oo = I = I^sat.
+    I : J^oo = I : m^oo =: I^sat.  If the last variable x_n divides no lead
+    of the grevlex basis of I, then (Bayer's lemma: for a homogeneous
+    grevlex basis, x_n divides an element exactly when it divides its
+    lead) x_n is a nonzerodivisor mod I, so I : x_n^oo = I, and I^sat,
+    which lies between I and I : x_n^oo as x_n lies in m, is I.
 
     Otherwise I : J^oo is the meet of the principal saturations I : g^oo
     over the generators g of J: if f*g^k lies in I for every g, so does
@@ -245,12 +235,10 @@ def saturate(I, J):
     _require_same_ring(I, J)
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
-    if _radical_is_irrelevant(I, J):
-        if not any(m[-1] for m in I.groebner_basis().lead_monomials()):
-            return I.canonical()
-        candidate = _with_seeded_gb(I.ring, saturated_basis(I.groebner_basis()))
-        if hilbert_series(candidate).hilbert_polynomial == hilbert_series(I).hilbert_polynomial:
-            return candidate
+    if _radical_is_irrelevant(I, J) and not any(
+        m[-1] for m in I.groebner_basis().lead_monomials()
+    ):
+        return I.canonical()
     return functools.reduce(intersect, (_saturate_principal(I, g) for g in J.generators))
 
 

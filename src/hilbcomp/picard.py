@@ -107,11 +107,11 @@ class PicLattice:
         return self.divisor(tuple(int(i == j) for j in range(len(self.basis))), name)
 
 
-def _lattice(space, n, stated):
+def _lattice(space, n):
     spec = _LATTICE_SPECS[space]
     if n < spec.n_min:
         raise ValueError(spec.n_error)
-    stated = dict(spec.stated if stated is None else stated)
+    stated = dict(spec.stated)
     curves = {
         c: CurveClass(space, c, tuple(
             None if (c, d) == spec.open_entry else stated[(c, d)] for d in spec.basis
@@ -121,12 +121,12 @@ def _lattice(space, n, stated):
     return PicLattice(space, n, spec.basis, curves, stated)
 
 
-def hn_lattice(n, stated=None):
-    return _lattice(HN, n, stated)
+def hn_lattice(n):
+    return _lattice(HN, n)
 
 
-def wn_lattice(n, stated=None):
-    return _lattice(WN, n, stated)
+def wn_lattice(n):
+    return _lattice(WN, n)
 
 
 def pairing(curve, divisor):

@@ -37,9 +37,10 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import neg
 
-from .errors import ParseError, RingMismatchError
+from .errors import BudgetExceededError, ParseError, RingMismatchError
 
 MAX_EXPONENT = 2**20
 
@@ -420,6 +421,10 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
+# exponent cells (monomials times width) one monomials_of_degree table may hold
+MONOMIAL_CELL_BUDGET = 20_000_000
+
+
 @functools.lru_cache(maxsize=128)
 def monomials_of_degree(width, d):
     """All exponent tuples of total degree d in `width` variables, as one
@@ -428,9 +433,16 @@ def monomials_of_degree(width, d):
 
     Enumerated in place: the successor of a tuple moves one unit from its
     last nonzero entry to the entry before it and gathers the rest of that
-    entry in the last variable."""
+    entry in the last variable.  A table of more than MONOMIAL_CELL_BUDGET
+    exponents in all raises `BudgetExceededError` before any is built."""
     if d < 0 or (width == 0 and d > 0):
         return ()
+    cells = comb(width + d - 1, d) * width if width else 0
+    if cells > MONOMIAL_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"the degree-{d} monomials in {width} variables need {cells} "
+            f"exponent cells, over the budget of {MONOMIAL_CELL_BUDGET}"
+        )
     e = [0] * width
     if width:
         e[-1] = d

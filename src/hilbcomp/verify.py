@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import fixtures, linalg, picard
+from . import fixtures, linalg
 from .classify import classify, normal_form_ideal
 from .flat_limit import flatness_probe, limit_ideal
 from .groebner import buchberger, syzygies
@@ -285,18 +285,12 @@ def _check_classify(n, seed):
     return expected, computed, expected == computed
 
 
-def _check_relations(space, n, corrupt):
+def _check_relations(space, n):
     if space == HN:
-        stated = dict(picard.HN_STATED)
-        if corrupt:
-            stated[("B3", "N")] = 5
-        lattice = hn_lattice(n, stated=stated)
+        lattice = hn_lattice(n)
         want = {"N": (2, -2), "E": (-1, 2)}
     else:
-        stated = dict(picard.WN_STATED)
-        if corrupt:
-            stated[("B5", "N'")] = 3
-        lattice = wn_lattice(n, stated=stated)
+        lattice = wn_lattice(n)
         want = {"N'": (2, -2, 0), "E'": (-1, 2, -1)}
     report = solve_relations(lattice)
     got = {k: report.classes[k].coords for k in want}
@@ -449,11 +443,10 @@ def _check_presentation_fixtures():
     return expected, computed, expected == computed
 
 
-def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
+def run_battery(n_min=3, n_max=5, seed=0, deep=False):
     """Run every check for the requested n range and return the report."""
     if not (3 <= n_min <= n_max <= MAX_N):
         raise ValueError(f"need 3 <= n_min <= n_max <= {MAX_N}")
-    faults = frozenset(faults)
     b = _Battery(seed)
 
     for n in range(n_min, n_max + 1):
@@ -540,12 +533,12 @@ def run_battery(n_min=3, n_max=5, seed=0, deep=False, faults=()):
     b.run(
         "lattice.relations.hn",
         "rank-2 divisor relations solve uniquely from stated pairings",
-        _check_relations, HN, max(n_min, 3), "lattice.pairing_hn" in faults,
+        _check_relations, HN, max(n_min, 3),
     )
     b.run(
         "lattice.relations.wn",
         "rank-3 divisor relations solve uniquely from stated pairings",
-        _check_relations, WN, max(n_min, 4), "lattice.pairing_wn" in faults,
+        _check_relations, WN, max(n_min, 4),
     )
     b.run(
         "lattice.derived_entries",

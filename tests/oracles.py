@@ -1,8 +1,10 @@
 """Brute-force oracles and invariant checks that the test suites compare against."""
 
+import contextlib
 import heapq
 import itertools
 import re
+import resource
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,6 +12,24 @@ from hilbcomp import linalg
 from hilbcomp.errors import LatticeDataError, ParseError, RingMismatchError
 from hilbcomp.picard import _CHAMBERS, HN, WN, hn_lattice, solve_relations, wn_lattice
 from hilbcomp.rings import MAX_EXPONENT, _divides, _mono_lcm, _mono_mul, monomials_of_degree
+
+
+@contextlib.contextmanager
+def memory_cap(extra_bytes):
+    """Cap this process's address space at its current size plus extra_bytes
+    while the block runs, so that a test of a refused allocation fails with
+    MemoryError, instead of filling the machine, if the refusal regresses."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + extra_bytes
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def validate_canonical(p):

@@ -1,13 +1,16 @@
+import argparse
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from hilbcomp import Ideal, PolyRing, cli
+from hilbcomp import Ideal, PolyRing, cli, picard
 from hilbcomp.cli import run_subcommand
 from hilbcomp.ideals import MAX_FILE_N
 from hilbcomp.rings import MAX_EXPONENT
+
+from oracles import memory_cap
 
 TYPE_I = "ring n=3 param=0\nx0*x2\nx0*x3\nx1*x2\nx1*x3\n"
 TYPE_IV = "ring n=3 param=0\nx0^2\nx0*x1\nx1^2\nx0*x2 - x1*x2\n"
@@ -177,6 +180,19 @@ def test_tangent_on_an_accepted_100_variable_file(tmp_path, capsys):
     assert [len(u) for u in payload["unknowns"]] == [5048, 5048]
 
 
+def test_a_degree_table_over_budget_is_refused_before_it_is_built(tmp_path, capsys):
+    # the quartics of P^100 are 4.6 million monomials of 101 exponents each:
+    # refused with a typed error at once, not built until memory runs out
+    path = tmp_path / "quartic.ideal"
+    path.write_text("ring n=100 param=0\nx0^4\n")
+    start = time.perf_counter()
+    with memory_cap(1 << 30):
+        assert run_subcommand(["tangent", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_limit_rejects_plain_ideal_file(files, capsys):
     assert run_subcommand(["limit", files["type_i"]]) == 2
 
@@ -315,14 +331,26 @@ def test_verify_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_fault_injection_fails(tmp_path, capsys):
-    code = run_subcommand(
-        ["verify", "--n-min", "3", "--n-max", "3",
-         "--inject-fault", "lattice.pairing_hn"]
-    )
+def test_verify_fault_injection_fails(monkeypatch, capsys):
+    monkeypatch.setitem(picard.HN_STATED, ("B3", "N"), 5)
+    code = run_subcommand(["verify", "--n-min", "3", "--n-max", "3"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "lattice.relations.hn" in out
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed == {"lattice.relations.hn", "lattice.derived_entries"}
+
+
+def test_no_option_is_hidden_from_help():
+    parser = cli._build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    hidden = [
+        (p.prog, a.option_strings) for p in parsers for a in p._actions
+        if a.help == argparse.SUPPRESS
+    ]
+    assert len(parsers) > 1 and hidden == []
 
 
 def test_verify_timings_flag(tmp_path):

@@ -39,6 +39,11 @@ FAMILIES = ("embedded", "double", "quadric_union", "substitution")
 Rt = PolyRing(4, has_param=True)
 R = PolyRing(4)
 
+# SAMPLE_POINTS extended by five more points, for probes that patch it in
+EIGHT_POINTS = SAMPLE_POINTS + (
+    Fraction(3), Fraction(1, 5), Fraction(5), Fraction(2, 7), Fraction(7),
+)
+
 
 def tparse(*texts):
     return [parse(t, Rt) for t in texts]
@@ -146,10 +151,11 @@ def test_flatness_probe_passes_for_the_degeneration_families():
         ), name
 
 
-def test_flatness_probe_pencil_and_chart_note():
+def test_flatness_probe_pencil_and_chart_note(monkeypatch):
+    monkeypatch.setattr(flat_limit, "SAMPLE_POINTS", EIGHT_POINTS)
     pencil = pencil_planar_double(3)
-    report = flatness_probe(pencil, samples=4)
-    assert report.flat
+    report = flatness_probe(pencil)
+    assert report.flat and report.sample_points == EIGHT_POINTS
     assert "chart" in report.to_json()
 
 
@@ -166,18 +172,19 @@ def test_flatness_probe_detects_constructed_jump():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("moved", [False, True])
-def test_flatness_probe_matches_the_specialization_oracle(n, moved):
+def test_flatness_probe_matches_the_specialization_oracle(n, moved, monkeypatch):
     # the fibers read off the block basis against one basis per sample point
     for k, name in enumerate(FAMILIES):
         fam = fixtures.get(f"family_{name}_limit_n{n}").payload
         if moved:
             fam = Family(random_linear_change(fam.total_ideal, seed=400 * n + k))
-        for samples in (3, 8):
-            report = flatness_probe(fam, samples=samples)
-            assert report.flat, (name, samples)
+        for points in (SAMPLE_POINTS, EIGHT_POINTS):
+            monkeypatch.setattr(flat_limit, "SAMPLE_POINTS", points)
+            report = flatness_probe(fam)
+            assert report.flat, (name, points)
             assert report.sample_polynomials == fiber_polynomials_by_specialization(
-                fam, SAMPLE_POINTS[:samples]
-            ), (name, samples)
+                fam, points
+            ), (name, points)
 
 
 def test_flatness_probe_specializes_only_where_a_leading_coefficient_vanishes(monkeypatch):
@@ -230,9 +237,11 @@ def test_limit_and_probe_read_their_bases_unreduced(name, monkeypatch):
 
 
 def test_probe_argument_validation():
+    # the family is the probe's one argument: its points are SAMPLE_POINTS
     fam = fixtures.get("family_embedded_limit_n3").payload
-    with pytest.raises(ValueError):
-        flatness_probe(fam, samples=1)
+    with pytest.raises(TypeError):
+        flatness_probe(fam, SAMPLE_POINTS)
+    assert flatness_probe(fam).sample_points == SAMPLE_POINTS
 
 
 def test_limit_rejects_empty_family():
@@ -361,10 +370,10 @@ def test_naive_fiber_is_contained_in_the_limit():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("moved", [False, True])
 def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monkeypatch):
-    # the grevlex read-off must agree with the quotient loop on the special
-    # fiber and on sample fibers; in moved coordinates x_n is general for
-    # every fiber, so the Hilbert-polynomial check accepts without the
-    # principal meet
+    # saturate must agree with the quotient loop on the special fiber and
+    # on sample fibers; it meets the principal saturations by x_0..x_n
+    # exactly when x_n divides a lead of the fiber's grevlex basis, and in
+    # moved coordinates x_n divides none, so no fiber takes the meet
     cases = []
     for k, name in enumerate(("embedded", "double", "quadric_union", "substitution")):
         total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
@@ -381,28 +390,53 @@ def test_saturation_by_m_matches_the_quotient_loop_on_every_fiber(n, moved, monk
         ideals, "_saturate_principal", lambda A, g: principal_calls.append(g) or original(A, g)
     )
     for X, m, want in cases:
+        principal_calls.clear()
         got = saturate(X, m)
         assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
-    if moved:
-        assert not principal_calls
+        torsion = any(g[-1] for g in X.groebner_basis().lead_monomials())
+        assert principal_calls == (list(m.generators) if torsion else [])
+        assert not (moved and torsion)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("moved", [False, True])
+def test_family_limits_saturate_at_the_nonzerodivisor_exit(n, moved, monkeypatch):
+    # every limit the verify battery and the limit benchmark build ends in
+    # saturate(special fiber, m), and x_n divides no lead of the fiber's
+    # basis: the saturation returns the fiber, with no principal meet (n + 1
+    # eliminations each) behind it
+    principal_calls = []
+    original = ideals._saturate_principal
+    monkeypatch.setattr(
+        ideals, "_saturate_principal", lambda A, g: principal_calls.append(g) or original(A, g)
+    )
+    for k, name in enumerate(FAMILIES):
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        if moved:
+            total = random_linear_change(total, seed=500 * n + k)
+        limit = limit_ideal(Family(total))
+        assert hilbert_series(limit).hilbert_polynomial == pair_hilbert_polynomial(n), name
+    assert principal_calls == []
 
 
 @pytest.mark.parametrize("torsion", [False, True])
 def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
     # the limit keeps the Hilbert data its saturation computed.  When x_n
     # divides no lead of the special fiber's basis (the fixture), the limit
-    # is that fiber and no series is compared, so the probe computes one
-    # series for the limit and one for the x-leads of its block basis, which
-    # serves every sample point where no leading coefficient vanishes; the
-    # x-leads are read as a monomial ideal, with no basis of their own.  When
-    # the special fiber x0 * m has m-torsion, the saturation certifies the
-    # candidate (x0) against the fiber, and the limit is that candidate with
-    # its series
+    # is that fiber, so the probe computes one series for the limit and one
+    # for the x-leads of its block basis, which serves every sample point
+    # where no leading coefficient vanishes; the x-leads are read as a
+    # monomial ideal, with no basis of their own.  When the special fiber
+    # x0 * m has m-torsion, the limit is the meet of its principal
+    # saturations by x0..x3, which computes no series, and the probe
+    # computes the one series of that meet, (x0)
     computed = []
     leads = []
+    principal = []
     original = hilbert._initial_monomials
     original_data = flat_limit.hilbert_data
-    for samples in (3, 8):
+    original_principal = ideals._saturate_principal
+    for points in (SAMPLE_POINTS, EIGHT_POINTS):
         if torsion:
             fam = Family(Ideal(Rt, tparse("x0^2 + t*x0*x1", "x0*x1", "x0*x2", "x0*x3")))
         else:
@@ -412,17 +446,25 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
         assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
         computed.clear()
         leads.clear()
+        principal.clear()
+        monkeypatch.setattr(flat_limit, "SAMPLE_POINTS", points)
         monkeypatch.setattr(
             hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I)
         )
         monkeypatch.setattr(
             flat_limit, "hilbert_data", lambda *a: leads.append(a) or original_data(*a)
         )
-        report = flatness_probe(fam, samples=samples)
+        monkeypatch.setattr(
+            ideals,
+            "_saturate_principal",
+            lambda A, g: principal.append(g) or original_principal(A, g),
+        )
+        report = flatness_probe(fam)
         monkeypatch.undo()
         assert report.flat
-        assert len(report.sample_points) == samples
-        assert len(computed) == (2 if torsion else 1)
+        assert report.sample_points == points
+        assert len(computed) == 1
         assert len(leads) == 1
+        assert principal == (list(irrelevant_ideal(R).generators) if torsion else [])
         if torsion:
             assert limit_ideal(fam) == Ideal(R, [R.x(0)])

@@ -20,7 +20,6 @@ from hilbcomp.groebner import (
     _row_coordinates,
     buchberger,
     eliminate_generators,
-    saturated_basis,
     seeded_basis,
     syzygies,
 )
@@ -61,18 +60,6 @@ def seeded(polys):
     ring's order, packed term by term."""
     pk = _ring_packing(polys[0].ring)
     return seeded_basis(polys[0].ring, [_int_terms(p, pk)[0] for p in polys])
-
-
-def test_saturation_by_the_last_variable_reads_homogeneous_entries():
-    # x0^2 + x0*x1^2 is a minimal entry of (x0^2, x0*x1^2) whose tail term
-    # x1 does not divide; the reduced entries are homogeneous and are taken
-    R2 = PolyRing(2)
-    x0, x1 = R2.x(0), R2.x(1)
-    gb = seeded([x0 * x1**2 + x0**2, x0**2])
-    assert len(gb._minimal) == 2 and "_entries" not in vars(gb)
-    assert saturated_basis(gb).elements == (x0,)
-    plain = buchberger([x0**2, x0 * x1**2], transform=False)
-    assert saturated_basis(plain).elements == (x0,) and "_entries" not in vars(plain)
 
 
 def test_monomial_generators_are_their_own_basis():

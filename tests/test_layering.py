@@ -65,7 +65,7 @@ def test_ideals_seed_their_bases_through_groebner_functions():
     # ideal layer neither builds a GroebnerBasis nor converts polynomials
     # into one
     names = _groebner_names(dict(_trees())["ideals"])
-    assert names == {"buchberger", "divided_basis", "eliminated_basis", "saturated_basis", "seeded_basis"}
+    assert names == {"buchberger", "divided_basis", "eliminated_basis", "seeded_basis"}
 
 
 def test_no_module_calls_the_groebner_basis_constructor():

@@ -104,23 +104,21 @@ def test_extra_curve_rows(wn):
     assert pairing(wn.curve("B4"), wn.classes["N'"]) == -2
 
 
-def test_corrupted_pairing_table_is_detected():
-    bad = dict(picard.HN_STATED)
-    bad[("B3", "N")] = 5
+def test_corrupted_pairing_table_is_detected(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setitem(picard.HN_STATED, ("B3", "N"), 5)
+        with pytest.raises(LatticeDataError):
+            solve_relations(hn_lattice(4))
+    monkeypatch.setitem(picard.WN_STATED, ("B3", "N'"), 5)
     with pytest.raises(LatticeDataError):
-        solve_relations(hn_lattice(4, stated=bad))
-    bad2 = dict(picard.WN_STATED)
-    bad2[("B3", "N'")] = 5
-    with pytest.raises(LatticeDataError):
-        solve_relations(wn_lattice(4, stated=bad2))
+        solve_relations(wn_lattice(4))
 
 
-def test_self_consistent_corruption_changes_the_solution():
+def test_self_consistent_corruption_changes_the_solution(monkeypatch):
     # corrupting an entry used exactly once yields a consistent but wrong
     # lattice; the battery detects it by comparing the solved coordinates
-    bad = dict(picard.WN_STATED)
-    bad[("B5", "N'")] = 3
-    report = solve_relations(wn_lattice(4, stated=bad))
+    monkeypatch.setitem(picard.WN_STATED, ("B5", "N'"), 3)
+    report = solve_relations(wn_lattice(4))
     assert report.classes["N'"].coords != (2, -2, 0)
 
 

@@ -1,12 +1,15 @@
 import itertools
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from hilbcomp import rings
 from hilbcomp.cli import run_subcommand
-from hilbcomp.errors import ParseError, RingMismatchError
+from hilbcomp.errors import BudgetExceededError, ParseError, RingMismatchError
 from hilbcomp.ideals import loads_ideal
 from hilbcomp.rings import (
     GREVLEX,
@@ -22,6 +25,7 @@ from hilbcomp.rings import (
 from oracles import (
     compose_linear_by_products,
     convert_by_name,
+    memory_cap,
     parse_by_tokens,
     substitute_by_expansion,
     validate_canonical,
@@ -369,6 +373,28 @@ def test_monomials_of_degree_in_a_wide_ring():
     assert len(monos) == 1200
     assert monos[0] == (0,) * 1199 + (1,) and monos[-1] == (1,) + (0,) * 1199
     assert list(monos) == sorted(monos)
+
+
+def test_monomials_of_degree_refuses_a_table_over_budget_before_building_it(monkeypatch):
+    # the quartics of P^100: C(104, 4) = 4,598,126 monomials of 101 cells
+    monomials_of_degree.cache_clear()
+    tracemalloc.start()
+    try:
+        with memory_cap(1 << 30), pytest.raises(BudgetExceededError):
+            monomials_of_degree(101, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert monomials_of_degree.cache_info().currsize == 0
+    # its cubics, 176,851 monomials of 101 cells, fit the budget
+    assert comb(103, 3) * 101 <= rings.MONOMIAL_CELL_BUDGET < comb(104, 4) * 101
+    # the budget counts monomials times width: 20 cubics in 4 variables are
+    # 80 cells, 35 in 5 variables are 175
+    monkeypatch.setattr(rings, "MONOMIAL_CELL_BUDGET", 80)
+    assert len(monomials_of_degree(4, 3)) == 20
+    with pytest.raises(BudgetExceededError):
+        monomials_of_degree(5, 3)
 
 
 def test_convert_between_compatible_rings(ring, tring):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hilbcomp import picard
 from hilbcomp.verify import run_battery
 
 
@@ -45,11 +46,14 @@ def test_text_rendering(report):
     assert any(line.startswith("PASS") for line in text.splitlines())
 
 
-def test_fault_injection_reports_failure():
-    faulted = run_battery(n_min=3, n_max=3, seed=2, faults=["lattice.pairing_hn"])
+def test_fault_injection_reports_failure(monkeypatch):
+    # a wrong stated pairing fails the relations check and the derived
+    # entries, which read the same table, and nothing else
+    monkeypatch.setitem(picard.HN_STATED, ("B3", "N"), 5)
+    faulted = run_battery(n_min=3, n_max=3, seed=2)
     assert faulted.exit_code() == 1
     bad = [c for c in faulted.checks if c.status == "fail"]
-    assert [c.id for c in bad] == ["lattice.relations.hn"]
+    assert [c.id for c in bad] == ["lattice.relations.hn", "lattice.derived_entries"]
 
 
 def test_range_validation():
@@ -61,9 +65,10 @@ def test_range_validation():
         run_battery(n_min=3, n_max=9)
 
 
-def test_failures_are_recorded_not_raised():
+def test_failures_are_recorded_not_raised(monkeypatch):
     # even a crashing check must come back as data
-    report = run_battery(n_min=3, n_max=3, seed=2, faults=["lattice.pairing_wn"])
+    monkeypatch.setitem(picard.WN_STATED, ("B5", "N'"), 3)
+    report = run_battery(n_min=3, n_max=3, seed=2)
     assert report.summary["fail"] >= 1
     assert report.exit_code() == 1
 
