@@ -12,6 +12,7 @@ chamber decomposition of the two components involved.
 
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     ClassificationError,
     HomogeneityError,
     KernelError,

@@ -8,13 +8,14 @@ The decision procedure is linkage plus the Jacobian criterion:
     has the linked degree e(F) - e(J), and otherwise computed generator by
     generator.  The gate reads the Hilbert series of S/(F : h) off the
     exact sequence 0 -> S/(F : h)(-d) -> S/F -> S/(F + (h)) -> 0 of
-    multiplication by h, of degree d, so the one principal elimination of
-    F : h runs only for an accepted h, and its generators are read off that
-    elimination's basis (ideals.quotient_by_element);
+    multiplication by h, of degree d.  An accepted F : h is then read off
+    normal forms modulo F one degree at a time, and that series stops it
+    and certifies it as a Groebner basis (ideals.colon_by_series): no link
+    runs an elimination;
   * the hull either equals I (no embedded part) or strictly contains it.
     I lies inside its hull, so when the accepted second link has the series
-    of I, the hull is I and its elimination is skipped: types I and II run
-    one elimination, types III and IV two, and III's gate one more;
+    of I, the hull is I and its colon is skipped: types I and II compute
+    one colon, types III and IV two, and III's gate one elimination;
   * the hull is generically reduced exactly when the 2x2 minors of its
     Jacobian matrix cut out a set of dimension below n - 2 inside it; see
     generic_slice_reduced.  This step is exact and draws nothing.
@@ -74,11 +75,11 @@ from .ideals import (
     Ideal,
     _integer_partials,
     _with_element,
+    colon_by_series,
     essential_form,
     ideal_product,
     intersect,
     quotient,
-    quotient_by_element,
 )
 from .rings import PolyRing, _mono_mul, monomials_of_degree
 
@@ -208,7 +209,8 @@ def _colon_data(ci, h):
     q = UniPoly(hilbert_series(ci).series_numerator)
     r = UniPoly(hilbert_series(_with_element(ci, h)).series_numerator)
     diff = (q - r).coeffs
-    assert not any(diff[:d]), "colon series not divisible by T^d"
+    if any(diff[:d]):
+        raise AssertionError("colon series not divisible by T^d")
     return hilbert_data(ci.ring.width, diff[d:])
 
 
@@ -216,7 +218,7 @@ def _linking_element(ci, J, rng):
     """(h, data) for the first of two random homogeneous h in J whose colon
     ci : h passes `_link`'s gate, with data the Hilbert data of S/(ci : h);
     None when both draws are rejected.  The gate reads only `_colon_data`,
-    so no elimination runs here."""
+    so no colon is computed here."""
     n = ci.ring.num_vars - 1
     linked_degree = hilbert_series(ci).degree - hilbert_series(J).degree
     for _ in range(2):
@@ -230,22 +232,20 @@ def _linking_element(ci, J, rng):
 
 
 def _colon(ci, J, drawn):
-    """ci : J from `_linking_element`'s result: ci : h, one principal
-    elimination, carrying its derived Hilbert data; or, after two rejected
-    draws, the colon generator by generator."""
+    """ci : J from `_linking_element`'s result: ci : h, read off normal
+    forms modulo ci and certified by its derived Hilbert data
+    (ideals.colon_by_series); or, after two rejected draws, the colon
+    generator by generator."""
     if drawn is None:
         return quotient(ci, J)
-    h, data = drawn
-    colon = quotient_by_element(ci, h)
-    colon._set_hilbert(data)
-    return colon
+    return colon_by_series(ci, *drawn)
 
 
 def _link(ci, J, rng):
     """ci : J for a complete intersection ci inside J, through one element.
 
-    A random homogeneous h in J gives ci : h as (ci meet (h)) / h, one
-    principal elimination.  It is accepted when S/(ci : h) has dimension
+    A random homogeneous h in J gives the colon ci : h.  It is accepted
+    when S/(ci : h) has dimension
     n - 2 and degree e(ci) - e(J), which proves ci : h == ci : J
     (Peskine-Szpiro, Invent. Math. 26, 1974; Eisenbud-Huneke-Vasconcelos,
     Invent. Math. 110, 1992):
@@ -262,8 +262,10 @@ def _link(ci, J, rng):
     The gate needs only the Hilbert series of S/(ci : h), and the exact
     sequence 0 -> S/(ci : h)(-d) -> S/ci -> S/(ci + (h)) -> 0 of
     multiplication by h (d = deg h) gives it from the series of ci + (h)
-    (`_colon_data`): the elimination runs only for an accepted h.  After two
-    rejected draws the colon is computed generator by generator.
+    (`_colon_data`), before ci : h is computed.  For an accepted h the same
+    series stops and certifies the computation of ci : h from normal forms
+    modulo ci (`_colon`).  After two rejected draws the colon is computed
+    generator by generator.
     """
     return _colon(ci, J, _linking_element(ci, J, rng))
 
@@ -274,8 +276,7 @@ def equidimensional_hull(I, seed=0, stats=None):
 
     I lies inside its hull.  When the accepted second link has the series
     numerator of I, the two have the same Hilbert function, so the hull is
-    I itself: I.canonical() is returned and the second elimination is
-    skipped.
+    I itself: I.canonical() is returned and the second colon is skipped.
     """
     data = hilbert_series(I)
     n = I.ring.num_vars - 1

@@ -42,3 +42,8 @@ class MonomialOverflowError(KernelError):
 class BudgetExceededError(KernelError):
     """A request would build a table too large to hold in memory; raised
     before any of it is built."""
+
+
+class CertificateError(KernelError):
+    """A computation certified by known data did not close its certificate:
+    the data does not belong to the input."""

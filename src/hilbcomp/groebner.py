@@ -41,10 +41,10 @@ equality a tuple comparison downstream.
 A `GroebnerBasis` holds the packed minimal entries of some Groebner basis,
 unreduced: `buchberger` stops at the minimal basis of its S-pair loop, and
 `seeded_basis` takes term dicts known to form a Groebner basis, as the
-derived bases of the ideal layer do (`eliminated_basis`,
-`divided_basis`).  Their leads are the minimal generators of the initial
-ideal, so the entries serve every reader that needs only leads or some
-Groebner basis: Hilbert data, elimination, colons, the flat limit, and a
+derived bases of the ideal layer do (`eliminated_basis`, `divided_basis`,
+and the rows of `colon_rows` once a known series certifies them).  Their
+leads are the minimal generators of the initial ideal, so the entries
+serve every reader that needs only leads or some Groebner basis: Hilbert data, elimination, colons, the flat limit, and a
 larger basis that starts from them (`buchberger(..., basis=)`).  The
 reduced basis is built from them once, on first read, as packed entries
 (`_entries`); `elements` and `transform` are unpacked from those.
@@ -662,6 +662,42 @@ def divided_basis(gb, g):
             raise ValueError("polynomial is not divisible")
         quotients.append(q)
     return seeded_basis(gb.ring, quotients)
+
+
+def colon_rows(gb, g, e):
+    """A basis of the degree-e piece of K : g, for a basis gb of a
+    homogeneous ideal K and a nonzero homogeneous g: {lead exponents:
+    packed {mono: int} term dict, descending in gb's order}, one per lead.
+
+    Each degree-e monomial x^a gives one sparse integer row: the
+    fraction-free normal form of x^a * g against gb's minimal entries,
+    D * x^a * g minus an element of K, on the normal-form columns, and D
+    on the tag column of x^a.  Any Groebner basis gives the normal form up
+    to scale, so the entries serve unreduced.  The tag columns come after
+    every normal-form column, descending in the order, so a stored row of
+    the echelon span that leads at a tag has no normal-form part: it is an
+    f with f * g in K, and its lead is its pivot's monomial.  Those rows
+    are a basis of (K : g)_e with distinct leads, which are then all the
+    degree-e leads of K : g.
+    """
+    pk = _ring_packing(gb.ring)
+    work = _int_terms(g.convert(gb.ring), pk)[0]
+    columns = _monomial_index(gb.ring.order, gb.ring.width, e + g.total_degree())
+    tags = sorted(_monomial_index(gb.ring.order, gb.ring.width, e), reverse=True)
+    offset = len(columns)
+    span = linalg.RowSpan(offset + len(tags))
+    for k, m in enumerate(tags):
+        shifted = {}
+        _add_product(shifted, {m: 1}, work, pk)
+        rem, scale, _ = _reduce_int(shifted, gb._minimal, pk)
+        row = {columns[t]: c for t, c in rem.items()}
+        row[offset + k] = scale
+        span.add(row)
+    return {
+        pk.unpack(tags[min(row) - offset]): {tags[k - offset]: row[k] for k in sorted(row)}
+        for row in span
+        if min(row) >= offset
+    }
 
 
 class SyzygyModule:

@@ -9,7 +9,9 @@ interreduction, by the variable-pivot recursion
 with pairwise-coprime generator sets as base case.  The numerator Q(T) with
 HS = Q/(1-T)^width is exact integer data; cancelling (1-T) factors yields
 the Hilbert polynomial, the projective dimension, the degree, and the bound
-from which polynomial and function agree.
+from which polynomial and function agree.  The series of a monomial ideal
+given by its generators is `monomial_data`, and `gotzmann_number` gives the
+degree from which a Hilbert polynomial grows maximally.
 
 Includes the reference Hilbert polynomial of a pair of codimension-two
 linear subspaces of P^n meeting in codimension four:
@@ -235,7 +237,7 @@ def _initial_monomials(I):
     basis, which `buchberger` gives before any interreduction."""
     if I.is_zero():
         return ()
-    return _minimalize(I.groebner_basis().lead_monomials())
+    return I.groebner_basis().lead_monomials()
 
 
 def hilbert_series(I):
@@ -247,9 +249,14 @@ def hilbert_series(I):
         raise ValueError("Hilbert data requires a plain x-variable ring")
     if not I.is_homogeneous():
         raise HomogeneityError("Hilbert series requires a homogeneous ideal")
-    data = hilbert_data(ring.width, _numerator(_initial_monomials(I)).coeffs)
+    data = monomial_data(ring.width, _initial_monomials(I))
     I._set_hilbert(data)
     return data
+
+
+def monomial_data(width, monomials):
+    """HilbertData of S/M for the ideal M of the given exponent tuples."""
+    return hilbert_data(width, _numerator(_minimalize(monomials)).coeffs)
 
 
 @functools.lru_cache(maxsize=128)
@@ -289,6 +296,29 @@ def hilbert_data(width, numerator):
         degree = sum(reduced)
         bound = max(0, len(reduced) - 1 - dpow + 1)
     return HilbertData(width, q, reduced, dpow, hp, dimension, degree, bound)
+
+
+@functools.lru_cache(maxsize=128)
+def gotzmann_number(hp):
+    """The number s of terms of Gotzmann's representation of a Hilbert
+    polynomial, hp(m) = sum_(i < s) C(m + a_i - i, a_i) with
+    a_0 >= a_1 >= ... >= 0 (G. Gotzmann, Math. Z. 158, 1978): the term
+    C(m + a - i, a), with a the degree of what is left, is taken off until
+    nothing is.  Each step lowers the leading coefficient by 1/a!, so a
+    polynomial that is not a Hilbert polynomial soon has a nonpositive one
+    and raises ValueError.
+
+    For m >= s the terms C(m + a_i - i, m - i) are the Macaulay
+    representation of hp(m) in degree m, so hp(m + 1) == hp(m)^<m>: the
+    Hilbert polynomial grows maximally from degree s on.
+    """
+    s = 0
+    while hp.coeffs:
+        if hp.coeffs[-1] <= 0:
+            raise ValueError(f"{hp} is not a Hilbert polynomial")
+        hp = hp - binomial_polynomial(len(hp.coeffs) - 1, offset=s)
+        s += 1
+    return s
 
 
 def hilbert_function(I, d):

@@ -10,15 +10,20 @@ and block elimination; quotients reduce to intersections with principal
 ideals, and I : g is read off the block basis of u*I + (1-u)*(g): the
 quotients by g of its u-free minimal entries form a Groebner basis of
 I : g, interreduced once into a canonical result with no further Buchberger
-run.  The basis of I + (h) starts from I's (`_with_element`).  Saturation
+run.  When the Hilbert series of S/(I : g) is known, for homogeneous I and
+g, `colon_by_series` computes I : g with no elimination: degree by degree
+from the normal forms of the multiples of g modulo I, until the leads
+found have that series, which certifies them as a Groebner basis.  The
+basis of I + (h) starts from I's (`_with_element`).  Saturation
 has two routes: by an ideal with the irrelevant radical, when the last
 variable x_n divides no lead of the grevlex basis of I, it returns I;
 otherwise it is the meet of principal saturations I : g^oo over the
 generators g, each one elimination of u from (I, 1 - u*g).  Every ideal
 derived from a known basis (an elimination, I : g) is seeded: its grevlex
 basis comes from packed entries through a `groebner` function
-(`eliminated_basis`, `divided_basis`) and its generators are that basis's
-reduced elements (`_with_seeded_gb`), with no Polynomial built in between.
+(`eliminated_basis`, `divided_basis`, `colon_rows`) and its generators are
+that basis's reduced elements (`_with_seeded_gb`), with no Polynomial built
+in between.
 `essential_form` writes forms of any degree in their essential variables,
 for classification and tangent spaces alike.
 """
@@ -28,17 +33,18 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import linalg
-from .errors import HomogeneityError, RingMismatchError
+from .errors import CertificateError, HomogeneityError, RingMismatchError
 from .groebner import (
     buchberger,
+    colon_rows,
     divided_basis,
     eliminated_basis,
     seeded_basis,
 )
-from .hilbert import hilbert_series
+from .hilbert import gotzmann_number, hilbert_series, monomial_data
 from .rings import GREVLEX, Polynomial, PolyRing, elimination_order, parse
 
 
@@ -205,6 +211,59 @@ def quotient_by_element(I, g):
     u_idx, gens = _meet_generators(I, Ideal(I.ring, [g]))
     K = eliminated_basis(gens, [u_idx], I.ring)
     return _with_seeded_gb(I.ring, divided_basis(K, g))
+
+
+def colon_by_series(I, g, data):
+    """(I : g), canonical, for homogeneous I and g, g nonzero, with data the
+    HilbertData of S/(I : g): read off normal forms modulo I one degree e
+    at a time, with no elimination.
+
+    Let M be the monomial ideal of the leads found so far.  They are leads
+    of elements of I : g, so M lies in in(I : g), and HF(S/M) >= HF_data
+    in every degree, with equality exactly where M fills (I : g)_e.  A
+    degree where they agree, such as one where (I : g)_e is 0, is skipped;
+    else `groebner.colon_rows` gives a basis of (I : g)_e with distinct
+    leads, all the degree-e leads of I : g, and its size must be
+    dim S_e - HF_data(e).  Once HF(S/M) == HF_data, M is in(I : g), so the
+    rows found are a Groebner basis of I : g: it is seeded from them and
+    carries data, with no Buchberger run.
+
+    The cap: let H be data's Hilbert function.  A monomial ideal N with
+    HF(S/N) == H, such as in(I : g), has at most H(k)^<k> - H(k + 1)
+    minimal generators in degree k + 1, as the ideal of N_k alone has at
+    most H(k)^<k> standard monomials in degree k + 1 (Macaulay's theorem).
+    For k >= the agreement bound, H(k) is the Hilbert polynomial, and for
+    k >= its Gotzmann number it grows maximally
+    (`hilbert.gotzmann_number`), so N has no minimal generator above the
+    larger of the two.  A certificate still open past that degree, or a
+    degree of the wrong size, raises CertificateError: the data is not
+    that of I : g.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not (I.is_homogeneous() and g.is_homogeneous()):
+        raise HomogeneityError("a colon by its series requires homogeneous input")
+    width = I.ring.width
+    gb = I.groebner_basis()
+    cap = max(data.agreement_bound, gotzmann_number(data.hilbert_polynomial))
+    leads, items = [], []
+    found = monomial_data(width, leads)
+    e = 0
+    while found.series_numerator != data.series_numerator:
+        if e > cap:
+            raise CertificateError(f"the colon's leads do not close its series by degree {cap}")
+        want = data.series_coefficient(e)
+        if found.series_coefficient(e) != want:
+            rows = colon_rows(gb, g, e)
+            if comb(width + e - 1, e) - len(rows) != want:
+                raise CertificateError(f"the colon's degree-{e} piece contradicts its series")
+            leads.extend(rows)
+            items.extend(rows.values())
+            found = monomial_data(width, leads)
+        e += 1
+    out = _with_seeded_gb(I.ring, seeded_basis(gb.ring, items))
+    out._set_hilbert(data)
+    return out
 
 
 def quotient(I, J):

@@ -22,7 +22,7 @@ from hilbcomp.classify import (
 )
 from hilbcomp.errors import ClassificationError
 from hilbcomp.flat_limit import limit_ideal
-from hilbcomp.hilbert import HilbertData, hilbert_series, pair_hilbert_polynomial
+from hilbcomp.hilbert import HilbertData, hilbert_data, hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
     dumps_ideal,
@@ -168,6 +168,17 @@ def test_colon_data_of_a_unit_colon_and_of_zero_divisors():
     assert _colon_data(ci, parse(cases[3], R)) == hilbert_series(ci)
 
 
+def test_colon_data_refuses_an_inexact_division(monkeypatch):
+    # the series of ci + (h) must agree with ci's below deg h; a numerator
+    # that does not is refused by an explicit raise, which python -O keeps
+    ci, h = I("x0*x2", "x1*x3"), parse("x0*x3", R)
+    real = classify_module.hilbert_series
+    fake = hilbert_data(4, (1, 1))
+    monkeypatch.setattr(classify_module, "hilbert_series", lambda J: real(J) if J is ci else fake)
+    with pytest.raises(AssertionError, match="^colon series not divisible by T\\^d$"):
+        _colon_data(ci, h)
+
+
 def test_an_accepted_colon_carries_its_derived_data():
     moved = random_linear_change(normal_form_ideal(4, "III"), seed=3)
     rng = random.Random("carried")
@@ -224,12 +235,14 @@ def _spy_on_bases(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
 def test_unmixed_inputs_run_one_elimination_and_no_full_ring_basis(monkeypatch, n, label):
+    # the name predates the certified colons: the hull's links are read off
+    # normal forms with no elimination, so a whole op runs at most one,
+    # the intersection of III's gate
     moved = random_linear_change(normal_form_ideal(n, label), seed=n + 30)
     runs = _spy_on_bases(monkeypatch)
     assert classify(moved, seed=n).label == label
     blocks = [r for r in runs if r[0] == "block"]
-    # the hull's links, and for III the intersection of its gate
-    assert len(blocks) == {"I": 1, "II": 1, "III": 3, "IV": 2}[label]
+    assert len(blocks) == {"I": 0, "II": 0, "III": 1, "IV": 0}[label]
     # every basis lives on the four essential variables
     assert all(nv == 4 for _, nv in runs)
 
@@ -242,6 +255,24 @@ def test_moved_normal_forms_never_fall_back(monkeypatch):
             moved = random_linear_change(normal_form_ideal(5, label), seed=seed)
             assert classify(moved, seed=seed).label == label
     assert calls == []
+
+
+# points whose planes are not defined over QQ: two skew lines conjugate
+# over QQ(sqrt 2), and two lines of a plane meeting in an embedded point,
+# conjugate over QQ(sqrt 2) and over QQ(i)
+GALOIS_CONJUGATE = [
+    (("x0^2 - 2*x1^2", "x0*x2 - 2*x1*x3", "x0*x3 - x1*x2", "x2^2 - 2*x3^2"), "I"),
+    (("x0^2", "x0*x1", "x0*x2", "x1^2 - 2*x2^2"), "III"),
+    (("x0^2", "x0*x1", "x0*x2", "x1^2 + x2^2"), "III"),
+]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("gens, label", GALOIS_CONJUGATE)
+def test_galois_conjugate_points_keep_their_labels(n, gens, label):
+    ideal = I(*gens, ring=PolyRing(n + 1))
+    for J in (ideal, random_linear_change(ideal, seed=n + 60)):
+        assert classify(J, seed=n).label == label
 
 
 def test_slice_reducedness_on_hulls():

@@ -15,6 +15,7 @@ from hilbcomp.hilbert import (
     _numerator,
     binomial_polynomial,
     double_structure_hilbert_count,
+    gotzmann_number,
     hilbert_function,
     hilbert_series,
     pair_hilbert_polynomial,
@@ -254,3 +255,44 @@ def test_hilbert_data_is_shared_per_width_and_numerator():
     # a numerator pushed out of the cache is derived again, to an equal object
     again = hilbert_data(4, (1, 0, -2, 1))
     assert again is not first and again == first
+
+
+def _macaulay_growth(a, d):
+    """a^<d>: with a = C(k_d, d) + C(k_(d-1), d-1) + ... its Macaulay
+    representation in degree d, the sum of the C(k_i + 1, i + 1)."""
+    out = 0
+    for i in range(d, 0, -1):
+        if a <= 0:
+            break
+        k = i
+        while comb(k + 1, i) <= a:
+            k += 1
+        a -= comb(k, i)
+        out += comb(k + 1, i + 1)
+    return out
+
+
+def test_gotzmann_number_of_known_polynomials():
+    # a conic or two meeting lines, two skew lines, the twisted cubic,
+    # five points, the empty scheme
+    cases = {(1, 2): 2, (2, 2): 3, (1, 3): 4, (5,): 5, (): 0}
+    for coeffs, s in cases.items():
+        assert gotzmann_number(UniPoly(coeffs)) == s
+    for bad in (UniPoly([1, -1]), UniPoly([0, Fraction(1, 2)]), UniPoly([-2])):
+        with pytest.raises(ValueError, match="not a Hilbert polynomial"):
+            gotzmann_number(bad)
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_hilbert_polynomial_grows_maximally_from_its_gotzmann_number(n, label):
+    # and no lead of the ideal's grevlex basis lies above the larger of
+    # that number and the agreement bound (Macaulay's bound on generators)
+    ideal = random_linear_change(normal_form_ideal(n, label), seed=n)
+    data = hilbert_series(ideal)
+    hp = data.hilbert_polynomial
+    s = gotzmann_number(hp)
+    for m in range(s, s + 6):
+        assert hp(m + 1) == _macaulay_growth(int(hp(m)), m)
+    cap = max(s, data.agreement_bound)
+    assert max(sum(m) for m in ideal.groebner_basis().lead_monomials()) <= cap

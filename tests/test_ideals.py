@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import groebner, ideals
-from hilbcomp.errors import RingMismatchError
+from hilbcomp import groebner, ideals, linalg
+from hilbcomp.errors import CertificateError, HomogeneityError, RingMismatchError
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.classify import (
     _colon_data,
@@ -15,6 +15,7 @@ from hilbcomp.classify import (
 )
 from hilbcomp.ideals import (
     Ideal,
+    colon_by_series,
     dumps_ideal,
     eliminate,
     ideal_product,
@@ -154,6 +155,112 @@ def test_quotient_by_element_of_the_zero_ideal():
     assert got.is_zero() and got == quotient_by_division(Ideal(R, []), parse("x0 + x1", R))
     with pytest.raises(ZeroDivisionError):
         quotient_by_element(I("x0"), parse("x0 - x0", R))
+
+
+def _assert_colon_by_series_matches(A, g, monkeypatch):
+    """colon_by_series(A, g, data), with data read off the exact sequence of
+    multiplication by g, carries data and runs no Buchberger, and its
+    generators are those of quotient_by_element and of the division oracle,
+    term for term."""
+    data = _colon_data(A, g)
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "buchberger", None)
+        m.setattr(groebner, "buchberger", None)
+        got = colon_by_series(A, g, data)
+    assert got._hilbert_cache is data
+    text = [str(q) for q in got.generators]
+    assert text == [str(q) for q in quotient_by_element(A, g).generators]
+    assert text == [str(q) for q in quotient_by_division(A, g).generators]
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_colon_by_series_matches_both_routes_on_moved_forms(n, label, monkeypatch):
+    # the colons ci : h of both links of the equidimensional hull
+    moved = random_linear_change(normal_form_ideal(n, label), seed=n + 110)
+    rng = random.Random(f"colon-series:{n}:{label}")
+    ci, _ = _complete_intersection(moved, rng)
+    linked = _assert_colon_by_series_matches(ci, _generic_element(moved, rng), monkeypatch)
+    _assert_colon_by_series_matches(ci, _generic_element(linked, rng), monkeypatch)
+
+
+def _moved_pair(texts, g, seed):
+    """The ideal of the texts and the form g under one random change of
+    coordinates."""
+    M = random_invertible_matrix(R, seed)
+    A = random_linear_change(I(*texts), None, matrix=M)
+    (moved,) = random_linear_change(I(g), None, matrix=M).generators
+    return A, moved
+
+
+def _random_colons():
+    """(A, g) pairs in four variables: random products of linear forms
+    against zero-divisors, nonzerodivisors and linear forms, a moved III/IV
+    link whose colon is a linear form plus a quadric, and a g inside A."""
+    rng = random.Random("colon-series:random")
+    cases = []
+    for _ in range(6):
+        l = _random_polys(R, rng, 4, degrees=(1,))
+        (q,) = _random_polys(R, rng, 1, degrees=(2,))
+        A = Ideal(R, [l[0] * l[1], l[2] * l[3]])
+        cases += [(A, l[0] * l[2]), (A, q), (A, l[0]), (Ideal(R, [*A.generators, q * l[0]]), l[1])]
+    # (x0^2, x1*x2) : x0 == (x0, x1*x2)
+    cases.append(_moved_pair(("x0^2", "x1*x2"), "x0", seed=3))
+    cases.append(_moved_pair(("x0^2", "x0*x1", "x1^2"), "x0*x2 - x1*x2", seed=4))
+    A = cases[0][0]
+    cases.append((A, A.generators[0] * X[3]))
+    return cases
+
+
+def test_colon_by_series_matches_both_routes_on_random_ideals(monkeypatch):
+    degrees = set()
+    for A, g in _random_colons():
+        got = _assert_colon_by_series_matches(A, g, monkeypatch)
+        degrees.add(tuple(sorted({q.total_degree() for q in got.generators})))
+    # a unit colon, and colons with generators in two degrees
+    assert (0,) in degrees and (1, 2) in degrees
+
+
+def test_colon_rows_span_each_graded_piece():
+    for A, g in _random_colons():
+        gb = A.groebner_basis()
+        pk = groebner._ring_packing(gb.ring)
+        for e in range(4):
+            rows = groebner.colon_rows(gb, g, e)
+            basis, monos = graded_piece_quotient(A, I(str(g)), e)
+            column = {m: k for k, m in enumerate(monos)}
+            dense = []
+            for lead, row in rows.items():
+                # each row leads at its key, and its terms descend
+                assert list(row) == sorted(row, reverse=True) and pk.unpack(max(row)) == lead
+                vec = [0] * len(monos)
+                for m, c in row.items():
+                    vec[column[pk.unpack(m)]] = c
+                dense.append(vec)
+            assert len(rows) == len(basis) == linalg.rank(dense + [list(v) for v in basis])
+
+
+def test_colon_by_series_refuses_data_that_is_not_the_colons(monkeypatch):
+    ci, h = _ci_and_element(4, "III")
+    assert quotient_by_element(ci, h) != ci
+    # ci's own series: the first degree it reads has the wrong size
+    with pytest.raises(CertificateError, match="contradicts its series"):
+        colon_by_series(ci, h, hilbert_series(ci))
+    # a cap below the colon's generator degrees leaves the certificate open
+    data = _colon_data(ci, h)
+    monkeypatch.setattr(ideals, "gotzmann_number", lambda hp: 0)
+    assert data.agreement_bound < 2
+    with pytest.raises(CertificateError, match="do not close its series by degree"):
+        colon_by_series(ci, h, data)
+
+
+def test_colon_by_series_input_validation():
+    data = _colon_data(I("x0*x2", "x1*x3"), parse("x0*x3", R))
+    with pytest.raises(ZeroDivisionError):
+        colon_by_series(I("x0*x2", "x1*x3"), R.zero, data)
+    with pytest.raises(HomogeneityError):
+        colon_by_series(I("x0*x2", "x1*x3"), parse("x0*x3 + x1", R), data)
 
 
 def test_quotient_by_unit_ideal_is_identity():

@@ -65,7 +65,9 @@ def test_ideals_seed_their_bases_through_groebner_functions():
     # ideal layer neither builds a GroebnerBasis nor converts polynomials
     # into one
     names = _groebner_names(dict(_trees())["ideals"])
-    assert names == {"buchberger", "divided_basis", "eliminated_basis", "seeded_basis"}
+    assert names == {
+        "buchberger", "colon_rows", "divided_basis", "eliminated_basis", "seeded_basis"
+    }
 
 
 def test_no_module_calls_the_groebner_basis_constructor():
@@ -144,3 +146,15 @@ def test_no_unused_imports():
         if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert unused == {}
+
+
+def test_src_has_no_bare_assert():
+    # python -O strips assert statements, so a check the package relies on
+    # raises its error explicitly
+    bare = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []
