@@ -44,7 +44,6 @@ from .ideals import (
     Ideal,
     dumps_ideal,
     eliminate,
-    ideal_product,
     intersect,
     irrelevant_ideal,
     load_ideal,

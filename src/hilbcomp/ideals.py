@@ -323,11 +323,6 @@ def _saturate_principal(I, f):
     return _with_seeded_gb(ring, eliminated_basis(gens, [u_idx], ring))
 
 
-def ideal_product(I, J):
-    _require_same_ring(I, J)
-    return Ideal(I.ring, [f * g for f in I.generators for g in J.generators])
-
-
 def eliminate(I, front_vars):
     """Generators of I meet k[variables outside front_vars], as an ideal."""
     front = tuple(sorted(set(front_vars)))

@@ -219,6 +219,17 @@ def graded_piece_quotient(I, J, d):
     return linalg.nullspace(rows, len(monos)), monos
 
 
+def ideal_product(I, J):
+    """I * J, generated by the products of their generators: P^2 in the
+    elimination that checks classify's closed-form type-III meet, and
+    ideals such as m^2 and families such as (a)(b)."""
+    from hilbcomp.ideals import Ideal
+
+    if I.ring != J.ring:
+        raise RingMismatchError("ideals live in different rings")
+    return Ideal(I.ring, [f * g for f in I.generators for g in J.generators])
+
+
 def saturate_by_quotients(I, J):
     """(I : J^infinity) by iterating the quotient until the chain stabilizes."""
     from hilbcomp.ideals import quotient

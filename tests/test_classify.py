@@ -20,7 +20,7 @@ from hilbcomp.classify import (
     generic_slice_reduced,
     normal_form_ideal,
 )
-from hilbcomp.errors import ClassificationError
+from hilbcomp.errors import ClassificationError, RetriesExhaustedError
 from hilbcomp.flat_limit import limit_ideal
 from hilbcomp.hilbert import HilbertData, hilbert_data, hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
@@ -105,32 +105,47 @@ def test_linked_hull_equals_hull_by_quotients(n, label):
         assert equidimensional_hull(moved, seed=seed) == hull_by_quotients(ci, moved)
 
 
+def _count_colon_data(monkeypatch):
+    """Record the element of every `_colon_data` call: one per drawn h."""
+    drawn = []
+    real = classify_module._colon_data
+
+    def spy(ci, h):
+        drawn.append(h)
+        return real(ci, h)
+
+    monkeypatch.setattr(classify_module, "_colon_data", spy)
+    return drawn
+
+
 def test_link_falls_back_when_the_degree_certificate_fails(monkeypatch):
-    # every element h of ci gives ci : h = (1): dimension -1 and degree 0,
-    # never the linked degree e(ci) - e(ci) = 0 in dimension n - 2
-    fallbacks = []
-    real = classify_module.quotient
-    monkeypatch.setattr(classify_module, "quotient", lambda A, B: fallbacks.append(B) or real(A, B))
-    base = normal_form_ideal(4, "I")
-    ci, _ = _complete_intersection(base, random.Random("hull:0"))
-    linked = _link(ci, ci, random.Random(5))
-    assert len(fallbacks) == 1
-    assert linked == Ideal(base.ring, [base.ring.one])
+    # the name predates the redraws, when two rejected draws fell back to a
+    # colon by elimination.  Every element h of ci gives ci : h = (1):
+    # dimension -1 and degree 0, never the linked degree e(ci) - e(ci) = 0
+    # in dimension n - 2, so all five draws are rejected
+    ci, _ = _complete_intersection(normal_form_ideal(4, "I"), random.Random("hull:0"))
+    drawn = _count_colon_data(monkeypatch)
+    with pytest.raises(RetriesExhaustedError, match="^no linking element found in 5 attempts$"):
+        _link(ci, ci, random.Random(5))
+    assert len(drawn) == 5
 
 
 def test_link_rejects_a_colon_of_the_wrong_degree(monkeypatch):
-    # ci = (x0*x2, x1*x3) is the four planes (x0,x1), (x0,x3), (x1,x2),
-    # (x2,x3); J is the first and last, so ci : J is the middle two, of
-    # degree 2.  h = x0*x3 lies in J but only off (x1,x2), so ci : h is that
-    # one plane: dimension n - 2, degree 1, and the gate must refuse it
-    fallbacks = []
-    real = classify_module.quotient
-    monkeypatch.setattr(classify_module, "quotient", lambda A, B: fallbacks.append(B) or real(A, B))
-    monkeypatch.setattr(classify_module, "_generic_element", lambda J, rng: parse("x0*x3", R))
+    # the name predates the redraws.  ci = (x0*x2, x1*x3) is the four planes
+    # (x0,x1), (x0,x3), (x1,x2), (x2,x3); J is the first and last, so ci : J
+    # is the middle two, of degree 2.  h = x0*x3 lies in J but only off
+    # (x1,x2), so ci : h is that one plane: dimension n - 2, degree 1, and
+    # the gate must refuse it.  x0*x3 + x1*x2 lies off both middle planes
     ci = I("x0*x2", "x1*x3")
     J = I("x0*x2", "x0*x3", "x1*x2", "x1*x3")
+    draws = iter(["x0*x3", "x0*x3 + x1*x2"])
+    monkeypatch.setattr(classify_module, "_generic_element", lambda J, rng: parse(next(draws), R))
+    drawn = _count_colon_data(monkeypatch)
     assert _link(ci, J, random.Random(0)) == intersect(I("x0", "x3"), I("x1", "x2"))
-    assert len(fallbacks) == 1
+    assert [str(h) for h in drawn] == ["x0*x3", "x1*x2 + x0*x3"]
+    monkeypatch.setattr(classify_module, "_generic_element", lambda J, rng: parse("x0*x3", R))
+    with pytest.raises(RetriesExhaustedError):
+        _link(ci, J, random.Random(0))
 
 
 def _assert_same_data(got, want):
@@ -235,26 +250,38 @@ def _spy_on_bases(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
 def test_unmixed_inputs_run_one_elimination_and_no_full_ring_basis(monkeypatch, n, label):
-    # the name predates the certified colons: the hull's links are read off
-    # normal forms with no elimination, so a whole op runs at most one,
-    # the intersection of III's gate
+    # the name predates the certified colons and the closed-form type-III
+    # gate: the hull's links are read off normal forms and the gate's meet
+    # is l*P + (q), so no op builds a block-order basis
     moved = random_linear_change(normal_form_ideal(n, label), seed=n + 30)
     runs = _spy_on_bases(monkeypatch)
     assert classify(moved, seed=n).label == label
-    blocks = [r for r in runs if r[0] == "block"]
-    assert len(blocks) == {"I": 0, "II": 0, "III": 1, "IV": 0}[label]
+    assert [r for r in runs if r[0] == "block"] == []
     # every basis lives on the four essential variables
     assert all(nv == 4 for _, nv in runs)
 
 
 def test_moved_normal_forms_never_fall_back(monkeypatch):
-    calls = []
-    monkeypatch.setattr(classify_module, "quotient", lambda A, B: calls.append(B))
+    # the name predates the redraws, when a link could fall back to an
+    # elimination: no classify op builds a block-order basis
+    runs = _spy_on_bases(monkeypatch)
     for label in ("I", "II", "III", "IV"):
         for seed in range(3):
             moved = random_linear_change(normal_form_ideal(5, label), seed=seed)
             assert classify(moved, seed=seed).label == label
-    assert calls == []
+    assert runs and [r for r in runs if r[0] == "block"] == []
+
+
+def test_a_link_that_once_fell_back_is_redrawn(monkeypatch):
+    # the one elimination fallback in `hilbcomp verify --seed 7 --deep`:
+    # both draws of the second link were rejected.  Its fourth draw is
+    # accepted now, after one draw for the first link
+    moved = random_linear_change(normal_form_ideal(4, "III"), seed=7021)
+    drawn = _count_colon_data(monkeypatch)
+    runs = _spy_on_bases(monkeypatch)
+    assert classify(moved, seed=7022).label == "III"
+    assert len(drawn) == 5
+    assert [r for r in runs if r[0] == "block"] == []
 
 
 # points whose planes are not defined over QQ: two skew lines conjugate

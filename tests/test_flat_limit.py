@@ -18,7 +18,6 @@ from hilbcomp.groebner import buchberger
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
-    ideal_product,
     intersect,
     irrelevant_ideal,
     random_linear_change,
@@ -29,6 +28,7 @@ from hilbcomp.rings import PolyRing, parse
 from oracles import (
     contains_ideal,
     fiber_polynomials_by_specialization,
+    ideal_product,
     pencil_planar_double,
     saturate_by_quotients,
     specialize_by_substitution,

@@ -18,7 +18,6 @@ from hilbcomp.ideals import (
     colon_by_series,
     dumps_ideal,
     eliminate,
-    ideal_product,
     intersect,
     irrelevant_ideal,
     loads_ideal,
@@ -35,6 +34,7 @@ from oracles import (
     contains_ideal,
     essential_form_by_rref,
     graded_piece_quotient,
+    ideal_product,
     quotient_by_division,
     saturate_by_quotients,
     sympy_eliminate,

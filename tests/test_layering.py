@@ -158,3 +158,17 @@ def test_src_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert bare == []
+
+
+def test_classify_runs_no_elimination():
+    # the links are certified colons and the type-III gate reads its meet
+    # off a closed form, so classify reaches no elimination routine
+    tree = dict(_trees())["classify"]
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    eliminations = {"intersect", "quotient", "quotient_by_element", "eliminate", "saturate"}
+    assert eliminations.isdisjoint(imported | set(_referenced(tree)))
