@@ -149,7 +149,7 @@ def _essential_quadrics(I):
     I', with no basis of I built; else _quadric_basis(I) is used."""
     gens = list(I.generators)
     if gens and all(g.total_degree() == 2 and g.is_homogeneous() for g in gens):
-        reduced, _ = essential_form(I.ring, gens)
+        reduced = essential_form(I.ring, gens)[0]
         return reduced, hilbert_data(I.ring.width, hilbert_series(reduced).series_numerator)
     return essential_form(I.ring, _quadric_basis(I))[0], hilbert_series(I)
 

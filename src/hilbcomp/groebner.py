@@ -762,9 +762,18 @@ def _row_shift(ring, degrees, row):
 
 @functools.lru_cache(maxsize=128)
 def _monomial_index(order, width, d):
-    """{packed monomial: position} over monomials_of_degree(width, d)."""
-    pack = _packing(order, width).pack
-    return {pack(m): k for k, m in enumerate(monomials_of_degree(width, d))}
+    """{packed monomial: position} over monomials_of_degree(width, d).  A
+    degree within MASK bounds every field, and each monomial is packed
+    from its nonzero exponents, at most d of its `width`."""
+    monos = monomials_of_degree(width, d)
+    if d > _MASK:
+        raise _overflow()
+    pk = _packing(order, width)
+    weights, base = pk.weights, pk.base
+    return {
+        sum([e * weights[i] for i, e in enumerate(m) if e], base): k
+        for k, m in enumerate(monos)
+    }
 
 
 def _row_coordinates(ring, degrees, row, shift, mono=None):

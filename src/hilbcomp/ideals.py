@@ -365,44 +365,54 @@ def random_linear_change(I, seed, matrix=None):
 
 
 def _integer_partials(g):
-    """The partial derivatives of a multiple of g with integer coefficients,
-    one {monomial: nonzero int} per variable."""
+    """The partial derivatives along the x variables of a multiple of g with
+    integer coefficients, one {monomial: nonzero int} per x variable; in a
+    ring with the parameter t, each monomial keeps its exponent of t."""
     den = lcm(*(c.denominator for _, c in g.terms))
-    partials = [{} for _ in range(g.ring.width)]
+    partials = [{} for _ in range(g.ring.num_vars)]
     for mono, c in g.terms:
         c = c.numerator * (den // c.denominator)
-        for i, e in enumerate(mono):
+        for i, e in enumerate(mono[:g.ring.num_vars]):
             if e:
                 partials[i][mono[:i] + (e - 1,) + mono[i + 1:]] = e * c
     return partials
 
 
 def essential_form(ring, forms):
-    """(I', columns): the ideal of the forms, homogeneous polynomials of
-    ring = QQ[x_0..x_n], written in their m = max(4, k) essential variables
-    y_0..y_(m-1), with k the dimension of the span W below.  y_i stands for
-    x_(columns[i]): columns lists the pivot columns of W's rref basis, then
-    the free columns in ascending order, n + 1 entries in all, and the y_j
-    with j >= m are the dropped variables.  When m >= n + 1 nothing is
-    restricted: I' is the ideal of the forms in ring itself and columns is
-    the identity.
+    """(I', columns, ells): the ideal of the forms, x-homogeneous
+    polynomials of ring = QQ[x_0..x_n] or QQ[t][x_0..x_n], written in their
+    m = max(4, k) essential variables y_0..y_(m-1), in
+    PolyRing(m, has_param=ring.has_param), with k the dimension of the span
+    W below.  y_i stands for x_(columns[i]): columns lists the pivot columns
+    of W's rref basis, then the free columns in ascending order, n + 1
+    entries in all, and the y_j with j >= m are the dropped variables.
+    ells[i] is the coefficient row over x_0..x_n of the linear form ell_i
+    that y_i maps back to, for i < m: the rref row w_i for i < k, and the
+    unit row at columns[i] after it; each generator of I' with ell_i
+    substituted for y_i is the form it came from.  When m >= n + 1 nothing
+    is restricted: I' is the ideal of the forms in ring itself, columns is
+    the identity and ells are the unit rows.
 
     The proof (E. Carlini, "Reducing the number of variables of a
     polynomial", Algebraic Geometry and Geometric Modeling, Springer 2006):
 
       * let W be the span of the rows r_mu = (coefficient of x^mu in
         d f / d x_i)_i over the forms f and the monomials x^mu of their
-        first partials.  The coefficient of x^mu in d_v f is <v, r_mu>, so
-        v is orthogonal to W exactly when every d_v f is 0.  For a quadric
-        f = x^T Q x, r_(x_j) = 2Q e_j holds the coefficients of d f / d x_j,
-        as Q is symmetric: W is the span of the quadrics' partials;
+        first x-partials, with x^mu running over the monomials in t and x
+        when the ring has t.  The coefficient of x^mu in d_v f is
+        <v, r_mu>, so a constant v is orthogonal to W exactly when every
+        d_v f is 0, as a polynomial in t and x.  For a quadric
+        f = x^T Q x, r_(x_j) = 2Q e_j holds the coefficients of
+        d f / d x_j, as Q is symmetric: W is the span of the quadrics'
+        partials;
       * let w_0..w_(k-1) be the reduced row echelon basis of W (as
         coefficient rows), w_i with pivot column p_i, and complete it by the
         unit rows at the free columns to an invertible matrix A.  Substitute
-        x -> A^-1 y.  For j >= k column j of A^-1 is orthogonal to
-        w_0..w_(k-1), so the derivative of every form along it is zero and
-        the substituted forms do not involve y_j: they lie in
-        S' = QQ[y_0..y_(m-1)] with m = max(4, k);
+        x -> A^-1 y, a change of the x coordinates constant in t.  For
+        j >= k column j of A^-1 is orthogonal to w_0..w_(k-1), so the
+        derivative of every form along it is zero and the substituted forms
+        do not involve y_j: they lie in S' = QQ[y_0..y_(m-1)] (over QQ[t])
+        with m = max(4, k);
       * for i < k column i of A^-1 is the unit vector e_(p_i), because
         A e_(p_i) = (w_0[p_i], ..., w_(k-1)[p_i], 0, ..., 0) = e_i: an rref
         row is 1 at its own pivot and 0 at the others, and e_(p_i) has no
@@ -410,7 +420,9 @@ def essential_form(ring, forms):
         y_0 e_(p_0) + ... + y_(k-1) e_(p_(k-1)), so each substituted form
         is the form with every free variable set to 0 and x_(p_i) renamed
         y_i.  The change of coordinates is a restriction, and A is never
-        built.
+        built;
+      * y = A x, so y_i = <w_i, x> = ell_i for i < k, and each form f is
+        its substituted form f' at y = A x: f = f'(ell_0, ..., ell_(m-1)).
 
     So the substituted ideal gI of the forms is I'S.
     """
@@ -423,26 +435,26 @@ def essential_form(ring, forms):
                 rows.setdefault(mono, {})[i] = c
         for row in rows.values():
             span.add(row)
-    pivots = span.pivots
-    m = max(4, len(pivots))
+    m = max(4, len(span))
     if m >= nv:
-        return Ideal(ring, forms), tuple(range(nv))
-    # restrict to the free variables = 0 and rename x_(p_i) to y_i
-    position = {p: i for i, p in enumerate(pivots)}
-    small = PolyRing(m)
-    restricted = []
-    for f in forms:
-        acc = {}
-        for mono, c in f.terms:
-            if all(j in position for j, e in enumerate(mono) if e):
-                image = [0] * m
-                for j, e in enumerate(mono):
-                    if e:
-                        image[position[j]] = e
-                acc[tuple(image)] = c
-        restricted.append(small.from_dict(acc))
-    free = tuple(j for j in range(nv) if j not in position)
-    return Ideal(small, restricted), tuple(pivots) + free
+        identity = tuple(tuple(int(i == j) for i in range(nv)) for j in range(nv))
+        return Ideal(ring, forms), tuple(range(nv)), identity
+    basis, pivots = span.rref()
+    # set the free variables to 0 and rename x_(p_i) to y_i
+    free = tuple(j for j in range(nv) if j not in pivots)
+    pad = (0,) * (m - len(pivots))
+    small = PolyRing(m, has_param=ring.has_param)
+    restricted = [
+        small.from_dict({
+            tuple(mono[p] for p in pivots) + pad + mono[nv:]: c
+            for mono, c in f.terms
+            if not any(mono[j] for j in free)
+        })
+        for f in forms
+    ]
+    columns = tuple(pivots) + free
+    units = tuple(tuple(int(i == j) for i in range(nv)) for j in columns[len(pivots):m])
+    return Ideal(small, restricted), columns, tuple(map(tuple, basis)) + units
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,19 @@ monomials in y, each y_i written x_(columns[i]) with the pivot columns
 first and then the free ones (so an ideal already in its essential
 variables keeps the names x), listed per generator in the order of the
 exponent tuples, as `standard_monomials` lists them; they and
-`system.rows` depend on the coordinates.
+`system.rows` depend on the coordinates.  Their count is `total_unknowns`,
+known from the shift systems' sizes before any monomial v is listed, so a
+report that would name more than NAMED_UNKNOWN_BUDGET unknowns raises
+`BudgetExceededError` first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 
 from . import linalg
-from .errors import HomogeneityError
+from .errors import BudgetExceededError, HomogeneityError
 from .groebner import (
     _graded_prune,
     _overflow,
@@ -105,6 +108,10 @@ from .groebner import (
 )
 from .ideals import essential_form
 from .rings import format_monomial, monomials_of_degree
+
+# unknowns one report may name: each name is a monomial of the full ring,
+# so a wide ring with few essential variables can ask for millions of them
+NAMED_UNKNOWN_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -235,25 +242,34 @@ def hom_degree_zero(I):
     if I.is_zero():
         raise ValueError("the zero ideal has no generators to deform")
     ring = I.ring
-    reduced, columns = essential_form(ring, minimal_generators(I))
+    reduced, columns, _ = essential_form(ring, minimal_generators(I))
     gens = reduced.generators
     table = _NormalFormTable(syzygies(list(gens)))
     dropped = ring.num_vars - reduced.ring.num_vars
     degrees = tuple(g.total_degree() for g in gens)
-    unknowns = [[] for _ in gens]   # exponents in y, per generator
     total = rank = rows = 0
+    shifts = []   # (e, unknown bases of the shift-e system)
     for e in range(max(degrees) + 1):
         # one block per monomial v of degree e in the dropped variables
-        vs = monomials_of_degree(dropped, e)
-        if not vs:
-            continue
+        mult = comb(dropped + e - 1, e) if dropped else int(e == 0)
+        if not mult:
+            break
         bases, eqs = table.system(e)
+        cols = sum(map(len, bases))
+        total += mult * cols
+        rank += mult * len(linalg.RowSpan(cols, eqs))
+        rows += mult * len(eqs)
+        shifts.append((e, bases))
+    if total > NAMED_UNKNOWN_BUDGET:
+        raise BudgetExceededError(
+            f"the report would name {total} unknowns, over the budget of "
+            f"{NAMED_UNKNOWN_BUDGET}"
+        )
+    unknowns = [[] for _ in gens]   # exponents in y, per generator
+    for e, bases in shifts:
+        vs = monomials_of_degree(dropped, e)
         for found, basis in zip(unknowns, bases):
             found.extend(u + v for u in basis for v in vs)
-        cols = sum(map(len, bases))
-        total += len(vs) * cols
-        rank += len(vs) * len(linalg.RowSpan(cols, eqs))
-        rows += len(vs) * len(eqs)
 
     def in_x(y):
         mono = [0] * ring.num_vars

@@ -193,6 +193,19 @@ def test_a_degree_table_over_budget_is_refused_before_it_is_built(tmp_path, caps
     assert err.startswith("error:") and "budget" in err
 
 
+def test_a_report_over_the_named_unknown_budget_exits_with_code_1(tmp_path, capsys):
+    # x0^3 in P^100 drops 97 variables: its report would name 176,850
+    # unknowns, refused from the shift systems' sizes before any is named
+    path = tmp_path / "cubic.ideal"
+    path.write_text("ring n=100 param=0\nx0^3\n")
+    start = time.perf_counter()
+    with memory_cap(1 << 30):
+        assert run_subcommand(["tangent", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "176850 unknowns" in err and "budget" in err
+
+
 def test_limit_rejects_plain_ideal_file(files, capsys):
     assert run_subcommand(["limit", files["type_i"]]) == 2
 

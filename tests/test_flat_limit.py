@@ -14,7 +14,7 @@ from hilbcomp.flat_limit import (
     flatness_probe,
     limit_ideal,
 )
-from hilbcomp.groebner import buchberger
+from hilbcomp.groebner import _ring_packing, buchberger
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.ideals import (
     Ideal,
@@ -220,6 +220,29 @@ def test_constructed_jump_is_specialized_at_one_and_not_flat(monkeypatch):
     assert not report.flat and report.mismatched_points == (Fraction(1),)
 
 
+def test_candidate_fibers_of_a_restricted_family_are_widened_to_the_full_ring(monkeypatch):
+    # in P^5 the families below need three essential variables, so the probe
+    # specializes the small family at the candidate t = 1 and reads its
+    # series numerator over all six variables: the same polynomials as the
+    # full-ring fibers, flat for the first family and a jump for the second
+    ring = PolyRing(6, has_param=True)
+    points = []
+    original = flat_limit._specialize
+    monkeypatch.setattr(
+        flat_limit, "_specialize", lambda I, t0: points.append(I.ring) or original(I, t0)
+    )
+    for gens, flat in ((["t*x0 - x0 + x1", "x2"], True), (["x0 - t*x0", "x1"], False)):
+        fam = Family(Ideal(ring, gens))
+        points.clear()
+        report = flatness_probe(fam)
+        assert points == [PolyRing(4, has_param=True)]
+        assert report.flat == flat
+        assert report.mismatched_points == (() if flat else (Fraction(1),))
+        assert report.sample_polynomials == fiber_polynomials_by_specialization(
+            fam, report.sample_points
+        )
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_limit_and_probe_read_their_bases_unreduced(name, monkeypatch):
     # the special fiber and the sample fibers read the packed minimal
@@ -234,6 +257,59 @@ def test_limit_and_probe_read_their_bases_unreduced(name, monkeypatch):
     assert flatness_probe(fam).flat
     assert [gb.ring.order.kind for gb in bases] == ["grevlex", "block"]
     assert not any("elements" in vars(gb) for gb in bases)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_both_family_bases_run_in_the_essential_variables(n, monkeypatch):
+    # a moved family is a cone over a family in P^3: the homogenized grevlex
+    # basis runs in y_0..y_3 and h, the block basis in y_0..y_3, both with t
+    bases = []
+    original = flat_limit.buchberger
+    monkeypatch.setattr(
+        flat_limit, "buchberger", lambda *a, **k: bases.append(original(*a, **k)) or bases[-1]
+    )
+    for k, name in enumerate(FAMILIES):
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        fam = Family(random_linear_change(total, seed=600 * n + k))
+        bases.clear()
+        assert flatness_probe(fam).flat
+        assert [(gb.ring.num_vars, gb.ring.has_param, gb.ring.order.kind) for gb in bases] == [
+            (5, True, "grevlex"),
+            (4, True, "block"),
+        ], name
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_mapped_fiber_leads_are_the_small_leads_renamed(n, monkeypatch):
+    # each p cut out of the small basis maps to a form whose grevlex lead is
+    # lead(p) with y_i renamed x_(p_i), the pivot column of ell_i
+    bases, seeds = [], []
+    original, original_seeded = flat_limit.buchberger, flat_limit.seeded_basis
+    monkeypatch.setattr(
+        flat_limit, "buchberger", lambda *a, **k: bases.append(original(*a, **k)) or bases[-1]
+    )
+    monkeypatch.setattr(
+        flat_limit,
+        "seeded_basis",
+        lambda ring, items: seeds.append(items) or original_seeded(ring, items),
+    )
+    for k, name in enumerate(FAMILIES):
+        total = fixtures.get(f"family_{name}_limit_n{n}").payload.total_ideal
+        fam = Family(random_linear_change(total, seed=700 * n + k))
+        bases.clear()
+        seeds.clear()
+        limit_ideal(fam)
+        (gb,), (items,) = bases, seeds
+        columns = flat_limit._essential(fam)[1]
+        m = gb.ring.num_vars - 1
+        unpack = _ring_packing(fam.base_ring()).unpack
+        renamed = []
+        for entry in gb._minimal:
+            lead = [0] * (n + 1)
+            for c, e in zip(columns, entry.lead[:m]):
+                lead[c] = e
+            renamed.append(tuple(lead))
+        assert [unpack(next(iter(item))) for item in items] == renamed, name
 
 
 def test_probe_argument_validation():
@@ -305,7 +381,7 @@ def test_special_fiber_matches_the_elimination_oracle(name, n, moved):
     # Bayer's t-saturation of the homogenized basis against the quotient
     # loop's t-saturation specialized at t = 0, as reduced grevlex bases
     total = special_fiber_case(name, n, moved)
-    got = _special_fiber(total)
+    got = _special_fiber(Family(total))
     want = _specialize(saturate_by_quotients(total, Ideal(total.ring, [total.ring.t])), 0)
     assert got.ring == want.ring
     seeded = [g.terms for g in got.groebner_basis().elements]
@@ -434,7 +510,7 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
     leads = []
     principal = []
     original = hilbert._initial_monomials
-    original_data = flat_limit.hilbert_data
+    original_data = flat_limit.monomial_data
     original_principal = ideals._saturate_principal
     for points in (SAMPLE_POINTS, EIGHT_POINTS):
         if torsion:
@@ -442,7 +518,7 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
         else:
             fam = fixtures.get("family_embedded_limit_n3").payload
         hilbert_series(irrelevant_ideal(fam.base_ring()))
-        special = _special_fiber(fam.total_ideal)
+        special = _special_fiber(fam)
         assert torsion == any(g.lead_monomial()[-1] for g in special.groebner_basis().elements)
         computed.clear()
         leads.clear()
@@ -452,7 +528,7 @@ def test_flatness_probe_computes_each_series_once(torsion, monkeypatch):
             hilbert, "_initial_monomials", lambda I: computed.append(I) or original(I)
         )
         monkeypatch.setattr(
-            flat_limit, "hilbert_data", lambda *a: leads.append(a) or original_data(*a)
+            flat_limit, "monomial_data", lambda *a: leads.append(a) or original_data(*a)
         )
         monkeypatch.setattr(
             ideals,

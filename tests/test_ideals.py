@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbcomp import groebner, ideals, linalg
+from hilbcomp import fixtures, groebner, ideals, linalg
 from hilbcomp.errors import CertificateError, HomogeneityError, RingMismatchError
 from hilbcomp.hilbert import hilbert_series, pair_hilbert_polynomial
 from hilbcomp.classify import (
@@ -610,9 +610,58 @@ def test_essential_form_matches_the_rref_route(label, n):
     scaled = [g.scale(Fraction(1, 2) if i % 2 else Fraction(3, 4)) for i, g in enumerate(gens)]
     scaled[0] = scaled[0] + parse("1/2*x0*x1 - 3/4*x2^2", ring)
     for quadrics in (gens, scaled):
-        got, columns = ideals.essential_form(ring, quadrics)
+        got, columns, _ = ideals.essential_form(ring, quadrics)
         want, want_columns = essential_form_by_rref(ring, quadrics)
         assert columns == want_columns
         assert got.ring == want.ring
         assert got.generators == want.generators
     assert ideals.essential_form(ring, gens)[0].ring == PolyRing(4)
+
+
+def _family_essential_cases():
+    """(name, family generators, dimension of the span of their partials):
+    the moved degeneration families in P^4..P^7 (the substitution family
+    lives in x0, x1, x2), a pair of planes in P^6 whose second plane's
+    vertex moves with t, so that its span needs five variables, and a moved
+    P^6 family that needs all seven."""
+    cases = []
+    spans = {"embedded": 4, "double": 4, "quadric_union": 4, "substitution": 3}
+    for n in (4, 5, 6, 7):
+        for name, k in spans.items():
+            total = getattr(fixtures, f"family_{name}_limit")(n).total_ideal
+            moved = random_linear_change(total, seed=f"essential-family:{n}:{name}")
+            cases.append((f"{name}-n{n}", moved, k))
+    ring = PolyRing(7, has_param=True)
+    moving = Ideal(ring, ["x0*x2 + t*x0*x4", "x0*x3", "x1*x2 + t*x1*x4", "x1*x3"])
+    cases.append(("moving-vertex", random_linear_change(moving, seed=11), 5))
+    full = Ideal(ring, ["x0*x1", "x2*x3 + t*x4*x5", "x6^2 - t^2*x0*x2"])
+    cases.append(("all-variables", random_linear_change(full, seed=12), 7))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,total,k", _family_essential_cases(), ids=[c[0] for c in _family_essential_cases()]
+)
+def test_essential_form_of_a_family_maps_back_by_its_forms(name, total, k):
+    # over QQ[t] the partials are taken in x only and t rides along: each
+    # generator of I' with ell_i substituted for y_i gives back the family
+    # generator it came from, and each ell_i with i below the span's
+    # dimension is x_(p_i) plus later free variables (its rref row)
+    ring = total.ring
+    small, columns, ells = ideals.essential_form(ring, total.generators)
+    m = max(4, k)
+    assert small.ring == (ring if m >= ring.num_vars else PolyRing(m, has_param=True))
+    assert len(ells) == small.ring.num_vars and sorted(columns) == list(range(ring.num_vars))
+    x = [ring.x(j) for j in range(ring.num_vars)]
+    images = {
+        i: sum((a * xj for a, xj in zip(row, x) if a), ring.zero) for i, row in enumerate(ells)
+    }
+    for f, g in zip(total.generators, small.generators, strict=True):
+        assert g.convert(ring).substitute(images) == f, (name, str(f))
+    free = set(columns[k:])
+    for i, row in enumerate(ells[:k]):
+        p = columns[i]
+        assert row[p] == 1 and not any(row[:p])
+        assert all(j in free for j, a in enumerate(row) if a and j != p)
+    for i, row in enumerate(ells[k:], k):
+        assert list(row) == [int(j == columns[i]) for j in range(ring.num_vars)]

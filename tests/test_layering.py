@@ -172,3 +172,21 @@ def test_classify_runs_no_elimination():
     }
     eliminations = {"intersect", "quotient", "quotient_by_element", "eliminate", "saturate"}
     assert eliminations.isdisjoint(imported | set(_referenced(tree)))
+
+
+def test_flat_limit_takes_its_essential_form_from_ideals():
+    # the family's essential variables come from the one essential_form:
+    # flat_limit builds no RowSpan and takes no partial derivatives itself
+    tree = dict(_trees())["flat_limit"]
+    imported = {
+        (node.module, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert ("ideals", "essential_form") in imported
+    referenced = _referenced(tree)
+    assert referenced["essential_form"]
+    assert not {"linalg", "RowSpan", "_integer_partials"} & set(referenced)
+    defined = [name for name, _ in _defined(tree)]
+    assert not [name for name in defined if "partial" in name or "essential_form" in name]

@@ -9,7 +9,7 @@ import pytest
 
 from hilbcomp import fixtures, linalg, loads_ideal, tangent
 from hilbcomp.classify import normal_form_ideal
-from hilbcomp.errors import HomogeneityError
+from hilbcomp.errors import BudgetExceededError, HomogeneityError
 from hilbcomp.groebner import _ring_packing, syzygies
 from hilbcomp.hilbert import hilbert_function
 from hilbcomp.ideals import Ideal, random_linear_change
@@ -467,9 +467,9 @@ def test_every_ideal_takes_its_essential_variables(monkeypatch):
     real = tangent.essential_form
 
     def spy(ring, forms):
-        reduced, columns = real(ring, forms)
-        seen.append(ring.num_vars - reduced.ring.num_vars)
-        return reduced, columns
+        found = real(ring, forms)
+        seen.append(ring.num_vars - found[0].ring.num_vars)
+        return found
 
     monkeypatch.setattr(tangent, "essential_form", spy)
     hom_degree_zero(random_linear_change(Ideal(PolyRing(7), ["x3", "x2^3", "x1*x2^2"]), seed=5))
@@ -498,3 +498,24 @@ def test_a_non_quadric_ideal_in_p30_is_solved_on_its_essential_variables():
     assert time.process_time() - start < 10
     assert report.total_unknowns == sum(hilbert_function(I, d) for d in report.generator_degrees) == 9946
     assert report.dimension == hom_degree_zero(base).dimension == 550
+
+
+def test_a_report_over_the_named_unknown_budget_is_refused_before_naming(monkeypatch):
+    # the budget sits above every report the tests, goldens and verify name
+    # (10,096 unknowns at most) and below the 176,850 of x0^3 in P^100; the
+    # count is the sum over the shifts of C(d + e - 1, e) * cols_e, known
+    # before any monomial of the dropped variables is listed
+    assert 10_096 < tangent.NAMED_UNKNOWN_BUDGET < 176_850
+    I = random_linear_change(Ideal(PolyRing(31), ["x3", "x2^3", "x1*x2^2"]), seed=5)
+    listed = []
+    original = tangent.monomials_of_degree
+    monkeypatch.setattr(
+        tangent, "monomials_of_degree", lambda w, d: listed.append((w, d)) or original(w, d)
+    )
+    monkeypatch.setattr(tangent, "NAMED_UNKNOWN_BUDGET", 9945)
+    with pytest.raises(BudgetExceededError, match="9946 unknowns"):
+        hom_degree_zero(I)
+    assert listed == []
+    monkeypatch.setattr(tangent, "NAMED_UNKNOWN_BUDGET", 9946)
+    assert hom_degree_zero(I).total_unknowns == 9946
+    assert listed == [(27, 0), (27, 1), (27, 2), (27, 3)]
